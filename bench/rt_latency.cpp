@@ -3,8 +3,11 @@
 // manual steady-clock harness so every distribution lands in
 // BENCH_rt_latency.json (mean/p50/p95/p99/p999 per variant).
 //
-// NOTE: this container exposes a single CPU, so these are per-call latency
-// numbers, not scalability curves — the simulator benches cover scaling.
+// These are single-thread per-call latencies, not scalability curves — the
+// simulator benches cover scaling. The paper's first claim reads off one
+// run: rt_ppc_call (the per-processor path, shipped histogram sampling
+// included) must not be slower than global_pool_call (the locked pool); CI
+// checks the two p50s from a fresh run on its runner.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

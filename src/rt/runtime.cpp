@@ -184,7 +184,6 @@ void Runtime::reclaim_service_on_slot(Slot& slot, EntryPointId id) {
   }
 }
 
-template <bool kObserved>
 RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
   RtWorker* w = slot.worker_pool[svc.id];
   if (w != nullptr) {
@@ -194,27 +193,22 @@ RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
   }
   // Slow path: create a worker initialized to the service's initial
   // (possibly one-time-init, §4.5.3) routine.
-  if constexpr (kObserved) {
-    slot.counters.inc(obs::Counter::kWorkersCreated);
-    slot.counters.inc(obs::Counter::kSlowPathEntries);
-    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                     obs::TraceEvent::kWorkerCreate, svc.id);
-  }
+  slot.counters.inc(obs::Counter::kWorkersCreated);
+  slot.counters.inc(obs::Counter::kSlowPathEntries);
+  HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                   obs::TraceEvent::kWorkerCreate, svc.id);
   auto owned = std::make_unique<RtWorker>(svc.initial_handler);
   w = owned.get();
   slot.owned_workers.push_back(std::move(owned));
   if (svc.cfg.hold_cd) {
-    w->held_cd = acquire_cd<kObserved>(slot, *w);
+    w->held_cd = acquire_cd(slot, *w);
   }
   return w;
 }
 
-template <bool kObserved>
 RtCd* Runtime::acquire_cd(Slot& slot, RtWorker& w) {
   if (w.held_cd != nullptr) {
-    if constexpr (kObserved) {
-      slot.counters.inc(obs::Counter::kHoldCdHits);
-    }
+    slot.counters.inc(obs::Counter::kHoldCdHits);
     return w.held_cd;
   }
   RtCd* cd = slot.cd_pool;
@@ -223,10 +217,8 @@ RtCd* Runtime::acquire_cd(Slot& slot, RtWorker& w) {
     cd->next = nullptr;
     return cd;
   }
-  if constexpr (kObserved) {
-    slot.counters.inc(obs::Counter::kCdsCreated);
-    slot.counters.inc(obs::Counter::kSlowPathEntries);
-  }
+  slot.counters.inc(obs::Counter::kCdsCreated);
+  slot.counters.inc(obs::Counter::kSlowPathEntries);
   // Pool growth (slow path): descriptor and stack both land on the slot's
   // node. Page alignment keeps each stack to whole local pages.
   cd = arena_.create<RtCd>(slot.node);
@@ -253,45 +245,39 @@ void Runtime::release(Slot& slot, Service& svc, RtWorker* w, RtCd* cd) {
   }
 }
 
-template <ObsLevel kLevel>
 Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
                                 ProgramId caller, RegSet& regs) {
-  constexpr bool kObserved = kLevel != ObsLevel::kStripped;
   // The shared call body: everything below is slot-local under the current
   // ownership — no atomics, no locks. Pool-hit and CD-recycle tallies are
   // derived at snapshot time from the slow-path counters instead of being
   // incremented per call (see derive_pool_counters).
-  if constexpr (kObserved) {
+  HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                   obs::TraceEvent::kCallEnter, svc.id);
+  // Fault seams for the resource-acquisition half of the call body:
+  // simulate the worker pool (then the CD pool) being exhausted past even
+  // Frank's reach — the §4.5.6 failure mode — without perturbing the real
+  // pools.
+  if (HPPC_FAULT_POINT("rt.worker.exhausted") ||
+      HPPC_FAULT_POINT("rt.cd.exhausted")) {
+    slot.counters.inc(obs::Counter::kFaultsInjected);
     HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                     obs::TraceEvent::kCallEnter, svc.id);
-    // Fault seams for the resource-acquisition half of the call body:
-    // simulate the worker pool (then the CD pool) being exhausted past even
-    // Frank's reach — the §4.5.6 failure mode — without perturbing the real
-    // pools.
-    if (HPPC_FAULT_POINT("rt.worker.exhausted") ||
-        HPPC_FAULT_POINT("rt.cd.exhausted")) {
-      slot.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                       obs::TraceEvent::kFaultInject, svc.id);
-      set_rc(regs, Status::kOutOfResources);
-      return Status::kOutOfResources;
-    }
+                     obs::TraceEvent::kFaultInject, svc.id);
+    set_rc(regs, Status::kOutOfResources);
+    return Status::kOutOfResources;
   }
-  RtWorker* w = acquire_worker<kObserved>(slot, svc);
-  RtCd* cd = acquire_cd<kObserved>(slot, *w);
+  RtWorker* w = acquire_worker(slot, svc);
+  RtCd* cd = acquire_cd(slot, *w);
   w->active_cd = cd;
 
+  // Simulated handler abort (§4.5.2 in-flight failure): the worker and CD
+  // were acquired, the handler never runs, resources are released below.
   bool aborted = false;
-  if constexpr (kObserved) {
-    // Simulated handler abort (§4.5.2 in-flight failure): the worker and CD
-    // were acquired, the handler never runs, resources are released below.
-    if (HPPC_FAULT_POINT("rt.handler.abort")) {
-      slot.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                       obs::TraceEvent::kFaultInject, svc.id);
-      set_rc(regs, Status::kCallAborted);
-      aborted = true;
-    }
+  if (HPPC_FAULT_POINT("rt.handler.abort")) {
+    slot.counters.inc(obs::Counter::kFaultsInjected);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                     obs::TraceEvent::kFaultInject, svc.id);
+    set_rc(regs, Status::kCallAborted);
+    aborted = true;
   }
   if (!aborted) {
     RtCtx ctx(*this, slot_id, *w, caller);
@@ -303,17 +289,14 @@ Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
   }
 
   release(slot, svc, w, cd);
-  if constexpr (kObserved) {
-    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                     obs::TraceEvent::kCallExit,
-                     static_cast<std::uint32_t>(rc_of(regs)));
-  }
+  HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                   obs::TraceEvent::kCallExit,
+                   static_cast<std::uint32_t>(rc_of(regs)));
   return rc_of(regs);
 }
 
-template <ObsLevel kLevel>
-Status Runtime::call_impl(SlotId slot_id, ProgramId caller, EntryPointId id,
-                          RegSet& regs) {
+Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
+                     RegSet& regs) {
   HPPC_ASSERT(slot_id < slots_.size());
   Slot& slot = *slots_[slot_id];
 
@@ -330,78 +313,63 @@ Status Runtime::call_impl(SlotId slot_id, ProgramId caller, EntryPointId id,
     return s;
   }
 
-  // Ambient request screen — present at EVERY ObsLevel because it is call
-  // semantics, not instrumentation (the overhead gate differences paths
-  // that all share it). The warm no-context path pays two always-false
-  // compares against slot-local state; an expired or cancelled root
-  // request refuses every nested call in its tree right here, before a
-  // worker is touched.
+  // Ambient request screen — call semantics, not instrumentation, so it
+  // runs at every sample period. The warm no-context path pays two
+  // always-false compares against slot-local state; an expired or
+  // cancelled root request refuses every nested call in its tree right
+  // here, before a worker is touched.
   const RequestCtx& req = slot.cur_req;
   if (req.abs_deadline_cycles != 0 &&
       host_cycles() >= req.abs_deadline_cycles) {
-    if constexpr (kLevel != ObsLevel::kStripped) {
-      slot.counters.inc(obs::Counter::kDeadlineExceeded);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                       obs::TraceEvent::kDeadlineExceeded, id);
-    }
+    slot.counters.inc(obs::Counter::kDeadlineExceeded);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                     obs::TraceEvent::kDeadlineExceeded, id);
     set_rc(regs, Status::kDeadlineExceeded);
     return Status::kDeadlineExceeded;
   }
   if (req.cancel_token != 0 && cancel_requested(req.cancel_token)) {
-    if constexpr (kLevel != ObsLevel::kStripped) {
-      slot.counters.inc(obs::Counter::kCallsCancelled);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                       obs::TraceEvent::kCallCancelled, id);
-    }
+    slot.counters.inc(obs::Counter::kCallsCancelled);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                     obs::TraceEvent::kCallCancelled, id);
     set_rc(regs, Status::kCallAborted);
     return Status::kCallAborted;
   }
 
   // Fast path: one plain store (calls_sync; hold-CD services pay a second
   // for hold_cd_hits), then the shared slot-local call body.
-  if constexpr (kLevel != ObsLevel::kStripped) {
-    slot.counters.inc(obs::Counter::kCallsSync);
-    // Pure-delay seam (the failpoint burns its armed cpu_relax budget
-    // before returning true): models a preempted or cache-cold caller.
-    if (HPPC_FAULT_POINT("rt.call.delay")) {
-      slot.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                       obs::TraceEvent::kFaultInject, id);
-    }
+  slot.counters.inc(obs::Counter::kCallsSync);
+  // Pure-delay seam (the failpoint burns its armed cpu_relax budget before
+  // returning true): models a preempted or cache-cold caller.
+  if (HPPC_FAULT_POINT("rt.call.delay")) {
+    slot.counters.inc(obs::Counter::kFaultsInjected);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                     obs::TraceEvent::kFaultInject, id);
   }
-  if constexpr (kLevel == ObsLevel::kFull) {
-    // Full observability adds one tsc pair + one histogram store per call.
-    const std::uint64_t t0 = host_cycles();
+  // Only the sampled call pays the tsc pair and the kRttSync record.
+  const bool sampled = hist_sampled(slot);
+  const std::uint64_t t0 = sampled ? host_cycles() : 0;
 #if defined(HPPC_TRACE) && HPPC_TRACE
-    // Request-scoped span: if the slot is executing under a trace (root
-    // installed by trace_begin, or a remote/async context restored around
-    // us), this call is a child span of it. Swapping cur_trace around the
-    // handler makes nested RtCtx::call chains parent correctly.
-    const obs::TraceCtx saved = slot.cur_trace;
-    std::uint32_t span = 0;
-    if (saved.traced()) {
-      span = begin_span(slot, obs::SpanKind::kLocalCall, saved.trace_id,
-                        saved.span_id);
-      if (span != 0) slot.cur_trace.span_id = span;
-    }
-#endif
-    const Status rc =
-        execute_on_slot<kLevel>(slot, slot_id, *svc, caller, regs);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (saved.traced()) {
-      slot.cur_trace = saved;
-      end_span(slot, saved.trace_id, span, saved.span_id, rc);
-    }
-#endif
-    slot.hists->record(obs::Hist::kRttSync, host_cycles() - t0);
-    return rc;
+  // Request-scoped span: if the slot is executing under a trace (root
+  // installed by trace_begin, or a remote/async context restored around
+  // us), this call is a child span of it. Swapping cur_trace around the
+  // handler makes nested RtCtx::call chains parent correctly.
+  const obs::TraceCtx saved = slot.cur_trace;
+  std::uint32_t span = 0;
+  if (saved.traced()) {
+    span = begin_span(slot, obs::SpanKind::kLocalCall, saved.trace_id,
+                      saved.span_id);
+    if (span != 0) slot.cur_trace.span_id = span;
   }
-  return execute_on_slot<kLevel>(slot, slot_id, *svc, caller, regs);
-}
-
-Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
-                     RegSet& regs) {
-  return call_impl<ObsLevel::kFull>(slot_id, caller, id, regs);
+#endif
+  const Status rc = execute_on_slot(slot, slot_id, *svc, caller, regs);
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  if (saved.traced()) {
+    slot.cur_trace = saved;
+    end_span(slot, saved.trace_id, span, saved.span_id, rc);
+  }
+#endif
+  if (sampled) slot.hists->record(obs::Hist::kRttSync, host_cycles() - t0);
+  return rc;
 }
 
 Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
@@ -411,8 +379,8 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
   // they scope the ambient request context around the handler. The
   // relative deadline folds into the inherited absolute budget (tighten,
   // never extend — with_budget), nested calls the handler makes inherit
-  // the result, and call_impl's pre-execution screen enforces both the
-  // budget and the cancel flag.
+  // the result, and the plain call's pre-execution screen enforces both
+  // the budget and the cancel flag.
   HPPC_ASSERT(slot_id < slots_.size());
   Slot& slot = *slots_[slot_id];
   const RequestCtx saved = slot.cur_req;
@@ -427,22 +395,9 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
     slot.counters.inc(obs::Counter::kDeadlineInherited);
   }
   slot.cur_req = eff;
-  const Status rc = call_impl<ObsLevel::kFull>(slot_id, caller, id, regs);
+  const Status rc = call(slot_id, caller, id, regs);
   slot.cur_req = saved;
   return rc;
-}
-
-Status Runtime::call_unobserved_for_benchmark(SlotId slot_id,
-                                              ProgramId caller,
-                                              EntryPointId id, RegSet& regs) {
-  return call_impl<ObsLevel::kStripped>(slot_id, caller, id, regs);
-}
-
-Status Runtime::call_counters_only_for_benchmark(SlotId slot_id,
-                                                 ProgramId caller,
-                                                 EntryPointId id,
-                                                 RegSet& regs) {
-  return call_impl<ObsLevel::kCounters>(slot_id, caller, id, regs);
 }
 
 Status Runtime::call_async(SlotId slot_id, ProgramId caller, EntryPointId id,
@@ -458,10 +413,11 @@ Status Runtime::call_async(SlotId slot_id, ProgramId caller, EntryPointId id,
   HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
                    obs::TraceEvent::kAsyncEnqueue, id);
   DeferredCall d{caller, id, regs};
-  d.enqueue_tsc = host_cycles();  // poll() turns this into kRttAsync
+  // Sampled calls only: poll() turns the stamp into kRttAsync, 0 skips it.
+  d.enqueue_tsc = hist_sampled(slot) ? host_cycles() : 0;
   d.tctx = slot.cur_trace;        // trace context rides the deferral
   d.rctx = slot.cur_req;          // ...and so does the request context:
-  // poll() re-installs it around the execution, where call_impl's screen
+  // poll() re-installs it around the execution, where call()'s screen
   // drops the deferred call if the root expired or was cancelled meanwhile.
   slot.deferred.push_back(d);
   return Status::kOk;
@@ -503,8 +459,7 @@ Status Runtime::execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
   slot.counters.inc(obs::Counter::kCallsRemote);
   HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
                    obs::TraceEvent::kRemoteCall, id);
-  return execute_on_slot<ObsLevel::kFull>(slot, slot.self_id, *svc, caller,
-                                          regs);
+  return execute_on_slot(slot, slot.self_id, *svc, caller, regs);
 }
 
 std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
@@ -1000,7 +955,7 @@ Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
   // docs/XCALL.md). The traffic class does apply — it rides the doorbell,
   // not the cell.
   const RequestCtx ambient = me.cur_req;
-  if (ambient.expired(host_cycles())) {
+  if (ambient.abs_deadline_cycles != 0 && ambient.expired(host_cycles())) {
     me.counters.inc(obs::Counter::kDeadlineExceeded);
     f.op = frame_with_rc(f.op, Status::kDeadlineExceeded);
     return Status::kDeadlineExceeded;
@@ -1078,7 +1033,7 @@ Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
   // Same admission-only request-context contract as call_remote_frame:
   // frame cells cannot carry the budget in flight, so the guard is here.
   const RequestCtx ambient = me.cur_req;
-  if (ambient.expired(host_cycles())) {
+  if (ambient.abs_deadline_cycles != 0 && ambient.expired(host_cycles())) {
     me.counters.inc(obs::Counter::kDeadlineExceeded);
     for (CallFrame& f : batch) {
       f.op = frame_with_rc(f.op, Status::kDeadlineExceeded);
@@ -1239,7 +1194,10 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
   }
   if (bulk) me.counters.inc(obs::Counter::kCallsBulk);
 
-  const std::uint64_t rtt_t0 = host_cycles();
+  // One sampling decision covers the call, whichever path it takes; an
+  // unsampled call reads no clock for the histograms below.
+  const bool sampled = hist_sampled(me);
+  const std::uint64_t rtt_t0 = sampled ? host_cycles() : 0;
 
   // Adaptive fast path: the target is parked — take the gate and run the
   // call right here, against the target's pools (LRPC-style migration).
@@ -1284,8 +1242,11 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
     }
 #endif
     tgt.gate.release_steal();
-    me.hists->record(obs::Hist::kRttRemote, host_cycles() - rtt_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, host_cycles() - rtt_t0);
+    if (sampled) {
+      const std::uint64_t rtt = host_cycles() - rtt_t0;
+      me.hists->record(obs::Hist::kRttRemote, rtt);
+      if (bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
+    }
     return rc;
   }
 
@@ -1410,7 +1371,7 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
   me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
   HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
                    obs::TraceEvent::kXcallPost, target);
-  const std::uint64_t post_t = host_cycles();  // publish -> completion
+  const std::uint64_t post_t = sampled ? host_cycles() : 0;  // -> completion
 
   if (!deadlined) {
     // Spin→yield→park ladder. The park failpoints: "rt.xcall.park.now"
@@ -1447,11 +1408,16 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
                              target);
           }
         });
-    const std::uint64_t done_t = host_cycles();
-    me.hists->record(obs::Hist::kRingWait, done_t - post_t);
+    // A parked waiter always books its wakeup: parks are rare, and the
+    // stamp is the only view of the park->kick latency.
+    const std::uint64_t done_t =
+        sampled || park_t != 0 ? host_cycles() : 0;
     if (park_t != 0) me.hists->record(obs::Hist::kWakeup, done_t - park_t);
-    me.hists->record(obs::Hist::kRttRemote, done_t - rtt_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
+    if (sampled) {
+      me.hists->record(obs::Hist::kRingWait, done_t - post_t);
+      me.hists->record(obs::Hist::kRttRemote, done_t - rtt_t0);
+      if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
+    }
 #if defined(HPPC_TRACE) && HPPC_TRACE
     if (parent.traced()) {
       end_span(me, parent.trace_id, span, parent.span_id, rc);
@@ -1465,10 +1431,12 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
       *wait, deadline, [] { return host_cycles(); },
       [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
       &timed_out);
-  const std::uint64_t done_t = host_cycles();
-  me.hists->record(obs::Hist::kRingWait, done_t - post_t);
-  me.hists->record(obs::Hist::kRttDeadlined, done_t - rtt_t0);
-  if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
+  if (sampled) {
+    const std::uint64_t done_t = host_cycles();
+    me.hists->record(obs::Hist::kRingWait, done_t - post_t);
+    me.hists->record(obs::Hist::kRttDeadlined, done_t - rtt_t0);
+    if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
+  }
   if (timed_out) {
     // Abandoned: the block stays on the zombie list until the server's
     // drain acks it (or completes it — either sets kDoneBit).
@@ -1754,7 +1722,8 @@ Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
     // frame — zero heap allocations regardless of batch size; deadline
     // chunks ride slot-pooled blocks exactly like call_remote, so an
     // abandoned cell always points at storage that outlives this frame.
-    const std::uint64_t chunk_t0 = host_cycles();
+    const bool sampled = hist_sampled(me);  // one decision per chunk
+    const std::uint64_t chunk_t0 = sampled ? host_cycles() : 0;
     std::array<XcallWait, XcallRing::kCapacity> waits;
     std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
     const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
@@ -1871,8 +1840,11 @@ Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
     }
     // Whole-chunk RTT (post through last collection): the per-class entry
     // for the batched path, in the same units as kRttRemote.
-    me.hists->record(obs::Hist::kRttBatched, host_cycles() - chunk_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, host_cycles() - chunk_t0);
+    if (sampled) {
+      const std::uint64_t rtt = host_cycles() - chunk_t0;
+      me.hists->record(obs::Hist::kRttBatched, rtt);
+      if (bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
+    }
     i += posted;
   }
 #if defined(HPPC_TRACE) && HPPC_TRACE

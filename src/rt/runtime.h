@@ -96,16 +96,6 @@ struct RtServiceConfig {
   std::uint32_t pool_target = 1;
 };
 
-/// How much observability a call path carries. The shipped configuration
-/// is kFull: counters + histograms (+ trace hooks under HPPC_TRACE). The
-/// lower levels exist ONLY for the obs_overhead bench, which measures the
-/// marginal cost of each layer by differencing otherwise-identical paths.
-enum class ObsLevel : std::uint8_t {
-  kStripped,  // no counters, no histograms, no trace hooks
-  kCounters,  // counters only (the pre-histogram shipped path)
-  kFull,      // counters + histograms + trace hooks — what call() runs
-};
-
 /// What a synchronous cross-slot caller does when the target ring is full.
 enum class RetryPolicy : std::uint8_t {
   /// Legacy behaviour: retry forever (help-drain the target when its owner
@@ -248,20 +238,6 @@ class Runtime {
   /// either path (and so fault sites screen it like any other call).
   Status call(SlotId slot, ProgramId caller, EntryPointId id, RegSet& regs,
               const CallOptions& opts);
-
-  /// The identical fast path with ALL instrumentation (counters,
-  /// histograms, trace hooks) compiled out. Exists ONLY as the baseline
-  /// for the observability-overhead bench (shipped-vs-stripped of the same
-  /// code, so the measured difference is exactly what the instrumentation
-  /// costs). Never use this to serve real traffic.
-  Status call_unobserved_for_benchmark(SlotId slot, ProgramId caller,
-                                       EntryPointId id, RegSet& regs);
-
-  /// The fast path at ObsLevel::kCounters — counters on, histograms and
-  /// trace hooks off. The bench's middle rung: differencing this against
-  /// the two neighbours splits the counter cost from the histogram cost.
-  Status call_counters_only_for_benchmark(SlotId slot, ProgramId caller,
-                                          EntryPointId id, RegSet& regs);
 
   /// Asynchronous call: queued on this slot, executed at the next poll().
   Status call_async(SlotId slot, ProgramId caller, EntryPointId id,
@@ -535,6 +511,26 @@ class Runtime {
 
   // ----- histograms & telemetry -----
 
+  /// Latency histograms are sampled, counters are not. A call that would
+  /// stamp a histogram (sync, remote, batched-chunk and async RTTs, ring
+  /// wait) reads the clock only if it is its slot's 1-in-`period` sampled
+  /// call: each slot counts calls down from the period and times the call
+  /// that reaches zero, then reloads the countdown from this setting. The
+  /// unsampled call pays one slot-local decrement and branch, where timing
+  /// every call would pay two serializing clock reads. Histogram counts
+  /// are therefore samples, not calls; quantiles are unaffected.
+  ///
+  /// 1 times every call, 0 none (the period is then re-polled every
+  /// kDefaultHistSamplePeriod calls). Any thread may change the period at
+  /// any time (a relaxed store: a tuning knob, like the shed watermark);
+  /// each slot picks it up at its next reload, not mid-countdown. The
+  /// rare events that need a clock anyway — deadline checks and the
+  /// park->kick kWakeup stamp — are not sampled.
+  static constexpr std::uint32_t kDefaultHistSamplePeriod = 64;
+  void set_hist_sample_period(std::uint32_t period) {
+    hist_sample_period_.store(period, std::memory_order_relaxed);
+  }
+
   /// The slot's always-on latency histogram block (single writer: the
   /// slot's ownership holder; racy-but-race-free reads for observers).
   const obs::SlotHistograms& histograms(SlotId slot) const;
@@ -612,7 +608,7 @@ class Runtime {
     ProgramId caller;
     EntryPointId id;
     RegSet regs;
-    std::uint64_t enqueue_tsc = 0;  // host_cycles() at call_async time
+    std::uint64_t enqueue_tsc = 0;  // host_cycles() at call_async; 0 unsampled
     obs::TraceCtx tctx{};           // trace context at enqueue time
     RequestCtx rctx{};              // request context at enqueue time
   };
@@ -630,8 +626,12 @@ class Runtime {
     std::array<RtWorker*, kMaxEntryPoints> worker_pool{};
     RtCd* cd_pool = nullptr;
     obs::SlotCounters counters;
+    // Calls left until the next histogram-sampled one (see
+    // set_hist_sample_period). Same single-writer discipline as the
+    // counters; starts at 1 so a slot's first call reloads it.
+    std::uint32_t hist_countdown = 1;
     // The latency histogram block, arena-placed on this slot's node (it is
-    // written on every observed call — keeping it node-local keeps the
+    // written on every sampled call — keeping it node-local keeps the
     // histogram store off the interconnect).
     obs::SlotHistograms* hists = nullptr;
     obs::TraceRing trace_ring;
@@ -729,12 +729,19 @@ class Runtime {
   /// held by the calling thread.
   Status execute_frame(Slot& slot, ProgramId caller, CallFrame& f);
 
-  template <ObsLevel kLevel>
-  Status call_impl(SlotId slot, ProgramId caller, EntryPointId id,
-                   RegSet& regs);
-  template <bool kObserved>
+  /// The per-call sampling decision (ownership of `slot` held): true for
+  /// the call that counts the slot's countdown down to zero, which then
+  /// reloads it from hist_sample_period_. One decision per call; the
+  /// caller reads the clock only when it returns true.
+  bool hist_sampled(Slot& slot) {
+    if (--slot.hist_countdown != 0) [[likely]] return false;
+    const std::uint32_t period =
+        hist_sample_period_.load(std::memory_order_relaxed);
+    slot.hist_countdown = period != 0 ? period : kDefaultHistSamplePeriod;
+    return period != 0;
+  }
+
   RtWorker* acquire_worker(Slot& slot, Service& svc);
-  template <bool kObserved>
   RtCd* acquire_cd(Slot& slot, RtWorker& w);
   void release(Slot& slot, Service& svc, RtWorker* w, RtCd* cd);
   void reclaim_service_on_slot(Slot& slot, EntryPointId id);
@@ -743,7 +750,6 @@ class Runtime {
   /// The call body shared by the same-slot fast path and both remote
   /// execution modes: worker/CD acquire, handler, release. Caller has
   /// already resolved the service and booked the per-variant counter.
-  template <ObsLevel kLevel>
   Status execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
                          ProgramId caller, RegSet& regs);
   /// Execute one ring cell / remote request on `slot` (ownership held by
@@ -819,6 +825,8 @@ class Runtime {
   // Per-class admission watermarks (0 = shedding disabled for the class).
   std::array<std::atomic<std::uint32_t>, kNumTrafficClasses>
       shed_watermark_{};
+  // Read by a slot only when its histogram countdown reloads.
+  std::atomic<std::uint32_t> hist_sample_period_{kDefaultHistSamplePeriod};
   // The cancel-flag pool: token t maps to cancel_flags_[t % kMaxCancel-
   // Tokens]. Fixed-size so a token index fits the cell ep lane and lookup
   // is one relaxed load with no lifetime question. By default the pool is

@@ -132,11 +132,12 @@ TEST(ZeroContention, WarmNullPpcOnHostRuntime) {
 }
 
 TEST(ZeroContention, HostHistogramsAreOnAndLockFree) {
-  // Runtime::call is the full-instrumentation path: the RTT histogram is
-  // always on. The warm invariant must hold regardless — a histogram record
-  // is a single-writer store on an owned line, never a lock — and every
-  // warm call must land exactly one rtt_sync sample.
+  // At sample period 1 every Runtime::call is timed. The warm invariant
+  // must hold regardless — a histogram record is a single-writer store on
+  // an owned line, never a lock — and every warm call must land exactly one
+  // rtt_sync sample.
   rt::Runtime rt(1);
+  rt.set_hist_sample_period(1);
   const rt::SlotId slot = rt.register_thread();
   const EntryPointId ep = rt.bind(
       {.name = "null"}, 700,
@@ -160,6 +161,89 @@ TEST(ZeroContention, HostHistogramsAreOnAndLockFree) {
   EXPECT_EQ(delta.get(Counter::kSharedLinesTouched), 0u);
   EXPECT_EQ(hdelta.count(obs::Hist::kRttSync),
             static_cast<std::uint64_t>(kCalls));
+}
+
+// ---------------------------------------------------------------------------
+// Sampled host timing (Runtime::set_hist_sample_period)
+// ---------------------------------------------------------------------------
+
+EntryPointId bind_null(rt::Runtime& rt) {
+  return rt.bind(
+      {.name = "null"}, 700,
+      [](rt::RtCtx&, ppc::RegSet& regs) { ppc::set_rc(regs, Status::kOk); });
+}
+
+std::uint64_t sync_calls(rt::Runtime& rt, rt::SlotId slot, EntryPointId ep,
+                         int n) {
+  ppc::RegSet regs;
+  for (int i = 0; i < n; ++i) {
+    ppc::set_op(regs, 1);
+    EXPECT_EQ(rt.call(slot, 1, ep, regs), Status::kOk);
+  }
+  return rt.hist_snapshot(slot).count(obs::Hist::kRttSync);
+}
+
+TEST(HistSampling, DefaultPeriodTimesOneCallIn64) {
+  // The shipped configuration: counters stay exact on every call, the RTT
+  // histogram books one sample per period, and sampling takes no lock.
+  rt::Runtime rt(1);
+  const rt::SlotId slot = rt.register_thread();
+  const EntryPointId ep = bind_null(rt);
+  const std::uint64_t warm_samples = sync_calls(rt, slot, ep, 1);
+
+  const CounterSnapshot warm = rt.snapshot();
+  const std::uint64_t samples = sync_calls(rt, slot, ep, 640) - warm_samples;
+  const CounterSnapshot delta = rt.snapshot().delta(warm);
+
+  EXPECT_EQ(samples, 10u);
+  EXPECT_EQ(delta.get(Counter::kCallsSync), 640u);
+  EXPECT_EQ(delta.get(Counter::kLocksTaken), 0u);
+  EXPECT_EQ(delta.get(Counter::kSharedLinesTouched), 0u);
+}
+
+TEST(HistSampling, PeriodZeroBooksNoSamples) {
+  rt::Runtime rt(1);
+  rt.set_hist_sample_period(0);
+  const rt::SlotId slot = rt.register_thread();
+  const EntryPointId ep = bind_null(rt);
+  EXPECT_EQ(sync_calls(rt, slot, ep, 1000), 0u);
+  EXPECT_EQ(rt.slot_snapshot(slot).get(Counter::kCallsSync), 1000u);
+}
+
+TEST(HistSampling, PeriodChangeTakesEffectAtTheNextReload) {
+  rt::Runtime rt(1);
+  rt.set_hist_sample_period(8);
+  const rt::SlotId slot = rt.register_thread();
+  const EntryPointId ep = bind_null(rt);
+  // A slot's first call reloads its countdown, so it is sampled.
+  EXPECT_EQ(sync_calls(rt, slot, ep, 4), 1u);
+  // Four calls into a period of 8: the old countdown still has 5 to go.
+  rt.set_hist_sample_period(2);
+  EXPECT_EQ(sync_calls(rt, slot, ep, 4), 1u);
+  EXPECT_EQ(sync_calls(rt, slot, ep, 1), 2u);  // reload picks up period 2
+  EXPECT_EQ(sync_calls(rt, slot, ep, 4), 4u);
+}
+
+TEST(HistSampling, UnsampledAsyncCallBooksNoQueueingDelay) {
+  auto run = [](std::uint32_t period) {
+    rt::Runtime rt(1);
+    rt.set_hist_sample_period(period);
+    const rt::SlotId slot = rt.register_thread();
+    const EntryPointId ep = bind_null(rt);
+    sync_calls(rt, slot, ep, 1);  // warm; takes the slot's first sample
+    for (int i = 0; i < 10; ++i) {
+      ppc::RegSet regs;
+      ppc::set_op(regs, 1);
+      EXPECT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOk);
+      EXPECT_EQ(rt.poll(slot), 1u);
+    }
+    EXPECT_EQ(rt.slot_snapshot(slot).get(Counter::kCallsAsync), 10u);
+    return rt.hist_snapshot(slot).count(obs::Hist::kRttAsync);
+  };
+  // 20 countdown steps (enqueue + deferred execution) stay inside one
+  // default period after the warm call: no enqueue is stamped.
+  EXPECT_EQ(run(rt::Runtime::kDefaultHistSamplePeriod), 0u);
+  EXPECT_EQ(run(1), 10u);
 }
 
 TEST(ZeroContention, SimHistogramsRecordDeterministicCycles) {

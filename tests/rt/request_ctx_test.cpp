@@ -556,6 +556,7 @@ TEST(TrafficClass, InteractiveDrainsBeforeBulk) {
 
 TEST(TrafficClass, BulkCallsRecordTheirOwnRtt) {
   Runtime rt(2);
+  rt.set_hist_sample_period(1);  // time every call
   const SlotId me = rt.register_thread();
   const EntryPointId ep = bind_adder(rt);
   CallOptions bulk;

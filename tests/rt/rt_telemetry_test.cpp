@@ -1,12 +1,13 @@
 // Runtime::telemetry() against known offered load: the windowed drain-rate
 // series must reproduce the load the test offered, the occupancy EWMA and
 // queueing-delay estimate must light up when a ring is made to backlog,
-// and the always-on RTT histograms must have counted every call.
+// and the RTT histograms must have counted every call at sample period 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "obs/counters.h"
 #include "obs/histogram.h"
@@ -21,6 +22,7 @@ using obs::Hist;
 
 TEST(RtTelemetry, DrainRateMatchesOfferedLoad) {
   rt::Runtime rt(2);
+  rt.set_hist_sample_period(1);  // time every call
   const rt::SlotId me = rt.register_thread();
   const EntryPointId ep = rt.bind(
       {.name = "echo"}, 700, [](rt::RtCtx&, ppc::RegSet& regs) {
@@ -158,6 +160,49 @@ TEST(RtTelemetry, JsonExportOfLiveRuntimeIsWellFormed) {
   int braces = 0;
   for (char c : json) braces += (c == '{') - (c == '}');
   EXPECT_EQ(braces, 0);
+}
+
+TEST(RtTelemetry, SamplePeriodRetuneRacesCallersAndScrape) {
+  // The period is a relaxed tuning knob read only at countdown reloads:
+  // retuning it while callers run and an observer scrapes must be race-
+  // free (the TSan jobs run this) and must never cost a counted call.
+  constexpr int kCallers = 3;
+  constexpr int kCalls = 20000;
+  rt::Runtime rt(kCallers);
+  const EntryPointId ep = rt.bind(
+      {.name = "null"}, 700,
+      [](rt::RtCtx&, ppc::RegSet& regs) { ppc::set_rc(regs, Status::kOk); });
+
+  std::atomic<int> running{kCallers};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      const rt::SlotId slot = rt.register_thread();
+      ppc::RegSet regs;
+      for (int i = 0; i < kCalls; ++i) {
+        ppc::set_op(regs, 1);
+        EXPECT_EQ(rt.call(slot, 1, ep, regs), Status::kOk);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::thread tuner([&] {
+    constexpr std::uint32_t kPeriods[] = {1, 0, 3, 64};
+    for (std::size_t i = 0; running.load(std::memory_order_acquire) > 0;
+         ++i) {
+      rt.set_hist_sample_period(kPeriods[i % 4]);
+      std::this_thread::yield();
+    }
+  });
+  while (running.load(std::memory_order_acquire) > 0) {
+    (void)rt.telemetry();
+  }
+  for (std::thread& t : callers) t.join();
+  tuner.join();
+
+  const std::uint64_t total = static_cast<std::uint64_t>(kCallers) * kCalls;
+  EXPECT_EQ(rt.snapshot().get(Counter::kCallsSync), total);
+  EXPECT_LE(rt.hist_snapshot().count(Hist::kRttSync), total);
 }
 
 }  // namespace
