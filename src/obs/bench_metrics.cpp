@@ -46,7 +46,11 @@ std::string json_number(double v) {
 }
 
 void BenchReport::meta(const std::string& key, const std::string& value) {
-  meta_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  // Built with append: `"\"" + std::string` trips GCC 12's -Wrestrict
+  // false positive at -O2 and above.
+  std::string quoted = "\"";
+  quoted.append(json_escape(value)).append("\"");
+  meta_.emplace_back(key, std::move(quoted));
 }
 
 void BenchReport::meta(const std::string& key, double value) {

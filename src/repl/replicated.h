@@ -140,8 +140,10 @@ class Replicated {
           c->inc(obs::Counter::kReplReads);
           if (retries != 0) c->inc(obs::Counter::kReplSeqRetries, retries);
         }
+        // T is trivially copyable (asserted above) but may carry default
+        // member initializers; the void* target says the byte copy is meant.
         T out;
-        std::memcpy(&out, w.data(), sizeof(T));
+        std::memcpy(static_cast<void*>(&out), w.data(), sizeof(T));
         return out;
       }
       ++retries;

@@ -511,26 +511,17 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
   // cell to observe its payload, one book-keeping store per batch.
   const std::size_t n = ring.drain([this, &slot, &run_cell](XcallCell& cell) {
     // Frame cells first: their `deadline` lane carries the packed op word,
-    // so nothing below this branch may interpret it as a tick count.
+    // so nothing below this branch may interpret it as a tick count. Frame
+    // waits are always the caller's stack block, which is never abandoned.
     if (cell_is_frame(cell)) {
       CallFrame f = cell_frame(cell);
+      const Status rc = execute_frame(slot, cell.caller, f);
       if (cell.wait != nullptr) {
-        XcallWait& w = *cell.wait;
-        // Frame calls carry no deadline, so a live caller never abandons;
-        // this is the shutdown/chaos path keeping the block reclaimable.
-        if (w.abandoned()) {
-          w.ack_abandoned();
-          slot.counters.inc(obs::Counter::kSharedLinesTouched);
-          return;
-        }
-        const Status rc = execute_frame(slot, cell.caller, f);
-        w.reply_target().w = f.w;
-        if (w.complete(rc)) {
+        cell.wait->reply.w = f.w;
+        if (cell.wait->complete(rc)) {
           slot.counters.inc(obs::Counter::kWaiterKicks);
         }
         slot.counters.inc(obs::Counter::kSharedLinesTouched);
-      } else {
-        execute_frame(slot, cell.caller, f);  // fire-and-forget frame
       }
       return;
     }
@@ -539,67 +530,65 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
       // Abandoned cell: the caller's deadline expired and it left. Ack
       // (setting kDoneBit so the owning slot can recycle the block) and
       // skip execution — the §4.5.2 "caller died mid-call" drain path.
-      if (w.abandoned()) {
+      // Only pooled deadline waits can be abandoned, so a cell without a
+      // deadline skips the probe and leaves the caller's line alone until
+      // the completion below.
+      if (cell.deadline != 0 && w.abandoned()) {
         w.ack_abandoned();
         slot.counters.inc(obs::Counter::kSharedLinesTouched);
         return;
       }
-      RegSet& out = w.reply_target();
-      out = cell.regs;
-      // A sync cell that drained past its deadline is not executed late:
-      // the caller is abandoning (or about to) — fail it instead of
-      // burning a worker on a result nobody can use. If the caller's
-      // abandon CAS lands between the check above and the exchange below,
-      // the exchange still sets kDoneBit, so the block stays reclaimable.
+      // The handler runs on a server-local register file; the caller's
+      // line is written once, reply then done word, after it returns.
+      RegSet out = cell.regs;
+      Status rc;
       if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
-        set_rc(out, Status::kDeadlineExceeded);
-        if (w.complete(Status::kDeadlineExceeded)) {
-          slot.counters.inc(obs::Counter::kWaiterKicks);
-        }
+        // A sync cell that drained past its deadline is not executed late:
+        // the caller is abandoning (or about to) — fail it instead of
+        // burning a worker on a result nobody can use. If the caller's
+        // abandon CAS lands between the probe above and the exchange
+        // below, the exchange still sets kDoneBit, so the block stays
+        // reclaimable.
+        rc = Status::kDeadlineExceeded;
+        set_rc(out, rc);
         slot.counters.inc(obs::Counter::kDeadlineExceeded);
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
         HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
                          slot.self_id, obs::TraceEvent::kDeadlineExceeded,
                          cell_ep(cell.ep));
-        return;
-      }
-      // A cancelled cell is refused the same way: the root asked for the
-      // whole tree to stop, so an undrained cell completes kCallAborted
-      // instead of executing. The completion exchange kicks a parked
-      // caller exactly as a real result would.
-      if (const std::uint32_t tok = cell_token_idx(cell.ep);
-          tok != 0 && cancel_requested(tok)) {
-        set_rc(out, Status::kCallAborted);
-        if (w.complete(Status::kCallAborted)) {
-          slot.counters.inc(obs::Counter::kWaiterKicks);
-        }
+      } else if (const std::uint32_t tok = cell_token_idx(cell.ep);
+                 tok != 0 && cancel_requested(tok)) {
+        // A cancelled cell is refused the same way: the root asked for the
+        // whole tree to stop, so an undrained cell completes kCallAborted
+        // instead of executing. The completion exchange kicks a parked
+        // caller exactly as a real result would.
+        rc = Status::kCallAborted;
+        set_rc(out, rc);
         slot.counters.inc(obs::Counter::kCallsCancelled);
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
         HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
                          slot.self_id, obs::TraceEvent::kCallCancelled,
                          cell_ep(cell.ep));
-        return;
+      } else {
+        rc = run_cell(cell, out);
+        // Fault seams on the completion publish: a dropped completion (the
+        // caller MUST hold a deadline or it spins forever — chaos-only)
+        // and a delayed one (the failpoint burns its delay budget first).
+        if (HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
+          slot.counters.inc(obs::Counter::kFaultsInjected);
+          HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
+                           slot.self_id, obs::TraceEvent::kFaultInject,
+                           cell.ep);
+          return;
+        }
+        if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
+          slot.counters.inc(obs::Counter::kFaultsInjected);
+          HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
+                           slot.self_id, obs::TraceEvent::kFaultInject,
+                           cell.ep);
+        }
       }
-      // Synchronous: reply into the caller's register file (stack waits)
-      // or the block's inline buffer (pooled deadline waits), then publish
-      // completion (release exchange) — one shared-line RMW, booked below.
-      const Status rc = run_cell(cell, out);
-      // Fault seams on the completion publish: a dropped completion (the
-      // caller MUST hold a deadline or it spins forever — chaos-only) and
-      // a delayed one (the failpoint burns its delay budget first).
-      if (HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
-        slot.counters.inc(obs::Counter::kFaultsInjected);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kFaultInject,
-                         cell.ep);
-        return;
-      }
-      if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
-        slot.counters.inc(obs::Counter::kFaultsInjected);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kFaultInject,
-                         cell.ep);
-      }
+      // Publish: reply store plus release exchange on the one wait line —
+      // one shared-line transfer, booked below.
+      w.reply = out;
       if (w.complete(rc)) {
         // The completing exchange found the parked bit: we just futex-woke
         // a waiter that gave up its timeslice to us.
@@ -658,7 +647,9 @@ std::size_t Runtime::drain_mask(Slot& slot,
   // pairs with the producers' release fetch_or, so a flagged ring's cells
   // are visible. Bits we consume but whose ring refills mid-drain are
   // re-armed below — the consumer never strands a cell behind a bit a
-  // producer believes is still set.
+  // producer believes is still set. An idle poll only loads, so it leaves
+  // the doorbell line shared instead of taking it exclusive.
+  if (mask.load(std::memory_order_relaxed) == 0) return 0;
   std::uint64_t ready = mask.exchange(0, std::memory_order_acquire);
   if (ready == 0) return 0;
   const std::uint32_t nslots = registry_.capacity();
@@ -987,10 +978,8 @@ Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
   }
 
   // Ring path: the whole request inlines in one cell. The reply lands in
-  // a stack RegSet (cache-hot for the spinner) and is copied into f.w.
-  RegSet reply;
+  // the stack wait line (cache-hot for the spinner) and is copied into f.w.
   XcallWait wait;
-  wait.regs = &reply;
   XcallRing& ring = tgt.rings[caller_slot];
   while (!ring.try_post_frame(caller, f, &wait)) {
     me.counters.inc(obs::Counter::kXcallRingFull);
@@ -1008,7 +997,7 @@ Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
       wait, yield_rounds,
       [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
       [&me] { me.counters.inc(obs::Counter::kWaiterParks); });
-  f.w = reply.w;
+  f.w = wait.reply.w;
   f.op = frame_with_rc(f.op, rc);
   return rc;
 }
@@ -1073,16 +1062,12 @@ Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
     }
 
     // Chunk post: one CAS claims the run, one release store + one doorbell
-    // publish it. Completion blocks and reply buffers live on this frame —
+    // publish it. Completion blocks (replies inline) live on this frame —
     // zero heap allocations regardless of batch size.
     std::array<XcallWait, XcallRing::kCapacity> waits;
     std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
-    std::array<RegSet, XcallRing::kCapacity> replies;
     const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
-    for (std::size_t k = 0; k < want; ++k) {
-      waits[k].regs = &replies[k];
-      wait_ptrs[k] = &waits[k];
-    }
+    for (std::size_t k = 0; k < want; ++k) wait_ptrs[k] = &waits[k];
     XcallRing& ring = tgt.rings[caller_slot];
     const std::size_t posted =
         ring.try_post_frames(caller, &batch[i], wait_ptrs.data(), want);
@@ -1108,7 +1093,7 @@ Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
           [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
           [&me] { me.counters.inc(obs::Counter::kWaiterParks); });
       fold(s);
-      batch[i + k].w = replies[k].w;
+      batch[i + k].w = waits[k].reply.w;
       batch[i + k].op = frame_with_rc(batch[i + k].op, s);
     }
     i += posted;
@@ -1284,17 +1269,12 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
   const obs::TraceCtx* post_ctx_ptr = nullptr;
 #endif
 
-  // Deadline calls wait on a slot-pooled block (inline reply buffer): if
-  // the caller abandons, the server still holds a pointer into storage the
-  // Runtime owns. The no-deadline path keeps the legacy stack block —
-  // cache-hot for the spinner, zero pool traffic.
+  // Deadline calls wait on a slot-pooled block: if the caller abandons,
+  // the server still holds a pointer into storage the Runtime owns. The
+  // no-deadline path waits on a stack block — cache-hot for the spinner,
+  // zero pool traffic. Either way the reply arrives inline in the block.
   XcallWait stack_wait;
-  XcallWait* wait = &stack_wait;
-  if (deadlined) {
-    wait = acquire_wait(me);
-  } else {
-    stack_wait.regs = &regs;
-  }
+  XcallWait* wait = deadlined ? acquire_wait(me) : &stack_wait;
 
   // Ring path: publish a cell (one CAS + one release store), then
   // spin-then-yield on the completion word. A full ring means other
@@ -1408,6 +1388,7 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
                              target);
           }
         });
+    regs = stack_wait.reply;
     // A parked waiter always books its wakeup: parks are rare, and the
     // stamp is the only view of the park->kick latency.
     const std::uint64_t done_t =
@@ -1728,12 +1709,7 @@ Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
     std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
     const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
     for (std::size_t k = 0; k < want; ++k) {
-      if (deadlined) {
-        wait_ptrs[k] = acquire_wait(me);
-      } else {
-        waits[k].regs = &batch[i + k];
-        wait_ptrs[k] = &waits[k];
-      }
+      wait_ptrs[k] = deadlined ? acquire_wait(me) : &waits[k];
     }
     // Delay seam between claim intent and publish: models a producer
     // preempted mid-batch, so the soak exercises consumers observing a
@@ -1787,9 +1763,9 @@ Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
                      obs::TraceEvent::kXcallBatchPost,
                      static_cast<std::uint32_t>(posted));
 
-    // Collect the chunk. Replies land directly in the caller's RegSets
-    // (stack-wait style); the first waits dominate the wall time, later
-    // ones are usually already complete by the time we look.
+    // Collect the chunk, copying each reply out of its wait line; the
+    // first waits dominate the wall time, later ones are usually already
+    // complete by the time we look.
     // Same adaptive cue as call_remote, judged once per chunk: with other
     // producers queued ahead, collect by parking instead of yelling.
     const int yield_rounds =
@@ -1810,6 +1786,7 @@ Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
                                caller_slot, obs::TraceEvent::kWaiterPark,
                                target);
             }));
+        batch[i + k] = waits[k].reply;
         if (park_t != 0) {
           me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
         }

@@ -27,6 +27,11 @@ static_assert(std::is_trivially_copyable_v<EntryPointId>);
 static_assert(sizeof(XcallRing) >=
               2 * kHostCacheLine + XcallRing::kCapacity * sizeof(XcallCell));
 
+// The completion block is one line: the server's reply store and its
+// done-word exchange take one ownership request for the caller's line.
+static_assert(sizeof(XcallWait) == kHostCacheLine &&
+              alignof(XcallWait) == kHostCacheLine);
+
 // Status must fit beside XcallWait::kDoneBit in one 32-bit completion word
 // (the wait loop unpacks it with `v & 0xFF`).
 static_assert(sizeof(Status) == 1 && XcallWait::kDoneBit > 0xFFu);

@@ -32,8 +32,9 @@
 //                stay single-consumer *at a time*.
 //
 //   XcallWait  — the caller-side completion block for synchronous calls:
-//                one atomic word (0 while pending, 0x100|Status when
-//                done) waited on with an adaptive spin→yield→park ladder.
+//                one cache line holding the reply and one atomic word (0
+//                while pending, 0x100|Status when done) waited on with an
+//                adaptive spin→yield→park ladder.
 //                A waiter that exhausts its yield budget parks on the word
 //                (C++20 atomic wait); the completing server's exchange sees
 //                the parked bit and kicks it with one notify.
@@ -70,12 +71,16 @@ namespace hppc::rt {
 // callers.
 using ::hppc::cpu_relax;
 
-/// Caller-side completion block for a synchronous cross-slot call. The
-/// default (no-deadline) path keeps it on the caller's stack (cache-hot
-/// for the spinner) with `regs` pointing at the caller's register file;
-/// deadline calls use slot-pooled blocks with `regs == nullptr` and the
-/// reply landing in the inline `reply` buffer, so a caller that abandons
-/// the wait leaves the server a target that stays valid forever.
+/// Caller-side completion block for a synchronous cross-slot call: exactly
+/// one cache line holding the done word, the inline reply and the pool
+/// link. The server runs the handler on a local RegSet, then stores the
+/// reply and exchanges the done word back to back — one ownership request
+/// for the caller's line per call, and no ping-pong with the spinning
+/// caller while the handler runs. The caller copies the reply out after
+/// completion. The default (no-deadline) path keeps the block on the
+/// caller's stack (cache-hot for the spinner); deadline calls use
+/// slot-pooled blocks, so a caller that abandons the wait leaves the
+/// server a target that stays valid forever.
 ///
 /// The done word is a tiny state machine:
 ///   0                      — pending (caller spinning or yielding)
@@ -91,18 +96,14 @@ using ::hppc::cpu_relax;
 /// over one; the server's final exchange always sets kDoneBit and observes
 /// the parked bit it replaces, so a parked waiter is always kicked and an
 /// abandoned block always becomes reclaimable once its cell drains.
-struct XcallWait {
+struct alignas(kHostCacheLine) XcallWait {
   static constexpr std::uint32_t kDoneBit = 0x100;
   static constexpr std::uint32_t kAbandonedBit = 0x200;
   static constexpr std::uint32_t kParkedBit = 0x400;
 
   std::atomic<std::uint32_t> done{0};
-  ppc::RegSet* regs = nullptr;  // caller's in/out register file (stack waits)
-  XcallWait* next = nullptr;    // caller-slot pool link (pooled waits)
-  ppc::RegSet reply{};          // inline reply buffer (pooled waits)
-
-  /// Where the server writes the request/reply registers.
-  ppc::RegSet& reply_target() { return regs != nullptr ? *regs : reply; }
+  XcallWait* next = nullptr;  // caller-slot pool link (pooled waits)
+  ppc::RegSet reply{};        // the server's reply words, valid once done
 
   /// Server side: publish the result. The exchange (not a plain store)
   /// closes the park race — a waiter parks by CAS 0→kParkedBit, so either
@@ -149,7 +150,6 @@ struct XcallWait {
 
   void reset() {
     done.store(0, std::memory_order_relaxed);
-    regs = nullptr;
     next = nullptr;
   }
 };
@@ -475,10 +475,14 @@ class SlotGate {
  public:
   enum : std::uint32_t { kOwner = 0, kIdle = 1, kStolen = 2 };
 
-  /// Remote caller: try to take the slot for direct execution.
+  /// Remote caller: try to take the slot for direct execution. The plain
+  /// load first keeps a waiter's periodic help attempt from taking the
+  /// gate line exclusive while the owner runs — that line also holds the
+  /// slot's `rings` pointer, which the owner reads on every drain.
   bool try_steal() {
     std::uint32_t expect = kIdle;
-    return state_.compare_exchange_strong(expect, kStolen,
+    return state_.load(std::memory_order_relaxed) == kIdle &&
+           state_.compare_exchange_strong(expect, kStolen,
                                           std::memory_order_acquire,
                                           std::memory_order_relaxed);
   }

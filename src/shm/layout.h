@@ -69,11 +69,11 @@ inline constexpr std::uint64_t kNullOff = 0;
 
 // -- wait blocks ------------------------------------------------------------
 
-/// The cross-process completion block: rt::XcallWait with the pointers
-/// replaced by offsets and the reply RegSet always inline (there is no
-/// "caller's stack RegSet" to point at across address spaces). The done
-/// word reuses rt::XcallWait's bit constants and CAS protocol; see the
-/// file comment for why kParkedBit never appears here.
+/// The cross-process completion block: rt::XcallWait with the pool link
+/// replaced by an offset. Both wait formats keep the reply RegSet inline
+/// beside the done word. The done word reuses rt::XcallWait's bit
+/// constants and CAS protocol; see the file comment for why kParkedBit
+/// never appears here.
 struct ShmWait {
   static constexpr std::uint32_t kDoneBit = rt::XcallWait::kDoneBit;
   static constexpr std::uint32_t kAbandonedBit = rt::XcallWait::kAbandonedBit;

@@ -59,10 +59,14 @@ constexpr std::size_t kSchedulePoints = std::size(kSchedule);
 // phase never walks (every soak call carries a deadline so injected drops
 // cannot hang it). They get their own deterministic phase after the chaos
 // stops: force every wait to park, against a still-live server, where a
-// lost kick would hang the test.
+// lost kick would hang the test. A busy-polling server on its own core
+// answers inside the waiter's ~96-pause spin window, so the completion is
+// held back for far longer than that window: every call parks and is
+// kicked, whatever the core count.
 constexpr ChaosPoint kParkSchedule[] = {
     {"rt.xcall.park.now", "always"},
     {"rt.xcall.park", "always,delay=200"},
+    {"rt.xcall.complete.delay", "always,delay=20000"},
 };
 
 bool allowed_status(Status s) {

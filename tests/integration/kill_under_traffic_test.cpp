@@ -156,7 +156,9 @@ TEST(KillUnderTraffic, ExchangeUnderLoadSwitchesVersionsAtomically) {
   bool crossed = false;
   for (Word v : seen) {
     if (v == 2) crossed = true;
-    if (crossed) EXPECT_EQ(v, 2u);
+    if (crossed) {
+      EXPECT_EQ(v, 2u);
+    }
   }
 }
 

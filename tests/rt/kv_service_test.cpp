@@ -110,7 +110,9 @@ TEST(KvService, RandomizedAgainstReferenceMap) {
         auto got = kv.get(slot, 1, key);
         auto it = ref.find(key);
         ASSERT_EQ(got.has_value(), it != ref.end()) << "key " << key;
-        if (got) ASSERT_EQ(*got, it->second);
+        if (got) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       case 2: {

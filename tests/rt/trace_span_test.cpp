@@ -148,7 +148,9 @@ TEST(TraceSpans, LocalCallNestsUnderRoot) {
   ASSERT_EQ(count_kind(spans, SpanKind::kLocalCall), 1);
   for (const auto& [id, sp] : spans) {
     EXPECT_TRUE(sp.ended) << id;
-    if (sp.kind == SpanKind::kLocalCall) EXPECT_EQ(sp.parent, ctx.span_id);
+    if (sp.kind == SpanKind::kLocalCall) {
+      EXPECT_EQ(sp.parent, ctx.span_id);
+    }
   }
 }
 
@@ -213,7 +215,9 @@ TEST(TraceSpans, BatchRoundTripLinksCallerRingAndServerSlots) {
         EXPECT_EQ(sp.slot, me);
         break;
       case SpanKind::kServerExec:
-        if (batch_span != 0) EXPECT_EQ(sp.parent, batch_span);
+        if (batch_span != 0) {
+          EXPECT_EQ(sp.parent, batch_span);
+        }
         EXPECT_EQ(sp.slot, server.slot());
         break;
       default:

@@ -148,6 +148,25 @@ TEST(SlotGate, OwnerBlocksThievesUntilIdle) {
   EXPECT_EQ(gate.state(), SlotGate::kOwner);
 }
 
+TEST(SlotGate, FailedStealLeavesOwnedOrStolenGateUnchanged) {
+  // try_steal loads before it CASes: on a gate that is not idle it must
+  // refuse without writing, however often a waiter retries.
+  SlotGate gate;
+  gate.claim_at_register();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(gate.try_steal());
+    EXPECT_EQ(gate.state(), SlotGate::kOwner);
+  }
+  gate.enter_idle();
+  ASSERT_TRUE(gate.try_steal());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(gate.try_steal());
+    EXPECT_EQ(gate.state(), SlotGate::kStolen);
+  }
+  gate.release_steal();
+  EXPECT_EQ(gate.state(), SlotGate::kIdle);
+}
+
 // ---------------------------------------------------------------------------
 // Runtime::call_remote / call_remote_async
 // ---------------------------------------------------------------------------
@@ -924,7 +943,7 @@ TEST(CallRemote, ForcedParkIsKickedByCompletingServer) {
 
 TEST(CallRemote, HardKillWhileCellParkedAbortsInFlight) {
   Runtime rt(3);
-  const SlotId me = rt.register_thread();
+  ASSERT_EQ(rt.register_thread(), 0u);  // the stuck owner takes slot 1
   const EntryPointId ep = bind_adder(rt);
   StuckOwner owner(rt);
 
