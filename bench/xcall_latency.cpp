@@ -12,6 +12,7 @@
 // two scheduler context switches (~500 ns each here) — that is the floor
 // for any two-thread handoff, msgq included. The direct path exists
 // precisely to dodge it.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -37,6 +38,8 @@ constexpr int kWarmupIters = 2'000;
 constexpr int kWarmupBatches = 64;  // timed like the real ones, discarded
 constexpr int kMeasuredBatches = 2'000;
 constexpr int kBatch = 16;  // calls per timed batch (amortizes clock reads)
+// Alternating typed/frame direct-path rounds behind frame_abi_speedup_direct.
+constexpr int kSpeedupRounds = 9;
 
 double now_ns() {
   return static_cast<double>(
@@ -260,8 +263,9 @@ int main() {
   // 7. The frame ABI on the same two shapes. frame_rtt_direct repeats (1)
   // through the Figure-4 register contract: the packed op word indexes a
   // flat table of raw function pointers, so the call skips the Service
-  // lookup, the worker/CD acquisition, the std::function dispatch, and the
-  // per-call histogram of the typed path. The batched rows repeat the
+  // lookup, the worker/CD acquisition and the std::function dispatch of
+  // the typed path (both lanes share the rest of the engine). The batched
+  // rows repeat the
   // b16/b64 ring measurements with the whole request inlined in each 64 B
   // cell. The frame_abi_speedup_* scalars compare frame vs typed within
   // THIS run — same machine, same clock path — which is what the CI gate
@@ -275,6 +279,36 @@ int main() {
     bench("frame_rtt_direct", [&] { rt_.call_remote_frame(me_, 1, 1, f); });
     frame_direct_mean = dists.back().dist.mean();
   }
+  // The frame/typed direct ratio that CI gates: kSpeedupRounds rounds, each
+  // timing the typed and the frame direct call back to back in one
+  // runtime, so a burst of machine noise lands in one round's ratio rather
+  // than in one lane's series; the scalar is the median round.
+  std::array<double, kSpeedupRounds> speedup_rounds{};
+  {
+    rt::Runtime rt_(2);
+    const rt::SlotId me_ = rt_.register_thread();
+    const EntryPointId ep = bind_null(rt_);
+    const rt::FrameServiceId svc = bind_null_frame(rt_);
+    ppc::RegSet regs;
+    rt::CallFrame f = rt::make_frame(svc, 1);
+    for (double& ratio : speedup_rounds) {
+      Percentiles typed;
+      Percentiles frame;
+      measure(typed, [&] {
+        ppc::set_op(regs, 1);
+        rt_.call_remote(me_, 1, 1, ep, regs);
+      });
+      measure(frame, [&] { rt_.call_remote_frame(me_, 1, 1, f); });
+      ratio = typed.mean() / frame.mean();
+    }
+  }
+  std::array<double, kSpeedupRounds> sorted_rounds = speedup_rounds;
+  std::sort(sorted_rounds.begin(), sorted_rounds.end());
+  const double frame_speedup_direct = sorted_rounds[kSpeedupRounds / 2];
+  std::printf("frame/typed direct speedup per round:");
+  for (const double r : speedup_rounds) std::printf(" %.2f", r);
+  std::printf("  (median %.2fx)\n", frame_speedup_direct);
+
   double frame_batched_mean_b16 = 0;
   double frame_batched_mean_b64 = 0;
   for (const int b : {16, 64}) {
@@ -550,8 +584,13 @@ int main() {
   report.scalar("batched_speedup_b16", batched_mean_b1 / batched_mean_b16);
   report.scalar("batched_speedup_b64", batched_mean_b1 / batched_mean_b64);
   report.scalar("throughput_scaling_16v1", tput_rate_16 / tput_rate_1);
-  // Frame ABI vs the typed path, same run: the CI gate requires >= 1.
-  report.scalar("frame_abi_speedup_direct", direct_mean / frame_direct_mean);
+  // Frame ABI vs the typed path, same run. The direct ratio is the median
+  // of kSpeedupRounds alternating rounds (CI gates it at >= 1.5); the
+  // single-series ratio stays alongside for reference.
+  report.meta("frame_speedup_rounds", static_cast<double>(kSpeedupRounds));
+  report.scalar("frame_abi_speedup_direct", frame_speedup_direct);
+  report.scalar("frame_abi_speedup_direct_series",
+                direct_mean / frame_direct_mean);
   report.scalar("frame_abi_speedup_b16",
                 batched_mean_b16 / frame_batched_mean_b16);
   report.scalar("frame_abi_speedup_b64",

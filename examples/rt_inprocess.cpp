@@ -75,10 +75,11 @@ int main() {
   std::printf("  PPC pattern (per-slot pools):   %8.1f\n", rt_ns);
   std::printf("  global mutex pool (LRPC-ish):   %8.1f\n", global_ns);
   std::printf("  message queue (thread handoff): %8.1f\n", msgq_ns);
+  const obs::SlotCounters& c = ppc_rt.counters(slot);
   std::printf("\nper-slot stats: calls=%llu workers=%llu cds=%llu\n",
-              static_cast<unsigned long long>(ppc_rt.stats(slot).calls),
+              static_cast<unsigned long long>(c.get(obs::Counter::kCallsSync)),
               static_cast<unsigned long long>(
-                  ppc_rt.stats(slot).worker_creations),
-              static_cast<unsigned long long>(ppc_rt.stats(slot).cd_creations));
+                  c.get(obs::Counter::kWorkersCreated)),
+              static_cast<unsigned long long>(c.get(obs::Counter::kCdsCreated)));
   return 0;
 }

@@ -27,8 +27,7 @@
 //   [31:16] opcode   — service-defined operation number   -+
 //   [15: 8] flags    — service-defined modifier bits       +- identical to
 //   [ 7: 0] rc       — return code (Status), out only     -+  ppc::op_flags
-// The low 32 bits are bit-for-bit the legacy regs[kOpWord] layout, so the
-// compatibility shim (Runtime::bind_frame_shim) forwards them unmodified.
+// The low 32 bits are bit-for-bit the legacy regs[kOpWord] layout.
 #pragma once
 
 #include <array>

@@ -1,6 +1,8 @@
 #include "rt/runtime.h"
 
+#include <algorithm>
 #include <bit>
+#include <new>
 
 #include "common/tsc.h"
 #include "fault/failpoints.h"
@@ -510,123 +512,86 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
   // One batch: every cell published before the first gap, one acquire per
   // cell to observe its payload, one book-keeping store per batch.
   const std::size_t n = ring.drain([this, &slot, &run_cell](XcallCell& cell) {
-    // Frame cells first: their `deadline` lane carries the packed op word,
-    // so nothing below this branch may interpret it as a tick count. Frame
-    // waits are always the caller's stack block, which is never abandoned.
+    XcallWait* const w = cell.wait;
+    // The handler runs on a server-local register file; the caller's line
+    // is written once, reply then done word, after it returns.
+    RegSet out = cell.regs;
+    Status rc;
     if (cell_is_frame(cell)) {
+      // Frame cells first: their `deadline` lane carries the packed op
+      // word, so nothing below this branch may read it as a tick count.
+      // Frames carry no request context in flight, so they always run.
       CallFrame f = cell_frame(cell);
-      const Status rc = execute_frame(slot, cell.caller, f);
-      if (cell.wait != nullptr) {
-        cell.wait->reply.w = f.w;
-        if (cell.wait->complete(rc)) {
-          slot.counters.inc(obs::Counter::kWaiterKicks);
-        }
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
-      }
-      return;
-    }
-    if (cell.wait != nullptr) {
-      XcallWait& w = *cell.wait;
+      rc = execute_frame(slot, cell.caller, f);
+      out.w = f.w;
+    } else if (w != nullptr && cell.deadline != 0 && w->abandoned()) {
       // Abandoned cell: the caller's deadline expired and it left. Ack
       // (setting kDoneBit so the owning slot can recycle the block) and
       // skip execution — the §4.5.2 "caller died mid-call" drain path.
       // Only pooled deadline waits can be abandoned, so a cell without a
       // deadline skips the probe and leaves the caller's line alone until
       // the completion below.
-      if (cell.deadline != 0 && w.abandoned()) {
-        w.ack_abandoned();
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
-        return;
-      }
-      // The handler runs on a server-local register file; the caller's
-      // line is written once, reply then done word, after it returns.
-      RegSet out = cell.regs;
-      Status rc;
-      if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
-        // A sync cell that drained past its deadline is not executed late:
-        // the caller is abandoning (or about to) — fail it instead of
-        // burning a worker on a result nobody can use. If the caller's
-        // abandon CAS lands between the probe above and the exchange
-        // below, the exchange still sets kDoneBit, so the block stays
-        // reclaimable.
-        rc = Status::kDeadlineExceeded;
-        set_rc(out, rc);
-        slot.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kDeadlineExceeded,
-                         cell_ep(cell.ep));
-      } else if (const std::uint32_t tok = cell_token_idx(cell.ep);
-                 tok != 0 && cancel_requested(tok)) {
-        // A cancelled cell is refused the same way: the root asked for the
-        // whole tree to stop, so an undrained cell completes kCallAborted
-        // instead of executing. The completion exchange kicks a parked
-        // caller exactly as a real result would.
-        rc = Status::kCallAborted;
-        set_rc(out, rc);
-        slot.counters.inc(obs::Counter::kCallsCancelled);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kCallCancelled,
-                         cell_ep(cell.ep));
-      } else {
-        rc = run_cell(cell, out);
-        // Fault seams on the completion publish: a dropped completion (the
-        // caller MUST hold a deadline or it spins forever — chaos-only)
-        // and a delayed one (the failpoint burns its delay budget first).
-        if (HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
-          slot.counters.inc(obs::Counter::kFaultsInjected);
-          HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                           slot.self_id, obs::TraceEvent::kFaultInject,
-                           cell.ep);
-          return;
-        }
-        if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
-          slot.counters.inc(obs::Counter::kFaultsInjected);
-          HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                           slot.self_id, obs::TraceEvent::kFaultInject,
-                           cell.ep);
-        }
-      }
-      // Publish: reply store plus release exchange on the one wait line —
-      // one shared-line transfer, booked below.
-      w.reply = out;
-      if (w.complete(rc)) {
-        // The completing exchange found the parked bit: we just futex-woke
-        // a waiter that gave up its timeslice to us.
-        slot.counters.inc(obs::Counter::kWaiterKicks);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-        // The kick instant carries the cell's request ids so the exported
-        // trace shows WHICH call's completion woke the parked waiter.
-        slot.trace_ring.record_span(
-            obs::host_trace_now(),
-            static_cast<std::uint16_t>(slot.self_id),
-            obs::TraceEvent::kWaiterKick, cell_ep(cell.ep),
-            cell.tctx.trace_id, cell.tctx.span_id, 0);
-#endif
-      }
+      w->ack_abandoned();
       slot.counters.inc(obs::Counter::kSharedLinesTouched);
+      return;
+    } else if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
+      // A cell that drained past its deadline is not executed late: a
+      // fire-and-forget cell is dropped, a sync one fails instead of
+      // burning a worker on a result nobody can use. If the caller's
+      // abandon CAS lands between the probe above and the exchange below,
+      // the exchange still sets kDoneBit, so the block stays reclaimable.
+      rc = Status::kDeadlineExceeded;
+      set_rc(out, rc);
+      slot.counters.inc(obs::Counter::kDeadlineExceeded);
+      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                       obs::TraceEvent::kDeadlineExceeded, cell_ep(cell.ep));
+    } else if (const std::uint32_t tok = cell_token_idx(cell.ep);
+               tok != 0 && cancel_requested(tok)) {
+      // A cancelled cell is refused the same way: the root asked for the
+      // whole tree to stop. A parked caller is kicked by the completion
+      // exchange exactly as a real result would kick it.
+      rc = Status::kCallAborted;
+      set_rc(out, rc);
+      slot.counters.inc(obs::Counter::kCallsCancelled);
+      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                       obs::TraceEvent::kCallCancelled, cell_ep(cell.ep));
     } else {
-      // Fire-and-forget. An expired deadline is the kCallerDied-style
-      // skip: drop the cell at drain time instead of executing it late.
-      if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
-        slot.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kDeadlineExceeded,
-                         cell_ep(cell.ep));
-        return;
-      }
-      // A cancelled fire-and-forget cell is simply dropped: nobody is
-      // waiting, and the root asked for the tree to stop.
-      if (const std::uint32_t tok = cell_token_idx(cell.ep);
-          tok != 0 && cancel_requested(tok)) {
-        slot.counters.inc(obs::Counter::kCallsCancelled);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kCallCancelled,
-                         cell_ep(cell.ep));
-        return;
-      }
-      RegSet regs = cell.regs;  // results discarded
-      run_cell(cell, regs);
+      rc = run_cell(cell, out);
     }
+    if (w == nullptr) return;  // fire-and-forget: results discarded
+
+    // Publish, the same step for every sync cell. Fault seams first: a
+    // dropped completion (the caller MUST hold a deadline or it waits
+    // forever — chaos-only, so never armed under frame traffic) and a
+    // delayed one (the failpoint burns its delay budget first).
+    if (HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
+      slot.counters.inc(obs::Counter::kFaultsInjected);
+      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                       obs::TraceEvent::kFaultInject, cell.ep);
+      return;
+    }
+    if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
+      slot.counters.inc(obs::Counter::kFaultsInjected);
+      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                       obs::TraceEvent::kFaultInject, cell.ep);
+    }
+    // Reply store plus release exchange on the one wait line — one
+    // shared-line transfer, booked below.
+    w->reply = out;
+    if (w->complete(rc)) {
+      // The completing exchange found the parked bit: we just futex-woke
+      // a waiter that gave up its timeslice to us.
+      slot.counters.inc(obs::Counter::kWaiterKicks);
+#if defined(HPPC_TRACE) && HPPC_TRACE
+      // The kick instant carries the cell's request ids so the exported
+      // trace shows WHICH call's completion woke the parked waiter.
+      slot.trace_ring.record_span(
+          obs::host_trace_now(), static_cast<std::uint16_t>(slot.self_id),
+          obs::TraceEvent::kWaiterKick, cell_ep(cell.ep), cell.tctx.trace_id,
+          cell.tctx.span_id, 0);
+#endif
+    }
+    slot.counters.inc(obs::Counter::kSharedLinesTouched);
   });
   if (n > 0) {
     // Drain accounting: xcall_cells_drained is the telemetry layer's
@@ -676,7 +641,11 @@ std::size_t Runtime::drain_ready(Slot& slot) {
   // Starvation is bounded by the ring capacities: one drain_ready pass
   // serves at most one batch per flagged interactive ring, then ALWAYS
   // falls through to the bulk word.
-  std::size_t done = drain_mask(slot, slot.ready_mask);
+  // The idle check is inline: every direct call ends here, and an idle
+  // target should cost it a load, not a call.
+  std::size_t done = slot.ready_mask.load(std::memory_order_relaxed) != 0
+                         ? drain_mask(slot, slot.ready_mask)
+                         : 0;
   if (slot.bulk_ready_mask.load(std::memory_order_relaxed) != 0) {
     if (done != 0) {
       // Bulk work sat queued while interactive doorbells were served.
@@ -865,27 +834,6 @@ FrameServiceId Runtime::bind_frame(ProgramId program, FrameFn fn,
   return id;
 }
 
-Status Runtime::frame_shim_fn(void* self, FrameCtx& ctx, CallFrame& f) {
-  auto* shim = static_cast<FrameShim*>(self);
-  // The op word's low half IS the legacy opflags word; w[0..6] map onto
-  // regs[0..6]. w[7] has no legacy equivalent and passes through.
-  RegSet regs;
-  for (std::size_t i = 0; i < ppc::kOpWord; ++i) regs[i] = f.w[i];
-  regs[ppc::kOpWord] = frame_opflags_of(f.op);
-  const Status rc = shim->rt->call(ctx.slot, ctx.caller, shim->ep, regs);
-  for (std::size_t i = 0; i < ppc::kOpWord; ++i) f.w[i] = regs[i];
-  return rc;
-}
-
-FrameServiceId Runtime::bind_frame_shim(EntryPointId legacy) {
-  // The shim record is immutable after construction and must outlive every
-  // call through it: arena storage, freed with the runtime.
-  auto* shim = arena_.create<FrameShim>(/*node=*/0);
-  shim->rt = this;
-  shim->ep = legacy;
-  return bind_frame(/*program=*/0, &Runtime::frame_shim_fn, shim);
-}
-
 Status Runtime::unbind_frame(FrameServiceId id) {
   if (id >= kMaxFrameServices) return Status::kNoSuchEntryPoint;
   shared_.inc(obs::Counter::kSharedLinesTouched);
@@ -896,7 +844,11 @@ Status Runtime::unbind_frame(FrameServiceId id) {
   return Status::kOk;
 }
 
-Status Runtime::execute_frame(Slot& slot, ProgramId caller, CallFrame& f) {
+// Inlined into every frame lane (same-slot, direct, drained): the frame
+// path's whole point is that nothing but the handler costs a call.
+[[gnu::always_inline]] inline Status Runtime::execute_frame(Slot& slot,
+                                                            ProgramId caller,
+                                                            CallFrame& f) {
   const FrameServiceId id = frame_service_of(f.op);
   const FrameFn fn = id < kMaxFrameServices
                          ? frame_services_[id].fn.load(std::memory_order_acquire)
@@ -920,915 +872,597 @@ Status Runtime::call_frame(SlotId slot_id, ProgramId caller, CallFrame& f) {
   return execute_frame(*slots_[slot_id], caller, f);
 }
 
-Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
-                                  ProgramId caller, CallFrame& f) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (target == caller_slot) return call_frame(caller_slot, caller, f);
+// ---------------------------------------------------------------------------
+// The cross-slot engine
+// ---------------------------------------------------------------------------
+//
+// Every call_remote* wrapper below is one call into submit(): screen →
+// admit → direct | post → wait → complete over a span of requests. A lane
+// policy supplies the only per-lane steps — screen the submission, encode
+// a cell, execute a request directly, copy a reply out — so the typed and
+// frame lanes share every counter, histogram, span and failpoint.
 
-  // Screen before touching the target (same contract as call_remote): an
-  // unbound service fails here, not after a cell is in flight.
-  const FrameServiceId id = frame_service_of(f.op);
-  if (id >= kMaxFrameServices ||
-      frame_services_[id].fn.load(std::memory_order_acquire) == nullptr) {
-    f.op = frame_with_rc(f.op, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
+namespace {
+// The default-constructed options the option-less wrappers pass: one
+// read-only object instead of a temporary built on every call.
+constexpr CallOptions kNoOptions{};
+}  // namespace
+
+/// Typed requests: RegSets against one entry point. The whole request
+/// context rides each cell — the absolute deadline in its own lane, the
+/// cancel-token index and traffic class in the ep word's spare high bits.
+struct Runtime::TypedLane {
+  using Req = RegSet;
+  static constexpr bool kInFlightContext = true;
+  EntryPointId id;
+
+  Status screen(const Runtime& rt, std::span<RegSet>) const {
+    const Service* svc = rt.lookup(id);
+    if (svc == nullptr) return Status::kNoSuchEntryPoint;
+    switch (svc->state.load(std::memory_order_acquire)) {
+      case SvcState::kActive:
+        return Status::kOk;
+      case SvcState::kDraining:
+        return Status::kEntryPointDraining;
+      default:
+        return Status::kNoSuchEntryPoint;
+    }
   }
-
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-
-  // Frame cells repurpose the cell's deadline field as the op lane, so a
-  // frame call cannot carry a budget or token in flight. The request
-  // context is therefore enforced at ADMISSION ONLY: an already-expired or
-  // cancelled root refuses here, but a frame that clears admission runs to
-  // completion even if the root expires mid-flight (documented contract in
-  // docs/XCALL.md). The traffic class does apply — it rides the doorbell,
-  // not the cell.
-  const RequestCtx ambient = me.cur_req;
-  if (ambient.abs_deadline_cycles != 0 && ambient.expired(host_cycles())) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    f.op = frame_with_rc(f.op, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
+  static void refuse(RegSet& r, Status s) { set_rc(r, s); }
+  void encode(XcallCell& cell, const RegSet& r, const Admission& a) const {
+    cell.ep = cell_pack_ep(id, a.token, a.bulk);
+    cell.deadline = a.deadline;
+    cell.regs = r;
   }
-  if (ambient.cancel_token != 0 && cancel_requested(ambient.cancel_token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled);
-    f.op = frame_with_rc(f.op, Status::kCallAborted);
-    return Status::kCallAborted;
+  Status execute(Runtime& rt, Slot& tgt, ProgramId caller, RegSet& r) const {
+    return rt.execute_remote(tgt, caller, id, r);
   }
-  const bool bulk = ambient.traffic_class == TrafficClass::kBulk;
+  static void reply(RegSet& r, const XcallWait& w, Status) { r = w.reply; }
 
-  // Admission control, same relaxed-read watermark as the typed path.
-  const std::uint32_t watermark = shed_watermark(ambient.traffic_class);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed);
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk);
-    f.op = frame_with_rc(f.op, Status::kOverloaded);
+  /// Async ring-full overflow: a fire-and-forget caller cannot wait for
+  /// space, so this rare case rides the legacy allocating mailbox (booked
+  /// as such). The deadline and token still hold — the drain lambda
+  /// re-checks them before executing.
+  Status overflow(Runtime& rt, SlotId target, ProgramId caller,
+                  const RegSet& regs, const Admission& a) const {
+    rt.post(target, [&rt, target, caller, ep = id, r = regs, a]() mutable {
+      Slot& slot = *rt.slots_[target];
+      if (a.deadline != 0 && host_cycles() >= a.deadline) {
+        slot.counters.inc(obs::Counter::kDeadlineExceeded);
+        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                         obs::TraceEvent::kDeadlineExceeded, ep);
+        return;
+      }
+      if (a.token != 0 && rt.cancel_requested(a.token)) {
+        slot.counters.inc(obs::Counter::kCallsCancelled);
+        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                         obs::TraceEvent::kCallCancelled, ep);
+        return;
+      }
+      const RequestCtx saved_req = slot.cur_req;
+      RequestCtx req;
+      req.abs_deadline_cycles = a.deadline;
+      req.cancel_token = a.token;
+      req.traffic_class =
+          a.bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
+      slot.cur_req = req;
+      rt.execute_remote(slot, caller, ep, r);
+      slot.cur_req = saved_req;
+    });
+    return Status::kOk;
+  }
+};
+
+/// Figure-4 frames: the packed op word rides the cell's deadline lane, so
+/// a frame carries no deadline or cancel token in flight — its request
+/// context is enforced at admission (and by the retry loop) only, and a
+/// frame handler runs outside it whether it executes direct or drained.
+struct Runtime::FrameLane {
+  using Req = CallFrame;
+  static constexpr bool kInFlightContext = false;
+
+  Status screen(const Runtime& rt, std::span<CallFrame> reqs) const {
+    for (const CallFrame& f : reqs) {
+      const FrameServiceId id = frame_service_of(f.op);
+      if (id >= kMaxFrameServices ||
+          rt.frame_services_[id].fn.load(std::memory_order_acquire) ==
+              nullptr) {
+        return Status::kNoSuchEntryPoint;
+      }
+    }
+    return Status::kOk;
+  }
+  static void refuse(CallFrame& f, Status s) { f.op = frame_with_rc(f.op, s); }
+  void encode(XcallCell& cell, const CallFrame& f, const Admission&) const {
+    cell.ep = kFrameCellEp | frame_service_of(f.op);
+    cell.deadline = f.op;  // the op lane, not a deadline
+    cell.regs.w = f.w;
+  }
+  Status execute(Runtime& rt, Slot& tgt, ProgramId caller,
+                 CallFrame& f) const {
+    return rt.execute_frame(tgt, caller, f);
+  }
+  static void reply(CallFrame& f, const XcallWait& w, Status rc) {
+    f.w = w.reply.w;
+    f.op = frame_with_rc(f.op, rc);
+  }
+  /// No frame wrapper posts without waiting, so nothing overflows here.
+  Status overflow(Runtime&, SlotId, ProgramId, const CallFrame&,
+                  const Admission&) const {
     return Status::kOverloaded;
   }
+};
 
-  // Idle target: LRPC-style direct execution under the gate.
-  if (tgt.gate.try_steal()) {
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    tgt.counters.inc(obs::Counter::kXcallDirect);
-    const Status rc = execute_frame(tgt, caller, f);
-    drain_ready(tgt);
-    tgt.gate.release_steal();
-    return rc;
+template <typename Lane>
+Status Runtime::refuse_all(Slot& me, [[maybe_unused]] SlotId caller_slot,
+                           [[maybe_unused]] SlotId target,
+                           std::span<typename Lane::Req> reqs, Status s) {
+  if (s == Status::kDeadlineExceeded) {
+    me.counters.inc(obs::Counter::kDeadlineExceeded, reqs.size());
+    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                     obs::TraceEvent::kDeadlineExceeded, target);
+  } else if (s == Status::kCallAborted) {
+    me.counters.inc(obs::Counter::kCallsCancelled, reqs.size());
+    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                     obs::TraceEvent::kCallCancelled, target);
+  }
+  for (auto& r : reqs) Lane::refuse(r, s);
+  return s;
+}
+
+// Inlined into each wrapper on purpose: a direct call is a few dozen
+// nanoseconds, and an out-of-line engine call with its stack-passed
+// arguments measurably added to it (the frame lane's direct call most).
+template <typename Lane>
+[[gnu::always_inline]] inline Status Runtime::submit(
+    const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
+    std::span<typename Lane::Req> reqs, const CallOptions& opts, bool async) {
+  HPPC_ASSERT(caller_slot < slots_.size());
+  HPPC_ASSERT(target < slots_.size());
+  HPPC_ASSERT(target != caller_slot);
+  if (reqs.empty()) return Status::kOk;
+  Slot& me = *slots_[caller_slot];
+  Slot& tgt = *slots_[target];
+  // Screen: an unbound or killed service fails before touching the target.
+  if (const Status s = lane.screen(*this, reqs); s != Status::kOk) {
+    return refuse_all<Lane>(me, caller_slot, target, reqs, s);
   }
 
-  // Ring path: the whole request inlines in one cell. The reply lands in
-  // the stack wait line (cache-hot for the spinner) and is copied into f.w.
-  XcallWait wait;
-  XcallRing& ring = tgt.rings[caller_slot];
-  while (!ring.try_post_frame(caller, f, &wait)) {
-    me.counters.inc(obs::Counter::kXcallRingFull);
-    if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
+  // Admit: fold the per-call knobs into the ambient request the caller is
+  // already executing under. The relative deadline converts to an absolute
+  // budget exactly once (with_budget) and clamps against the inherited one
+  // — tighten, never extend — while the token and class default to the
+  // ambient values, so a context installed at the root rides every hop.
+  const RequestCtx ambient = me.cur_req;
+  Admission adm;
+  adm.deadline = opts.with_budget(ambient.abs_deadline_cycles);
+  adm.token = opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
+  adm.bulk = opts.traffic_class == TrafficClass::kBulk ||
+             ambient.traffic_class == TrafficClass::kBulk;
+  if (ambient.abs_deadline_cycles != 0 &&
+      adm.deadline == ambient.abs_deadline_cycles) {
+    me.counters.inc(obs::Counter::kDeadlineInherited);
   }
-  ring_doorbell(me, tgt, caller_slot, bulk);
-  me.counters.inc(obs::Counter::kXcallPosts);
+  // A spent budget or a cancelled root never touches the target; neither
+  // does a call over its class's shed watermark — a lower bulk watermark
+  // makes bulk traffic absorb the shedding first.
+  if (adm.deadline != 0 && host_cycles() >= adm.deadline) {
+    return refuse_all<Lane>(me, caller_slot, target, reqs,
+                            Status::kDeadlineExceeded);
+  }
+  if (adm.token != 0 && cancel_requested(adm.token)) {
+    return refuse_all<Lane>(me, caller_slot, target, reqs,
+                            Status::kCallAborted);
+  }
+  const std::uint32_t watermark = shed_watermark(
+      adm.bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
+  if (watermark != 0 && xcall_depth(target) >= watermark) {
+    me.counters.inc(obs::Counter::kCallsShed, reqs.size());
+    if (adm.bulk) me.counters.inc(obs::Counter::kCallsShedBulk, reqs.size());
+    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                     obs::TraceEvent::kCallShed, target);
+    return refuse_all<Lane>(me, caller_slot, target, reqs,
+                            Status::kOverloaded);
+  }
+  if (adm.bulk) me.counters.inc(obs::Counter::kCallsBulk, reqs.size());
+
+  // One histogram sampling decision per sync call or batch chunk; this one
+  // covers the first chunk, whichever stage carries it.
+  const bool sampled = !async && hist_sampled(me);
+  const std::uint64_t t0 = sampled ? host_cycles() : 0;
+  if (async) {
+    return submit_ring(lane, caller_slot, target, caller, reqs, opts, adm,
+                       /*async=*/true, /*sampled=*/false, /*t0=*/0);
+  }
+  if (!tgt.gate.try_steal()) {
+    return submit_ring_sync(lane, caller_slot, target, caller, reqs, opts,
+                            adm, sampled, t0);
+  }
+
+  // Direct: the target is parked — we hold its gate, so the whole
+  // submission runs right here, against the target's pools (LRPC-style
+  // migration). No context switch, no allocation; two shared RMWs (steal +
+  // release). Direct execution crosses slots without crossing the ring, so
+  // the stolen slot is put under the caller's trace context — and, on a
+  // lane whose cells carry the request context, under that too — by hand,
+  // exactly as the drain installs what a ring cell carries: nested calls
+  // the handlers make inherit the span, the budget and the token.
+  const bool batched = reqs.size() > 1;
   me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
+  tgt.counters.inc(obs::Counter::kXcallDirect, reqs.size());
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  const obs::TraceCtx parent = me.cur_trace;
+  const obs::TraceCtx saved_trace = tgt.cur_trace;
+  std::uint32_t span = 0;
+  if (parent.traced()) {
+    span = begin_span(
+        me, batched ? obs::SpanKind::kBatch : obs::SpanKind::kRemoteDirect,
+        parent.trace_id, parent.span_id);
+    tgt.cur_trace = parent;
+    if (span != 0) tgt.cur_trace.span_id = span;
+    ++tgt.cur_trace.hop;
+  }
+#endif
+  [[maybe_unused]] const RequestCtx saved_req = tgt.cur_req;
+  if constexpr (Lane::kInFlightContext) {
+    RequestCtx eff = ambient;
+    eff.abs_deadline_cycles = adm.deadline;
+    eff.cancel_token = adm.token;
+    eff.traffic_class =
+        adm.bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
+    tgt.cur_req = eff;
+  }
+  Status overall = Status::kOk;
+  for (auto& r : reqs) {
+    const Status s = lane.execute(*this, tgt, caller, r);
+    if (overall == Status::kOk) overall = s;
+  }
+  if constexpr (Lane::kInFlightContext) tgt.cur_req = saved_req;
+  // Help while we hold the slot: retire anything ring-queued behind us.
+  drain_ready(tgt);
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  if (parent.traced()) {
+    tgt.cur_trace = saved_trace;
+    end_span(me, parent.trace_id, span, parent.span_id, overall);
+  }
+#endif
+  tgt.gate.release_steal();
+  // Complete: the sampled RTT, in the submission's histogram class.
+  if (sampled) {
+    const std::uint64_t rtt = host_cycles() - t0;
+    me.hists->record(batched ? obs::Hist::kRttBatched : obs::Hist::kRttRemote,
+                     rtt);
+    if (adm.bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
+  }
+  return overall;
+}
 
-  const int yield_rounds = (tgt.ready_mask.load(std::memory_order_relaxed) &
-                            ~doorbell_bit(caller_slot)) != 0
-                               ? kWaitYieldRoundsContended
-                               : kWaitYieldRounds;
-  const Status rc = wait_complete(
-      wait, yield_rounds,
-      [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-      [&me] { me.counters.inc(obs::Counter::kWaiterParks); });
-  f.w = wait.reply.w;
-  f.op = frame_with_rc(f.op, rc);
-  return rc;
+// A sync submission's ring stages run out of line, so their state — a
+// ring's worth of wait lines among it — never crowds the direct stage's
+// frame and registers; an async post is light enough to stay inline.
+template <typename Lane>
+[[gnu::noinline]] Status Runtime::submit_ring_sync(
+    const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
+    std::span<typename Lane::Req> reqs, const CallOptions& opts,
+    Admission adm, bool sampled, std::uint64_t t0) {
+  return submit_ring(lane, caller_slot, target, caller, reqs, opts, adm,
+                     /*async=*/false, sampled, t0);
+}
+
+template <typename Lane>
+[[gnu::always_inline]] inline Status Runtime::submit_ring(
+    const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
+    std::span<typename Lane::Req> reqs, const CallOptions& opts,
+    Admission adm, bool async, bool sampled, std::uint64_t t0) {
+  Slot& me = *slots_[caller_slot];
+  Slot& tgt = *slots_[target];
+  const std::size_t n = reqs.size();
+  const bool batched = n > 1;
+  // The deadline cells carry, and the reason a wait block is pooled: if
+  // the caller abandons, the server still points into runtime-owned
+  // storage. Frames have no lane for it.
+  const std::uint64_t in_flight = Lane::kInFlightContext ? adm.deadline : 0;
+  Status overall = Status::kOk;
+  const auto fold = [&overall](Status s) {
+    if (overall == Status::kOk) overall = s;
+  };
+  const auto fault_hit = [&] {
+    me.counters.inc(obs::Counter::kFaultsInjected);
+    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                     obs::TraceEvent::kFaultInject, target);
+  };
+  const auto help = [this, &tgt, caller_slot] {
+    help_drain(tgt, caller_slot);
+  };
+
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  // The context every cell carries: a sync submission's span (kBatch for
+  // a batch, kRemoteCall for a single call), or for an async post the
+  // caller's own context, without a span.
+  const obs::TraceCtx parent = me.cur_trace;
+  obs::TraceCtx post_ctx = parent;
+  std::uint32_t span = 0;
+  if (parent.traced()) {
+    if (!async) {
+      span = begin_span(
+          me, batched ? obs::SpanKind::kBatch : obs::SpanKind::kRemoteCall,
+          parent.trace_id, parent.span_id);
+      if (span != 0) post_ctx.span_id = span;
+    }
+    ++post_ctx.hop;
+  }
+#endif
+
+  // Post seams, once per submission: "rt.xcall.post" delays the first post
+  // (a caller preempted before publishing); "rt.xcall.ring_full" fails it,
+  // so tests drive the full-ring branch without 64 parked cells.
+  if (HPPC_FAULT_POINT("rt.xcall.post")) fault_hit();
+  bool force_full = false;
+  if (HPPC_FAULT_POINT("rt.xcall.ring_full")) {
+    fault_hit();
+    force_full = true;
+  }
+
+  XcallRing& ring = tgt.rings[caller_slot];
+  // One chunk's completion blocks. No-deadline blocks live on this frame
+  // and are constructed only for the cells the chunk asks for — a single
+  // call builds one line, not kCapacity; deadline blocks come from the
+  // caller slot's pool.
+  alignas(XcallWait) std::byte stack_waits[XcallRing::kCapacity *
+                                           sizeof(XcallWait)];
+  std::array<XcallWait*, XcallRing::kCapacity> waits;
+  bool booked_full = false;
+  bool decided = true;  // the first chunk's sampling decision came with us
+  std::uint32_t round = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    if (!decided) {
+      sampled = !async && hist_sampled(me);
+      t0 = sampled ? host_cycles() : 0;
+      decided = true;
+    }
+    // Post: claim up to a ring's worth of cells with one CAS; the lane
+    // encodes each. "rt.xcall.batch.post" delays every chunk post of a
+    // batch (a producer preempted mid-batch).
+    const std::size_t want = std::min(n - i, XcallRing::kCapacity);
+    for (std::size_t k = 0; !async && k < want; ++k) {
+      waits[k] = in_flight ? acquire_wait(me)
+                           : ::new (stack_waits + k * sizeof(XcallWait))
+                                 XcallWait;
+    }
+    if (batched && HPPC_FAULT_POINT("rt.xcall.batch.post")) fault_hit();
+    std::size_t posted = 0;
+    if (!force_full) {
+      posted = ring.try_post(want, [&](XcallCell& cell, std::size_t k) {
+        cell.caller = caller;
+        cell.wait = async ? nullptr : waits[k];
+        lane.encode(cell, reqs[i + k], adm);
+#if defined(HPPC_TRACE) && HPPC_TRACE
+        cell.tctx = post_ctx;
+#endif
+      });
+    }
+    force_full = false;
+    // Unpublished pooled blocks were never shared: straight back.
+    if (in_flight != 0 && !async) {
+      for (std::size_t k = posted; k < want; ++k) release_wait(me, waits[k]);
+    }
+
+    if (posted == 0) {
+      // Full ring: the submission's first books xcall_ring_full, each later
+      // attempt books a retry. Async overflows (or fails fast); a sync
+      // submission follows its retry policy — kBlock helps/yields forever,
+      // kBackoff burns a doubling cpu_relax budget per round and gives up
+      // after backoff_rounds, kFailFast gives up at once. A call that
+      // cannot even be queued before its deadline or cancel was still too
+      // late.
+      if (!booked_full) {
+        booked_full = true;
+        me.counters.inc(obs::Counter::kXcallRingFull);
+      } else {
+        me.counters.inc(obs::Counter::kRetries);
+      }
+      Status give_up = Status::kOk;
+      if (async) {
+        give_up = opts.retry == RetryPolicy::kFailFast
+                      ? Status::kOverloaded
+                      : lane.overflow(*this, target, caller, reqs[i], adm);
+        if (give_up == Status::kOk) break;  // handed to the mailbox
+      } else if (opts.retry == RetryPolicy::kFailFast ||
+                 (opts.retry == RetryPolicy::kBackoff &&
+                  round >= opts.backoff_rounds)) {
+        give_up = Status::kOverloaded;
+      } else if (adm.deadline != 0 && host_cycles() >= adm.deadline) {
+        give_up = Status::kDeadlineExceeded;
+      } else if (adm.token != 0 && cancel_requested(adm.token)) {
+        give_up = Status::kCallAborted;
+      }
+      if (give_up != Status::kOk) {
+        fold(refuse_all<Lane>(me, caller_slot, target, reqs.subspan(i),
+                              give_up));
+        break;
+      }
+      if (opts.retry == RetryPolicy::kBackoff) {
+        const std::uint32_t spins = 1u << (round < 10 ? round : 10);
+        for (std::uint32_t k = 0; k < spins; ++k) cpu_relax();
+        me.counters.inc(obs::Counter::kBackoffCycles, spins);
+      }
+      ++round;
+      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
+      continue;
+    }
+
+    ring_doorbell(me, tgt, caller_slot, adm.bulk);
+    me.counters.inc(obs::Counter::kXcallPosts, posted);
+    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
+    if (batched) {
+      me.counters.inc(obs::Counter::kXcallBatchPosts);
+      me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
+      HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                       obs::TraceEvent::kXcallBatchPost,
+                       static_cast<std::uint32_t>(posted));
+    } else {
+      HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                       obs::TraceEvent::kXcallPost, target);
+    }
+    if (async) {
+      i += posted;
+      continue;
+    }
+
+    // Wait, then complete: copy each reply out of its wait line. The first
+    // waits dominate the wall time; later ones are usually done by the
+    // time we look. No-deadline waits walk the spin→yield→park ladder. Its
+    // yield budget adapts once per chunk: other producers' doorbells
+    // pending at the target mean our cells sit behind a queue spanning
+    // several drain passes, so park after one courtesy round instead of
+    // churning the scheduler. The park failpoints: "rt.xcall.park.now"
+    // collapses the yield phase so tests drive the park/kick protocol
+    // deterministically; "rt.xcall.park" is a delay seam inside the park
+    // decision, widening the park-vs-complete race.
+    const std::uint64_t post_t = sampled ? host_cycles() : 0;
+    int yield_rounds = (tgt.ready_mask.load(std::memory_order_relaxed) &
+                        ~doorbell_bit(caller_slot)) != 0
+                           ? kWaitYieldRoundsContended
+                           : kWaitYieldRounds;
+    if (in_flight == 0 && HPPC_FAULT_POINT("rt.xcall.park.now")) {
+      me.counters.inc(obs::Counter::kFaultsInjected);
+      yield_rounds = 0;
+    }
+    for (std::size_t k = 0; k < posted; ++k) {
+      XcallWait& w = *waits[k];
+      typename Lane::Req& req = reqs[i + k];
+      if (in_flight == 0) {
+        std::uint64_t park_t = 0;  // stamped at park, read after the kick
+        const Status rc = wait_complete(w, yield_rounds, help, [&] {
+          me.counters.inc(obs::Counter::kWaiterParks);
+          park_t = host_cycles();
+          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                           obs::TraceEvent::kWaiterPark, target);
+          if (HPPC_FAULT_POINT("rt.xcall.park")) fault_hit();
+        });
+        // A parked waiter always books its wakeup: parks are rare, and the
+        // stamp is the only view of the park->kick latency.
+        if (park_t != 0) {
+          me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
+        }
+        Lane::reply(req, w, rc);
+        fold(rc);
+        continue;
+      }
+      bool timed_out = false;
+      const Status rc = wait_complete_deadline(
+          w, in_flight, [] { return host_cycles(); }, help, &timed_out);
+      if (timed_out) {
+        // Abandoned: the block stays on the zombie list until the server's
+        // drain acks it (or completes it — either sets kDoneBit).
+        w.next = me.wait_zombies;
+        me.wait_zombies = &w;
+        me.counters.inc(obs::Counter::kDeadlineExceeded);
+        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
+                         obs::TraceEvent::kDeadlineExceeded, target);
+        Lane::refuse(req, Status::kDeadlineExceeded);
+      } else {
+        Lane::reply(req, w, rc);
+        release_wait(me, &w);
+      }
+      fold(rc);
+    }
+    i += posted;
+    // Complete: a one-request submission books kRttRemote (kRttDeadlined
+    // for a deadline wait) plus kRingWait; a batch books kRttBatched once
+    // per chunk.
+    if (sampled) {
+      const std::uint64_t done_t = host_cycles();
+      const std::uint64_t rtt = done_t - t0;
+      if (!batched) me.hists->record(obs::Hist::kRingWait, done_t - post_t);
+      me.hists->record(batched          ? obs::Hist::kRttBatched
+                       : in_flight != 0 ? obs::Hist::kRttDeadlined
+                                        : obs::Hist::kRttRemote,
+                       rtt);
+      if (adm.bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
+    }
+    decided = false;
+  }
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  if (span != 0) end_span(me, parent.trace_id, span, parent.span_id, overall);
+#endif
+  return overall;
+}
+
+Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
+                                  ProgramId caller, CallFrame& f) {
+  if (target == caller_slot) return call_frame(caller_slot, caller, f);
+  return submit(FrameLane{}, caller_slot, target, caller,
+                std::span<CallFrame>(&f, 1), kNoOptions);
 }
 
 Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
                                         ProgramId caller,
                                         std::span<CallFrame> batch) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (batch.empty()) return Status::kOk;
+  if (target != caller_slot) {
+    return submit(FrameLane{}, caller_slot, target, caller, batch,
+                  kNoOptions);
+  }
   Status overall = Status::kOk;
-  const auto fold = [&overall](Status s) {
-    if (overall == Status::kOk && s != Status::kOk) overall = s;
-  };
-  if (target == caller_slot) {
-    for (CallFrame& f : batch) fold(call_frame(caller_slot, caller, f));
-    return overall;
-  }
-
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-  // Same admission-only request-context contract as call_remote_frame:
-  // frame cells cannot carry the budget in flight, so the guard is here.
-  const RequestCtx ambient = me.cur_req;
-  if (ambient.abs_deadline_cycles != 0 && ambient.expired(host_cycles())) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    for (CallFrame& f : batch) {
-      f.op = frame_with_rc(f.op, Status::kDeadlineExceeded);
-    }
-    return Status::kDeadlineExceeded;
-  }
-  if (ambient.cancel_token != 0 && cancel_requested(ambient.cancel_token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled, batch.size());
-    for (CallFrame& f : batch) {
-      f.op = frame_with_rc(f.op, Status::kCallAborted);
-    }
-    return Status::kCallAborted;
-  }
-  const bool bulk = ambient.traffic_class == TrafficClass::kBulk;
-  const std::uint32_t watermark = shed_watermark(ambient.traffic_class);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed, batch.size());
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk, batch.size());
-    for (CallFrame& f : batch) {
-      f.op = frame_with_rc(f.op, Status::kOverloaded);
-    }
-    return Status::kOverloaded;
-  }
-
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // One gate steal covers every frame still unsubmitted.
-    if (tgt.gate.try_steal()) {
-      me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-      tgt.counters.inc(obs::Counter::kXcallDirect, batch.size() - i);
-      for (; i < batch.size(); ++i) {
-        fold(execute_frame(tgt, caller, batch[i]));
-      }
-      drain_ready(tgt);
-      tgt.gate.release_steal();
-      break;
-    }
-
-    // Chunk post: one CAS claims the run, one release store + one doorbell
-    // publish it. Completion blocks (replies inline) live on this frame —
-    // zero heap allocations regardless of batch size.
-    std::array<XcallWait, XcallRing::kCapacity> waits;
-    std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
-    const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
-    for (std::size_t k = 0; k < want; ++k) wait_ptrs[k] = &waits[k];
-    XcallRing& ring = tgt.rings[caller_slot];
-    const std::size_t posted =
-        ring.try_post_frames(caller, &batch[i], wait_ptrs.data(), want);
-    if (posted == 0) {
-      me.counters.inc(obs::Counter::kXcallRingFull);
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-      continue;
-    }
-    ring_doorbell(me, tgt, caller_slot, bulk);
-    me.counters.inc(obs::Counter::kXcallPosts, posted);
-    me.counters.inc(obs::Counter::kXcallBatchPosts);
-    me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-
-    const int yield_rounds =
-        (tgt.ready_mask.load(std::memory_order_relaxed) &
-         ~doorbell_bit(caller_slot)) != 0
-            ? kWaitYieldRoundsContended
-            : kWaitYieldRounds;
-    for (std::size_t k = 0; k < posted; ++k) {
-      const Status s = wait_complete(
-          waits[k], yield_rounds,
-          [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-          [&me] { me.counters.inc(obs::Counter::kWaiterParks); });
-      fold(s);
-      batch[i + k].w = waits[k].reply.w;
-      batch[i + k].op = frame_with_rc(batch[i + k].op, s);
-    }
-    i += posted;
+  for (CallFrame& f : batch) {
+    const Status s = call_frame(caller_slot, caller, f);
+    if (overall == Status::kOk) overall = s;
   }
   return overall;
 }
 
 Status Runtime::call_remote(SlotId caller_slot, SlotId target,
                             ProgramId caller, EntryPointId id, RegSet& regs) {
-  return call_remote(caller_slot, target, caller, id, regs, CallOptions{});
+  return call_remote(caller_slot, target, caller, id, regs, kNoOptions);
 }
 
 Status Runtime::call_remote(SlotId caller_slot, SlotId target,
                             ProgramId caller, EntryPointId id, RegSet& regs,
                             const CallOptions& opts) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
   if (target == caller_slot) return call(caller_slot, caller, id, regs);
-
-  // Fail fast before touching the target: same screening as call().
-  Service* svc = lookup(id);
-  if (svc == nullptr) {
-    set_rc(regs, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
-  }
-  const SvcState st = svc->state.load(std::memory_order_acquire);
-  if (st != SvcState::kActive) {
-    const Status s = st == SvcState::kDraining ? Status::kEntryPointDraining
-                                               : Status::kNoSuchEntryPoint;
-    set_rc(regs, s);
-    return s;
-  }
-
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-
-  // Fold the per-call knobs into the ambient request the caller is already
-  // executing under: the relative deadline converts to an absolute budget
-  // exactly once (with_budget) and clamps against the inherited one —
-  // tighten, never extend — while the token and class default to the
-  // ambient values so a context installed at the root rides every hop.
-  const RequestCtx ambient = me.cur_req;
-  const std::uint64_t deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  const bool deadlined = deadline != 0;
-  const CancelToken token =
-      opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  const bool bulk = opts.traffic_class == TrafficClass::kBulk ||
-                    ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
-  }
-
-  // Pre-admission screen: a call whose budget is already spent — or whose
-  // root was cancelled — never touches the target at all.
-  if (deadlined && host_cycles() >= deadline) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-    set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  if (token != 0 && cancel_requested(token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-    set_rc(regs, Status::kCallAborted);
-    return Status::kCallAborted;
-  }
-
-  // Admission control: refuse at the door while the target's queue is over
-  // the CLASS's watermark — a lower bulk watermark makes bulk traffic
-  // absorb the shedding while interactive calls keep being admitted.
-  const std::uint32_t watermark = shed_watermark(
-      bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed);
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallShed, target);
-    set_rc(regs, Status::kOverloaded);
-    return Status::kOverloaded;
-  }
-  if (bulk) me.counters.inc(obs::Counter::kCallsBulk);
-
-  // One sampling decision covers the call, whichever path it takes; an
-  // unsampled call reads no clock for the histograms below.
-  const bool sampled = hist_sampled(me);
-  const std::uint64_t rtt_t0 = sampled ? host_cycles() : 0;
-
-  // Adaptive fast path: the target is parked — take the gate and run the
-  // call right here, against the target's pools (LRPC-style migration).
-  // No context switch, no allocation; two shared RMWs (steal + release).
-  if (tgt.gate.try_steal()) {
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    tgt.counters.inc(obs::Counter::kXcallDirect);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    // Direct execution crosses slots without crossing the ring: the span
-    // lives on the caller's ring, and the stolen slot executes under the
-    // caller's context (hop bumped) so nested spans parent correctly.
-    const obs::TraceCtx parent = me.cur_trace;
-    const obs::TraceCtx saved_tgt = tgt.cur_trace;
-    std::uint32_t span = 0;
-    if (parent.traced()) {
-      span = begin_span(me, obs::SpanKind::kRemoteDirect, parent.trace_id,
-                        parent.span_id);
-      tgt.cur_trace = parent;
-      if (span != 0) tgt.cur_trace.span_id = span;
-      ++tgt.cur_trace.hop;
-    }
-#endif
-    // Direct execution crosses slots without crossing the ring, so the
-    // request context is installed on the stolen slot by hand (the same
-    // save/restore the drain does for ring cells) — nested calls the
-    // handler makes still inherit the effective budget and token.
-    const RequestCtx saved_req = tgt.cur_req;
-    RequestCtx eff = ambient;
-    eff.abs_deadline_cycles = deadline;
-    eff.cancel_token = token;
-    eff.traffic_class =
-        bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-    tgt.cur_req = eff;
-    const Status rc = execute_remote(tgt, caller, id, regs);
-    tgt.cur_req = saved_req;
-    // Help while we hold the slot: retire anything ring-queued behind us.
-    drain_ready(tgt);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (parent.traced()) {
-      tgt.cur_trace = saved_tgt;
-      end_span(me, parent.trace_id, span, parent.span_id, rc);
-    }
-#endif
-    tgt.gate.release_steal();
-    if (sampled) {
-      const std::uint64_t rtt = host_cycles() - rtt_t0;
-      me.hists->record(obs::Hist::kRttRemote, rtt);
-      if (bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
-    }
-    return rc;
-  }
-
-  // Delay seam before the publish (models a caller preempted between claim
-  // and post); the ring-full seam forces the first post attempt to fail so
-  // tests can drive the overflow branch without 64 parked cells.
-  if (HPPC_FAULT_POINT("rt.xcall.post")) {
-    me.counters.inc(obs::Counter::kFaultsInjected);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kFaultInject, target);
-  }
-  bool force_full = false;
-  if (HPPC_FAULT_POINT("rt.xcall.ring_full")) {
-    me.counters.inc(obs::Counter::kFaultsInjected);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kFaultInject, target);
-    force_full = true;
-  }
-
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  // Ring path: mint the caller-side span now (it must ride in the cell) —
-  // every return below, success or give-up, closes it.
-  const obs::TraceCtx parent = me.cur_trace;
-  obs::TraceCtx post_ctx{};
-  std::uint32_t span = 0;
-  if (parent.traced()) {
-    span = begin_span(me, obs::SpanKind::kRemoteCall, parent.trace_id,
-                      parent.span_id);
-    post_ctx = parent;
-    if (span != 0) post_ctx.span_id = span;
-    ++post_ctx.hop;
-  }
-  const obs::TraceCtx* post_ctx_ptr = &post_ctx;
-#else
-  const obs::TraceCtx* post_ctx_ptr = nullptr;
-#endif
-
-  // Deadline calls wait on a slot-pooled block: if the caller abandons,
-  // the server still holds a pointer into storage the Runtime owns. The
-  // no-deadline path waits on a stack block — cache-hot for the spinner,
-  // zero pool traffic. Either way the reply arrives inline in the block.
-  XcallWait stack_wait;
-  XcallWait* wait = deadlined ? acquire_wait(me) : &stack_wait;
-
-  // Ring path: publish a cell (one CAS + one release store), then
-  // spin-then-yield on the completion word. A full ring means other
-  // waiters are ahead of us; what happens next is the retry policy:
-  // kBlock helps/yields forever (legacy), kBackoff burns a doubling
-  // cpu_relax budget per round and gives up with kOverloaded, kFailFast
-  // gives up immediately. The deadline is also checked here — a call that
-  // cannot even be queued before it expires was still too late.
-  bool booked_full = false;
-  std::uint32_t round = 0;
-  // The request payload is copied into the cell at post time, so passing
-  // the caller's regs is safe even for deadline calls — after an abandon
-  // the server only ever reads the cell's inline copy. The deadline rides
-  // in the cell too, so a drain that reaches it late refuses to execute.
-  // The cancel token and traffic class ride the spare high bits of the ep
-  // word (the cell has no free bytes); the drain unpacks them.
-  const std::uint32_t wire_ep = cell_pack_ep(id, token, bulk);
-  XcallRing& ring = tgt.rings[caller_slot];
-  while (force_full ||
-         !ring.try_post(caller, wire_ep, regs, wait, deadline, post_ctx_ptr)) {
-    force_full = false;
-    if (!booked_full) {
-      booked_full = true;
-      me.counters.inc(obs::Counter::kXcallRingFull);
-    } else {
-      me.counters.inc(obs::Counter::kRetries);
-    }
-    Status give_up = Status::kOk;
-    if (opts.retry == RetryPolicy::kFailFast) {
-      give_up = Status::kOverloaded;
-    } else if (opts.retry == RetryPolicy::kBackoff &&
-               round >= opts.backoff_rounds) {
-      give_up = Status::kOverloaded;
-    } else if (deadlined && host_cycles() >= deadline) {
-      give_up = Status::kDeadlineExceeded;
-    } else if (token != 0 && cancel_requested(token)) {
-      give_up = Status::kCallAborted;
-    }
-    if (give_up != Status::kOk) {
-      // The cell was never published, so the wait block was never shared:
-      // a pooled block goes straight back to the free list.
-      if (deadlined) release_wait(me, wait);
-      if (give_up == Status::kDeadlineExceeded) {
-        me.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kDeadlineExceeded, target);
-      } else if (give_up == Status::kCallAborted) {
-        me.counters.inc(obs::Counter::kCallsCancelled);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kCallCancelled, target);
-      }
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      if (parent.traced()) {
-        end_span(me, parent.trace_id, span, parent.span_id, give_up);
-      }
-#endif
-      set_rc(regs, give_up);
-      return give_up;
-    }
-    if (opts.retry == RetryPolicy::kBackoff) {
-      // Exponential backoff off the contended line, then one help attempt.
-      const std::uint32_t spins = 1u << (round < 10 ? round : 10);
-      for (std::uint32_t i = 0; i < spins; ++i) cpu_relax();
-      me.counters.inc(obs::Counter::kBackoffCycles, spins);
-      ++round;
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-    } else {
-      ++round;
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-    }
-  }
-  ring_doorbell(me, tgt, caller_slot, bulk);
-  me.counters.inc(obs::Counter::kXcallPosts);
-  me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-  HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                   obs::TraceEvent::kXcallPost, target);
-  const std::uint64_t post_t = sampled ? host_cycles() : 0;  // -> completion
-
-  if (!deadlined) {
-    // Spin→yield→park ladder. The park failpoints: "rt.xcall.park.now"
-    // collapses the yield phase so tests can drive the park/kick protocol
-    // deterministically; "rt.xcall.park" is a delay seam inside the park
-    // decision itself (fires between the park bookkeeping and the CAS,
-    // widening the park-vs-complete race window for the chaos soak).
-    // Adaptive yield budget: other producers' doorbells pending at the
-    // target mean our cell sits behind a queue spanning multiple drain
-    // passes — park after one courtesy round instead of churning the
-    // scheduler for the whole ladder. Alone, keep the long ladder (the
-    // server is at most one pass away and a park would only add a wakeup).
-    int yield_rounds = (tgt.ready_mask.load(std::memory_order_relaxed) &
-                        ~doorbell_bit(caller_slot)) != 0
-                           ? kWaitYieldRoundsContended
-                           : kWaitYieldRounds;
-    if (HPPC_FAULT_POINT("rt.xcall.park.now")) {
-      me.counters.inc(obs::Counter::kFaultsInjected);
-      yield_rounds = 0;
-    }
-    std::uint64_t park_t = 0;  // stamped at park, read after the kick
-    const Status rc = wait_complete(
-        stack_wait, yield_rounds,
-        [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-        [this, &me, &park_t, caller_slot, target] {
-          me.counters.inc(obs::Counter::kWaiterParks);
-          park_t = host_cycles();
-          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                           obs::TraceEvent::kWaiterPark, target);
-          if (HPPC_FAULT_POINT("rt.xcall.park")) {
-            me.counters.inc(obs::Counter::kFaultsInjected);
-            HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(),
-                             caller_slot, obs::TraceEvent::kFaultInject,
-                             target);
-          }
-        });
-    regs = stack_wait.reply;
-    // A parked waiter always books its wakeup: parks are rare, and the
-    // stamp is the only view of the park->kick latency.
-    const std::uint64_t done_t =
-        sampled || park_t != 0 ? host_cycles() : 0;
-    if (park_t != 0) me.hists->record(obs::Hist::kWakeup, done_t - park_t);
-    if (sampled) {
-      me.hists->record(obs::Hist::kRingWait, done_t - post_t);
-      me.hists->record(obs::Hist::kRttRemote, done_t - rtt_t0);
-      if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
-    }
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (parent.traced()) {
-      end_span(me, parent.trace_id, span, parent.span_id, rc);
-    }
-#endif
-    return rc;
-  }
-
-  bool timed_out = false;
-  const Status rc = wait_complete_deadline(
-      *wait, deadline, [] { return host_cycles(); },
-      [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-      &timed_out);
-  if (sampled) {
-    const std::uint64_t done_t = host_cycles();
-    me.hists->record(obs::Hist::kRingWait, done_t - post_t);
-    me.hists->record(obs::Hist::kRttDeadlined, done_t - rtt_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
-  }
-  if (timed_out) {
-    // Abandoned: the block stays on the zombie list until the server's
-    // drain acks it (or completes it — either sets kDoneBit).
-    wait->next = me.wait_zombies;
-    me.wait_zombies = wait;
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (parent.traced()) {
-      end_span(me, parent.trace_id, span, parent.span_id,
-               Status::kDeadlineExceeded);
-    }
-#endif
-    set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  regs = wait->reply;  // copy the reply out of the pooled block
-  release_wait(me, wait);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  if (parent.traced()) {
-    end_span(me, parent.trace_id, span, parent.span_id, rc);
-  }
-#endif
-  return rc;
+  return submit(TypedLane{id}, caller_slot, target, caller,
+                std::span<RegSet>(&regs, 1), opts);
 }
 
 Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
                                   ProgramId caller, EntryPointId id,
                                   RegSet regs) {
   return call_remote_async(caller_slot, target, caller, id, regs,
-                           CallOptions{});
+                           kNoOptions);
 }
 
 Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
                                   ProgramId caller, EntryPointId id,
                                   RegSet regs, const CallOptions& opts) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  Service* svc = lookup(id);
-  if (svc == nullptr) return Status::kNoSuchEntryPoint;
-  if (svc->state.load(std::memory_order_acquire) != SvcState::kActive) {
-    return Status::kEntryPointDraining;
-  }
-  if (target == caller_slot) {
-    return call_async(caller_slot, caller, id, regs);
-  }
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-  // Fold the ambient request context: a fire-and-forget call is still part
-  // of the root request, so it carries the clamped inherited budget, the
-  // cancel token, and the traffic class. With no waiter to rescue the
-  // call, expiry is enforced by the DRAIN — a cell reached late is dropped
-  // (deadline_exceeded on the target) rather than executed late.
-  const RequestCtx ambient = me.cur_req;
-  const std::uint64_t deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  const CancelToken token =
-      opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  const bool bulk = opts.traffic_class == TrafficClass::kBulk ||
-                    ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
-  }
-  if (deadline != 0 && host_cycles() >= deadline) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-    return Status::kDeadlineExceeded;
-  }
-  if (token != 0 && cancel_requested(token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-    return Status::kCallAborted;
-  }
-  // Same admission check as the sync path: a fire-and-forget call adds to
-  // the very queue the watermark protects, so it is shed the same way —
-  // per class, bulk first.
-  const std::uint32_t watermark = shed_watermark(
-      bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed);
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallShed, target);
-    return Status::kOverloaded;
-  }
-  if (bulk) me.counters.inc(obs::Counter::kCallsBulk);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  // Fire-and-forget: no caller-side span (nothing to close), but the
-  // context still rides the cell so the server-side execution parents to
-  // the caller's current span.
-  obs::TraceCtx post_ctx = me.cur_trace;
-  if (post_ctx.traced()) ++post_ctx.hop;
-  const obs::TraceCtx* post_ctx_ptr = &post_ctx;
-#else
-  const obs::TraceCtx* post_ctx_ptr = nullptr;
-#endif
-  if (tgt.rings[caller_slot].try_post(caller, cell_pack_ep(id, token, bulk),
-                                      regs, /*wait=*/nullptr, deadline,
-                                      post_ctx_ptr)) {
-    ring_doorbell(me, tgt, caller_slot, bulk);
-    me.counters.inc(obs::Counter::kXcallPosts);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kXcallPost, target);
-    return Status::kOk;
-  }
-  me.counters.inc(obs::Counter::kXcallRingFull);
-  if (opts.retry == RetryPolicy::kFailFast) return Status::kOverloaded;
-  // Overflow: a fire-and-forget caller cannot wait for space, so this rare
-  // case rides the legacy allocating mailbox (and is booked as such). The
-  // deadline still holds — the drain lambda re-checks it before executing.
-  post(target,
-       [this, target, caller, id, regs, deadline, token, bulk]() mutable {
-         Slot& slot = *slots_[target];
-         if (deadline != 0 && host_cycles() >= deadline) {
-           slot.counters.inc(obs::Counter::kDeadlineExceeded);
-           HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                            slot.self_id, obs::TraceEvent::kDeadlineExceeded,
-                            id);
-           return;
-         }
-         if (token != 0 && cancel_requested(token)) {
-           slot.counters.inc(obs::Counter::kCallsCancelled);
-           HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                            slot.self_id, obs::TraceEvent::kCallCancelled,
-                            id);
-           return;
-         }
-         const RequestCtx saved_req = slot.cur_req;
-         RequestCtx req;
-         req.abs_deadline_cycles = deadline;
-         req.cancel_token = token;
-         req.traffic_class =
-             bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-         slot.cur_req = req;
-         execute_remote(slot, caller, id, regs);
-         slot.cur_req = saved_req;
-       });
-  return Status::kOk;
+  // Fire-and-forget is still part of the root request: the cell carries
+  // the clamped budget, the token and the class, and with no waiter to
+  // rescue it, expiry is enforced by the drain — a cell reached late is
+  // dropped (deadline_exceeded on the target) rather than executed late.
+  if (target == caller_slot) return call_async(caller_slot, caller, id, regs);
+  return submit(TypedLane{id}, caller_slot, target, caller,
+                std::span<RegSet>(&regs, 1), opts, /*async=*/true);
 }
 
 Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
                                   ProgramId caller, EntryPointId id,
                                   std::span<RegSet> batch) {
   return call_remote_batch(caller_slot, target, caller, id, batch,
-                           CallOptions{});
+                           kNoOptions);
 }
 
 Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
                                   ProgramId caller, EntryPointId id,
                                   std::span<RegSet> batch,
                                   const CallOptions& opts) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (batch.empty()) return Status::kOk;
+  if (target != caller_slot) {
+    return submit(TypedLane{id}, caller_slot, target, caller, batch, opts);
+  }
   Status overall = Status::kOk;
-  const auto fold = [&overall](Status s) {
-    if (overall == Status::kOk && s != Status::kOk) overall = s;
-  };
-  if (target == caller_slot) {
-    for (RegSet& regs : batch) fold(call(caller_slot, caller, id, regs));
-    return overall;
+  for (RegSet& regs : batch) {
+    const Status s = call(caller_slot, caller, id, regs);
+    if (overall == Status::kOk) overall = s;
   }
-
-  // Screen once for the whole batch, same as call_remote.
-  Service* svc = lookup(id);
-  if (svc == nullptr) {
-    for (RegSet& regs : batch) set_rc(regs, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
-  }
-  const SvcState st = svc->state.load(std::memory_order_acquire);
-  if (st != SvcState::kActive) {
-    const Status s = st == SvcState::kDraining ? Status::kEntryPointDraining
-                                               : Status::kNoSuchEntryPoint;
-    for (RegSet& regs : batch) set_rc(regs, s);
-    return s;
-  }
-
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-  // Fold the ambient request context once for the whole batch (same rules
-  // as call_remote: clamp the budget, opts override the token, bulk is
-  // sticky from either side).
-  const RequestCtx ambient = me.cur_req;
-  const std::uint64_t deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  const bool deadlined = deadline != 0;
-  const CancelToken token =
-      opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  const bool bulk = opts.traffic_class == TrafficClass::kBulk ||
-                    ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
-  }
-  if (deadlined && host_cycles() >= deadline) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-    for (RegSet& regs : batch) set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  if (token != 0 && cancel_requested(token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled, batch.size());
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-    for (RegSet& regs : batch) set_rc(regs, Status::kCallAborted);
-    return Status::kCallAborted;
-  }
-
-  const std::uint32_t watermark = shed_watermark(
-      bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed, batch.size());
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk, batch.size());
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallShed, target);
-    for (RegSet& regs : batch) set_rc(regs, Status::kOverloaded);
-    return Status::kOverloaded;
-  }
-  if (bulk) me.counters.inc(obs::Counter::kCallsBulk, batch.size());
-
-  const std::uint32_t wire_ep = cell_pack_ep(id, token, bulk);
-  XcallRing& ring = tgt.rings[caller_slot];
-
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  // One span covers the whole batch; it rides in every chunk's cells, so
-  // each server-side kServerExec span parents to it — the exported trace
-  // shows one batch slice on the caller fanning into N executions on the
-  // server slot.
-  const obs::TraceCtx parent = me.cur_trace;
-  obs::TraceCtx post_ctx{};
-  std::uint32_t span = 0;
-  if (parent.traced()) {
-    span = begin_span(me, obs::SpanKind::kBatch, parent.trace_id,
-                      parent.span_id);
-    post_ctx = parent;
-    if (span != 0) post_ctx.span_id = span;
-    ++post_ctx.hop;
-  }
-  const obs::TraceCtx* post_ctx_ptr = &post_ctx;
-#else
-  const obs::TraceCtx* post_ctx_ptr = nullptr;
-#endif
-
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Direct path: one gate steal covers every call still unsubmitted —
-    // the batched analogue of the LRPC migration fast path.
-    if (tgt.gate.try_steal()) {
-      me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-      tgt.counters.inc(obs::Counter::kXcallDirect, batch.size() - i);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      const obs::TraceCtx saved_tgt = tgt.cur_trace;
-      if (parent.traced()) tgt.cur_trace = post_ctx;
-#endif
-      // Install the effective request context on the stolen slot so the
-      // handlers' own nested calls inherit it (mirrors call_remote's
-      // direct path).
-      const RequestCtx saved_req = tgt.cur_req;
-      RequestCtx eff = ambient;
-      eff.abs_deadline_cycles = deadline;
-      eff.cancel_token = token;
-      eff.traffic_class =
-          bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-      tgt.cur_req = eff;
-      for (; i < batch.size(); ++i) {
-        fold(execute_remote(tgt, caller, id, batch[i]));
-      }
-      tgt.cur_req = saved_req;
-      drain_ready(tgt);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      if (parent.traced()) tgt.cur_trace = saved_tgt;
-#endif
-      tgt.gate.release_steal();
-      break;
-    }
-
-    // Ring path: claim a chunk with one CAS, publish with one release
-    // store, ring one doorbell. No-deadline completion blocks live on this
-    // frame — zero heap allocations regardless of batch size; deadline
-    // chunks ride slot-pooled blocks exactly like call_remote, so an
-    // abandoned cell always points at storage that outlives this frame.
-    const bool sampled = hist_sampled(me);  // one decision per chunk
-    const std::uint64_t chunk_t0 = sampled ? host_cycles() : 0;
-    std::array<XcallWait, XcallRing::kCapacity> waits;
-    std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
-    const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
-    for (std::size_t k = 0; k < want; ++k) {
-      wait_ptrs[k] = deadlined ? acquire_wait(me) : &waits[k];
-    }
-    // Delay seam between claim intent and publish: models a producer
-    // preempted mid-batch, so the soak exercises consumers observing a
-    // claimed-but-unpublished run behind a published one.
-    if (HPPC_FAULT_POINT("rt.xcall.batch.post")) {
-      me.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                       obs::TraceEvent::kFaultInject, target);
-    }
-    const std::size_t posted = ring.try_post_many(
-        caller, wire_ep, &batch[i], wait_ptrs.data(), want, deadline,
-        post_ctx_ptr);
-    if (deadlined) {
-      // Unpublished pooled blocks were never shared: straight back.
-      for (std::size_t k = posted; k < want; ++k) {
-        release_wait(me, wait_ptrs[k]);
-      }
-    }
-    if (posted == 0) {
-      me.counters.inc(obs::Counter::kXcallRingFull);
-      if (opts.retry == RetryPolicy::kFailFast ||
-          (deadlined && host_cycles() >= deadline) ||
-          (token != 0 && cancel_requested(token))) {
-        Status s = Status::kOverloaded;
-        if (opts.retry != RetryPolicy::kFailFast) {
-          s = (deadlined && host_cycles() >= deadline)
-                  ? Status::kDeadlineExceeded
-                  : Status::kCallAborted;
-        }
-        if (s == Status::kDeadlineExceeded) {
-          me.counters.inc(obs::Counter::kDeadlineExceeded);
-        } else if (s == Status::kCallAborted) {
-          me.counters.inc(obs::Counter::kCallsCancelled, batch.size() - i);
-          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                           obs::TraceEvent::kCallCancelled, target);
-        }
-        for (; i < batch.size(); ++i) set_rc(batch[i], s);
-        fold(s);
-        break;
-      }
-      me.counters.inc(obs::Counter::kRetries);
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-      continue;
-    }
-    ring_doorbell(me, tgt, caller_slot, bulk);
-    me.counters.inc(obs::Counter::kXcallPosts, posted);
-    me.counters.inc(obs::Counter::kXcallBatchPosts);
-    me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kXcallBatchPost,
-                     static_cast<std::uint32_t>(posted));
-
-    // Collect the chunk, copying each reply out of its wait line; the
-    // first waits dominate the wall time, later ones are usually already
-    // complete by the time we look.
-    // Same adaptive cue as call_remote, judged once per chunk: with other
-    // producers queued ahead, collect by parking instead of yelling.
-    const int yield_rounds =
-        (tgt.ready_mask.load(std::memory_order_relaxed) &
-         ~doorbell_bit(caller_slot)) != 0
-            ? kWaitYieldRoundsContended
-            : kWaitYieldRounds;
-    for (std::size_t k = 0; k < posted; ++k) {
-      if (!deadlined) {
-        std::uint64_t park_t = 0;
-        fold(wait_complete(
-            waits[k], yield_rounds,
-            [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-            [this, &me, &park_t, caller_slot, target] {
-              me.counters.inc(obs::Counter::kWaiterParks);
-              park_t = host_cycles();
-              HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(),
-                               caller_slot, obs::TraceEvent::kWaiterPark,
-                               target);
-            }));
-        batch[i + k] = waits[k].reply;
-        if (park_t != 0) {
-          me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
-        }
-        continue;
-      }
-      // Deadline chunk: the same abandon protocol as call_remote, per
-      // cell. An abandoned pooled block goes to the zombie list (the
-      // server acks it at drain); a completed one hands its inline reply
-      // back and is recycled.
-      bool timed_out = false;
-      const Status s = wait_complete_deadline(
-          *wait_ptrs[k], deadline, [] { return host_cycles(); },
-          [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-          &timed_out);
-      if (timed_out) {
-        wait_ptrs[k]->next = me.wait_zombies;
-        me.wait_zombies = wait_ptrs[k];
-        me.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kDeadlineExceeded, target);
-        set_rc(batch[i + k], Status::kDeadlineExceeded);
-        fold(Status::kDeadlineExceeded);
-      } else {
-        batch[i + k] = wait_ptrs[k]->reply;
-        release_wait(me, wait_ptrs[k]);
-        fold(s);
-      }
-    }
-    // Whole-chunk RTT (post through last collection): the per-class entry
-    // for the batched path, in the same units as kRttRemote.
-    if (sampled) {
-      const std::uint64_t rtt = host_cycles() - chunk_t0;
-      me.hists->record(obs::Hist::kRttBatched, rtt);
-      if (bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
-    }
-    i += posted;
-  }
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  if (parent.traced()) {
-    end_span(me, parent.trace_id, span, parent.span_id, overall);
-  }
-#endif
   return overall;
 }
 
@@ -1940,17 +1574,6 @@ void Runtime::post(SlotId target, std::function<void()> fn) {
   shared_.inc(obs::Counter::kMailboxAllocs);
   shared_.inc(obs::Counter::kSharedLinesTouched);
   slots_[target]->mailbox.post(std::move(fn));
-}
-
-Runtime::SlotStats Runtime::stats(SlotId slot) const {
-  HPPC_ASSERT(slot < slots_.size());
-  const obs::SlotCounters& c = slots_[slot]->counters;
-  SlotStats s;
-  s.calls = c.get(obs::Counter::kCallsSync);
-  s.async_calls = c.get(obs::Counter::kCallsAsync);
-  s.worker_creations = c.get(obs::Counter::kWorkersCreated);
-  s.cd_creations = c.get(obs::Counter::kCdsCreated);
-  return s;
 }
 
 const obs::SlotCounters& Runtime::counters(SlotId slot) const {

@@ -11,11 +11,18 @@
 // deferred to the owning slot.
 //
 // Cross-slot traffic (the paper's cross-processor path, §4.5.2) rides the
-// xcall layer: per-slot bounded MPSC rings of cache-line cells for the hot
-// path — call_remote() is a synchronous cross-slot PPC that either
-// direct-executes on an idle target slot (LRPC-style ownership handoff
-// through the SlotGate) or posts a ring cell and spin-then-yields on its
-// completion word — while the legacy allocating mailbox survives only as
+// xcall layer: per-slot bounded MPSC rings of cache-line cells. Every
+// cross-slot call — call_remote, call_remote_batch, call_remote_async,
+// call_remote_frame and call_remote_frame_batch — is a thin wrapper over
+// one private engine, submit(), which runs screen → admit → direct | post
+// → wait → complete over a span of requests. A single call is a batch of
+// one; async is "post, don't wait"; the typed and frame lanes differ only
+// in a small request policy (screen, encode a cell, execute, copy the
+// reply out), just as the paper's async and upcall variants reuse its sync
+// machinery. The direct stage runs the call on an idle target slot
+// (LRPC-style ownership handoff through the SlotGate); the post stage
+// claims ring cells and the wait stage spins, yields and finally parks on
+// their completion words. The legacy allocating mailbox survives only as
 // the control-plane/overflow channel (kill reclamation, ring-full async
 // posts). A warm cross-slot call performs zero heap allocations, asserted
 // by the mailbox_allocs counter.
@@ -275,8 +282,8 @@ class Runtime {
   /// steal direct-executes the whole batch; otherwise the batch is posted
   /// in chunks of up to XcallRing::kCapacity cells, each chunk claimed
   /// with ONE CAS and published with ONE release store + ONE doorbell
-  /// (see try_post_many) — a burst of M calls costs ~1 cross-slot line
-  /// transfer instead of M. Per-call results land in each RegSet's rc
+  /// (see XcallRing::try_post) — a burst of M calls costs ~1 cross-slot
+  /// line transfer instead of M. Per-call results land in each RegSet's rc
   /// word; the return value is the first non-kOk rc (kOk if all passed).
   /// Zero heap allocations: completion blocks live on this stack frame.
   Status call_remote_batch(SlotId caller_slot, SlotId target,
@@ -286,7 +293,9 @@ class Runtime {
   /// call_remote_batch with per-call options: a deadline (applies to the
   /// whole batch; carried in every cell so the server also refuses to
   /// execute expired cells late) rides slot-pooled completion blocks, and
-  /// the retry policy governs each chunk post exactly as in call_remote.
+  /// the retry policy governs each chunk post exactly as in call_remote —
+  /// both run the same engine, so a kBackoff batch against a full ring
+  /// gives up with kOverloaded after `backoff_rounds` failed posts.
   Status call_remote_batch(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id,
                            std::span<RegSet> batch, const CallOptions& opts);
@@ -312,23 +321,17 @@ class Runtime {
   // The lean call lane: a CallFrame carries 8 words each way plus the
   // packed opcode|flags|service word, resolved through a flat table of raw
   // function pointers — no Service lookup, no worker/CD acquisition, no
-  // std::function, no per-call histogram. Cross-slot frame calls inline
-  // the whole request in the 64 B XcallCell. Frame calls carry no
-  // deadline and no trace span (the cell lanes those would use carry the
-  // op word instead); callers that need those knobs use the typed path.
+  // std::function. The same-slot call_frame books no histogram and no
+  // span. Cross-slot frame calls ride the same engine as typed ones (same
+  // admission, retry, wait ladder, histograms and spans) and inline the
+  // whole request in the 64 B XcallCell; because the cell's deadline lane
+  // carries the op word, a frame's ambient deadline is checked at
+  // admission only, never in flight.
 
   /// Register a frame service: `fn` is invoked with `self` on every call.
   /// `self` must outlive the runtime (or the service's last call). Slow
   /// path, internally locked.
   FrameServiceId bind_frame(ProgramId program, FrameFn fn, void* self);
-
-  /// Compatibility shim: expose a legacy typed entry point through the
-  /// frame table so callers migrate incrementally. The shim forwards
-  /// w[0..6] as regs[0..6] and the op word's low half as regs[kOpWord]
-  /// (the layouts are bit-identical), runs the full typed path — worker,
-  /// CD, histograms and all — and copies regs[0..6] back. w[7] passes
-  /// through untouched: the legacy ABI only ever had 7 payload words.
-  FrameServiceId bind_frame_shim(EntryPointId legacy);
 
   /// Unbind: subsequent frame calls to `id` fail with kNoSuchEntryPoint;
   /// in-flight cells drain with the same status. The table slot is not
@@ -340,18 +343,19 @@ class Runtime {
   /// f.op's rc byte (also returned).
   Status call_frame(SlotId slot, ProgramId caller, CallFrame& f);
 
-  /// Synchronous cross-slot frame call. Adaptive exactly like
-  /// call_remote: direct-executes under a gate steal when the target is
-  /// idle, else inlines the frame in a ring cell and spin-then-yields on
-  /// the completion word. Zero heap allocations on either path.
+  /// Synchronous cross-slot frame call: call_remote's engine with the frame
+  /// request policy. Direct-executes under a gate steal when the target is
+  /// idle, else inlines the frame in a ring cell and waits on the
+  /// completion word. Zero heap allocations on either path.
   Status call_remote_frame(SlotId caller_slot, SlotId target,
                            ProgramId caller, CallFrame& f);
 
   /// Batched cross-slot frame calls: chunks of up to XcallRing::kCapacity
   /// cells, each chunk claimed with ONE CAS and published with ONE release
   /// store + ONE doorbell. Frames in one batch may carry different op
-  /// words. Per-frame rc lands in each frame's op word; returns the first
-  /// non-kOk rc.
+  /// words; a batch naming any unbound frame service is refused whole at
+  /// admission. Per-frame rc lands in each frame's op word; returns the
+  /// first non-kOk rc.
   Status call_remote_frame_batch(SlotId caller_slot, SlotId target,
                                  ProgramId caller,
                                  std::span<CallFrame> batch);
@@ -551,15 +555,6 @@ class Runtime {
 
   // ----- introspection -----
 
-  /// Legacy summary view, derived from the counter block below.
-  struct SlotStats {
-    std::uint64_t calls = 0;
-    std::uint64_t async_calls = 0;
-    std::uint64_t worker_creations = 0;
-    std::uint64_t cd_creations = 0;
-  };
-  SlotStats stats(SlotId slot) const;
-
   /// The slot's full observability block (single writer: the slot's own
   /// thread; read-only for observers).
   const obs::SlotCounters& counters(SlotId slot) const;
@@ -714,15 +709,6 @@ class Runtime {
     ProgramId program = 0;
   };
 
-  /// Shim record for bind_frame_shim (arena-allocated; trivially
-  /// destructible).
-  struct FrameShim {
-    Runtime* rt = nullptr;
-    EntryPointId ep = kInvalidEntryPoint;
-  };
-
-  static Status frame_shim_fn(void* self, FrameCtx& ctx, CallFrame& f);
-
   /// The shared frame call body (same-slot fast path, direct execution
   /// under a gate steal, and ring-cell drain all funnel here): one table
   /// load, one indirect call, one counter store. Ownership of `slot` is
@@ -756,6 +742,47 @@ class Runtime {
   /// the calling thread): re-checks service state, books calls_remote.
   Status execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
                         RegSet& regs);
+
+  /// What admission resolved for one cross-slot submission: the caller's
+  /// ambient request context folded with the per-call options.
+  struct Admission {
+    std::uint64_t deadline = 0;  // absolute host_cycles(); 0 = none
+    CancelToken token = 0;
+    bool bulk = false;
+  };
+  /// The request policies of the two cross-slot lanes (runtime.cpp): how
+  /// to screen a submission, encode a cell, execute a request directly and
+  /// copy a reply out. Everything else is the engine's.
+  struct TypedLane;
+  struct FrameLane;
+  /// The cross-slot engine behind every call_remote* wrapper: screen →
+  /// admit → direct | post → wait → complete over `reqs`. `async` posts
+  /// without waiting (no direct stage; a full ring overflows through the
+  /// lane). Caller guarantees target != caller_slot. submit() runs the
+  /// screen, admission and direct stages; an async submission, or one
+  /// whose target gate is held, goes on to submit_ring(), which posts,
+  /// waits and completes it chunk by chunk under the retry policy (a sync
+  /// one through the out-of-line submit_ring_sync()).
+  template <typename Lane>
+  Status submit(const Lane& lane, SlotId caller_slot, SlotId target,
+                ProgramId caller, std::span<typename Lane::Req> reqs,
+                const CallOptions& opts, bool async = false);
+  template <typename Lane>
+  Status submit_ring_sync(const Lane& lane, SlotId caller_slot,
+                          SlotId target, ProgramId caller,
+                          std::span<typename Lane::Req> reqs,
+                          const CallOptions& opts, Admission adm,
+                          bool sampled, std::uint64_t t0);
+  template <typename Lane>
+  Status submit_ring(const Lane& lane, SlotId caller_slot, SlotId target,
+                     ProgramId caller, std::span<typename Lane::Req> reqs,
+                     const CallOptions& opts, Admission adm, bool async,
+                     bool sampled, std::uint64_t t0);
+  /// Refuse every request in `reqs` with `s` (rc set on each); a deadline
+  /// or cancel refusal books one counter per refused call on `me`.
+  template <typename Lane>
+  static Status refuse_all(Slot& me, SlotId caller_slot, SlotId target,
+                           std::span<typename Lane::Req> reqs, Status s);
   /// Drain one batch of one producer ring on `slot` (ownership held).
   /// Books xcall_batches, drops/fails expired-deadline cells, completes
   /// sync cells (kicking parked waiters).

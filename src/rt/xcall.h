@@ -39,11 +39,12 @@
 //                (C++20 atomic wait); the completing server's exchange sees
 //                the parked bit and kicks it with one notify.
 //
-// Batched submission: try_post_many() claims N contiguous cells with ONE
-// CAS and publishes the whole run with ONE release store (the batch
-// doorbell) — cells after the first are published with relaxed stores, and
-// the consumer's in-order acquire of the run's first cell carries the
-// happens-before edge for all of them.
+// Posting: XcallRing::try_post() claims N contiguous cells (N = 1 for a
+// single call) with ONE CAS and publishes the whole run with ONE release
+// store (the batch doorbell) — cells after the first are published with
+// relaxed stores, and the consumer's in-order acquire of the run's first
+// cell carries the happens-before edge for all of them. The caller fills
+// each claimed cell, so typed and frame requests share the one protocol.
 //
 // A warm cross-slot call — direct or ring, single or batched — performs
 // ZERO heap allocations; the `mailbox_allocs` counter exists to assert
@@ -269,151 +270,60 @@ class XcallRing {
   XcallRing(const XcallRing&) = delete;
   XcallRing& operator=(const XcallRing&) = delete;
 
-  /// Any thread. One CAS to claim a cell, one release store to publish.
-  /// Returns false when the ring is full (the caller takes the overflow
-  /// path); never blocks, never allocates. `tctx` (trace builds only)
-  /// rides the cell to the consumer; ignored in shipped builds.
-  bool try_post(ProgramId caller, EntryPointId ep, const ppc::RegSet& regs,
-                XcallWait* wait, std::uint64_t deadline = 0,
-                const obs::TraceCtx* tctx = nullptr) {
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    XcallCell* cell;
-    for (;;) {
-      cell = &cells_[pos & (kCapacity - 1)];
-      const std::uint64_t seq = cell->seq.load(std::memory_order_acquire);
-      const std::int64_t dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (dif < 0) {
-        return false;  // full: the cell kCapacity behind is not retired yet
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-    cell->caller = caller;
-    cell->ep = ep;
-    cell->regs = regs;
-    cell->wait = wait;
-    cell->deadline = deadline;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    cell->tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
-#else
-    (void)tctx;
-#endif
-    cell->seq.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Any thread. Vectored post: claims up to `n` contiguous cells with ONE
-  /// CAS on the enqueue cursor and publishes the whole run with ONE release
-  /// store — the batch doorbell. Cells after the run's first are published
-  /// with relaxed seq stores; that is sound because the single consumer
-  /// drains strictly in order, so it only reads cell k after its acquire of
-  /// cell 0's seq, which synchronizes-with the release below and the
-  /// relaxed stores sequenced before it.
+  /// Any thread. The one post entry point: claims up to `n` contiguous
+  /// cells with ONE CAS on the enqueue cursor, calls `fill(cell, i)` for
+  /// each claimed cell i, and publishes the run with ONE release store —
+  /// the doorbell of a batch, and the whole protocol for a single cell.
+  /// `fill` must write every payload field (caller, ep, regs, wait,
+  /// deadline and, in trace builds, tctx): cells are reused. Returns the
+  /// number of cells posted; 0 means the ring is full (the caller takes its
+  /// retry or overflow path). Never blocks, never allocates.
   ///
   /// The claim is validated against the run's LAST cell: the consumer
   /// retires cells in order, so `cells[pos+m-1].seq == pos+m-1` implies the
-  /// whole run [pos, pos+m) is free. On a busy ring the attempted run is
-  /// halved until it fits. Returns the number of cells posted (0 = ring
-  /// full); a short count is not an error — the caller re-submits the tail.
+  /// whole run [pos, pos+m) is free. A seq BEHIND that position means the
+  /// run is not free at this length — it is halved until it fits. A seq
+  /// AHEAD of it means another producer moved the cursor since we loaded
+  /// it; the cursor is reloaded and the full run retried, so a racing
+  /// producer never turns a ring with room into a "full" answer. A short
+  /// count is not an error — the caller re-submits the tail.
   ///
-  /// `waits[i]` may be null per cell (fire-and-forget); `waits == nullptr`
-  /// means every cell is fire-and-forget. One `tctx` covers the whole run
-  /// (a batch is one span; the server parents each cell's execution to it).
-  std::size_t try_post_many(ProgramId caller, EntryPointId ep,
-                            const ppc::RegSet* regs,
-                            XcallWait* const* waits, std::size_t n,
-                            std::uint64_t deadline = 0,
-                            const obs::TraceCtx* tctx = nullptr) {
+  /// Cells after the run's first are published with relaxed seq stores;
+  /// that is sound because the single consumer drains strictly in order,
+  /// so it only reads cell k after its acquire of cell 0's seq, which
+  /// synchronizes-with the release below and the relaxed stores sequenced
+  /// before it.
+  template <typename Fill>
+  std::size_t try_post(std::size_t n, Fill&& fill) {
     if (n == 0) return 0;
     if (n > kCapacity) n = kCapacity;
     std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    std::size_t m;
+    std::size_t m = n;
     for (;;) {
-      m = n;
-      while (m > 0) {
-        const XcallCell& last = cells_[(pos + m - 1) & (kCapacity - 1)];
-        if (last.seq.load(std::memory_order_acquire) == pos + m - 1) break;
-        m >>= 1;  // run not free at this length — try a shorter one
+      const std::uint64_t last = pos + m - 1;
+      const std::uint64_t seq =
+          cells_[last & (kCapacity - 1)].seq.load(std::memory_order_acquire);
+      const std::int64_t dif =
+          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(last);
+      if (dif == 0) {
+        if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
+                                               std::memory_order_relaxed)) {
+          break;  // claimed [pos, pos+m)
+        }
+        m = n;  // the CAS reloaded pos: revalidate the full run there
+      } else if (dif < 0) {
+        m >>= 1;  // not free at this length: the consumer is behind
+        if (m == 0) return 0;
+      } else {
+        pos = enqueue_pos_.load(std::memory_order_relaxed);  // stale cursor
+        m = n;
       }
-      if (m == 0) return 0;
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
-                                             std::memory_order_relaxed)) {
-        break;  // claimed [pos, pos+m)
-      }
-      // CAS reloaded pos: another producer moved the cursor; revalidate.
     }
     // Fill back to front so the run's first cell — the one the consumer's
     // drain cursor is waiting on — is published last, with release.
     for (std::size_t i = m; i-- > 0;) {
       XcallCell& cell = cells_[(pos + i) & (kCapacity - 1)];
-      cell.caller = caller;
-      cell.ep = ep;
-      cell.regs = regs[i];
-      cell.wait = waits != nullptr ? waits[i] : nullptr;
-      cell.deadline = deadline;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      cell.tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
-#else
-      (void)tctx;
-#endif
-      cell.seq.store(pos + i + 1, i == 0 ? std::memory_order_release
-                                         : std::memory_order_relaxed);
-    }
-    return m;
-  }
-
-  /// Any thread. Publish one Figure-4 frame call: the whole request —
-  /// packed op word plus all 8 payload words — inlines in the cell (see
-  /// kFrameCellEp for the lane assignment). Same claim/publish protocol
-  /// and same failure contract as try_post.
-  bool try_post_frame(ProgramId caller, const CallFrame& f, XcallWait* wait,
-                      const obs::TraceCtx* tctx = nullptr) {
-    return try_post(caller, kFrameCellEp | frame_service_of(f.op),
-                    ppc::RegSet{f.w}, wait, /*deadline=*/f.op, tctx);
-  }
-
-  /// Any thread. Vectored frame post: the frame analogue of try_post_many
-  /// (one CAS claims the run, one release store publishes it), except each
-  /// cell carries its own op word — frames in one batch may target
-  /// different opcodes (and even different frame services).
-  std::size_t try_post_frames(ProgramId caller, const CallFrame* frames,
-                              XcallWait* const* waits, std::size_t n,
-                              const obs::TraceCtx* tctx = nullptr) {
-    if (n == 0) return 0;
-    if (n > kCapacity) n = kCapacity;
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    std::size_t m;
-    for (;;) {
-      m = n;
-      while (m > 0) {
-        const XcallCell& last = cells_[(pos + m - 1) & (kCapacity - 1)];
-        if (last.seq.load(std::memory_order_acquire) == pos + m - 1) break;
-        m >>= 1;
-      }
-      if (m == 0) return 0;
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
-                                             std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    for (std::size_t i = m; i-- > 0;) {
-      XcallCell& cell = cells_[(pos + i) & (kCapacity - 1)];
-      cell.caller = caller;
-      cell.ep = kFrameCellEp | frame_service_of(frames[i].op);
-      cell.regs.w = frames[i].w;
-      cell.wait = waits != nullptr ? waits[i] : nullptr;
-      cell.deadline = frames[i].op;  // the op lane, not a deadline
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      cell.tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
-#else
-      (void)tctx;
-#endif
+      fill(cell, i);
       cell.seq.store(pos + i + 1, i == 0 ? std::memory_order_release
                                          : std::memory_order_relaxed);
     }
@@ -559,10 +469,14 @@ inline constexpr int kWaitYieldRoundsContended = 1;
 /// no timeout); they stay on wait_complete_deadline's spin+yield loop.
 /// The park CAS is from 0 only, so a parker can never erase a completion
 /// or an abandonment; completion checks mask kDoneBit, so a stale parked
-/// bit observed after a spurious wake never reads as a result.
+/// bit observed after a spurious wake never reads as a result. Always
+/// inlined: an out-of-line spin loop measurably lengthened the ring round
+/// trip (hostbench kv_ring p50).
 template <typename Helper, typename OnPark>
-Status wait_complete(XcallWait& wait, int yield_rounds, Helper&& help,
-                     OnPark&& on_park) {
+[[gnu::always_inline]] inline Status wait_complete(XcallWait& wait,
+                                                   int yield_rounds,
+                                                   Helper&& help,
+                                                   OnPark&& on_park) {
   constexpr int kSpins = 96;
   for (int round = 0;; ++round) {
     for (int i = 0; i < kSpins; ++i) {

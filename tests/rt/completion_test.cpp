@@ -351,29 +351,48 @@ TEST(CompletionLine, ForcedParkThenDelayedCompletionDeliversTheReply) {
   // CAS after one spin window; "rt.xcall.complete.delay" holds the reply
   // back far longer than that window, so the waiter is parked when the
   // server's reply store and done exchange land — against a live,
-  // draining owner, where a lost kick hangs the test.
+  // draining owner, where a lost kick hangs the test. Both seams sit in
+  // one engine stage each, so all four sync lanes must honour them.
   ASSERT_TRUE(fault::arm("rt.xcall.park.now", "always"));
   ASSERT_TRUE(fault::arm("rt.xcall.complete.delay", "always,delay=20000"));
   {
     Runtime rt(2);
     const SlotId me = rt.register_thread();
     const EntryPointId ep = bind_echo(rt);
+    const FrameServiceId fid = bind_frame_echo(rt);
     Owner owner(rt);
     owner.serve();
-    for (Word i = 0; i < 8; ++i) {
+    for (Word i = 0; i < 2; ++i) {
       ppc::RegSet r = request(60 + i);
       ASSERT_EQ(rt.call_remote(me, owner.slot(), kCaller, ep, r), Status::kOk);
       expect_echoed(r, 60 + i);
+      std::array<ppc::RegSet, kBatch> batch;
+      for (Word k = 0; k < kBatch; ++k) batch[k] = request(70 + k);
+      ASSERT_EQ(rt.call_remote_batch(me, owner.slot(), kCaller, ep, batch),
+                Status::kOk);
+      for (Word k = 0; k < kBatch; ++k) expect_echoed(batch[k], 70 + k);
+      CallFrame f = frame_request(fid, 80 + i);
+      ASSERT_EQ(rt.call_remote_frame(me, owner.slot(), kCaller, f),
+                Status::kOk);
+      expect_echoed(f, 80 + i);
+      std::array<CallFrame, kBatch> frames;
+      for (Word k = 0; k < kBatch; ++k) frames[k] = frame_request(fid, 90 + k);
+      ASSERT_EQ(rt.call_remote_frame_batch(me, owner.slot(), kCaller, frames),
+                Status::kOk);
+      for (Word k = 0; k < kBatch; ++k) expect_echoed(frames[k], 90 + k);
     }
     owner.join();
     const std::uint64_t parks = rt.counters(me).get(Counter::kWaiterParks);
     const std::uint64_t kicks =
         rt.counters(owner.slot()).get(Counter::kWaiterKicks);
-    EXPECT_GE(parks, 1u);
+    // Every lane's first wait parks behind the delayed completion: four
+    // lanes, two rounds.
+    EXPECT_GE(parks, 8u);
     EXPECT_GE(kicks, 1u);
     EXPECT_LE(kicks, parks);  // a kick only ever answers a park
   }
   EXPECT_GT(fault::injected("rt.xcall.complete.delay"), 0u);
+  EXPECT_GE(fault::injected("rt.xcall.park.now"), 8u);
   fault::disarm_all();
 }
 #endif  // HPPC_FAULT_INJECTION

@@ -1,8 +1,8 @@
 // The Figure-4 frame ABI: op-word packing, the 8-word register contract,
-// the scatter/gather spill path for >8-word payloads, the legacy shim, and
-// the cross-slot lanes (direct steal, ring cell, batch). Also the frame
-// path's counter contract: frame calls book calls_frame and never touch
-// the typed path's worker/CD machinery.
+// the scatter/gather spill path for >8-word payloads, and the cross-slot
+// lanes (direct steal, ring cell, batch). Also the frame path's counter
+// contract: frame calls book calls_frame and never touch the typed path's
+// worker/CD machinery.
 #include "rt/frame_abi.h"
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ TEST(FrameOpWord, PackUnpackRoundTrip) {
 }
 
 TEST(FrameOpWord, LowHalfIsTheLegacyOpflagsWord) {
-  // The shim contract: bits [31:0] are bit-for-bit ppc::op_flags.
+  // The legacy contract: bits [31:0] are bit-for-bit ppc::op_flags.
   const FrameWord op = frame_op(7, 0x1234, 0x9C);
   EXPECT_EQ(frame_opflags_of(op), ppc::op_flags(0x1234, 0x9C));
 }
@@ -69,7 +69,15 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
   for (std::size_t i = 0; i < kPpcWords; ++i) {
     f.w[i] = static_cast<Word>(1000 + i);
   }
-  ASSERT_TRUE(ring.try_post_frame(/*caller=*/3, f, nullptr));
+  ASSERT_EQ(ring.try_post(1,
+                          [&](XcallCell& c, std::size_t) {
+                            c.caller = 3;
+                            c.ep = kFrameCellEp | frame_service_of(f.op);
+                            c.deadline = f.op;  // the op lane
+                            c.regs.w = f.w;
+                            c.wait = nullptr;
+                          }),
+            1u);
   std::size_t seen = 0;
   ring.drain([&](XcallCell& c) {
     ASSERT_TRUE(cell_is_frame(c));
@@ -83,7 +91,15 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
 
 TEST(FrameCell, LegacyCellsAreNotFrames) {
   XcallRing ring;
-  ASSERT_TRUE(ring.try_post(1, /*ep=*/9, ppc::RegSet{}, nullptr));
+  ASSERT_EQ(ring.try_post(1,
+                          [](XcallCell& c, std::size_t) {
+                            c.caller = 1;
+                            c.ep = 9;
+                            c.regs = ppc::RegSet{};
+                            c.wait = nullptr;
+                            c.deadline = 0;
+                          }),
+            1u);
   ring.drain([&](XcallCell& c) { EXPECT_FALSE(cell_is_frame(c)); });
 }
 
@@ -177,40 +193,6 @@ TEST(FrameCall, BooksCallsFrameNotTheTypedCounters) {
             before.get(obs::Counter::kCallsSync));
   EXPECT_EQ(after.get(obs::Counter::kWorkersCreated),
             before.get(obs::Counter::kWorkersCreated));
-}
-
-// ---------------------------------------------------------------------------
-// The legacy shim
-// ---------------------------------------------------------------------------
-
-TEST(FrameShim, ForwardsToTypedServiceAndBack) {
-  Runtime rt(1);
-  const SlotId slot = rt.register_thread();
-  Word seen_op = 0;
-  const EntryPointId ep =
-      rt.bind({.name = "legacy"}, /*program=*/0,
-              [&](RtCtx&, ppc::RegSet& r) {
-                seen_op = ppc::opcode_of(r);
-                r[1] = r[0] + 5;
-                ppc::set_rc(r, Status::kOk);
-              });
-  const FrameServiceId svc = rt.bind_frame_shim(ep);
-  CallFrame f = make_frame(svc, /*opcode=*/33);
-  f.w[0] = 100;
-  f.w[7] = 0xABCD;  // no legacy lane: must pass through untouched
-  ASSERT_EQ(rt.call_frame(slot, 1, f), Status::kOk);
-  EXPECT_EQ(seen_op, 33u);     // opcode crossed the shim
-  EXPECT_EQ(f.w[1], 105u);     // reply words crossed back
-  EXPECT_EQ(f.w[7], 0xABCDu);  // w[7] is frame-only, shim never maps it
-  EXPECT_EQ(frame_rc_of(f.op), Status::kOk);
-}
-
-TEST(FrameShim, PropagatesTypedFailure) {
-  Runtime rt(1);
-  const SlotId slot = rt.register_thread();
-  const FrameServiceId svc = rt.bind_frame_shim(/*legacy=*/999);  // unbound
-  CallFrame f = make_frame(svc, 1);
-  EXPECT_EQ(rt.call_frame(slot, 1, f), Status::kNoSuchEntryPoint);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,246 @@
+// Lane parity: every cross-slot wrapper — call_remote, call_remote_batch,
+// call_remote_async, call_remote_frame and call_remote_frame_batch — runs
+// the one submit engine, so a refusal at admission or a full ring must
+// look the same on all five: the same status, every request's rc set, one
+// counter per refused call, and the ROBUSTNESS ring-full rule (the first
+// full ring of a submission books xcall_ring_full, each later attempt
+// books a retry).
+#include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <span>
+#include <string>
+#include <thread>
+
+#include "common/tsc.h"
+#include "obs/counters.h"
+#include "ppc/regs.h"
+#include "rt/frame_abi.h"
+#include "rt/runtime.h"
+#include "rt/xcall.h"
+
+namespace hppc::rt {
+namespace {
+
+using obs::Counter;
+
+constexpr ProgramId kCaller = 900;
+constexpr std::size_t kBatch = 4;
+
+enum class Lane { kRemote, kBatch, kAsync, kFrame, kFrameBatch };
+
+std::string lane_name(const testing::TestParamInfo<Lane>& info) {
+  switch (info.param) {
+    case Lane::kRemote:
+      return "Remote";
+    case Lane::kBatch:
+      return "Batch";
+    case Lane::kAsync:
+      return "Async";
+    case Lane::kFrame:
+      return "Frame";
+    case Lane::kFrameBatch:
+      return "FrameBatch";
+  }
+  return "Unknown";
+}
+
+/// One submission on one lane from slot `me` to slot `target`. Requests
+/// start with a stale rc so only the runtime can set the expected one.
+class Submission {
+ public:
+  Submission(Runtime& rt, Lane lane, EntryPointId ep, FrameServiceId fid)
+      : rt_(rt), lane_(lane), ep_(ep) {
+    for (std::size_t k = 0; k < kBatch; ++k) {
+      regs_[k] = ppc::RegSet{};
+      regs_[k][0] = static_cast<Word>(k);
+      ppc::set_op(regs_[k], 1);
+      ppc::set_rc(regs_[k], Status::kServerError);
+      frames_[k] = make_frame(fid, 1);
+      frames_[k].op = frame_with_rc(frames_[k].op, Status::kServerError);
+      frames_[k].w[0] = static_cast<Word>(k);
+    }
+  }
+
+  /// Requests in the submission.
+  std::size_t size() const {
+    return lane_ == Lane::kBatch || lane_ == Lane::kFrameBatch ? kBatch : 1;
+  }
+
+  Status run(SlotId me, SlotId target) {
+    switch (lane_) {
+      case Lane::kRemote:
+        return rt_.call_remote(me, target, kCaller, ep_, regs_[0]);
+      case Lane::kBatch:
+        return rt_.call_remote_batch(me, target, kCaller, ep_, regs_);
+      case Lane::kAsync:
+        return rt_.call_remote_async(me, target, kCaller, ep_, regs_[0]);
+      case Lane::kFrame:
+        return rt_.call_remote_frame(me, target, kCaller, frames_[0]);
+      case Lane::kFrameBatch:
+        return rt_.call_remote_frame_batch(me, target, kCaller, frames_);
+    }
+    return Status::kServerError;
+  }
+
+  /// Every request's rc reads `s`. Async requests are passed by value, so
+  /// there is nothing to check on that lane.
+  void expect_rc(Status s) const {
+    for (std::size_t k = 0; k < size(); ++k) {
+      switch (lane_) {
+        case Lane::kRemote:
+        case Lane::kBatch:
+          EXPECT_EQ(ppc::rc_of(regs_[k]), s) << "request " << k;
+          break;
+        case Lane::kFrame:
+        case Lane::kFrameBatch:
+          EXPECT_EQ(frame_rc_of(frames_[k].op), s) << "request " << k;
+          break;
+        case Lane::kAsync:
+          break;
+      }
+    }
+  }
+
+ private:
+  Runtime& rt_;
+  Lane lane_;
+  EntryPointId ep_;
+  std::array<ppc::RegSet, kBatch> regs_;
+  std::array<CallFrame, kBatch> frames_;
+};
+
+/// Slot 1's owner: registers (gate kOwner) and never drains until
+/// released, so posted cells stay in its rings and nothing goes direct.
+class StuckOwner {
+ public:
+  explicit StuckOwner(Runtime& rt) : rt_(rt), thread_([this] { run(); }) {
+    while (!up_.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+  ~StuckOwner() {
+    release_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+  StuckOwner(const StuckOwner&) = delete;
+  StuckOwner& operator=(const StuckOwner&) = delete;
+
+ private:
+  void run() {
+    const SlotId s = rt_.register_thread();
+    EXPECT_EQ(s, 1u);
+    up_.store(true, std::memory_order_release);
+    while (!release_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    while (rt_.poll(s) > 0) {
+    }
+    rt_.enter_idle(s);
+  }
+
+  Runtime& rt_;
+  std::atomic<bool> up_{false};
+  std::atomic<bool> release_{false};
+  std::thread thread_;  // last: starts once every member above exists
+};
+
+class LaneParity : public testing::TestWithParam<Lane> {
+ protected:
+  LaneParity()
+      : me_(rt_.register_thread()),
+        ep_(rt_.bind({.name = "adder"}, kCaller,
+                     [](RtCtx&, ppc::RegSet& r) {
+                       r[1] = r[0] + 1;
+                       ppc::set_rc(r, Status::kOk);
+                     })),
+        fid_(rt_.bind_frame(
+            kCaller, [](void*, FrameCtx&, CallFrame&) { return Status::kOk; },
+            nullptr)),
+        sub_(rt_, GetParam(), ep_, fid_) {}
+
+  /// Refused at admission: the status comes back, every rc carries it, and
+  /// `counter` moved by exactly one per refused call on the caller's slot.
+  void expect_refused(Status s, Counter counter) {
+    const std::uint64_t before = rt_.counters(me_).get(counter);
+    EXPECT_EQ(sub_.run(me_, kTarget), s);
+    sub_.expect_rc(s);
+    EXPECT_EQ(rt_.counters(me_).get(counter) - before, sub_.size());
+    EXPECT_EQ(rt_.counters(me_).get(Counter::kXcallPosts), posts_before_);
+    EXPECT_EQ(rt_.counters(kTarget).get(Counter::kXcallDirect), 0u);
+  }
+
+  static constexpr SlotId kTarget = 1;  // never registered: its gate is idle
+  Runtime rt_{2};
+  SlotId me_;
+  EntryPointId ep_;
+  FrameServiceId fid_;
+  Submission sub_;
+  std::uint64_t posts_before_ = 0;
+};
+
+TEST_P(LaneParity, ExpiredAmbientDeadlineRefusesEveryCall) {
+  RequestCtx ctx;
+  ctx.abs_deadline_cycles = 1;  // long past
+  rt_.set_request_ctx(me_, ctx);
+  expect_refused(Status::kDeadlineExceeded, Counter::kDeadlineExceeded);
+  rt_.clear_request_ctx(me_);
+}
+
+TEST_P(LaneParity, CancelledAmbientTokenRefusesEveryCall) {
+  const CancelToken token = rt_.cancel_token_create();
+  rt_.cancel(token);
+  RequestCtx ctx;
+  ctx.cancel_token = token;
+  rt_.set_request_ctx(me_, ctx);
+  expect_refused(Status::kCallAborted, Counter::kCallsCancelled);
+  rt_.clear_request_ctx(me_);
+}
+
+TEST_P(LaneParity, ShedAtTheWatermarkRefusesEveryCall) {
+  // One undrained cell in the idle target's ring puts it at the watermark.
+  ASSERT_EQ(rt_.call_remote_async(me_, kTarget, kCaller, ep_, ppc::RegSet{}),
+            Status::kOk);
+  posts_before_ = rt_.counters(me_).get(Counter::kXcallPosts);
+  rt_.set_shed_watermark(1);
+  expect_refused(Status::kOverloaded, Counter::kCallsShed);
+}
+
+TEST_P(LaneParity, FullRingBooksRingFullOnceThenRetries) {
+  StuckOwner owner(rt_);
+  for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
+    ASSERT_EQ(
+        rt_.call_remote_async(me_, kTarget, kCaller, ep_, ppc::RegSet{}),
+        Status::kOk);
+  }
+  ASSERT_EQ(rt_.counters(me_).get(Counter::kXcallRingFull), 0u);
+  // A short ambient budget bounds the sync lanes' kBlock retry loop; the
+  // frame lanes honour it there too, though their cells cannot carry it.
+  RequestCtx ctx;
+  ctx.abs_deadline_cycles = host_cycles() + 2'000'000;
+  rt_.set_request_ctx(me_, ctx);
+  const Status s = sub_.run(me_, kTarget);
+  rt_.clear_request_ctx(me_);
+
+  EXPECT_EQ(rt_.counters(me_).get(Counter::kXcallRingFull), 1u);
+  if (GetParam() == Lane::kAsync) {
+    // Post, don't wait: the full ring overflows into the mailbox at once.
+    EXPECT_EQ(s, Status::kOk);
+    EXPECT_EQ(rt_.counters(me_).get(Counter::kRetries), 0u);
+    EXPECT_EQ(rt_.shared_counters().get(Counter::kMailboxAllocs), 1u);
+    return;
+  }
+  EXPECT_EQ(s, Status::kDeadlineExceeded);
+  sub_.expect_rc(Status::kDeadlineExceeded);
+  EXPECT_GE(rt_.counters(me_).get(Counter::kRetries), 1u);
+  EXPECT_EQ(rt_.counters(me_).get(Counter::kDeadlineExceeded), sub_.size());
+  EXPECT_EQ(rt_.shared_counters().get(Counter::kMailboxAllocs), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLanes, LaneParity,
+                         testing::Values(Lane::kRemote, Lane::kBatch,
+                                         Lane::kAsync, Lane::kFrame,
+                                         Lane::kFrameBatch),
+                         lane_name);
+
+}  // namespace
+}  // namespace hppc::rt

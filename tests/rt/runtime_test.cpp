@@ -55,9 +55,10 @@ TEST(RtRuntime, WorkerPooledAfterCall) {
   RegSet regs;
   rt.call(slot, 1, ep, regs);
   EXPECT_EQ(rt.pooled_workers(slot, ep), 1u);
-  EXPECT_EQ(rt.stats(slot).worker_creations, 1u);
+  EXPECT_EQ(rt.counters(slot).get(obs::Counter::kWorkersCreated), 1u);
   for (int i = 0; i < 10; ++i) rt.call(slot, 1, ep, regs);
-  EXPECT_EQ(rt.stats(slot).worker_creations, 1u);  // reused
+  // reused
+  EXPECT_EQ(rt.counters(slot).get(obs::Counter::kWorkersCreated), 1u);
 }
 
 TEST(RtRuntime, StackBufferProvidedAndRecycled) {
@@ -80,7 +81,7 @@ TEST(RtRuntime, StackBufferProvidedAndRecycled) {
   ASSERT_NE(seen_a, nullptr);
   // Serial stack sharing (§2): the second service reused the first's stack.
   EXPECT_EQ(seen_a, seen_b);
-  EXPECT_EQ(rt.stats(slot).cd_creations, 1u);
+  EXPECT_EQ(rt.counters(slot).get(obs::Counter::kCdsCreated), 1u);
 }
 
 TEST(RtRuntime, HoldCdKeepsPrivateStack) {
@@ -161,7 +162,7 @@ TEST(RtRuntime, AsyncDeferredUntilPoll) {
   EXPECT_EQ(served, 0);
   EXPECT_EQ(rt.poll(slot), 1u);
   EXPECT_EQ(served, 1);
-  EXPECT_EQ(rt.stats(slot).async_calls, 1u);
+  EXPECT_EQ(rt.counters(slot).get(obs::Counter::kCallsAsync), 1u);
 }
 
 TEST(RtRuntime, SoftKillRejectsNewCalls) {
@@ -250,8 +251,9 @@ TEST(RtRuntime, ConcurrentCallsFromManyThreads) {
   EXPECT_EQ(served.load(), std::uint64_t{kThreads} * kCallsPerThread);
   // Each slot created exactly one worker per service: never shared.
   for (SlotId s = 0; s < kThreads; ++s) {
-    EXPECT_EQ(rt.stats(s).worker_creations, 2u) << "slot " << s;
-    EXPECT_EQ(rt.stats(s).calls, kCallsPerThread);
+    EXPECT_EQ(rt.counters(s).get(obs::Counter::kWorkersCreated), 2u)
+        << "slot " << s;
+    EXPECT_EQ(rt.counters(s).get(obs::Counter::kCallsSync), kCallsPerThread);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <span>
@@ -25,6 +26,23 @@ ppc::RegSet make_regs(Word w0) {
   return r;
 }
 
+// Fire-and-forget typed cells through the ring's one post entry point.
+std::size_t post_many(XcallRing& ring, ProgramId caller, EntryPointId ep,
+                      const ppc::RegSet* regs, std::size_t n) {
+  return ring.try_post(n, [&](XcallCell& c, std::size_t i) {
+    c.caller = caller;
+    c.ep = ep;
+    c.regs = regs[i];
+    c.wait = nullptr;
+    c.deadline = 0;
+  });
+}
+
+bool post_one(XcallRing& ring, ProgramId caller, EntryPointId ep,
+              const ppc::RegSet& regs) {
+  return post_many(ring, caller, ep, &regs, 1) == 1;
+}
+
 // ---------------------------------------------------------------------------
 // XcallRing
 // ---------------------------------------------------------------------------
@@ -32,7 +50,7 @@ ppc::RegSet make_regs(Word w0) {
 TEST(XcallRing, PostDrainRoundTrip) {
   XcallRing ring;
   EXPECT_FALSE(ring.has_pending());
-  ASSERT_TRUE(ring.try_post(/*caller=*/7, /*ep=*/9, make_regs(41), nullptr));
+  ASSERT_TRUE(post_one(ring, /*caller=*/7, /*ep=*/9, make_regs(41)));
   EXPECT_TRUE(ring.has_pending());
   std::size_t seen = 0;
   const std::size_t n = ring.drain([&](XcallCell& c) {
@@ -50,7 +68,7 @@ TEST(XcallRing, PostDrainRoundTrip) {
 TEST(XcallRing, FifoOrderWithinABatch) {
   XcallRing ring;
   for (Word i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr));
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i)));
   }
   Word expect = 0;
   ring.drain([&](XcallCell& c) { EXPECT_EQ(c.regs[0], expect++); });
@@ -60,12 +78,12 @@ TEST(XcallRing, FifoOrderWithinABatch) {
 TEST(XcallRing, FullRingRejectsWithoutBlocking) {
   XcallRing ring;
   for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr)) << i;
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i))) << i;
   }
-  EXPECT_FALSE(ring.try_post(1, 1, make_regs(999), nullptr));
+  EXPECT_FALSE(post_one(ring, 1, 1, make_regs(999)));
   // One batch retires everything; capacity is available again.
   EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity);
-  EXPECT_TRUE(ring.try_post(1, 1, make_regs(0), nullptr));
+  EXPECT_TRUE(post_one(ring, 1, 1, make_regs(0)));
 }
 
 TEST(XcallRing, WrapsAcrossManyGenerations) {
@@ -73,7 +91,7 @@ TEST(XcallRing, WrapsAcrossManyGenerations) {
   Word next = 0;
   for (int round = 0; round < 300; ++round) {
     for (Word i = 0; i < 7; ++i) {
-      ASSERT_TRUE(ring.try_post(1, 1, make_regs(next + i), nullptr));
+      ASSERT_TRUE(post_one(ring, 1, 1, make_regs(next + i)));
     }
     ring.drain([&](XcallCell& c) { EXPECT_EQ(c.regs[0], next++); });
   }
@@ -89,8 +107,7 @@ TEST(XcallRing, ConcurrentProducersKeepPerProducerFifo) {
     producers.emplace_back([&, p] {
       for (Word i = 0; i < kPerProducer; ++i) {
         // Encode (producer, index); spin until the bounded ring has room.
-        while (!ring.try_post(static_cast<ProgramId>(p), 1, make_regs(i),
-                              nullptr)) {
+        while (!post_one(ring, static_cast<ProgramId>(p), 1, make_regs(i))) {
           std::this_thread::yield();
         }
       }
@@ -485,6 +502,33 @@ TEST(CallRemote, SyncRingFullBranchesBookTheCounter) {
   owner.release_and_join();
 }
 
+TEST(CallRemoteBatch, BackoffGivesUpOnFullRing) {
+  // The batch lane runs the same retry policy as call_remote: a bounded
+  // backoff against a ring nobody drains gives up with kOverloaded after
+  // backoff_rounds failed posts instead of blocking forever.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  const EntryPointId ep = bind_adder(rt);
+  StuckOwner owner(rt);
+  for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
+    ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(i)), Status::kOk);
+  }
+  CallOptions backoff;
+  backoff.retry = RetryPolicy::kBackoff;
+  backoff.backoff_rounds = 4;
+  std::array<ppc::RegSet, 8> batch;
+  for (Word i = 0; i < batch.size(); ++i) batch[i] = make_regs(i);
+  EXPECT_EQ(rt.call_remote_batch(me, 1, 1, ep, batch, backoff),
+            Status::kOverloaded);
+  for (const ppc::RegSet& r : batch) {
+    EXPECT_EQ(ppc::rc_of(r), Status::kOverloaded);
+  }
+  EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 1u);
+  EXPECT_GE(rt.counters(me).get(obs::Counter::kRetries), 4u);
+  EXPECT_GT(rt.counters(me).get(obs::Counter::kBackoffCycles), 0u);
+  owner.release_and_join();
+}
+
 TEST(CallRemote, DeadlineExceededOnStuckOwner) {
   Runtime rt(2);
   const SlotId me = rt.register_thread();
@@ -563,15 +607,15 @@ TEST(CallRemote, ShedsAtWatermark) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched submission: try_post_many at ring level, call_remote_batch above
+// Batched submission: multi-cell posts at ring level, call_remote_batch above
 // ---------------------------------------------------------------------------
 
 TEST(XcallRing, BatchPostPublishesContiguousRunInOrder) {
   XcallRing ring;
   std::array<ppc::RegSet, 10> regs{};
   for (Word i = 0; i < regs.size(); ++i) regs[i][0] = 100 + i;
-  ASSERT_EQ(ring.try_post_many(/*caller=*/3, /*ep=*/7, regs.data(),
-                               /*waits=*/nullptr, regs.size()),
+  ASSERT_EQ(post_many(ring, /*caller=*/3, /*ep=*/7, regs.data(),
+                      regs.size()),
             regs.size());
   Word expect = 100;
   const std::size_t n = ring.drain([&](XcallCell& c) {
@@ -590,12 +634,12 @@ TEST(XcallRing, BatchSpansRingWrap) {
   // crosses the index wrap, where "contiguous" means contiguous positions,
   // not contiguous array slots.
   for (Word i = 0; i < 60; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr));
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i)));
   }
   ring.drain([](XcallCell&) {});
   std::array<ppc::RegSet, 16> regs{};
   for (Word i = 0; i < regs.size(); ++i) regs[i][0] = i;
-  ASSERT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()),
+  ASSERT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()),
             regs.size());
   Word expect = 0;
   EXPECT_EQ(ring.drain([&](XcallCell& c) { EXPECT_EQ(c.regs[0], expect++); }),
@@ -608,13 +652,50 @@ TEST(XcallRing, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
   // 59 occupied, 5 free: a 16-run fails its last-cell check, so does 8;
   // 4 fits. The halving never claims cells it cannot publish.
   for (std::size_t i = 0; i < 59; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr));
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i)));
   }
   std::array<ppc::RegSet, 16> regs{};
-  EXPECT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()), 4u);
-  EXPECT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()), 1u);
-  EXPECT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()), 0u);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 4u);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 1u);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 0u);
   EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity);
+}
+
+TEST(XcallRing, RacingProducersNeverSeeAFullRingWithRoom) {
+  // Two producers post single cells into a ring that never holds more than
+  // 62 of its 64: every post must succeed. A producer that loses the race
+  // for a cell finds that cell's seq ahead of its stale cursor; the claim
+  // must reload the cursor there, not shrink the run to nothing and
+  // answer "full".
+  XcallRing ring;
+  constexpr int kRounds = 2000;
+  constexpr Word kPerProducer = (XcallRing::kCapacity - 2) / 2;
+  std::atomic<int> round{-1};
+  std::atomic<int> finished{0};
+  std::atomic<int> false_full{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      for (int r = 0; r < kRounds; ++r) {
+        while (round.load(std::memory_order_acquire) < r) cpu_relax();
+        for (Word i = 0; i < kPerProducer; ++i) {
+          if (!post_one(ring, static_cast<ProgramId>(p), 1, make_regs(i))) {
+            false_full.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        finished.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    round.store(r, std::memory_order_release);
+    while (finished.load(std::memory_order_acquire) < 2 * (r + 1)) {
+      std::this_thread::yield();
+    }
+    ring.drain([](XcallCell&) {});
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(false_full.load(), 0);
 }
 
 TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
@@ -633,8 +714,8 @@ TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
         const std::size_t want =
             std::min<std::size_t>(regs.size(), kPerProducer - next);
         for (std::size_t i = 0; i < want; ++i) regs[i][0] = next + i;
-        const std::size_t posted = ring.try_post_many(
-            static_cast<ProgramId>(p), 1, regs.data(), nullptr, want);
+        const std::size_t posted = post_many(
+            ring, static_cast<ProgramId>(p), 1, regs.data(), want);
         next += posted;
         if (posted == 0) std::this_thread::yield();
       }
@@ -643,8 +724,7 @@ TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
   for (int p = 2; p < 4; ++p) {  // single-cell producers
     producers.emplace_back([&, p] {
       for (Word i = 0; i < kPerProducer; ++i) {
-        while (!ring.try_post(static_cast<ProgramId>(p), 1, make_regs(i),
-                              nullptr)) {
+        while (!post_one(ring, static_cast<ProgramId>(p), 1, make_regs(i))) {
           std::this_thread::yield();
         }
       }
