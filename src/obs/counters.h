@@ -89,7 +89,8 @@ enum class Counter : std::uint32_t {
   // -- batched submission, ready-mask scheduling, adaptive waiters --
   kXcallBatchPosts,     // vectored ring submissions (one doorbell each)
   kXcallCellsPerBatch,  // cells carried by those submissions (sum)
-  kReadyMaskSkips,      // doorbell stores skipped: target bit already set
+  kReadyMaskSkips,      // posts that found their ring already flagged, so
+                        // rang no doorbell (the sticky-bit common case)
   kWaiterParks,         // sync waiters that parked on the completion word
   kWaiterKicks,         // completions that woke a parked waiter
 
@@ -110,7 +111,8 @@ enum class Counter : std::uint32_t {
   kCallsCancelled,      // calls refused/aborted because their token fired
   kCancelRequests,      // Runtime::cancel() invocations
   kDeadlineInherited,   // calls whose binding budget came from the ambient ctx
-  kBulkDrainsDeferred,  // drain passes where bulk waited behind interactive
+  kBulkDrainsDeferred,  // drain passes whose bulk pass drained cells after
+                        // an interactive pass that drained cells
 
   // -- shm: cross-process transport, bulk copy engine, peer liveness --
   kShmSegmentsMapped,   // gauge: shm segments/regions this process has mapped

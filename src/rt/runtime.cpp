@@ -606,104 +606,151 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
   return n;
 }
 
-std::size_t Runtime::drain_mask(Slot& slot,
-                                std::atomic<std::uint64_t>& mask) {
-  // One acquire exchange claims every doorbell rung so far; the acquire
-  // pairs with the producers' release fetch_or, so a flagged ring's cells
-  // are visible. Bits we consume but whose ring refills mid-drain are
-  // re-armed below — the consumer never strands a cell behind a bit a
-  // producer believes is still set. An idle poll only loads, so it leaves
-  // the doorbell line shared instead of taking it exclusive.
-  if (mask.load(std::memory_order_relaxed) == 0) return 0;
-  std::uint64_t ready = mask.exchange(0, std::memory_order_acquire);
-  if (ready == 0) return 0;
+std::size_t Runtime::drain_bit(Slot& slot, std::uint32_t b) {
   const std::uint32_t nslots = registry_.capacity();
+  // Bit 63 aliases every producer at or beyond the mask width.
+  const std::uint32_t last = (b == 63 && nslots > 64) ? nslots - 1 : b;
+  std::size_t done = 0;
+  for (std::uint32_t src = b; src <= last && src < nslots; ++src) {
+    // A sticky bit's ring is usually empty: test the head cell inline.
+    XcallRing& ring = slot.rings[src];
+    if (ring.head_ready()) done += drain_ring(slot, ring);
+  }
+  return done;
+}
+
+std::size_t Runtime::drain_mask(Slot& slot, std::atomic<std::uint64_t>& mask,
+                                std::array<std::uint8_t, 64>& idle) {
+  // Sticky doorbells: the pass only loads the mask, so while producers
+  // keep finding their bits set neither side writes this line. Cell
+  // payloads are ordered by each cell's seq acquire, not by the mask, so
+  // the load is relaxed. A flagged ring is visited through its head cell
+  // only — never through the producers' enqueue cursor.
+  std::uint64_t ready = mask.load(std::memory_order_relaxed);
   std::size_t done = 0;
   while (ready != 0) {
     const auto b = static_cast<std::uint32_t>(std::countr_zero(ready));
     ready &= ready - 1;
-    // Bit 63 aliases every producer at or beyond the mask width.
-    const std::uint32_t last = (b == 63 && nslots > 64) ? nslots - 1 : b;
-    for (std::uint32_t src = b; src <= last && src < nslots; ++src) {
-      done += drain_ring(slot, slot.rings[src]);
-      if (slot.rings[src].has_pending()) {
-        mask.fetch_or(doorbell_bit(src), std::memory_order_relaxed);
-      }
+    const std::size_t n = drain_bit(slot, b);
+    done += n;
+    if (n != 0) {
+      idle[b] = 0;
+      continue;
     }
+    if (++idle[b] < kDoorbellIdlePolls) continue;
+    // Clear, as one side of a Dekker handshake with ring_doorbell (which
+    // publishes its cell, fences, then loads the mask): the clear RMW,
+    // a fence, then a re-check of the rings. Either the producer's load
+    // sees the bit clear and sets it again, or this re-check sees its
+    // cell — a post racing the clear is served here, not by a backstop.
+    idle[b] = 0;
+    mask.fetch_and(~(std::uint64_t{1} << b), std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (HPPC_FAULT_POINT("rt.xcall.doorbell.clear")) {
+      // Delay seam inside the handshake window: tests post into it.
+      slot.counters.inc(obs::Counter::kFaultsInjected);
+    }
+    done += drain_bit(slot, b);
   }
   return done;
 }
 
 std::size_t Runtime::drain_ready(Slot& slot) {
   // Interactive-first drain ordering: the interactive doorbell word is
-  // served to empty before the bulk word is even consulted, so a slot
-  // with both classes queued retires the latency-sensitive work first.
-  // Starvation is bounded by the ring capacities: one drain_ready pass
-  // serves at most one batch per flagged interactive ring, then ALWAYS
-  // falls through to the bulk word.
-  // The idle check is inline: every direct call ends here, and an idle
-  // target should cost it a load, not a call.
+  // served before the bulk word is even consulted, so a slot with both
+  // classes queued retires the latency-sensitive work first. Starvation
+  // is bounded by the ring capacities: one drain_ready pass serves at most
+  // one batch per flagged interactive ring, then ALWAYS falls through to
+  // the bulk word.
+  // The idle check is inline: an idle mask costs the poll a load, not a
+  // call.
   std::size_t done = slot.ready_mask.load(std::memory_order_relaxed) != 0
-                         ? drain_mask(slot, slot.ready_mask)
+                         ? drain_mask(slot, slot.ready_mask, slot.idle_visits)
                          : 0;
   if (slot.bulk_ready_mask.load(std::memory_order_relaxed) != 0) {
-    if (done != 0) {
+    const std::size_t bulk =
+        drain_mask(slot, slot.bulk_ready_mask, slot.bulk_idle_visits);
+    if (done != 0 && bulk != 0) {
       // Bulk work sat queued while interactive doorbells were served.
       slot.counters.inc(obs::Counter::kBulkDrainsDeferred);
     }
-    done += drain_mask(slot, slot.bulk_ready_mask);
+    done += bulk;
+  }
+  return done;
+}
+
+std::size_t Runtime::settle_doorbells(Slot& slot) {
+  // The same handshake as drain_mask's clear, for every bit at once. Every
+  // direct call ends here, so an all-clear slot costs two loads.
+  if ((slot.ready_mask.load(std::memory_order_relaxed) |
+       slot.bulk_ready_mask.load(std::memory_order_relaxed)) == 0) {
+    return 0;
+  }
+  std::size_t done = 0;
+  for (auto* mask : {&slot.ready_mask, &slot.bulk_ready_mask}) {
+    if (mask->load(std::memory_order_relaxed) == 0) continue;
+    std::uint64_t bits = mask->exchange(0, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    auto& idle =
+        mask == &slot.ready_mask ? slot.idle_visits : slot.bulk_idle_visits;
+    while (bits != 0) {
+      const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      idle[b] = 0;
+      done += drain_bit(slot, b);
+    }
   }
   return done;
 }
 
 std::size_t Runtime::drain_all(Slot& slot) {
-  // Full O(nslots) sweep: the periodic backstop that makes a lost doorbell
-  // a latency blip instead of a hang. Clears the masks first so a bit for
-  // a ring this sweep is about to drain anyway is not left rung. Re-arms
-  // conservatively into the interactive mask (the sweep cannot know which
-  // class refilled a ring — promoting is the safe direction).
-  slot.ready_mask.exchange(0, std::memory_order_acquire);
-  slot.bulk_ready_mask.exchange(0, std::memory_order_acquire);
-  std::size_t done = 0;
+  // Full O(nslots) sweep, the periodic backstop: the doorbell pass keeps
+  // the flagged bits' idle accounting going, then every ring's head cell
+  // is checked. With the clear handshake no doorbell is lost; what the
+  // sweep still bounds is a producer preempted between publishing its
+  // cell and ringing the doorbell.
+  std::size_t done = drain_ready(slot);
   for (std::uint32_t src = 0; src < registry_.capacity(); ++src) {
     done += drain_ring(slot, slot.rings[src]);
-    if (slot.rings[src].has_pending()) {
-      slot.ready_mask.fetch_or(doorbell_bit(src), std::memory_order_relaxed);
-    }
   }
   return done;
 }
 
 void Runtime::ring_doorbell(Slot& me, Slot& tgt, SlotId src, bool bulk) {
-  // Doorbell coalescing: while the bit is already set the consumer is
-  // guaranteed to visit the ring (or re-arm the bit itself), so the post
-  // can skip the shared-line RMW entirely — that is what lets a burst of
-  // posts cost ~one cross-slot line transfer instead of one each. Bulk
-  // posts ring the bulk word, which the consumer serves only after the
-  // interactive one — drain priority decided at the doorbell, free of
-  // per-cell cost.
+  // The producer side of the clear handshake (see drain_mask): the cell is
+  // published, then a fence, then the mask load. While the bit is set the
+  // consumer is guaranteed to visit the ring, so the post skips the
+  // shared-line RMW entirely — with sticky bits a producer calling in a
+  // loop only ever loads the doorbell line. Bulk posts ring the bulk
+  // word, which the consumer serves only after the interactive one —
+  // drain priority decided at the doorbell, free of per-cell cost. The
+  // set is relaxed: cell payloads are ordered by the cell's seq.
   std::atomic<std::uint64_t>& mask =
       bulk ? tgt.bulk_ready_mask : tgt.ready_mask;
   const std::uint64_t bit = doorbell_bit(src);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if ((mask.load(std::memory_order_relaxed) & bit) != 0) {
     me.counters.inc(obs::Counter::kReadyMaskSkips);
     return;
   }
-  mask.fetch_or(bit, std::memory_order_release);
+  mask.fetch_or(bit, std::memory_order_relaxed);
 }
 
 bool Runtime::any_ring_pending(const Slot& slot) const {
   for (std::uint32_t src = 0; src < registry_.capacity(); ++src) {
-    if (slot.rings[src].has_pending()) return true;
+    if (slot.rings[src].head_ready()) return true;
   }
   return false;
 }
 
 bool Runtime::help_drain(Slot& target, SlotId self) {
   if (!target.gate.try_steal()) return false;
-  drain_ready(target);
+  // The gate was idle, so nobody polls this slot: drain the flagged rings
+  // and hand it back with a clear mask, or its parked owner would wake
+  // for nothing.
+  settle_doorbells(target);
   // Always sweep our own channel: a waiter rescuing its own call must not
-  // depend on its doorbell having survived the set/clear race.
+  // depend on a doorbell its own post may not have rung yet.
   drain_ring(target, target.rings[self]);
   target.gate.release_steal();
   return true;
@@ -751,6 +798,7 @@ void Runtime::cancel(CancelToken token) {
     Slot& slot = *slot_ptr;
     if (!slot.gate.try_steal()) continue;  // owner will drain on its own
     drain_all(slot);
+    settle_doorbells(slot);
     slot.gate.release_steal();
   }
 }
@@ -1118,8 +1166,10 @@ template <typename Lane>
     if (overall == Status::kOk) overall = s;
   }
   if constexpr (Lane::kInFlightContext) tgt.cur_req = saved_req;
-  // Help while we hold the slot: retire anything ring-queued behind us.
-  drain_ready(tgt);
+  // Help while we hold the slot: retire anything ring-queued behind us,
+  // and hand the idle slot back with a clear mask. On an idle target this
+  // is one load per mask.
+  settle_doorbells(tgt);
 #if defined(HPPC_TRACE) && HPPC_TRACE
   if (parent.traced()) {
     tgt.cur_trace = saved_trace;
@@ -1312,19 +1362,13 @@ template <typename Lane>
 
     // Wait, then complete: copy each reply out of its wait line. The first
     // waits dominate the wall time; later ones are usually done by the
-    // time we look. No-deadline waits walk the spin→yield→park ladder. Its
-    // yield budget adapts once per chunk: other producers' doorbells
-    // pending at the target mean our cells sit behind a queue spanning
-    // several drain passes, so park after one courtesy round instead of
-    // churning the scheduler. The park failpoints: "rt.xcall.park.now"
-    // collapses the yield phase so tests drive the park/kick protocol
-    // deterministically; "rt.xcall.park" is a delay seam inside the park
-    // decision, widening the park-vs-complete race.
+    // time we look. No-deadline waits walk the spin→yield→park ladder. The
+    // park failpoints: "rt.xcall.park.now" collapses the yield phase so
+    // tests drive the park/kick protocol deterministically; "rt.xcall.park"
+    // is a delay seam inside the park decision, widening the
+    // park-vs-complete race.
     const std::uint64_t post_t = sampled ? host_cycles() : 0;
-    int yield_rounds = (tgt.ready_mask.load(std::memory_order_relaxed) &
-                        ~doorbell_bit(caller_slot)) != 0
-                           ? kWaitYieldRoundsContended
-                           : kWaitYieldRounds;
+    int yield_rounds = kWaitYieldRounds;
     if (in_flight == 0 && HPPC_FAULT_POINT("rt.xcall.park.now")) {
       me.counters.inc(obs::Counter::kFaultsInjected);
       yield_rounds = 0;
@@ -1481,13 +1525,17 @@ std::size_t Runtime::serve(SlotId slot_id, const std::atomic<bool>& stop) {
   Slot& slot = *slots_[slot_id];
   std::size_t total = 0;
   while (!stop.load(std::memory_order_acquire)) {
+    // Settle the sticky doorbells through the clear handshake, then park:
+    // the owner goes idle (and direct steals resume) right after the poll
+    // that found the rings empty.
     total += poll(slot_id);
-    enter_idle(slot_id);
+    total += settle_doorbells(slot);
+    slot.gate.enter_idle();
     // Parked: remote callers direct-execute (or help-drain) through the
     // gate; we only need to wake for control-plane mailbox posts, a rung
     // doorbell, or stop. The idle test is O(1) — one mask load, one
-    // mailbox head load — with a periodic full ring scan as the backstop
-    // for a doorbell lost to the benign set/clear race.
+    // mailbox head load — with a periodic head-cell scan as the backstop
+    // for a producer preempted between its publish and its doorbell.
     std::uint32_t idle_rounds = 0;
     while (!stop.load(std::memory_order_acquire) &&
            slot.ready_mask.load(std::memory_order_relaxed) == 0 &&
@@ -1517,8 +1565,9 @@ std::size_t Runtime::poll(SlotId slot_id) {
     fn();
   });
   // Ready-mask scheduling: drain only the producer rings whose doorbell is
-  // rung — idle polls cost one exchange, busy ones O(popcount) — with a
-  // full scan every kPollScanPeriod-th poll as the lost-doorbell backstop.
+  // rung — idle polls cost one load, busy ones O(popcount) — with a full
+  // head-cell scan every kPollScanPeriod-th poll as the backstop for a
+  // cell published before its doorbell.
   if (++slot.polls_since_scan >= kPollScanPeriod) {
     slot.polls_since_scan = 0;
     done += drain_all(slot);
@@ -1824,6 +1873,13 @@ std::size_t Runtime::xcall_depth(SlotId slot) const {
     depth += slots_[slot]->rings[src].depth();
   }
   return depth;
+}
+
+std::uint64_t Runtime::ready_mask(SlotId slot, TrafficClass cls) const {
+  HPPC_ASSERT(slot < slots_.size());
+  const Slot& s = *slots_[slot];
+  return (cls == TrafficClass::kBulk ? s.bulk_ready_mask : s.ready_mask)
+      .load(std::memory_order_relaxed);
 }
 
 std::size_t Runtime::pooled_workers(SlotId slot, EntryPointId id) const {

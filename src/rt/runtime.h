@@ -388,7 +388,8 @@ class Runtime {
 
   /// Park/unpark primitives behind serve(): while idle, remote callers
   /// direct-execute on this slot instead of waiting for a poll. Owner
-  /// thread only; must not be mid-call.
+  /// thread only; must not be mid-call. Doorbell bits left set are
+  /// cleared by the first thief, which hands the gate back settled.
   void enter_idle(SlotId slot);
   void exit_idle(SlotId slot);
 
@@ -586,6 +587,12 @@ class Runtime {
   /// slot's plain-store counters.
   std::size_t xcall_depth(SlotId slot) const;
 
+  /// Racy snapshot of a slot's doorbell word for traffic class `cls`
+  /// (bit b = producer min(b, 63) may have cells queued). Tests use it to
+  /// watch sticky bits clear once a slot goes quiet.
+  std::uint64_t ready_mask(SlotId slot,
+                           TrafficClass cls = TrafficClass::kInteractive) const;
+
  private:
   friend class RtCtx;
 
@@ -671,25 +678,28 @@ class Runtime {
     // processor's own station" rule applied to the ring layer.
     XcallRing* rings = nullptr;
     // The doorbell word. Bit b = min(src, 63) set means "rings[src] may
-    // hold undrained cells" — producers set it (release) on post iff they
-    // saw it clear; the consumer exchanges it to 0 (acquire) and drains
-    // exactly the flagged rings, re-arming any ring it leaves non-empty.
-    // Idle poll is one load; drain work is O(popcount), not O(nslots).
-    // Liveness backstop for the benign set/clear race (producer skips the
-    // store just as the consumer clears the bit): every kPollScanPeriod-th
-    // poll does a full scan, and helpers always drain their own channel.
+    // hold undrained cells". Bits are sticky: a producer sets its bit only
+    // when it finds it clear, and the consumer clears it only after
+    // kDoorbellIdlePolls consecutive empty visits, so a busy producer and
+    // its consumer only ever load this line. Clearing is a handshake with
+    // the posting producer (see drain_mask and ring_doorbell), so a cell is
+    // never stranded behind a cleared bit. Idle poll is one load; drain
+    // work is O(popcount), not O(nslots).
     alignas(kHostCacheLine) std::atomic<std::uint64_t> ready_mask{0};
     // The bulk doorbell word: producers posting kBulk-class cells ring
     // this mask instead, and the consumer's drain serves it only after
-    // the interactive mask above is empty — interactive-first drain
-    // ordering without touching cells or rings. Same set/clear protocol
-    // and the same full-scan liveness backstop as ready_mask. Own line:
-    // bulk posters must not bounce the interactive doorbell's line.
+    // the interactive mask above — interactive-first drain ordering
+    // without touching cells or rings. Same sticky protocol as ready_mask.
+    // Own line: bulk posters must not bounce the interactive doorbell's
+    // line.
     alignas(kHostCacheLine) std::atomic<std::uint64_t> bulk_ready_mask{0};
-    std::uint32_t polls_since_scan = 0;  // consumer-private rescan ticker
+    // Consumer-private (ownership holder only): consecutive empty visits
+    // per doorbell bit, one array per mask, and the full-scan ticker.
+    alignas(kHostCacheLine) std::array<std::uint8_t, 64> idle_visits{};
+    std::array<std::uint8_t, 64> bulk_idle_visits{};
+    std::uint32_t polls_since_scan = 0;
   };
 
-  static constexpr std::uint32_t kPollScanPeriod = 64;
   /// Producers at or beyond the mask width share the last doorbell bit.
   static std::uint64_t doorbell_bit(SlotId src) {
     return 1ull << (src < 63 ? src : 63);
@@ -787,28 +797,41 @@ class Runtime {
   /// Books xcall_batches, drops/fails expired-deadline cells, completes
   /// sync cells (kicking parked waiters).
   std::size_t drain_ring(Slot& slot, XcallRing& ring);
-  /// Mask-guided drain (ownership held): exchange the doorbell words to 0
-  /// and drain exactly the flagged producer rings, re-arming any left
-  /// non-empty. Interactive doorbells are served to empty before the bulk
-  /// mask is consulted (books bulk_drains_deferred when bulk work had to
-  /// wait). O(1) when idle, O(popcount) when not.
+  /// Mask-guided drain (ownership held): load the doorbell words and drain
+  /// exactly the flagged producer rings. Interactive doorbells are served
+  /// before the bulk mask is consulted (books bulk_drains_deferred when
+  /// the bulk pass drained cells after an interactive pass that did).
+  /// O(1) when idle, O(popcount) when not.
   std::size_t drain_ready(Slot& slot);
-  /// One doorbell word's drain pass (the body drain_ready runs per class).
-  std::size_t drain_mask(Slot& slot, std::atomic<std::uint64_t>& mask);
-  /// Full-scan drain of every producer ring (ownership held): the
-  /// periodic liveness backstop for lost doorbells, and the teardown path.
+  /// One doorbell word's drain pass (the body drain_ready runs per class):
+  /// drains each flagged bit's rings, and clears a bit through the
+  /// handshake after kDoorbellIdlePolls consecutive empty visits.
+  std::size_t drain_mask(Slot& slot, std::atomic<std::uint64_t>& mask,
+                         std::array<std::uint8_t, 64>& idle);
+  /// Drain every ring doorbell bit `b` stands for (bit 63 aliases every
+  /// producer at or beyond the mask width).
+  std::size_t drain_bit(Slot& slot, std::uint32_t b);
+  /// Clear every doorbell bit of `slot` through the handshake and drain
+  /// what the re-check finds (ownership held). Used before ownership goes
+  /// idle — serve() parking, a thief handing the gate back — so a slot
+  /// nobody polls keeps an all-zero mask.
+  std::size_t settle_doorbells(Slot& slot);
+  /// Full-scan drain (ownership held): the doorbell pass, then every
+  /// producer ring's head cell. The periodic liveness backstop for a cell
+  /// published before its producer rang the doorbell.
   std::size_t drain_all(Slot& slot);
-  /// Producer-side doorbell: flag `src`'s ring in `tgt`'s ready mask
-  /// (bulk_ready_mask when `bulk`), skipping the shared-line store when
-  /// the bit is already set (doorbell coalescing, booked as
+  /// Producer-side doorbell: after the cell is published, flag `src`'s
+  /// ring in `tgt`'s ready mask (bulk_ready_mask when `bulk`), skipping
+  /// the shared-line RMW when the bit is already set (booked as
   /// ready_mask_skips on `me`).
   void ring_doorbell(Slot& me, Slot& tgt, SlotId src, bool bulk = false);
-  /// Racy any-ring-pending scan, for serve()'s periodic idle recheck.
+  /// Racy any-head-cell-published scan, for serve()'s periodic idle
+  /// recheck.
   bool any_ring_pending(const Slot& slot) const;
-  /// Waiter-side progress: if `target`'s gate is idle, steal it, drain its
-  /// flagged rings — plus the helper's OWN channel unconditionally, which
-  /// makes a waiter's rescue independent of doorbell races — and hand the
-  /// gate back. Returns true if it drained.
+  /// Waiter-side progress: if `target`'s gate is idle, steal it, settle
+  /// its doorbells (draining the flagged rings), drain the helper's OWN
+  /// channel unconditionally — so a waiter's rescue never depends on a
+  /// doorbell — and hand the gate back. Returns true if it drained.
   bool help_drain(Slot& target, SlotId self);
   /// Caller-slot completion-block pool (deadline calls only). Reaps acked
   /// zombies, then recycles or grows. Caller-slot-owner thread only.

@@ -347,12 +347,14 @@ class XcallRing {
     return n;
   }
 
-  /// Producer-side hint (racy by nature): are there published-but-undrained
-  /// cells? Used by serve() to decide whether to wake; correctness never
-  /// depends on it (waiters help-drain through the gate).
-  bool has_pending() const {
-    return enqueue_pos_.load(std::memory_order_relaxed) !=
-           dequeue_pos_.load(std::memory_order_relaxed);
+  /// Ownership holder (or a racy observer): is the next cell to drain
+  /// published? Reads only the consumer cursor and the head cell — never
+  /// the producers' enqueue cursor — so the backstop scans that call it
+  /// leave the producer-owned line alone.
+  bool head_ready() const {
+    const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
+    return cells_[pos & (kCapacity - 1)].seq.load(
+               std::memory_order_acquire) == pos + 1;
   }
 
   /// Approximate queue depth (racy snapshot of the two cursors). Admission
@@ -438,20 +440,23 @@ class SlotGate {
   std::atomic<std::uint32_t> state_{kIdle};
 };
 
+/// Doorbell scheduling (Runtime::poll): every kPollScanPeriod-th poll
+/// sweeps every producer ring's head cell instead of only the flagged
+/// ones — the backstop for a producer preempted between publishing a cell
+/// and ringing its doorbell.
+inline constexpr std::uint32_t kPollScanPeriod = 64;
+/// Consecutive empty visits after which the consumer clears a sticky
+/// doorbell bit (through the clear handshake). Long enough that a producer
+/// calling in a loop finds its bit still set; short enough that an idle
+/// slot's mask is back to 0 within a few microseconds of polling.
+inline constexpr std::uint32_t kDoorbellIdlePolls = 64;
+
 /// Yield rounds a no-deadline waiter burns (helping once per round) before
 /// it parks on the completion word. Each round is a spin window plus a
 /// help attempt, so by the time a waiter parks it has given the server a
 /// long cooperative window AND tried to drain the target itself — parking
 /// only happens when someone else demonstrably holds the slot.
 inline constexpr int kWaitYieldRounds = 64;
-
-/// The contended budget: when the target's ready mask already shows OTHER
-/// producers' doorbells at post time, the owner has a queue in front of
-/// our cell and the expected wait spans several drain passes — burning the
-/// full yield ladder would just churn the scheduler (acutely so when
-/// callers outnumber CPUs). One courtesy round, then park and let the
-/// completing server's kick pay the single wakeup.
-inline constexpr int kWaitYieldRoundsContended = 1;
 
 /// Adaptive completion wait — the spin→yield→park ladder:
 ///

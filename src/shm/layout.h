@@ -7,28 +7,42 @@
 // same Vyukov ring-cell protocol rt/xcall.h runs between slots of one
 // process, laid out inside an shm_open/mmap segment so a caller PROCESS
 // and a server PROCESS exchange warm null PPCs with zero locks and zero
-// allocations. The wait-block done-word state machine is reused bit for
-// bit (kDoneBit/kAbandonedBit from rt::XcallWait), with one cross-process
-// amendment: nobody ever parks. std::atomic::wait lowers to
-// FUTEX_WAIT_PRIVATE, which does not cross address spaces, so shm waiters
-// spin-then-sched_yield and kParkedBit is never set on a segment word.
+// allocations. The wait-block done word reuses rt::XcallWait's kDoneBit,
+// with one cross-process amendment: nobody ever parks or abandons.
+// std::atomic::wait lowers to FUTEX_WAIT_PRIVATE, which does not cross
+// address spaces, so shm waiters spin-then-sched_yield until the server
+// completes them (a dead peer's calls are completed by the reaper).
 //
 // Creation protocol: the server process lays the segment out through a
 // segment-backed mem::Arena (mem/arena.h), records every offset in the
 // ShmHeader, and publishes the header with a release store of the magic
 // word — an opener acquire-loads the magic before trusting any offset.
+// The server itself keeps process-private pointers from create time and
+// never re-reads an offset from the (peer-writable) segment.
 //
-// Ownership map (who writes what):
-//   * PeerSlot.state     — CAS-claimed by attaching peers, reset by the
-//                          server's reaper;
-//   * PeerSlot.heartbeat — the peer, periodically; read by the reaper;
+// Ownership map (who writes what, and which lines move per call): the
+// only lines that cross between peer and server on a warm call are the
+// ring cell and the wait block. Every other line a call touches is
+// written by one side only and read by the other rarely or never:
+//   * LaneHeader line 0 (enqueue_pos, wait_free_off) — the peer, twice
+//                          per call; the server reads it only when
+//                          reaping;
+//   * LaneHeader line 1 (dequeue_pos) — the server, once per drain batch;
+//   * LaneHeader line 2 (ring_off, waits_off) — written at create time,
+//                          read by a peer at attach;
+//   * PeerSlot line 0 (state, pid, generation, program) — CAS-claimed by
+//                          attaching peers, reset by the server's reaper;
+//                          the server loads `state` every poll pass;
+//   * PeerSlot line 1 (heartbeat_ns) — the peer, once per call; read by
+//                          the reaper;
 //   * lane ring cells    — the owning peer posts, the server drains
 //                          (per-peer lanes, so rings are SPSC here, but
 //                          they keep the MPSC claim protocol of the
 //                          in-process layer);
 //   * wait blocks        — the owning peer acquires/releases; the server
-//                          writes replies and the done word; the reaper
-//                          rebuilds the free list wholesale after a death;
+//                          writes the reply and the done word back to
+//                          back; the reaper rebuilds the free list
+//                          wholesale after a death;
 //   * cancel pool        — any process raises flags; the server's drain
 //                          sweep reads them (rt::Runtime::adopt_cancel_pool
 //                          points a runtime at this pool);
@@ -69,14 +83,13 @@ inline constexpr std::uint64_t kNullOff = 0;
 
 // -- wait blocks ------------------------------------------------------------
 
-/// The cross-process completion block: rt::XcallWait with the pool link
-/// replaced by an offset. Both wait formats keep the reply RegSet inline
-/// beside the done word. The done word reuses rt::XcallWait's bit
-/// constants and CAS protocol; see the file comment for why kParkedBit
-/// never appears here.
-struct ShmWait {
+/// The cross-process completion block: exactly one cache line holding the
+/// done word, the lane free-list link and the inline reply. The server
+/// runs the handler on a local RegSet, then stores the reply and the done
+/// word back to back, so the waiter's line moves once per call. The done
+/// word uses rt::XcallWait's kDoneBit; shm waiters never park or abandon.
+struct alignas(kHostCacheLine) ShmWait {
   static constexpr std::uint32_t kDoneBit = rt::XcallWait::kDoneBit;
-  static constexpr std::uint32_t kAbandonedBit = rt::XcallWait::kAbandonedBit;
 
   std::atomic<std::uint32_t> done{0};
   std::uint32_t pad = 0;
@@ -89,15 +102,6 @@ struct ShmWait {
                std::memory_order_release);
   }
 
-  bool abandoned() const {
-    return (done.load(std::memory_order_acquire) & kAbandonedBit) != 0;
-  }
-  void ack_abandoned() {
-    done.store(kDoneBit | kAbandonedBit |
-                   static_cast<std::uint32_t>(Status::kCallAborted),
-               std::memory_order_release);
-  }
-
   bool completed() const {
     return (done.load(std::memory_order_acquire) & kDoneBit) != 0;
   }
@@ -106,6 +110,7 @@ struct ShmWait {
   }
   void reset() { done.store(0, std::memory_order_relaxed); }
 };
+static_assert(sizeof(ShmWait) == kHostCacheLine, "one wait, one cache line");
 static_assert(std::is_trivially_destructible_v<ShmWait>);
 
 // -- ring cells -------------------------------------------------------------
@@ -128,17 +133,19 @@ static_assert(std::is_trivially_destructible_v<ShmCell>);
 // -- lanes ------------------------------------------------------------------
 
 /// One peer's call lane: a bounded ring of ShmCells plus that peer's wait
-/// pool. Producer cursor and consumer cursor sit on their own lines so
-/// the poster and the drainer never bounce a line that isn't a cell.
+/// pool. Each line has one writer: the peer's line (enqueue cursor and
+/// wait free list), the server's line (dequeue cursor), and the layout
+/// line written once at create time — so the poster and the drainer never
+/// bounce a line that isn't a cell or a wait.
 struct LaneHeader {
   alignas(kHostCacheLine) std::atomic<std::uint64_t> enqueue_pos{0};
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> dequeue_pos{0};
-  alignas(kHostCacheLine) std::uint64_t ring_off = kNullOff;   // ShmCell[kShmRingCapacity]
-  std::uint64_t waits_off = kNullOff;  // ShmWait[kShmWaitsPerLane]
   /// Head of the lane's wait free list (offset; kNullOff = empty). Owned
   /// by the attached peer while it lives; rebuilt wholesale by the
   /// server's reaper after the peer dies.
   std::uint64_t wait_free_off = kNullOff;
+  alignas(kHostCacheLine) std::atomic<std::uint64_t> dequeue_pos{0};
+  alignas(kHostCacheLine) std::uint64_t ring_off = kNullOff;   // ShmCell[kShmRingCapacity]
+  std::uint64_t waits_off = kNullOff;  // ShmWait[kShmWaitsPerLane]
 };
 static_assert(std::is_trivially_destructible_v<LaneHeader>);
 
@@ -151,18 +158,22 @@ enum PeerState : std::uint32_t {
   kPeerDead = 3,       // reaper is tearing the lane down
 };
 
-struct PeerSlot {
+/// One peer's table entry: a line of its own, so one peer's attach or
+/// reap never disturbs the line the server polls for another, plus a
+/// second line for the heartbeat the peer stores on every call.
+struct alignas(kHostCacheLine) PeerSlot {
   std::atomic<std::uint32_t> state{kPeerFree};
   std::atomic<std::uint32_t> pid{0};
+  /// Bumped every reap/detach, so a stale peer handle can be recognised.
+  std::atomic<std::uint32_t> generation{0};
+  std::uint32_t program = 0;  // the peer's program token, set at attach
   /// CLOCK_MONOTONIC nanoseconds of the peer's last sign of life. The
   /// peer stores on attach, after every call, and from heartbeat(); the
   /// server's reaper compares against its own clock (same host, same
   /// clock — that is the point of shared memory).
-  std::atomic<std::uint64_t> heartbeat_ns{0};
-  /// Bumped every reap/detach, so a stale peer handle can be recognised.
-  std::atomic<std::uint32_t> generation{0};
-  std::uint32_t program = 0;  // the peer's program token, set at attach
+  alignas(kHostCacheLine) std::atomic<std::uint64_t> heartbeat_ns{0};
 };
+static_assert(sizeof(PeerSlot) == 2 * kHostCacheLine);
 static_assert(std::is_trivially_destructible_v<PeerSlot>);
 
 // -- granted bulk-data regions ----------------------------------------------

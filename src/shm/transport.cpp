@@ -126,6 +126,9 @@ Server::Server(const std::string& name, ServerOptions opts)
       arena.create_array<std::atomic<std::uint32_t>>(0, rt::kMaxCancelTokens);
   auto* cursor = arena.create<std::atomic<std::uint32_t>>(0, 1u);
 
+  peers_ = peers;
+  regions_ = regions;
+  cancel_flags_ = flags;
   for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
     auto* ring = arena.create_array<ShmCell>(0, kShmRingCapacity);
     for (std::uint64_t i = 0; i < kShmRingCapacity; ++i) {
@@ -138,6 +141,7 @@ Server::Server(const std::string& name, ServerOptions opts)
     lanes[p].ring_off = seg_.offset_of(ring);
     lanes[p].waits_off = seg_.offset_of(waits);
     lanes[p].wait_free_off = seg_.offset_of(&waits[0]);
+    lanes_[p] = LaneView{&lanes[p], ring, waits};
   }
 
   hdr->version = kShmVersion;
@@ -175,11 +179,9 @@ ShmEp Server::bind(ShmFn fn, void* self) {
 }
 
 std::size_t Server::poll() {
-  const ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
   std::size_t n = 0;
-  for (std::uint32_t p = 0; p < hdr->max_peers; ++p) {
-    if (peers[p].state.load(std::memory_order_acquire) == kPeerAttached) {
+  for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
+    if (peers_[p].state.load(std::memory_order_acquire) == kPeerAttached) {
       n += drain_lane(p);
     }
   }
@@ -187,16 +189,13 @@ std::size_t Server::poll() {
 }
 
 std::size_t Server::drain_lane(std::uint32_t peer_idx) {
-  const ShmHeader* hdr = header();
-  auto* lane = seg_.at<LaneHeader>(hdr->lanes_off) + peer_idx;
-  auto* ring = seg_.at<ShmCell>(lane->ring_off);
-  auto* flags = cancel_flags_of(seg_);
+  const LaneView& lane = lanes_[peer_idx];
   constexpr std::uint64_t kMask = kShmRingCapacity - 1;
 
   std::size_t n = 0;
-  std::uint64_t pos = lane->dequeue_pos.load(std::memory_order_relaxed);
+  std::uint64_t pos = lane.hdr->dequeue_pos.load(std::memory_order_relaxed);
   for (;;) {
-    ShmCell& cell = ring[pos & kMask];
+    ShmCell& cell = lane.ring[pos & kMask];
     if (cell.seq.load(std::memory_order_acquire) != pos + 1) break;
 
     ShmWait* wait =
@@ -205,33 +204,30 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
     const ShmEp ep = rt::cell_ep(wire);
     const std::uint32_t token = rt::cell_token_idx(wire);
 
-    if (wait != nullptr && wait->abandoned()) {
-      wait->ack_abandoned();
-    } else if (token != 0 &&
-               flags[token].load(std::memory_order_acquire) != 0) {
+    Status rc;
+    ppc::RegSet out = cell.regs;
+    if (token != 0 &&
+        cancel_flags_[token].load(std::memory_order_acquire) != 0) {
       // The drain-side cancel sweep — the same one-load check the
       // in-process drain performs, reading a flag ANY process may have
-      // raised (that is satellite 2's acceptance test).
-      if (wait != nullptr) wait->complete(Status::kCallAborted);
+      // raised.
+      rc = Status::kCallAborted;
     } else {
       ShmFn fn = ep < kMaxShmEps
                      ? services_[ep].fn.load(std::memory_order_acquire)
                      : nullptr;
-      Status rc = Status::kNoSuchEntryPoint;
+      rc = Status::kNoSuchEntryPoint;
       if (fn != nullptr) {
+        // The handler runs on the server-local register file; the
+        // waiter's line is written once, reply then done word, after it
+        // returns.
         ShmCtx ctx{this, &copy_, peer_idx, cell.caller};
-        if (wait != nullptr) {
-          // Execute straight into the wait block's reply RegSet: the
-          // cell's payload is copied there once, the handler mutates it
-          // in place, and the done-word release publishes it.
-          wait->reply = cell.regs;
-          rc = fn(services_[ep].self, ctx, wait->reply);
-        } else {
-          ppc::RegSet scratch = cell.regs;
-          rc = fn(services_[ep].self, ctx, scratch);
-        }
+        rc = fn(services_[ep].self, ctx, out);
       }
-      if (wait != nullptr) wait->complete(rc);
+    }
+    if (wait != nullptr) {
+      wait->reply = out;
+      wait->complete(rc);
     }
 
     cell.seq.store(pos + kShmRingCapacity, std::memory_order_release);
@@ -239,7 +235,7 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
     ++n;
     counters_->inc(obs::Counter::kXcallCellsDrained);
   }
-  lane->dequeue_pos.store(pos, std::memory_order_relaxed);
+  lane.hdr->dequeue_pos.store(pos, std::memory_order_relaxed);
   if (n != 0) counters_->inc(obs::Counter::kXcallBatches);
   return n;
 }
@@ -261,12 +257,10 @@ std::size_t Server::serve(std::uint64_t dead_after_ns,
 }
 
 std::size_t Server::reap_dead_peers(std::uint64_t dead_after_ns) {
-  const ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
   const std::uint64_t now = now_ns();
   std::size_t reaped = 0;
-  for (std::uint32_t p = 0; p < hdr->max_peers; ++p) {
-    PeerSlot& slot = peers[p];
+  for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
+    PeerSlot& slot = peers_[p];
     if (slot.state.load(std::memory_order_acquire) != kPeerAttached) continue;
     const std::uint64_t hb = slot.heartbeat_ns.load(std::memory_order_acquire);
     if (now < hb + dead_after_ns) continue;
@@ -284,13 +278,10 @@ std::size_t Server::reap_dead_peers(std::uint64_t dead_after_ns) {
 }
 
 void Server::reap_lane(std::uint32_t peer_idx) {
-  const ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
-  auto* lane = seg_.at<LaneHeader>(hdr->lanes_off) + peer_idx;
-  auto* ring = seg_.at<ShmCell>(lane->ring_off);
-  auto* waits = seg_.at<ShmWait>(lane->waits_off);
-  auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
-  PeerSlot& slot = peers[peer_idx];
+  LaneHeader* lane = lanes_[peer_idx].hdr;
+  ShmCell* ring = lanes_[peer_idx].ring;
+  ShmWait* waits = lanes_[peer_idx].waits;
+  PeerSlot& slot = peers_[peer_idx];
   constexpr std::uint64_t kMask = kShmRingCapacity - 1;
 
   slot.state.store(kPeerDead, std::memory_order_release);
@@ -332,8 +323,8 @@ void Server::reap_lane(std::uint32_t peer_idx) {
 
   // Revoke the dead peer's grants: nothing may resolve against a region
   // whose owner is gone, and the backing segments' names are reclaimed.
-  for (std::uint32_t r = 0; r < hdr->max_regions; ++r) {
-    RegionSlot& rs = regions[r];
+  for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
+    RegionSlot& rs = regions_[r];
     if (rs.state.load(std::memory_order_acquire) != kRegionGranted ||
         rs.owner_peer != peer_idx) {
       continue;
@@ -368,11 +359,9 @@ void Server::adopt_cancel_pool_into(rt::Runtime& rt) {
 }
 
 std::uint32_t Server::attached_peers() const {
-  const ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
   std::uint32_t n = 0;
-  for (std::uint32_t p = 0; p < hdr->max_peers; ++p) {
-    if (peers[p].state.load(std::memory_order_acquire) == kPeerAttached) ++n;
+  for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
+    if (peers_[p].state.load(std::memory_order_acquire) == kPeerAttached) ++n;
   }
   return n;
 }
@@ -407,8 +396,9 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
   lane_ = seg_.at<LaneHeader>(hdr->lanes_off) + idx_;
   ring_ = seg_.at<ShmCell>(lane_->ring_off);
   waits_ = seg_.at<ShmWait>(lane_->waits_off);
+  slot_ = &peers[idx_];
 
-  PeerSlot& slot = peers[idx_];
+  PeerSlot& slot = *slot_;
   slot.pid.store(self_pid(), std::memory_order_relaxed);
   slot.program = program_;
   slot.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
@@ -424,12 +414,9 @@ Peer::~Peer() {
   for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
     if (regions_[r].mapped()) revoke_region(r);
   }
-  ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
-  PeerSlot& slot = peers[idx_];
-  slot.pid.store(0, std::memory_order_relaxed);
-  slot.generation.fetch_add(1, std::memory_order_release);
-  slot.state.store(kPeerFree, std::memory_order_release);
+  slot_->pid.store(0, std::memory_order_relaxed);
+  slot_->generation.fetch_add(1, std::memory_order_release);
+  slot_->state.store(kPeerFree, std::memory_order_release);
 }
 
 ShmWait* Peer::acquire_wait() {
@@ -480,12 +467,10 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
   cell->regs = regs;
   cell->seq.store(pos + 1, std::memory_order_release);
 
-  // Every call refreshes liveness; long waits below refresh it again so
-  // a caller stuck behind a slow handler is not declared dead.
-  ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
-  PeerSlot& slot = peers[idx_];
-  slot.heartbeat_ns.store(now_ns(), std::memory_order_release);
+  // Every call refreshes liveness (a line of its own, so the store never
+  // disturbs the state word the server polls); long waits below refresh
+  // it again so a caller stuck behind a slow handler is not declared dead.
+  slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
 
   // Spin-then-yield on the done word. NEVER park: the done word lives in
   // the segment and futex wakeups do not cross address spaces here.
@@ -498,7 +483,7 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
     } else {
       yield_thread();
       if ((spins & 0x3FFF) == 0) {
-        slot.heartbeat_ns.store(now_ns(), std::memory_order_release);
+        slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
       }
     }
   }
@@ -560,8 +545,7 @@ std::byte* Peer::region_base(std::uint32_t region) {
 }
 
 void Peer::heartbeat() {
-  auto* peers = seg_.at<PeerSlot>(header()->peers_off);
-  peers[idx_].heartbeat_ns.store(now_ns(), std::memory_order_release);
+  slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
 }
 
 bool Peer::stop_requested() const {

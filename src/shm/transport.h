@@ -13,12 +13,17 @@
 //   server: drain the lane (acquire load of the cell seq, retire with a
 //           release store), dispatch through a flat function-pointer
 //           table — the frame-ABI shape, no std::function, no worker/CD
-//           machinery — write the reply RegSet into the wait block and
-//           release-store the done word;
+//           machinery — on a server-local RegSet, then store the reply
+//           into the wait block and release-store the done word back to
+//           back;
 //   peer:   observe done (acquire), copy the reply, push the wait back.
 //
-// No step locks, no step allocates, and the only cross-process traffic is
-// the cell line, the wait line, and the two cursors. Parking is
+// No step locks, no step allocates, and the only lines that cross between
+// the processes on a warm call are the cell and the wait block: each
+// lane-header line and each peer-table line has a single writer (see the
+// ownership map in layout.h), and the server polls through pointers it
+// resolved at create time, never through offsets re-read from the
+// segment. Parking is
 // impossible across address spaces (futexes on segment words would need
 // FUTEX_WAIT on shared mappings; std::atomic::wait is private-futex), so
 // waiters spin-then-yield — on the single-CPU CI host every RTT is
@@ -146,7 +151,20 @@ class Server {
     void* self = nullptr;
   };
 
+  /// One lane as the server resolved it at create time.
+  struct LaneView {
+    LaneHeader* hdr = nullptr;
+    ShmCell* ring = nullptr;
+    ShmWait* waits = nullptr;
+  };
+
   Segment seg_;
+  // Process-private layout, resolved once at create time: a peer that
+  // rewrites the segment's offsets cannot move what the server touches.
+  PeerSlot* peers_ = nullptr;
+  RegionSlot* regions_ = nullptr;
+  std::atomic<std::uint32_t>* cancel_flags_ = nullptr;
+  std::array<LaneView, kMaxShmPeers> lanes_{};
   CopyServer copy_;
   obs::SlotCounters own_counters_;
   obs::SlotCounters* counters_;  // == opts.counters or &own_counters_
@@ -221,6 +239,7 @@ class Peer {
   LaneHeader* lane_ = nullptr;  // process-local pointers resolved once
   ShmCell* ring_ = nullptr;
   ShmWait* waits_ = nullptr;
+  PeerSlot* slot_ = nullptr;
   std::array<Segment, kMaxShmRegions> regions_{};  // this peer's grants
 };
 

@@ -39,6 +39,9 @@ constexpr ChaosPoint kSchedule[] = {
     {"rt.xcall.ring_full", "prob=0.2"},
     {"rt.xcall.post", "delay=200"},
     {"rt.xcall.batch.post", "prob=0.3,delay=300"},
+    // Holds a doorbell clear open between its RMW and its re-check, so
+    // posts race the handshake under live traffic.
+    {"rt.xcall.doorbell.clear", "prob=0.5,delay=300"},
     {"rt.xcall.complete.delay", "prob=0.3,delay=2000"},
     {"rt.xcall.complete.drop", "prob=0.02"},
     {"rt.worker.exhausted", "prob=0.05"},

@@ -49,9 +49,9 @@ bool post_one(XcallRing& ring, ProgramId caller, EntryPointId ep,
 
 TEST(XcallRing, PostDrainRoundTrip) {
   XcallRing ring;
-  EXPECT_FALSE(ring.has_pending());
+  EXPECT_EQ(ring.depth(), 0u);
   ASSERT_TRUE(post_one(ring, /*caller=*/7, /*ep=*/9, make_regs(41)));
-  EXPECT_TRUE(ring.has_pending());
+  EXPECT_EQ(ring.depth(), 1u);
   std::size_t seen = 0;
   const std::size_t n = ring.drain([&](XcallCell& c) {
     EXPECT_EQ(c.caller, 7u);
@@ -62,7 +62,7 @@ TEST(XcallRing, PostDrainRoundTrip) {
   });
   EXPECT_EQ(n, 1u);
   EXPECT_EQ(seen, 1u);
-  EXPECT_FALSE(ring.has_pending());
+  EXPECT_EQ(ring.depth(), 0u);
 }
 
 TEST(XcallRing, FifoOrderWithinABatch) {
@@ -125,7 +125,7 @@ TEST(XcallRing, ConcurrentProducersKeepPerProducerFifo) {
   }
   for (auto& t : producers) t.join();
   for (Word n : next_from) EXPECT_EQ(n, kPerProducer);
-  EXPECT_FALSE(ring.has_pending());
+  EXPECT_EQ(ring.depth(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -625,7 +625,7 @@ TEST(XcallRing, BatchPostPublishesContiguousRunInOrder) {
     EXPECT_EQ(c.regs[0], expect++);
   });
   EXPECT_EQ(n, regs.size());
-  EXPECT_FALSE(ring.has_pending());
+  EXPECT_EQ(ring.depth(), 0u);
 }
 
 TEST(XcallRing, BatchSpansRingWrap) {
@@ -896,9 +896,11 @@ TEST(CallRemoteBatch, DeadlineExpiresOnStuckOwnerAndBlocksAreReaped) {
 // ---------------------------------------------------------------------------
 
 TEST(ReadyMask, ManyProducersOnePollingConsumerLoseNothing) {
-  // Four producers set doorbell bits while the consumer batch-clears them:
-  // the set-vs-clear race is benign by design (re-arm + periodic full scan),
-  // so every posted call must execute exactly once. TSan target.
+  // Four producers set doorbell bits while the consumer clears idle ones:
+  // the set-vs-clear race is closed by the clear handshake (the producer
+  // fences between publish and mask load, the consumer between clear and
+  // re-check), so every posted call must execute exactly once. TSan
+  // target.
   Runtime rt(5);
   std::atomic<Word> hits{0};
   const EntryPointId ep =
@@ -937,6 +939,176 @@ TEST(ReadyMask, ManyProducersOnePollingConsumerLoseNothing) {
   EXPECT_EQ(hits.load(), 4 * kEach);
   EXPECT_EQ(rt.counters(0).get(obs::Counter::kCallsRemote), 4 * kEach);
 }
+
+TEST(ReadyMask, StickyBitClearsWithinIdlePollsOfTheLastCall) {
+  // A producer's bit stays set while its ring keeps being visited, and the
+  // consumer clears it through the handshake once the ring has been empty
+  // for kDoorbellIdlePolls visits: after the last call the mask is back
+  // to 0 within K+1 polls (the poll that drains it, then K empty ones).
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  const EntryPointId ep = bind_adder(rt);
+  std::atomic<int> phase{0};
+  std::size_t drained_first = 0;
+  std::uint32_t polls = 0;
+  std::uint64_t mask_after_first = 0;
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    ASSERT_EQ(s, 1u);
+    phase.store(1, std::memory_order_release);
+    while (phase.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    drained_first = rt.poll(s);
+    mask_after_first = rt.ready_mask(s);
+    polls = 1;
+    while (rt.ready_mask(s) != 0 && polls < 4 * kDoorbellIdlePolls) {
+      rt.poll(s);
+      ++polls;
+    }
+  });
+  while (phase.load(std::memory_order_acquire) != 1) {
+    std::this_thread::yield();
+  }
+  for (Word i = 0; i < 3; ++i) {
+    ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(i)), Status::kOk);
+  }
+  // One doorbell for the burst: the later posts found the bit set.
+  EXPECT_EQ(rt.ready_mask(1), std::uint64_t{1} << me);
+  phase.store(2, std::memory_order_release);
+  owner.join();
+  EXPECT_EQ(drained_first, 3u);
+  EXPECT_EQ(mask_after_first, std::uint64_t{1} << me);  // sticky
+  EXPECT_LE(polls, kDoorbellIdlePolls + 1);
+  EXPECT_EQ(rt.ready_mask(1), 0u);
+  EXPECT_EQ(rt.counters(me).get(obs::Counter::kReadyMaskSkips), 2u);
+}
+
+TEST(ReadyMask, ThiefHandsAnIdleSlotBackWithAClearMask) {
+  // A bit left set by an owner that parked through enter_idle is cleared
+  // by the first thief: nobody polls an idle slot, so the direct call
+  // settles the mask through the handshake before releasing the gate.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  const EntryPointId ep = bind_adder(rt);
+  std::atomic<int> phase{0};
+  std::uint64_t mask_after_poll = 0;
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    phase.store(1, std::memory_order_release);
+    while (phase.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    rt.poll(s);
+    mask_after_poll = rt.ready_mask(s);
+    rt.enter_idle(s);
+  });
+  while (phase.load(std::memory_order_acquire) != 1) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(1)), Status::kOk);
+  phase.store(2, std::memory_order_release);
+  owner.join();
+  EXPECT_EQ(mask_after_poll, std::uint64_t{1} << me);  // sticky
+  ppc::RegSet r = make_regs(4);
+  ASSERT_EQ(rt.call_remote(me, 1, 1, ep, r), Status::kOk);
+  EXPECT_EQ(r[1], 5u);
+  EXPECT_EQ(rt.counters(1).get(obs::Counter::kXcallDirect), 1u);
+  EXPECT_EQ(rt.ready_mask(1), 0u);
+}
+
+TEST(ReadyMask, ServedOwnerSettlesItsMaskAfterRingTraffic) {
+  // serve() clears its slot's bits through the handshake after every
+  // poll, before it publishes idle: once the ring traffic stops, the mask
+  // reads 0 while the owner is parked.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  std::atomic<int> hits{0};
+  const EntryPointId ep =
+      rt.bind({.name = "tally"}, 0, [&](RtCtx&, ppc::RegSet& r) {
+        hits.fetch_add(1, std::memory_order_relaxed);
+        ppc::set_rc(r, Status::kOk);
+      });
+  std::atomic<bool> stop{false};
+  std::thread server([&] { rt.serve(rt.register_thread(), stop); });
+  for (Word i = 0; i < 8; ++i) {
+    ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(i)), Status::kOk);
+  }
+  while (hits.load(std::memory_order_relaxed) < 8) std::this_thread::yield();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rt.ready_mask(1) != 0 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(rt.ready_mask(1), 0u);
+  stop.store(true, std::memory_order_release);
+  server.join();
+}
+
+#if defined(HPPC_FAULT_INJECTION) && HPPC_FAULT_INJECTION
+TEST(ReadyMask, ClearHandshakeServesACallPostedInsideTheWindow) {
+  // "rt.xcall.doorbell.clear" holds the consumer between its clear RMW and
+  // its re-check of the ring. A sync call posted inside that window must
+  // be served by that re-check — by the very poll that cleared the bit —
+  // not by a later poll, and never by the kPollScanPeriod full scan.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  std::atomic<std::uint64_t> polls{0};
+  std::atomic<std::uint64_t> served_at{0};
+  const EntryPointId ep =
+      rt.bind({.name = "stamp"}, 0, [&](RtCtx&, ppc::RegSet& r) {
+        served_at.store(polls.load(std::memory_order_acquire),
+                        std::memory_order_relaxed);
+        r[1] = r[0] + 1;
+        ppc::set_rc(r, Status::kOk);
+      });
+  std::atomic<bool> stop{false};
+  std::atomic<bool> owner_up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    owner_up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      rt.poll(s);
+      polls.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (!owner_up.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  // One call flags our bit; the owner's empty visits then count up to the
+  // clear, which fires the seam. Armed first: the mask was clear until
+  // this call, so the first clear to reach the seam is the one after it.
+  const std::uint64_t before = fault::injected("rt.xcall.doorbell.clear");
+  ASSERT_TRUE(fault::arm("rt.xcall.doorbell.clear", "oneshot,delay=4000000"));
+  ppc::RegSet first = make_regs(1);
+  EXPECT_EQ(rt.call_remote(me, 1, 1, ep, first), Status::kOk);
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool fired = false;
+  while (!(fired = fault::injected("rt.xcall.doorbell.clear") != before) &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+  std::uint64_t window_poll = 0;
+  if (fired) {
+    // The owner is inside the window: its bit is clear, its re-check is
+    // pending, and the poll it is in has not been counted yet.
+    window_poll = polls.load(std::memory_order_acquire);
+    EXPECT_EQ(rt.ready_mask(1), 0u);
+    ppc::RegSet r = make_regs(7);
+    EXPECT_EQ(rt.call_remote(me, 1, 1, ep, r), Status::kOk);
+    EXPECT_EQ(r[1], 8u);
+  }
+  stop.store(true, std::memory_order_release);
+  owner.join();
+  fault::disarm("rt.xcall.doorbell.clear");
+  ASSERT_TRUE(fired) << "the idle bit was never cleared";
+  // Served inside the poll that opened the window (the handler stamps the
+  // owner's completed-poll count) — well short of the next full scan.
+  EXPECT_EQ(served_at.load(), window_poll);
+  EXPECT_LT(served_at.load() - window_poll, kPollScanPeriod);
+}
+#endif  // HPPC_FAULT_INJECTION
 
 TEST(CallRemoteAsync, ExpiredDeadlineCellIsDroppedAtDrain) {
   Runtime rt(2);
@@ -987,7 +1159,12 @@ TEST(CallRemote, ForcedParkIsKickedByCompletingServer) {
   // "rt.xcall.park.now" collapses the yield phase, so every ring-path wait
   // goes straight to the park CAS; the owner's drain must then observe the
   // parked bit and kick the waiter — the test hangs if the kick is lost.
+  // A polling owner on its own core can answer inside the waiter's spin
+  // window, so "rt.xcall.complete.delay" holds every completion back far
+  // longer than that window: each call parks and is kicked, whatever the
+  // core count.
   ASSERT_TRUE(fault::arm("rt.xcall.park.now", "always"));
+  ASSERT_TRUE(fault::arm("rt.xcall.complete.delay", "always,delay=20000"));
   {
     Runtime rt(2);
     const SlotId me = rt.register_thread();
@@ -1017,6 +1194,7 @@ TEST(CallRemote, ForcedParkIsKickedByCompletingServer) {
     EXPECT_LE(rt.counters(1).get(obs::Counter::kWaiterKicks),
               rt.counters(0).get(obs::Counter::kWaiterParks));
   }
+  fault::disarm("rt.xcall.complete.delay");
   fault::disarm("rt.xcall.park.now");
 }
 #endif  // HPPC_FAULT_INJECTION

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "rt/runtime.h"
@@ -18,6 +19,32 @@
 
 namespace hppc::shm {
 namespace {
+
+// Line ownership (layout.h): each line a call touches has one writer.
+constexpr std::size_t line_of(std::size_t off) { return off / kHostCacheLine; }
+
+static_assert(sizeof(ShmWait) == kHostCacheLine &&
+                  alignof(ShmWait) == kHostCacheLine,
+              "a wait block is exactly one line: the server writes the "
+              "reply and the done word on the waiter's one line");
+static_assert(line_of(offsetof(PeerSlot, heartbeat_ns)) !=
+                  line_of(offsetof(PeerSlot, state)),
+              "the per-call heartbeat store must not share the line of the "
+              "state word the server polls");
+static_assert(sizeof(PeerSlot) % kHostCacheLine == 0 &&
+                  alignof(PeerSlot) == kHostCacheLine,
+              "one peer's entry never shares a line with another's");
+static_assert(line_of(offsetof(LaneHeader, wait_free_off)) ==
+                  line_of(offsetof(LaneHeader, enqueue_pos)),
+              "the peer's free-list head rides the peer-owned cursor line");
+static_assert(line_of(offsetof(LaneHeader, wait_free_off)) !=
+                  line_of(offsetof(LaneHeader, ring_off)),
+              "the peer's per-call stores stay off the layout line");
+static_assert(line_of(offsetof(LaneHeader, dequeue_pos)) !=
+                      line_of(offsetof(LaneHeader, enqueue_pos)) &&
+                  line_of(offsetof(LaneHeader, dequeue_pos)) !=
+                      line_of(offsetof(LaneHeader, ring_off)),
+              "the server's cursor has a line of its own");
 
 std::string uniq_name(const char* tag) {
 #ifdef __linux__
@@ -85,7 +112,12 @@ TEST(ShmLayout, LanesStartEmptyWithFullWaitPools) {
       ASSERT_LE(len, hdr->waits_per_lane) << "free-list cycle";
     }
     EXPECT_EQ(len, hdr->waits_per_lane);
+    // Every wait block starts on a line boundary of the segment.
+    EXPECT_EQ(lane.waits_off % kHostCacheLine, 0u);
   }
+  auto* peers = view.at<PeerSlot>(hdr->peers_off);
+  EXPECT_EQ(hdr->peers_off % kHostCacheLine, 0u);
+  EXPECT_EQ(view.offset_of(&peers[1]) - hdr->peers_off, sizeof(PeerSlot));
 }
 
 TEST(ShmLayout, CancelPoolIsOnePoolAcrossMappings) {

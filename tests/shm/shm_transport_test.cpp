@@ -337,6 +337,93 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   srv.join();
 }
 
+TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
+  // The server resolves the layout once, at create time. After honest
+  // peers attach, a writer with the segment mapped scribbles every layout
+  // offset the server could re-read — the header's lane and peer-table
+  // offsets and each lane's ring and wait-pool offsets — with values past
+  // the end of the segment, so any re-read would trip the bounds assert.
+  // The server must keep serving exact replies, and the reaper must still
+  // find and reap a dead peer.
+  const std::string name = uniq_name("scribble");
+  Server server(name);
+  server.bind(&echo_add_one, nullptr);
+
+  // A forked peer takes lane 0 and waits to be killed; fork before any
+  // thread starts. It also leaves if this process dies first, so a failed
+  // run strands no child.
+  const pid_t parent = ::getpid();
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    try {
+      Peer doomed(name, 13);
+      while (::getppid() == parent) ::usleep(1000);
+    } catch (...) {
+      ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  while (server.attached_peers() == 0) std::this_thread::yield();
+  Peer peer(name, 42);
+  ASSERT_EQ(peer.peer_index(), 1u);
+
+  std::atomic<bool> done{false};
+  auto serve = [&] {
+    return std::thread([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        if (server.poll() == 0) std::this_thread::yield();
+      }
+    });
+  };
+  std::thread srv = serve();
+  ppc::RegSet regs;
+  regs[0] = 1;
+  ASSERT_EQ(peer.call(1, regs), Status::kOk);
+  ASSERT_EQ(regs[0], 2u);
+
+  Segment view = Segment::open(name);
+  auto* hdr = reinterpret_cast<ShmHeader*>(view.base());
+  auto* lanes = view.at<LaneHeader>(hdr->lanes_off);
+  const std::uint64_t wild = view.size() + 4096;
+  for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
+    lanes[p].ring_off = wild;
+    lanes[p].waits_off = wild + 64;
+  }
+  hdr->lanes_off = wild + 128;
+  hdr->peers_off = wild + 192;
+
+  for (std::uint32_t round = 0; round < 256; ++round) {
+    for (std::size_t i = 0; i < kPpcWords; ++i) {
+      regs[i] = round * 16 + static_cast<Word>(i);
+    }
+    ASSERT_EQ(peer.call(1, regs), Status::kOk);
+    for (std::size_t i = 0; i < kPpcWords; ++i) {
+      ASSERT_EQ(regs[i], round * 16 + i + 1);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  srv.join();
+
+  // Kill the forked peer; the reaper (same thread as poll) still finds it.
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int st = 0;
+  ASSERT_EQ(::waitpid(child, &st, 0), child);
+  ::usleep(25'000);
+  peer.heartbeat();
+  EXPECT_EQ(server.reap_dead_peers(/*dead_after_ns=*/20'000'000), 1u);
+  EXPECT_EQ(server.counters().get(obs::Counter::kPeerDeaths), 1u);
+  EXPECT_EQ(server.attached_peers(), 1u);
+
+  done.store(false, std::memory_order_release);
+  srv = serve();
+  regs[0] = 7;
+  EXPECT_EQ(peer.call(1, regs), Status::kOk);
+  EXPECT_EQ(regs[0], 8u);
+  done.store(true, std::memory_order_release);
+  srv.join();
+}
+
 #endif  // __linux__
 
 }  // namespace
