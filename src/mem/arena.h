@@ -65,7 +65,7 @@ class Arena {
 
   /// Segment-backed mode: bump-allocate out of caller-provided storage —
   /// an shm_open/mmap segment being laid out by its creating process is the
-  /// intended use (src/shm/ places ring banks, wait pools and peer tables
+  /// intended use (src/shm/ places ring banks and peer tables
   /// through this). One pool, no node striping, no growth: allocation past
   /// `bytes` throws std::bad_alloc, and the destructor does NOT unmap the
   /// region — its lifetime belongs to whoever mapped it. Everything else

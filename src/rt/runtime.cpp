@@ -42,7 +42,7 @@ Runtime::Runtime(std::uint32_t slots, bool pin_threads)
     : registry_(slots), pin_threads_(pin_threads), slots_(registry_.capacity()) {
   // Deliberate placement, not first-touch accident: every slot's hot
   // structures — its ring cells and its histogram block here; CD stacks
-  // and wait blocks as they are pooled — come from the arena pool of the
+  // as they are pooled — come from the arena pool of the
   // slot's own node, so the warm path's stores stay on local memory.
   const std::uint32_t cap = registry_.capacity();
   for (SlotId s = 0; s < cap; ++s) {
@@ -65,59 +65,6 @@ void Runtime::adopt_cancel_pool(std::atomic<std::uint32_t>* flags,
                                 std::atomic<std::uint32_t>* next_token) {
   cancel_flags_ = flags;
   next_cancel_token_ = next_token;
-}
-
-Runtime::~Runtime() { shutdown(); }
-
-std::size_t Runtime::shutdown() {
-  // Quiescent by contract: this thread is the only one touching any slot,
-  // so it may assume ownership of every ring and pool without gates.
-  //
-  // Pass 1 — empty every ring without executing. A sync cell still parked
-  // here means its caller is gone (quiescence), so completing it with
-  // kCallAborted is a store nobody reads; an abandoned cell is acked
-  // exactly as a live drain would. After this pass no server-side
-  // reference to any XcallWait block exists anywhere in the runtime.
-  for (auto& sp : slots_) {
-    Slot& slot = *sp;
-    for (std::uint32_t src = 0; src < registry_.capacity(); ++src) {
-      slot.rings[src].drain([](XcallCell& cell) {
-        if (cell.wait == nullptr) return;
-        if (cell.wait->abandoned()) {
-          cell.wait->ack_abandoned();
-        } else {
-          cell.wait->complete(Status::kCallAborted);
-        }
-      });
-    }
-    slot.ready_mask.store(0, std::memory_order_relaxed);
-    slot.bulk_ready_mask.store(0, std::memory_order_relaxed);
-  }
-  // Pass 2 — reap the zombie lists. Blocks whose server acked above (or
-  // long ago) are recyclable as usual; blocks orphaned by a ring that was
-  // permanently killed (dropped completion, owner never drained) are now
-  // unreachable from any ring, so reclaiming them is safe too.
-  std::size_t reaped = 0;
-  for (auto& sp : slots_) {
-    Slot& slot = *sp;
-    while (XcallWait* z = slot.wait_zombies) {
-      slot.wait_zombies = z->next;
-      z->reset();
-      z->next = slot.wait_free;
-      slot.wait_free = z;
-      ++reaped;
-    }
-    // The reclamation invariant: every block the slot ever allocated is
-    // back on its free list. A leak here means a wait escaped both the
-    // normal recycle path and the sweep above.
-    std::size_t free_count = 0;
-    for (XcallWait* w = slot.wait_free; w != nullptr; w = w->next) {
-      ++free_count;
-    }
-    HPPC_ASSERT_MSG(free_count == slot.owned_waits.size(),
-                    "XcallWait blocks leaked past the teardown sweep");
-  }
-  return reaped;
 }
 
 EntryPointId Runtime::bind(RtServiceConfig cfg, ProgramId program,
@@ -510,11 +457,13 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
     return rc;
   };
   // One batch: every cell published before the first gap, one acquire per
-  // cell to observe its payload, one book-keeping store per batch.
-  const std::size_t n = ring.drain([this, &slot, &run_cell](XcallCell& cell) {
-    XcallWait* const w = cell.wait;
+  // cell to observe its payload, one book-keeping store per batch. The
+  // ring runs the state protocol around each cell: abandoned cells never
+  // reach this lambda, and a sync cell's reply is completed in its own
+  // line right after it returns.
+  const auto run = [this, &slot, &run_cell](XcallCell& cell) -> Status {
     // The handler runs on a server-local register file; the caller's line
-    // is written once, reply then done word, after it returns.
+    // is written once, reply then state word, after it returns.
     RegSet out = cell.regs;
     Status rc;
     if (cell_is_frame(cell)) {
@@ -524,22 +473,10 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
       CallFrame f = cell_frame(cell);
       rc = execute_frame(slot, cell.caller, f);
       out.w = f.w;
-    } else if (w != nullptr && cell.deadline != 0 && w->abandoned()) {
-      // Abandoned cell: the caller's deadline expired and it left. Ack
-      // (setting kDoneBit so the owning slot can recycle the block) and
-      // skip execution — the §4.5.2 "caller died mid-call" drain path.
-      // Only pooled deadline waits can be abandoned, so a cell without a
-      // deadline skips the probe and leaves the caller's line alone until
-      // the completion below.
-      w->ack_abandoned();
-      slot.counters.inc(obs::Counter::kSharedLinesTouched);
-      return;
     } else if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
       // A cell that drained past its deadline is not executed late: a
       // fire-and-forget cell is dropped, a sync one fails instead of
-      // burning a worker on a result nobody can use. If the caller's
-      // abandon CAS lands between the probe above and the exchange below,
-      // the exchange still sets kDoneBit, so the block stays reclaimable.
+      // burning a worker on a result nobody can use.
       rc = Status::kDeadlineExceeded;
       set_rc(out, rc);
       slot.counters.inc(obs::Counter::kDeadlineExceeded);
@@ -558,41 +495,35 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
     } else {
       rc = run_cell(cell, out);
     }
-    if (w == nullptr) return;  // fire-and-forget: results discarded
-
-    // Publish, the same step for every sync cell. Fault seams first: a
-    // dropped completion (the caller MUST hold a deadline or it waits
-    // forever — chaos-only, so never armed under frame traffic) and a
-    // delayed one (the failpoint burns its delay budget first).
-    if (HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
-      slot.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                       obs::TraceEvent::kFaultInject, cell.ep);
-      return;
+    if (cell.is_sync()) {
+      // Fault seam before a sync completion: the failpoint burns its delay
+      // budget, holding the caller's completion back.
+      if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
+        slot.counters.inc(obs::Counter::kFaultsInjected);
+        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
+                         slot.self_id, obs::TraceEvent::kFaultInject, cell.ep);
+      }
+      // The reply rides the cell line back to the caller.
+      slot.counters.inc(obs::Counter::kSharedLinesTouched);
     }
-    if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
-      slot.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                       obs::TraceEvent::kFaultInject, cell.ep);
-    }
-    // Reply store plus release exchange on the one wait line — one
-    // shared-line transfer, booked below.
-    w->reply = out;
-    if (w->complete(rc)) {
-      // The completing exchange found the parked bit: we just futex-woke
-      // a waiter that gave up its timeslice to us.
-      slot.counters.inc(obs::Counter::kWaiterKicks);
+    cell.regs = out;
+    return rc;
+  };
+  // The completing exchange found the parked bit: we just futex-woke a
+  // waiter that gave up its timeslice to us.
+  const auto kicked = [&slot]([[maybe_unused]] EntryPointId ep,
+                              [[maybe_unused]] const obs::TraceCtx& tctx) {
+    slot.counters.inc(obs::Counter::kWaiterKicks);
 #if defined(HPPC_TRACE) && HPPC_TRACE
-      // The kick instant carries the cell's request ids so the exported
-      // trace shows WHICH call's completion woke the parked waiter.
-      slot.trace_ring.record_span(
-          obs::host_trace_now(), static_cast<std::uint16_t>(slot.self_id),
-          obs::TraceEvent::kWaiterKick, cell_ep(cell.ep), cell.tctx.trace_id,
-          cell.tctx.span_id, 0);
+    // The kick instant carries the cell's request ids so the exported
+    // trace shows WHICH call's completion woke the parked waiter.
+    slot.trace_ring.record_span(
+        obs::host_trace_now(), static_cast<std::uint16_t>(slot.self_id),
+        obs::TraceEvent::kWaiterKick, cell_ep(ep), tctx.trace_id,
+        tctx.span_id, 0);
 #endif
-    }
-    slot.counters.inc(obs::Counter::kSharedLinesTouched);
-  });
+  };
+  const std::size_t n = ring.drain(run, kicked);
   if (n > 0) {
     // Drain accounting: xcall_cells_drained is the telemetry layer's
     // drain-rate source; the batch-size histogram shows how well doorbell
@@ -824,41 +755,6 @@ void Runtime::clear_request_ctx(SlotId slot) {
   slots_[slot]->cur_req = RequestCtx{};
 }
 
-XcallWait* Runtime::acquire_wait(Slot& me) {
-  // Reap zombies first: an abandoned block becomes recyclable once the
-  // server's final store (completion or abandonment ack) sets kDoneBit. A
-  // block whose server never answers (the dropped-completion failpoint)
-  // stays parked here — bounded by the number of drops, freed at ~Runtime.
-  XcallWait** prev = &me.wait_zombies;
-  while (XcallWait* z = *prev) {
-    if (z->server_finished()) {
-      *prev = z->next;
-      z->reset();
-      z->next = me.wait_free;
-      me.wait_free = z;
-    } else {
-      prev = &z->next;
-    }
-  }
-  XcallWait* w = me.wait_free;
-  if (w != nullptr) {
-    me.wait_free = w->next;
-    w->next = nullptr;
-    return w;
-  }
-  // Pool growth (slow path): the block lives on the caller slot's node —
-  // the spinner polls it far more often than the server stores to it.
-  w = arena_.create<XcallWait>(me.node);
-  me.owned_waits.push_back(w);
-  return w;
-}
-
-void Runtime::release_wait(Slot& me, XcallWait* w) {
-  w->reset();
-  w->next = me.wait_free;
-  me.wait_free = w;
-}
-
 // ---------------------------------------------------------------------------
 // The frame ABI (Figure 4 register contract)
 // ---------------------------------------------------------------------------
@@ -965,7 +861,9 @@ struct Runtime::TypedLane {
   Status execute(Runtime& rt, Slot& tgt, ProgramId caller, RegSet& r) const {
     return rt.execute_remote(tgt, caller, id, r);
   }
-  static void reply(RegSet& r, const XcallWait& w, Status) { r = w.reply; }
+  static void reply(RegSet& r, const XcallCell& cell, Status) {
+    r = cell.regs;
+  }
 
   /// Async ring-full overflow: a fire-and-forget caller cannot wait for
   /// space, so this rare case rides the legacy allocating mailbox (booked
@@ -1030,8 +928,8 @@ struct Runtime::FrameLane {
                  CallFrame& f) const {
     return rt.execute_frame(tgt, caller, f);
   }
-  static void reply(CallFrame& f, const XcallWait& w, Status rc) {
-    f.w = w.reply.w;
+  static void reply(CallFrame& f, const XcallCell& cell, Status rc) {
+    f.w = cell.regs.w;
     f.op = frame_with_rc(f.op, rc);
   }
   /// No frame wrapper posts without waiting, so nothing overflows here.
@@ -1187,9 +1085,9 @@ template <typename Lane>
   return overall;
 }
 
-// A sync submission's ring stages run out of line, so their state — a
-// ring's worth of wait lines among it — never crowds the direct stage's
-// frame and registers; an async post is light enough to stay inline.
+// A sync submission's ring stages run out of line, so their state — the
+// wait ladder among it — never crowds the direct stage's frame and
+// registers; an async post is light enough to stay inline.
 template <typename Lane>
 [[gnu::noinline]] Status Runtime::submit_ring_sync(
     const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
@@ -1208,9 +1106,8 @@ template <typename Lane>
   Slot& tgt = *slots_[target];
   const std::size_t n = reqs.size();
   const bool batched = n > 1;
-  // The deadline cells carry, and the reason a wait block is pooled: if
-  // the caller abandons, the server still points into runtime-owned
-  // storage. Frames have no lane for it.
+  // The deadline cells carry, and the one the waiter abandons at. Frames
+  // have no lane for it.
   const std::uint64_t in_flight = Lane::kInFlightContext ? adm.deadline : 0;
   Status overall = Status::kOk;
   const auto fold = [&overall](Status s) {
@@ -1254,13 +1151,6 @@ template <typename Lane>
   }
 
   XcallRing& ring = tgt.rings[caller_slot];
-  // One chunk's completion blocks. No-deadline blocks live on this frame
-  // and are constructed only for the cells the chunk asks for — a single
-  // call builds one line, not kCapacity; deadline blocks come from the
-  // caller slot's pool.
-  alignas(XcallWait) std::byte stack_waits[XcallRing::kCapacity *
-                                           sizeof(XcallWait)];
-  std::array<XcallWait*, XcallRing::kCapacity> waits;
   bool booked_full = false;
   bool decided = true;  // the first chunk's sampling decision came with us
   std::uint32_t round = 0;
@@ -1275,28 +1165,22 @@ template <typename Lane>
     // encodes each. "rt.xcall.batch.post" delays every chunk post of a
     // batch (a producer preempted mid-batch).
     const std::size_t want = std::min(n - i, XcallRing::kCapacity);
-    for (std::size_t k = 0; !async && k < want; ++k) {
-      waits[k] = in_flight ? acquire_wait(me)
-                           : ::new (stack_waits + k * sizeof(XcallWait))
-                                 XcallWait;
-    }
     if (batched && HPPC_FAULT_POINT("rt.xcall.batch.post")) fault_hit();
     std::size_t posted = 0;
+    std::uint64_t first = 0;  // a sync chunk's first ring position
     if (!force_full) {
-      posted = ring.try_post(want, [&](XcallCell& cell, std::size_t k) {
-        cell.caller = caller;
-        cell.wait = async ? nullptr : waits[k];
-        lane.encode(cell, reqs[i + k], adm);
+      posted = ring.try_post(
+          want,
+          [&](XcallCell& cell, std::size_t k) {
+            cell.caller = caller;
+            lane.encode(cell, reqs[i + k], adm);
 #if defined(HPPC_TRACE) && HPPC_TRACE
-        cell.tctx = post_ctx;
+            cell.tctx = post_ctx;
 #endif
-      });
+          },
+          async ? nullptr : &first);
     }
     force_full = false;
-    // Unpublished pooled blocks were never shared: straight back.
-    if (in_flight != 0 && !async) {
-      for (std::size_t k = posted; k < want; ++k) release_wait(me, waits[k]);
-    }
 
     if (posted == 0) {
       // Full ring: the submission's first books xcall_ring_full, each later
@@ -1360,13 +1244,14 @@ template <typename Lane>
       continue;
     }
 
-    // Wait, then complete: copy each reply out of its wait line. The first
-    // waits dominate the wall time; later ones are usually done by the
-    // time we look. No-deadline waits walk the spin→yield→park ladder. The
-    // park failpoints: "rt.xcall.park.now" collapses the yield phase so
-    // tests drive the park/kick protocol deterministically; "rt.xcall.park"
-    // is a delay seam inside the park decision, widening the
-    // park-vs-complete race.
+    // Wait, then complete: copy each reply out of its cell and hand the
+    // slot back. The first waits dominate the wall time; later ones are
+    // usually done by the time we look. A waiter without a deadline walks
+    // the spin→yield→park ladder; one with a deadline abandons its cell
+    // when it expires. The park failpoints: "rt.xcall.park.now" collapses
+    // the yield phase so tests drive the park/kick protocol
+    // deterministically; "rt.xcall.park" is a delay seam inside the park
+    // decision, widening the park-vs-complete race.
     const std::uint64_t post_t = sampled ? host_cycles() : 0;
     int yield_rounds = kWaitYieldRounds;
     if (in_flight == 0 && HPPC_FAULT_POINT("rt.xcall.park.now")) {
@@ -1374,43 +1259,36 @@ template <typename Lane>
       yield_rounds = 0;
     }
     for (std::size_t k = 0; k < posted; ++k) {
-      XcallWait& w = *waits[k];
+      XcallCell& cell = ring.cell(first + k);
       typename Lane::Req& req = reqs[i + k];
-      if (in_flight == 0) {
-        std::uint64_t park_t = 0;  // stamped at park, read after the kick
-        const Status rc = wait_complete(w, yield_rounds, help, [&] {
-          me.counters.inc(obs::Counter::kWaiterParks);
-          park_t = host_cycles();
-          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                           obs::TraceEvent::kWaiterPark, target);
-          if (HPPC_FAULT_POINT("rt.xcall.park")) fault_hit();
-        });
-        // A parked waiter always books its wakeup: parks are rare, and the
-        // stamp is the only view of the park->kick latency.
-        if (park_t != 0) {
-          me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
-        }
-        Lane::reply(req, w, rc);
-        fold(rc);
-        continue;
+      std::uint64_t park_t = 0;  // stamped at park, read after the kick
+      const std::uint32_t st =
+          wait_complete(cell, in_flight, yield_rounds, help, [&] {
+            me.counters.inc(obs::Counter::kWaiterParks);
+            park_t = host_cycles();
+            HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(),
+                             caller_slot, obs::TraceEvent::kWaiterPark,
+                             target);
+            if (HPPC_FAULT_POINT("rt.xcall.park")) fault_hit();
+          });
+      // A parked waiter always books its wakeup: parks are rare, and the
+      // stamp is the only view of the park->kick latency.
+      if (park_t != 0) {
+        me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
       }
-      bool timed_out = false;
-      const Status rc = wait_complete_deadline(
-          w, in_flight, [] { return host_cycles(); }, help, &timed_out);
-      if (timed_out) {
-        // Abandoned: the block stays on the zombie list until the server's
-        // drain acks it (or completes it — either sets kDoneBit).
-        w.next = me.wait_zombies;
-        me.wait_zombies = &w;
+      if (st == kCellAbandoned) {
+        // The cell is the server's now: it releases the slot when it
+        // reaches it.
         me.counters.inc(obs::Counter::kDeadlineExceeded);
         HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
                          obs::TraceEvent::kDeadlineExceeded, target);
         Lane::refuse(req, Status::kDeadlineExceeded);
-      } else {
-        Lane::reply(req, w, rc);
-        release_wait(me, &w);
+        fold(Status::kDeadlineExceeded);
+        continue;
       }
-      fold(rc);
+      Lane::reply(req, cell, cell_status(st));
+      ring.release(first + k);
+      fold(cell_status(st));
     }
     i += posted;
     // Complete: a one-request submission books kRttRemote (kRttDeadlined

@@ -22,7 +22,8 @@
 // machinery. The direct stage runs the call on an idle target slot
 // (LRPC-style ownership handoff through the SlotGate); the post stage
 // claims ring cells and the wait stage spins, yields and finally parks on
-// their completion words. The legacy allocating mailbox survives only as
+// their state words; each sync reply comes back in its own cell
+// (rt/xcall.h), so a call owns one ring slot and no other object. The legacy allocating mailbox survives only as
 // the control-plane/overflow channel (kill reclamation, ring-full async
 // posts). A warm cross-slot call performs zero heap allocations, asserted
 // by the mailbox_allocs counter.
@@ -197,18 +198,6 @@ class Runtime {
  public:
   /// `slots` = maximum participating threads (0 = hardware concurrency).
   explicit Runtime(std::uint32_t slots = 0, bool pin_threads = false);
-  ~Runtime();
-
-  /// Teardown sweep (idempotent; also run by the destructor). Caller must
-  /// guarantee quiescence: no thread is posting, polling, or waiting.
-  /// Drains every ring without executing — abandoned cells are acked,
-  /// never-abandoned sync cells completed with kCallAborted — then reaps
-  /// every zombie XcallWait block: once all rings are empty no server can
-  /// ever touch a block again, so even blocks orphaned by a permanently
-  /// killed ring (e.g. a dropped-completion fault on an owner that never
-  /// drained) are reclaimable. Asserts the pool is fully reclaimed.
-  /// Returns the number of zombie blocks reaped.
-  std::size_t shutdown();
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -270,10 +259,8 @@ class Runtime {
   /// (host_cycles ticks) after which the caller abandons the wait with
   /// kDeadlineExceeded, and a retry policy for the ring-full case (block /
   /// bounded backoff / fail fast — the latter two return kOverloaded when
-  /// the budget runs out). Deadline calls ride slot-pooled completion
-  /// blocks so an abandoned in-flight cell always points at storage that
-  /// outlives the caller's frame; the no-deadline path is byte-for-byte
-  /// the legacy stack-block path.
+  /// the budget runs out). An abandoned cell stays in the ring until the
+  /// server reaches it and releases it; a deadline waiter never parks.
   Status call_remote(SlotId caller_slot, SlotId target, ProgramId caller,
                      EntryPointId id, RegSet& regs, const CallOptions& opts);
 
@@ -285,15 +272,14 @@ class Runtime {
   /// (see XcallRing::try_post) — a burst of M calls costs ~1 cross-slot
   /// line transfer instead of M. Per-call results land in each RegSet's rc
   /// word; the return value is the first non-kOk rc (kOk if all passed).
-  /// Zero heap allocations: completion blocks live on this stack frame.
+  /// Zero heap allocations: each reply comes back in its own cell.
   Status call_remote_batch(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id,
                            std::span<RegSet> batch);
 
   /// call_remote_batch with per-call options: a deadline (applies to the
   /// whole batch; carried in every cell so the server also refuses to
-  /// execute expired cells late) rides slot-pooled completion blocks, and
-  /// the retry policy governs each chunk post exactly as in call_remote —
+  /// execute expired cells late), and the retry policy governs each chunk post exactly as in call_remote —
   /// both run the same engine, so a kBackoff batch against a full ring
   /// gives up with kOverloaded after `backoff_rounds` failed posts.
   Status call_remote_batch(SlotId caller_slot, SlotId target,
@@ -363,7 +349,7 @@ class Runtime {
   // ----- the memory arena (node-local placement) -----
 
   /// The runtime's hugepage-first, node-local arena. Every hot per-slot
-  /// structure — rings, CD stacks, wait blocks, histogram blocks — lives
+  /// structure — rings, CD stacks, histogram blocks — lives
   /// here, on its slot's node. Layers above (KvService's replicated hot
   /// set) may co-locate their own slot structures through this.
   mem::Arena& arena() { return arena_; }
@@ -657,17 +643,10 @@ class Runtime {
     std::vector<DeferredCall> deferred;
     std::vector<DeferredCall> deferred_scratch;  // reused across polls
     Mailbox<std::function<void()>> mailbox;
-    // Caller-side completion-block pool for deadline calls. Owned (and only
-    // linked/unlinked) by this slot's ownership holder; blocks live until
-    // the Runtime dies, so an abandoned server-visible block can never
-    // dangle. `wait_zombies` holds abandoned blocks whose server has not
-    // yet acked; they are reaped into `wait_free` on the next acquire.
-    XcallWait* wait_free = nullptr;
-    XcallWait* wait_zombies = nullptr;
-    // Arena-placed on this slot's node (storage is the arena's); the
-    // vector's size is the pool-conservation invariant shutdown() asserts.
-    std::vector<XcallWait*> owned_waits;
-    SlotGate gate;        // remote-CASed: keep off the hot members' lines
+    // Remote-CASed by thieves: aligned off the mailbox head and deferred
+    // queues the owner touches every poll (sharing their line measurably
+    // slowed both the parked-owner direct call and the ring round trip).
+    alignas(kHostCacheLine) SlotGate gate;
     // Per-producer xcall channels, indexed by the PRODUCER's slot id: each
     // (src, dst) pair gets its own ring, so concurrent posters to one slot
     // never CAS the same enqueue cursor (the rings stay MPSC internally
@@ -833,11 +812,6 @@ class Runtime {
   /// channel unconditionally — so a waiter's rescue never depends on a
   /// doorbell — and hand the gate back. Returns true if it drained.
   bool help_drain(Slot& target, SlotId self);
-  /// Caller-slot completion-block pool (deadline calls only). Reaps acked
-  /// zombies, then recycles or grows. Caller-slot-owner thread only.
-  XcallWait* acquire_wait(Slot& me);
-  void release_wait(Slot& me, XcallWait* w);
-
   /// Span bookkeeping (trace builds; no-ops otherwise). begin_span mints a
   /// span id on `slot`, emits kSpanBegin into its ring, and carries the
   /// rt.trace.drop failpoint — a dropped span returns id 0 (books
@@ -862,8 +836,8 @@ class Runtime {
 
   SlotRegistry registry_;
   bool pin_threads_;
-  // Declared before slots_ so it outlives them: every slot's rings, CDs,
-  // wait blocks and histogram block point into this arena.
+  // Declared before slots_ so it outlives them: every slot's rings, CDs
+  // and histogram block point into this arena.
   mem::Arena arena_;
   std::vector<CacheAligned<Slot>> slots_;
   std::array<std::atomic<Service*>, kMaxEntryPoints> services_{};

@@ -5,6 +5,7 @@
 // as a perf or correctness regression downstream.
 #include "rt/xcall.h"
 
+#include <bit>
 #include <type_traits>
 
 namespace hppc::rt {
@@ -27,21 +28,25 @@ static_assert(std::is_trivially_copyable_v<EntryPointId>);
 static_assert(sizeof(XcallRing) >=
               2 * kHostCacheLine + XcallRing::kCapacity * sizeof(XcallCell));
 
-// The completion block is one line: the server's reply store and its
-// done-word exchange take one ownership request for the caller's line.
-static_assert(sizeof(XcallWait) == kHostCacheLine &&
-              alignof(XcallWait) == kHostCacheLine);
+// Status must fit beside kCellDone in the 32-bit state word (the waiter
+// unpacks it with cell_status(), `v & 0xFF`).
+static_assert(sizeof(Status) == 1 && kCellDone > 0xFFu);
 
-// Status must fit beside XcallWait::kDoneBit in one 32-bit completion word
-// (the wait loop unpacks it with `v & 0xFF`).
-static_assert(sizeof(Status) == 1 && XcallWait::kDoneBit > 0xFFu);
+// The state values must be distinct and clear of the status byte: the
+// park CAS (posted→parked), the abandon CAS (posted→abandoned) and the
+// completing exchange (→done|status) each need to tell exactly which
+// transition they raced with, and the drain tells async from sync by the
+// word alone.
+static_assert(kCellPosted == 0 &&
+              ((kCellDone | kCellAbandoned | kCellParked | kCellAsync) &
+               0xFFu) == 0 &&
+              std::popcount(kCellDone | kCellAbandoned | kCellParked |
+                            kCellAsync) == 4);
 
-// The three state bits of the completion word must be distinct and all
-// clear of the status byte: the park CAS (0→kParkedBit), the abandon CAS
-// (0→kAbandonedBit), and the completing exchange (→kDoneBit|status) each
-// need to be able to tell exactly which transition they raced with.
-static_assert((XcallWait::kParkedBit &
-               (XcallWait::kDoneBit | XcallWait::kAbandonedBit | 0xFFu)) == 0);
+// The ring holds no pointer, so it can live in a segment that maps at a
+// different address in every process (src/shm) and needs no destructor.
+static_assert(std::is_trivially_destructible_v<XcallRing>);
+static_assert(std::is_trivially_destructible_v<XcallCell>);
 
 // The cell deadline is plain payload: published before the seq release
 // store, read by the consumer after its acquire — same discipline as regs.

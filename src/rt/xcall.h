@@ -7,7 +7,7 @@
 // slot operation paid an allocation plus unbounded CAS contention. This
 // header replaces that hot path with a per-slot bounded MPSC ring of
 // fixed-size, cache-line-sized POD cells (caller program, entry point,
-// inline RegSet payload, completion pointer), in the style of the
+// inline RegSet payload, completion state word), in the style of the
 // shared-memory rings the memory-offloading IPC literature places between
 // "same-core procedure call" and "kernel message queue".
 //
@@ -31,13 +31,19 @@
 //                acquire/release CAS pair, so single-consumer structures
 //                stay single-consumer *at a time*.
 //
-//   XcallWait  — the caller-side completion block for synchronous calls:
-//                one cache line holding the reply and one atomic word (0
-//                while pending, 0x100|Status when done) waited on with an
-//                adaptive spin→yield→park ladder.
-//                A waiter that exhausts its yield budget parks on the word
-//                (C++20 atomic wait); the completing server's exchange sees
-//                the parked bit and kicks it with one notify.
+//   The cell   — also the completion: a sync call's reply comes back in the
+//                cell's RegSet and its state word moves posted → done with
+//                one server exchange, so a call moves one line each way.
+//                The caller waits on that word with an adaptive
+//                spin→yield→park ladder (wait_complete); a waiter that
+//                exhausts its yield budget parks on the word (C++20 atomic
+//                wait) and the completing exchange sees the parked bit and
+//                kicks it with one notify. A call owns its cell and
+//                nothing else.
+//
+// This header is the one home of the cell format and the completion
+// protocol; the in-process runtime (rt/runtime.cpp) and the cross-process
+// transport (shm/transport.cpp) both run it and keep no copy.
 //
 // Posting: XcallRing::try_post() claims N contiguous cells (N = 1 for a
 // single call) with ONE CAS and publishes the whole run with ONE release
@@ -56,10 +62,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 
 #include "common/cacheline.h"
 #include "common/cpu_relax.h"
 #include "common/status.h"
+#include "common/tsc.h"
 #include "common/types.h"
 #include "obs/trace.h"
 #include "ppc/regs.h"
@@ -72,96 +80,48 @@ namespace hppc::rt {
 // callers.
 using ::hppc::cpu_relax;
 
-/// Caller-side completion block for a synchronous cross-slot call: exactly
-/// one cache line holding the done word, the inline reply and the pool
-/// link. The server runs the handler on a local RegSet, then stores the
-/// reply and exchanges the done word back to back — one ownership request
-/// for the caller's line per call, and no ping-pong with the spinning
-/// caller while the handler runs. The caller copies the reply out after
-/// completion. The default (no-deadline) path keeps the block on the
-/// caller's stack (cache-hot for the spinner); deadline calls use
-/// slot-pooled blocks, so a caller that abandons the wait leaves the
-/// server a target that stays valid forever.
+/// The cell state word: the whole completion protocol of a call, in the
+/// cell that carried it. The producer writes it with the payload; after
+/// that, the transitions are:
 ///
-/// The done word is a tiny state machine:
-///   0                      — pending (caller spinning or yielding)
-///   kParkedBit             — pending, caller parked on the word (only
-///                            no-deadline waiters ever park)
-///   kAbandonedBit          — caller's deadline expired; it left (only
-///                            pooled blocks ever reach this state)
-///   kDoneBit | status      — server completed (reply valid)
-///   kDoneBit|kAbandonedBit|status — server acknowledged an abandoned cell
-///                            without executing it (block is recyclable)
-/// The caller abandons with a CAS from 0, so it can never erase a
-/// completion; the caller parks with a CAS from 0, so it can never park
-/// over one; the server's final exchange always sets kDoneBit and observes
-/// the parked bit it replaces, so a parked waiter is always kicked and an
-/// abandoned block always becomes reclaimable once its cell drains.
-struct alignas(kHostCacheLine) XcallWait {
-  static constexpr std::uint32_t kDoneBit = 0x100;
-  static constexpr std::uint32_t kAbandonedBit = 0x200;
-  static constexpr std::uint32_t kParkedBit = 0x400;
+///   kCellAsync             fire-and-forget; nobody waits, the consumer's
+///                          drain retires the cell.
+///   kCellPosted            sync call in flight, caller spinning/yielding.
+///   kCellPosted → kCellParked      caller CAS: parked on the word (futex).
+///   kCellPosted → kCellAbandoned   caller CAS on deadline expiry: it left,
+///                          the consumer releases the cell when it gets
+///                          there (an abandoned cell is its own zombie).
+///   any → kCellDone | status       consumer exchange, after storing the
+///                          reply in `regs`. It sees the parked bit it
+///                          replaces (and kicks), or the abandoned value
+///                          (and releases the cell itself).
+///
+/// Who releases the slot (seq = pos + capacity): the consumer for async
+/// and abandoned cells; the caller for a completed sync cell, after it has
+/// copied the reply out — so the slot is held for the length of the call.
+/// The caller's CASes are from kCellPosted only, so a parker or an
+/// abandoner can never erase a completion.
+inline constexpr std::uint32_t kCellPosted = 0;
+inline constexpr std::uint32_t kCellDone = 0x100;
+inline constexpr std::uint32_t kCellAbandoned = 0x200;
+inline constexpr std::uint32_t kCellParked = 0x400;
+inline constexpr std::uint32_t kCellAsync = 0x800;
 
-  std::atomic<std::uint32_t> done{0};
-  XcallWait* next = nullptr;  // caller-slot pool link (pooled waits)
-  ppc::RegSet reply{};        // the server's reply words, valid once done
-
-  /// Server side: publish the result. The exchange (not a plain store)
-  /// closes the park race — a waiter parks by CAS 0→kParkedBit, so either
-  /// its CAS loses to this exchange and it sees the result without
-  /// sleeping, or this exchange observes the parked bit and kicks it.
-  /// Returns true when a parked waiter was woken (for the kick counter).
-  bool complete(Status rc) {
-    const std::uint32_t prev =
-        done.exchange(kDoneBit | static_cast<std::uint32_t>(rc),
-                      std::memory_order_acq_rel);
-    if ((prev & kParkedBit) != 0) {
-      done.notify_one();
-      return true;
-    }
-    return false;
-  }
-
-  /// Server side, before executing: an abandoned cell is acknowledged
-  /// (kDoneBit set so the owner can recycle the block) and skipped.
-  bool abandoned() const {
-    return (done.load(std::memory_order_acquire) & kAbandonedBit) != 0;
-  }
-  void ack_abandoned() {
-    done.store(kDoneBit | kAbandonedBit |
-                   static_cast<std::uint32_t>(Status::kCallAborted),
-               std::memory_order_release);
-  }
-
-  /// Caller side, on deadline expiry. True: the wait is abandoned and the
-  /// caller may leave (the block must survive until the server acks).
-  /// False: the server completed first — the caller takes the real result.
-  bool try_abandon() {
-    std::uint32_t expect = 0;
-    return done.compare_exchange_strong(expect, kAbandonedBit,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire);
-  }
-
-  /// Owner-side recycling check: the server's final store (completion or
-  /// abandonment ack) has landed and nobody else will touch the block.
-  bool server_finished() const {
-    return (done.load(std::memory_order_acquire) & kDoneBit) != 0;
-  }
-
-  void reset() {
-    done.store(0, std::memory_order_relaxed);
-    next = nullptr;
-  }
-};
+/// The status a kCellDone state word carries.
+inline Status cell_status(std::uint32_t state) {
+  return static_cast<Status>(state & 0xFFu);
+}
 
 /// One ring cell: exactly one cache line in shipped builds. `seq` is the
 /// Vyukov sequence (cell i starts at i; a producer claiming position p
-/// publishes p+1; the consumer retires it to p+capacity). `wait == nullptr`
-/// marks a fire-and-forget (async) cell. `deadline` is an absolute
-/// host_cycles() tick (0 = none): a cell that drains after its deadline is
-/// not executed late — the server drops it (async) or completes it with
-/// kDeadlineExceeded (sync), booking deadline_exceeded either way.
+/// publishes p+1; the slot is free again at p+capacity). `state` is the
+/// completion word above. `deadline` is an absolute host_cycles() tick
+/// (0 = none): a cell that drains after its deadline is not executed late
+/// — the server drops it (async) or completes it with kDeadlineExceeded
+/// (sync), booking deadline_exceeded either way. A sync call's reply comes
+/// back in `regs`, the register set that carried its arguments (Figure 4).
+/// The cell holds no pointers, so a ring of them works unchanged inside a
+/// cross-process segment (src/shm).
 ///
 /// Trace builds (HPPC_TRACE=1) carry the request's TraceCtx inline in the
 /// cell — that is how a span crosses the ring to the server slot. The 16
@@ -170,14 +130,19 @@ struct alignas(kHostCacheLine) XcallWait {
 /// leaks into the configuration the paper's numbers come from.
 struct alignas(kHostCacheLine) XcallCell {
   std::atomic<std::uint64_t> seq{0};
-  XcallWait* wait = nullptr;
-  std::uint64_t deadline = 0;
-  ppc::RegSet regs{};  // inline request payload — no indirection, no alloc
+  std::atomic<std::uint32_t> state{kCellPosted};
   ProgramId caller = 0;
+  std::uint64_t deadline = 0;
+  ppc::RegSet regs{};  // request in, reply out — no indirection, no alloc
   EntryPointId ep = 0;
 #if defined(HPPC_TRACE) && HPPC_TRACE
   obs::TraceCtx tctx{};  // request context riding the cell across slots
 #endif
+
+  /// Consumer side: does a caller wait on this cell?
+  bool is_sync() const {
+    return state.load(std::memory_order_relaxed) != kCellAsync;
+  }
 };
 static_assert(sizeof(XcallCell) % kHostCacheLine == 0,
               "cells must tile cache lines exactly");
@@ -252,10 +217,16 @@ inline bool cell_is_bulk(EntryPointId wire) {
   return (wire & kCellBulkBit) != 0;
 }
 
+/// Consumer-side no-op for drain()'s kick callback.
+struct NoKick {
+  void operator()(EntryPointId, const obs::TraceCtx&) const {}
+};
+
 /// Bounded MPSC ring channel. Any thread posts; only the slot's current
 /// ownership holder (owner thread, or a remote thread that won the
 /// SlotGate) drains. Capacity is a compile-time power of two so the index
-/// wrap is a mask.
+/// wrap is a mask. No member is a pointer, so the ring is position-
+/// independent: the shm transport places one per peer in its segment.
 class XcallRing {
  public:
   static constexpr std::size_t kCapacity = 64;
@@ -274,19 +245,24 @@ class XcallRing {
   /// cells with ONE CAS on the enqueue cursor, calls `fill(cell, i)` for
   /// each claimed cell i, and publishes the run with ONE release store —
   /// the doorbell of a batch, and the whole protocol for a single cell.
-  /// `fill` must write every payload field (caller, ep, regs, wait,
-  /// deadline and, in trace builds, tctx): cells are reused. Returns the
-  /// number of cells posted; 0 means the ring is full (the caller takes its
-  /// retry or overflow path). Never blocks, never allocates.
+  /// `fill` must write every payload field (caller, ep, regs, deadline
+  /// and, in trace builds, tctx): cells are reused. The ring writes the
+  /// state word: with `sync_first` null the cells are fire-and-forget;
+  /// otherwise they are sync calls, *sync_first receives the position of
+  /// the first, and the caller waits on each (wait_complete) and hands it
+  /// back (release). Returns the number of cells posted; 0 means the ring
+  /// is full (the caller takes its retry or overflow path). Never blocks,
+  /// never allocates.
   ///
-  /// The claim is validated against the run's LAST cell: the consumer
-  /// retires cells in order, so `cells[pos+m-1].seq == pos+m-1` implies the
-  /// whole run [pos, pos+m) is free. A seq BEHIND that position means the
-  /// run is not free at this length — it is halved until it fits. A seq
-  /// AHEAD of it means another producer moved the cursor since we loaded
-  /// it; the cursor is reloaded and the full run retried, so a racing
-  /// producer never turns a ring with room into a "full" answer. A short
-  /// count is not an error — the caller re-submits the tail.
+  /// The claim is validated against every cell of the run: slots are
+  /// released out of order (a caller releases its cell when its call ends,
+  /// the consumer retires async and abandoned cells as it drains), so one
+  /// free cell says nothing about its neighbours. A seq BEHIND its
+  /// position means that cell is still held — the run is halved until it
+  /// fits. A seq AHEAD of it means another producer moved the cursor since
+  /// we loaded it; the cursor is reloaded and the full run retried, so a
+  /// racing producer never turns a ring with room into a "full" answer. A
+  /// short count is not an error — the caller re-submits the tail.
   ///
   /// Cells after the run's first are published with relaxed seq stores;
   /// that is sound because the single consumer drains strictly in order,
@@ -294,17 +270,20 @@ class XcallRing {
   /// synchronizes-with the release below and the relaxed stores sequenced
   /// before it.
   template <typename Fill>
-  std::size_t try_post(std::size_t n, Fill&& fill) {
+  std::size_t try_post(std::size_t n, Fill&& fill,
+                       std::uint64_t* sync_first = nullptr) {
     if (n == 0) return 0;
     if (n > kCapacity) n = kCapacity;
     std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     std::size_t m = n;
     for (;;) {
-      const std::uint64_t last = pos + m - 1;
-      const std::uint64_t seq =
-          cells_[last & (kCapacity - 1)].seq.load(std::memory_order_acquire);
-      const std::int64_t dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(last);
+      std::int64_t dif = 0;
+      for (std::size_t k = 0; k < m && dif == 0; ++k) {
+        const std::uint64_t seq =
+            cell(pos + k).seq.load(std::memory_order_acquire);
+        dif = static_cast<std::int64_t>(seq) -
+              static_cast<std::int64_t>(pos + k);
+      }
       if (dif == 0) {
         if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
                                                std::memory_order_relaxed)) {
@@ -312,39 +291,106 @@ class XcallRing {
         }
         m = n;  // the CAS reloaded pos: revalidate the full run there
       } else if (dif < 0) {
-        m >>= 1;  // not free at this length: the consumer is behind
+        m >>= 1;  // a cell of the run is still held
         if (m == 0) return 0;
       } else {
         pos = enqueue_pos_.load(std::memory_order_relaxed);  // stale cursor
         m = n;
       }
     }
+    if (sync_first != nullptr) *sync_first = pos;
+    const std::uint32_t kind = sync_first != nullptr ? kCellPosted : kCellAsync;
     // Fill back to front so the run's first cell — the one the consumer's
     // drain cursor is waiting on — is published last, with release.
     for (std::size_t i = m; i-- > 0;) {
-      XcallCell& cell = cells_[(pos + i) & (kCapacity - 1)];
-      fill(cell, i);
-      cell.seq.store(pos + i + 1, i == 0 ? std::memory_order_release
-                                         : std::memory_order_relaxed);
+      XcallCell& c = cell(pos + i);
+      c.state.store(kind, std::memory_order_relaxed);
+      fill(c, i);
+      c.seq.store(pos + i + 1, i == 0 ? std::memory_order_release
+                                      : std::memory_order_relaxed);
     }
     return m;
   }
 
-  /// Ownership holder only. Consumes every ready cell in one batch —
-  /// `fn(cell)` per cell — and retires them. Returns the batch size.
-  template <typename Fn>
-  std::size_t drain(Fn&& fn) {
+  /// The cell at ring position `pos`.
+  XcallCell& cell(std::uint64_t pos) { return cells_[pos & (kCapacity - 1)]; }
+
+  /// Caller of a sync cell, once its completion is observed and its reply
+  /// copied out: hand the slot back to producers. A CAS from the posted
+  /// seq, so a release that races a re-arm of the ring (the shm reaper)
+  /// cannot land on a cell that no longer belongs to this call.
+  void release(std::uint64_t pos) {
+    std::uint64_t posted = pos + 1;
+    cell(pos).seq.compare_exchange_strong(posted, pos + kCapacity,
+                                          std::memory_order_release,
+                                          std::memory_order_relaxed);
+  }
+
+  /// Ownership holder only. Consumes every ready cell in one batch and
+  /// returns the batch size. `fn(cell)` runs a cell's request and returns
+  /// its Status with the reply stored in `cell.regs` (a void `fn` answers
+  /// kOk). The ring then runs the consumer half of the state protocol: an
+  /// abandoned cell is released without running `fn`; an async cell is
+  /// retired; a sync cell is completed with one exchange, which is the
+  /// consumer's last access to it — unless the caller abandoned it in the
+  /// meantime, in which case the consumer releases it. `on_kick(ep, tctx)`
+  /// runs after a completion woke a parked caller, with the cell's entry
+  /// point and (trace builds) trace context, both read before the
+  /// exchange.
+  template <typename Fn, typename OnKick = NoKick>
+  std::size_t drain(Fn&& fn, OnKick&& on_kick = {}) {
     std::size_t n = 0;
     for (;;) {
-      std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-      XcallCell& cell = cells_[pos & (kCapacity - 1)];
-      if (cell.seq.load(std::memory_order_acquire) != pos + 1) break;
-      fn(cell);
-      cell.seq.store(pos + kCapacity, std::memory_order_release);
+      const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
+      XcallCell& c = cell(pos);
+      if (c.seq.load(std::memory_order_acquire) != pos + 1) break;
+      const std::uint32_t st = c.state.load(std::memory_order_acquire);
+      bool retire = true;
+      if (st != kCellAbandoned) {
+        Status rc = Status::kOk;
+        if constexpr (std::is_void_v<decltype(fn(c))>) {
+          fn(c);
+        } else {
+          rc = fn(c);
+        }
+        if (st != kCellAsync) {
+          const EntryPointId ep = c.ep;
+#if defined(HPPC_TRACE) && HPPC_TRACE
+          const obs::TraceCtx tctx = c.tctx;
+#else
+          const obs::TraceCtx tctx{};
+#endif
+          const std::uint32_t prev = complete(c, rc);
+          if ((prev & kCellParked) != 0) on_kick(ep, tctx);
+          retire = prev == kCellAbandoned;  // else the caller releases it
+        }
+      }
+      if (retire) c.seq.store(pos + kCapacity, std::memory_order_release);
       dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
       ++n;
     }
     return n;
+  }
+
+  /// Consumer, once the ring's only producer is gone (the shm reaper):
+  /// complete every published, undrained sync cell with `rc` — nothing
+  /// executes — then re-arm the ring. The re-arm resets the seq words and
+  /// both cursors only: state words stay as they are, so a producer that
+  /// was merely wedged still observes its completion. Reads no producer
+  /// cursor, so it visits at most kCapacity cells whatever the ring holds.
+  void abort_and_rearm(Status rc) {
+    const std::uint64_t deq = dequeue_pos_.load(std::memory_order_relaxed);
+    for (std::uint64_t pos = deq; pos != deq + kCapacity; ++pos) {
+      XcallCell& c = cell(pos);
+      if (c.seq.load(std::memory_order_acquire) != pos + 1) continue;
+      const std::uint32_t st = c.state.load(std::memory_order_acquire);
+      if (st != kCellAsync && st != kCellAbandoned) complete(c, rc);
+    }
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      cells_[i].seq.store(i, std::memory_order_relaxed);
+    }
+    enqueue_pos_.store(0, std::memory_order_relaxed);
+    dequeue_pos_.store(0, std::memory_order_relaxed);
   }
 
   /// Ownership holder (or a racy observer): is the next cell to drain
@@ -367,6 +413,18 @@ class XcallRing {
   }
 
  private:
+  /// Publish a sync cell's completion (reply already in regs): the
+  /// exchange closes the park race — a caller parks by CAS posted→parked,
+  /// so either its CAS loses and it sees the result without sleeping, or
+  /// this exchange observes the parked bit and kicks it. Returns the state
+  /// it replaced.
+  static std::uint32_t complete(XcallCell& c, Status rc) {
+    const std::uint32_t prev = c.state.exchange(
+        kCellDone | static_cast<std::uint32_t>(rc), std::memory_order_acq_rel);
+    if ((prev & kCellParked) != 0) c.state.notify_one();
+    return prev;
+  }
+
   // Producer-shared and consumer-private positions on separate lines so
   // remote CAS traffic never collides with the drain cursor.
   alignas(kHostCacheLine) std::atomic<std::uint64_t> enqueue_pos_{0};
@@ -458,43 +516,63 @@ inline constexpr std::uint32_t kDoorbellIdlePolls = 64;
 /// only happens when someone else demonstrably holds the slot.
 inline constexpr int kWaitYieldRounds = 64;
 
-/// Adaptive completion wait — the spin→yield→park ladder:
+/// `yield_rounds` for a waiter that must never park: an shm peer, whose
+/// private futex would not cross the address space to the server.
+inline constexpr int kNeverPark = -1;
+
+/// Adaptive completion wait on a posted sync cell — the spin→yield→park
+/// ladder:
 ///
-///   spin   96 cpu_relax polls of the done word (the multi-core happy
+///   spin   96 cpu_relax polls of the state word (the multi-core happy
 ///          path, where the server replies within the spin window);
 ///   yield  up to `yield_rounds` rounds of help() + sched yield, so a
 ///          time-sliced server can run and an idle target can be drained
 ///          by the waiter itself (`help` steals the gate and drains);
-///   park   CAS the done word 0→kParkedBit and block in the C++20 atomic
-///          wait until the server's completing exchange — which observes
-///          the parked bit it replaced — kicks us with notify_one().
+///   park   CAS the state word kCellPosted→kCellParked and block in the
+///          C++20 atomic wait until the server's completing exchange —
+///          which observes the parked bit it replaced — kicks us with
+///          notify_one().
 ///
+/// `deadline` is an absolute host_cycles() tick, 0 for none. A waiter
+/// holding one never parks (atomic wait has no timeout): each yield round
+/// checks the clock and, on expiry, abandons with a CAS from kCellPosted.
+/// A completion that races the expiry wins, so the caller takes the real
+/// result rather than reporting a deadline it missed by nanoseconds.
+///
+/// Returns the final state word: kCellDone | status (the reply is in
+/// cell.regs; the caller copies it out, then releases the slot), or
+/// kCellAbandoned (the cell now belongs to the server, which releases it).
 /// `on_park` runs once per park attempt, before blocking (counters/trace/
-/// failpoints). Deadline waiters must NOT use this path (atomic wait has
-/// no timeout); they stay on wait_complete_deadline's spin+yield loop.
-/// The park CAS is from 0 only, so a parker can never erase a completion
-/// or an abandonment; completion checks mask kDoneBit, so a stale parked
-/// bit observed after a spurious wake never reads as a result. Always
-/// inlined: an out-of-line spin loop measurably lengthened the ring round
-/// trip (hostbench kv_ring p50).
+/// failpoints). The park CAS is from kCellPosted only, so a parker can
+/// never erase a completion; completion checks test kCellDone, so a stale
+/// parked value observed after a spurious wake never reads as a result.
+/// Always inlined: an out-of-line spin loop measurably lengthened the ring
+/// round trip (hostbench kv_ring p50).
 template <typename Helper, typename OnPark>
-[[gnu::always_inline]] inline Status wait_complete(XcallWait& wait,
-                                                   int yield_rounds,
-                                                   Helper&& help,
-                                                   OnPark&& on_park) {
+[[gnu::always_inline]] inline std::uint32_t wait_complete(
+    XcallCell& cell, std::uint64_t deadline, int yield_rounds, Helper&& help,
+    OnPark&& on_park) {
   constexpr int kSpins = 96;
-  for (int round = 0;; ++round) {
+  for (int round = 0;;) {
     for (int i = 0; i < kSpins; ++i) {
-      const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-      if ((v & XcallWait::kDoneBit) != 0) {
-        return static_cast<Status>(v & 0xFFu);
-      }
+      const std::uint32_t v = cell.state.load(std::memory_order_acquire);
+      if ((v & kCellDone) != 0) return v;
       cpu_relax();
     }
+    if (deadline != 0 && host_cycles() >= deadline) {
+      std::uint32_t v = kCellPosted;
+      if (cell.state.compare_exchange_strong(v, kCellAbandoned,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+        return kCellAbandoned;
+      }
+      return v;  // lost to the completing exchange: v is its done word
+    }
     help();
-    const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-    if ((v & XcallWait::kDoneBit) != 0) return static_cast<Status>(v & 0xFFu);
-    if (round < yield_rounds) {
+    const std::uint32_t v = cell.state.load(std::memory_order_acquire);
+    if ((v & kCellDone) != 0) return v;
+    if (deadline != 0 || yield_rounds == kNeverPark ||
+        round++ < yield_rounds) {
       std::this_thread::yield();
       continue;
     }
@@ -503,56 +581,19 @@ template <typename Helper, typename OnPark>
     // or a helping thief) is guaranteed to reach it and kick us.
     on_park();
     for (;;) {
-      std::uint32_t cur = wait.done.load(std::memory_order_acquire);
-      if ((cur & XcallWait::kDoneBit) != 0) {
-        return static_cast<Status>(cur & 0xFFu);
-      }
-      if (cur == 0 &&
-          !wait.done.compare_exchange_strong(cur, XcallWait::kParkedBit,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
+      std::uint32_t cur = cell.state.load(std::memory_order_acquire);
+      if ((cur & kCellDone) != 0) return cur;
+      if (cur == kCellPosted &&
+          !cell.state.compare_exchange_strong(cur, kCellParked,
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
         continue;  // completion raced in under us — re-examine
       }
-      // Blocks while the word still reads kParkedBit; the server's
+      // Blocks while the word still reads kCellParked; the server's
       // completing exchange changes it and notifies. Spurious wakes just
       // re-run the loop.
-      wait.done.wait(XcallWait::kParkedBit, std::memory_order_acquire);
+      cell.state.wait(kCellParked, std::memory_order_acquire);
     }
-  }
-}
-
-/// Deadline variant: the same spin-then-yield loop, but each yield round
-/// checks `now()` against `deadline` and, on expiry, tries to abandon the
-/// wait. Returns the completion status with `*timed_out == false`, or —
-/// when the abandon CAS wins — Status::kDeadlineExceeded with
-/// `*timed_out == true` (the caller must treat `wait` as in flight until
-/// the server acks). A completion that races the expiry wins: the caller
-/// takes the real result rather than reporting a deadline it missed by
-/// nanoseconds.
-template <typename Helper, typename Clock>
-Status wait_complete_deadline(XcallWait& wait, std::uint64_t deadline,
-                              Clock&& now, Helper&& help, bool* timed_out) {
-  constexpr int kSpins = 96;
-  *timed_out = false;
-  for (;;) {
-    for (int i = 0; i < kSpins; ++i) {
-      const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-      if (v != 0) return static_cast<Status>(v & 0xFFu);
-      cpu_relax();
-    }
-    if (now() >= deadline) {
-      if (wait.try_abandon()) {
-        *timed_out = true;
-        return Status::kDeadlineExceeded;
-      }
-      // Lost to the server: the result is (or is about to be) published.
-      // Spin it out (never park — the completing exchange is imminent).
-      return wait_complete(wait, /*yield_rounds=*/1 << 20, help, [] {});
-    }
-    help();
-    const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-    if (v != 0) return static_cast<Status>(v & 0xFFu);
-    std::this_thread::yield();
   }
 }
 

@@ -3,46 +3,44 @@
 // OFFSETS from the segment base — never raw pointers, because the segment
 // maps at a different virtual address in every process that opens it.
 //
-// This is the paper's PPC data area crossed with the xcall layer: the
-// same Vyukov ring-cell protocol rt/xcall.h runs between slots of one
-// process, laid out inside an shm_open/mmap segment so a caller PROCESS
-// and a server PROCESS exchange warm null PPCs with zero locks and zero
-// allocations. The wait-block done word reuses rt::XcallWait's kDoneBit,
-// with one cross-process amendment: nobody ever parks or abandons.
-// std::atomic::wait lowers to FUTEX_WAIT_PRIVATE, which does not cross
-// address spaces, so shm waiters spin-then-sched_yield until the server
-// completes them (a dead peer's calls are completed by the reaper).
+// This is the paper's PPC data area crossed with the xcall layer: each
+// peer's call lane IS an rt::XcallRing (rt/xcall.h) laid out inside an
+// shm_open/mmap segment, so a caller PROCESS and a server PROCESS run the
+// same cell format and completion protocol as two slots of one process —
+// the reply comes back in the cell that carried the call. One amendment
+// across the process boundary: nobody parks. std::atomic::wait lowers to
+// FUTEX_WAIT_PRIVATE, which does not cross address spaces, so shm waiters
+// spin-then-sched_yield until the server completes them (a dead peer's
+// calls are completed by the reaper).
 //
 // Creation protocol: the server process lays the segment out through a
 // segment-backed mem::Arena (mem/arena.h), records every offset in the
 // ShmHeader, and publishes the header with a release store of the magic
 // word — an opener acquire-loads the magic before trusting any offset.
 // The server itself keeps process-private pointers from create time and
-// never re-reads an offset from the (peer-writable) segment.
+// never re-reads an offset from the (peer-writable) segment; no cell
+// carries an offset, so nothing a peer writes can make the server write
+// outside that peer's own lane.
 //
 // Ownership map (who writes what, and which lines move per call): the
-// only lines that cross between peer and server on a warm call are the
-// ring cell and the wait block. Every other line a call touches is
-// written by one side only and read by the other rarely or never:
-//   * LaneHeader line 0 (enqueue_pos, wait_free_off) — the peer, twice
-//                          per call; the server reads it only when
-//                          reaping;
-//   * LaneHeader line 1 (dequeue_pos) — the server, once per drain batch;
-//   * LaneHeader line 2 (ring_off, waits_off) — written at create time,
-//                          read by a peer at attach;
+// only line that crosses between peer and server on a warm call is the
+// ring cell, plus the peer's heartbeat store. Every other line a call
+// touches is written by one side only and read by the other rarely or
+// never:
+//   * lane enqueue line (XcallRing's enqueue cursor) — the peer, once per
+//                          call;
+//   * lane dequeue line (XcallRing's dequeue cursor) — the server, once
+//                          per drained cell;
+//   * lane ring cells    — the owning peer posts and releases, the server
+//                          drains and completes in place (per-peer lanes,
+//                          so rings are SPSC here, but they keep the MPSC
+//                          claim protocol of the in-process layer);
 //   * PeerSlot line 0 (state, pid, generation, program) — CAS-claimed by
 //                          attaching peers, reset by the server's reaper;
-//                          the server loads `state` every poll pass;
+//                          the server loads `state` every poll pass and
+//                          the peer loads `generation` twice per call;
 //   * PeerSlot line 1 (heartbeat_ns) — the peer, once per call; read by
 //                          the reaper;
-//   * lane ring cells    — the owning peer posts, the server drains
-//                          (per-peer lanes, so rings are SPSC here, but
-//                          they keep the MPSC claim protocol of the
-//                          in-process layer);
-//   * wait blocks        — the owning peer acquires/releases; the server
-//                          writes the reply and the done word back to
-//                          back; the reaper rebuilds the free list
-//                          wholesale after a death;
 //   * cancel pool        — any process raises flags; the server's drain
 //                          sweep reads them (rt::Runtime::adopt_cancel_pool
 //                          points a runtime at this pool);
@@ -63,15 +61,14 @@
 namespace hppc::shm {
 
 inline constexpr std::uint64_t kShmMagic = 0x48505043'53484d31ull;  // HPPCSHM1
-inline constexpr std::uint32_t kShmVersion = 1;
+/// v2: lanes are rt::XcallRings and the reply comes back in the cell (no
+/// wait blocks).
+inline constexpr std::uint32_t kShmVersion = 2;
 
 /// Peers one segment can host (one call lane each).
 inline constexpr std::uint32_t kMaxShmPeers = 8;
-/// Cells per peer lane; power of two (index wrap is a mask).
-inline constexpr std::uint32_t kShmRingCapacity = 64;
-/// Wait blocks per lane: one per cell is exactly enough, because a call
-/// holds one cell and one wait for its whole lifetime.
-inline constexpr std::uint32_t kShmWaitsPerLane = kShmRingCapacity;
+/// Cells per peer lane.
+inline constexpr std::uint32_t kShmRingCapacity = rt::XcallRing::kCapacity;
 /// Grantable bulk-data regions per segment.
 inline constexpr std::uint32_t kMaxShmRegions = 32;
 /// Entries in the server's shm dispatch table.
@@ -81,73 +78,8 @@ inline constexpr std::uint32_t kMaxShmEps = 64;
 /// legitimately sits there.
 inline constexpr std::uint64_t kNullOff = 0;
 
-// -- wait blocks ------------------------------------------------------------
-
-/// The cross-process completion block: exactly one cache line holding the
-/// done word, the lane free-list link and the inline reply. The server
-/// runs the handler on a local RegSet, then stores the reply and the done
-/// word back to back, so the waiter's line moves once per call. The done
-/// word uses rt::XcallWait's kDoneBit; shm waiters never park or abandon.
-struct alignas(kHostCacheLine) ShmWait {
-  static constexpr std::uint32_t kDoneBit = rt::XcallWait::kDoneBit;
-
-  std::atomic<std::uint32_t> done{0};
-  std::uint32_t pad = 0;
-  std::uint64_t next_off = kNullOff;  // lane free-list link (peer-private)
-  ppc::RegSet reply;                  // server writes the reply words here
-
-  /// Server side: publish the result. No notify — shm waiters never park.
-  void complete(Status rc) {
-    done.store(kDoneBit | static_cast<std::uint32_t>(rc),
-               std::memory_order_release);
-  }
-
-  bool completed() const {
-    return (done.load(std::memory_order_acquire) & kDoneBit) != 0;
-  }
-  Status result() const {
-    return static_cast<Status>(done.load(std::memory_order_acquire) & 0xFF);
-  }
-  void reset() { done.store(0, std::memory_order_relaxed); }
-};
-static_assert(sizeof(ShmWait) == kHostCacheLine, "one wait, one cache line");
-static_assert(std::is_trivially_destructible_v<ShmWait>);
-
-// -- ring cells -------------------------------------------------------------
-
-/// One lane cell: the 64-byte XcallCell with the wait pointer replaced by
-/// a segment offset. `ep` uses the in-process packing (rt::cell_pack_ep —
-/// entry point low, cancel-token index at kCellTokenShift, kCellBulkBit);
-/// `aux` is the spare 8-byte lane (op word for future frame-style calls).
-struct alignas(kHostCacheLine) ShmCell {
-  std::atomic<std::uint64_t> seq{0};
-  std::uint32_t ep = 0;
-  std::uint32_t caller = 0;    // the posting peer's program token (§4.1)
-  std::uint64_t wait_off = kNullOff;
-  std::uint64_t aux = 0;
-  ppc::RegSet regs;
-};
-static_assert(sizeof(ShmCell) == 64, "one cell, one cache line");
-static_assert(std::is_trivially_destructible_v<ShmCell>);
-
-// -- lanes ------------------------------------------------------------------
-
-/// One peer's call lane: a bounded ring of ShmCells plus that peer's wait
-/// pool. Each line has one writer: the peer's line (enqueue cursor and
-/// wait free list), the server's line (dequeue cursor), and the layout
-/// line written once at create time — so the poster and the drainer never
-/// bounce a line that isn't a cell or a wait.
-struct LaneHeader {
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> enqueue_pos{0};
-  /// Head of the lane's wait free list (offset; kNullOff = empty). Owned
-  /// by the attached peer while it lives; rebuilt wholesale by the
-  /// server's reaper after the peer dies.
-  std::uint64_t wait_free_off = kNullOff;
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> dequeue_pos{0};
-  alignas(kHostCacheLine) std::uint64_t ring_off = kNullOff;   // ShmCell[kShmRingCapacity]
-  std::uint64_t waits_off = kNullOff;  // ShmWait[kShmWaitsPerLane]
-};
-static_assert(std::is_trivially_destructible_v<LaneHeader>);
+// A lane is placed in the segment as it is: no pointers, no destructor.
+static_assert(std::is_trivially_destructible_v<rt::XcallRing>);
 
 // -- peers ------------------------------------------------------------------
 
@@ -212,7 +144,9 @@ struct ShmHeader {
   std::uint32_t version = 0;
   std::uint32_t max_peers = 0;
   std::uint32_t ring_capacity = 0;
-  std::uint32_t waits_per_lane = 0;
+  /// sizeof(rt::XcallCell): a trace build's cells are two lines, so a
+  /// peer built the other way must refuse the segment.
+  std::uint32_t cell_bytes = 0;
   std::uint32_t max_regions = 0;
   std::atomic<std::uint32_t> server_pid{0};
   std::uint64_t total_bytes = 0;
@@ -222,7 +156,7 @@ struct ShmHeader {
   std::uint32_t pad0 = 0;
 
   std::uint64_t peers_off = kNullOff;    // PeerSlot[max_peers]
-  std::uint64_t lanes_off = kNullOff;    // LaneHeader[max_peers]
+  std::uint64_t lanes_off = kNullOff;    // rt::XcallRing[max_peers]
   std::uint64_t regions_off = kNullOff;  // RegionSlot[max_regions]
   /// The segment-resident cancel pool: flags_off names
   /// atomic<u32>[rt::kMaxCancelTokens] and cursor_off the shared token

@@ -14,7 +14,6 @@
 #include <thread>
 #endif
 
-#include "common/cpu_relax.h"
 #include "mem/arena.h"
 #include "rt/runtime.h"
 
@@ -120,34 +119,21 @@ Server::Server(const std::string& name, ServerOptions opts)
                 "header must keep the arena base cache-line aligned");
 
   auto* peers = arena.create_array<PeerSlot>(0, kMaxShmPeers);
-  auto* lanes = arena.create_array<LaneHeader>(0, kMaxShmPeers);
+  auto* lanes = arena.create_array<rt::XcallRing>(0, kMaxShmPeers);
   auto* regions = arena.create_array<RegionSlot>(0, kMaxShmRegions);
   auto* flags =
       arena.create_array<std::atomic<std::uint32_t>>(0, rt::kMaxCancelTokens);
   auto* cursor = arena.create<std::atomic<std::uint32_t>>(0, 1u);
 
   peers_ = peers;
+  lanes_ = lanes;
   regions_ = regions;
   cancel_flags_ = flags;
-  for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
-    auto* ring = arena.create_array<ShmCell>(0, kShmRingCapacity);
-    for (std::uint64_t i = 0; i < kShmRingCapacity; ++i) {
-      ring[i].seq.store(i, std::memory_order_relaxed);
-    }
-    auto* waits = arena.create_array<ShmWait>(0, kShmWaitsPerLane);
-    for (std::uint32_t i = 0; i + 1 < kShmWaitsPerLane; ++i) {
-      waits[i].next_off = seg_.offset_of(&waits[i + 1]);
-    }
-    lanes[p].ring_off = seg_.offset_of(ring);
-    lanes[p].waits_off = seg_.offset_of(waits);
-    lanes[p].wait_free_off = seg_.offset_of(&waits[0]);
-    lanes_[p] = LaneView{&lanes[p], ring, waits};
-  }
 
   hdr->version = kShmVersion;
   hdr->max_peers = kMaxShmPeers;
   hdr->ring_capacity = kShmRingCapacity;
-  hdr->waits_per_lane = kShmWaitsPerLane;
+  hdr->cell_bytes = sizeof(rt::XcallCell);
   hdr->max_regions = kMaxShmRegions;
   hdr->server_pid.store(self_pid(), std::memory_order_relaxed);
   hdr->total_bytes = seg_.size();
@@ -189,22 +175,13 @@ std::size_t Server::poll() {
 }
 
 std::size_t Server::drain_lane(std::uint32_t peer_idx) {
-  const LaneView& lane = lanes_[peer_idx];
-  constexpr std::uint64_t kMask = kShmRingCapacity - 1;
-
-  std::size_t n = 0;
-  std::uint64_t pos = lane.hdr->dequeue_pos.load(std::memory_order_relaxed);
-  for (;;) {
-    ShmCell& cell = lane.ring[pos & kMask];
-    if (cell.seq.load(std::memory_order_acquire) != pos + 1) break;
-
-    ShmWait* wait =
-        cell.wait_off != kNullOff ? seg_.at<ShmWait>(cell.wait_off) : nullptr;
-    const std::uint32_t wire = cell.ep;
-    const ShmEp ep = rt::cell_ep(wire);
-    const std::uint32_t token = rt::cell_token_idx(wire);
-
-    Status rc;
+  // The lane is an rt::XcallRing: the ring runs the cell protocol, so this
+  // is only the request body. Everything it reads is in the posting
+  // peer's own cell, and the only thing it writes is that cell's reply.
+  const std::size_t n = lanes_[peer_idx].drain([&](rt::XcallCell& cell) {
+    const ShmEp ep = rt::cell_ep(cell.ep);
+    const std::uint32_t token = rt::cell_token_idx(cell.ep);
+    Status rc = Status::kNoSuchEntryPoint;
     ppc::RegSet out = cell.regs;
     if (token != 0 &&
         cancel_flags_[token].load(std::memory_order_acquire) != 0) {
@@ -212,30 +189,21 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
       // in-process drain performs, reading a flag ANY process may have
       // raised.
       rc = Status::kCallAborted;
-    } else {
-      ShmFn fn = ep < kMaxShmEps
-                     ? services_[ep].fn.load(std::memory_order_acquire)
-                     : nullptr;
-      rc = Status::kNoSuchEntryPoint;
-      if (fn != nullptr) {
-        // The handler runs on the server-local register file; the
-        // waiter's line is written once, reply then done word, after it
-        // returns.
-        ShmCtx ctx{this, &copy_, peer_idx, cell.caller};
-        rc = fn(services_[ep].self, ctx, out);
-      }
+    } else if (ShmFn fn = ep < kMaxShmEps ? services_[ep].fn.load(
+                                                std::memory_order_acquire)
+                                          : nullptr;
+               fn != nullptr) {
+      // The handler runs on the server-local register file; the caller's
+      // line is written once, reply then state word, after it returns.
+      ShmCtx ctx{this, &copy_, peer_idx, cell.caller};
+      rc = fn(services_[ep].self, ctx, out);
     }
-    if (wait != nullptr) {
-      wait->reply = out;
-      wait->complete(rc);
-    }
-
-    cell.seq.store(pos + kShmRingCapacity, std::memory_order_release);
-    ++pos;
-    ++n;
+    cell.regs = out;
+    // Booked before the ring publishes the completion, so a caller that
+    // has seen its reply also sees its cell counted.
     counters_->inc(obs::Counter::kXcallCellsDrained);
-  }
-  lane.hdr->dequeue_pos.store(pos, std::memory_order_relaxed);
+    return rc;
+  });
   if (n != 0) counters_->inc(obs::Counter::kXcallBatches);
   return n;
 }
@@ -278,48 +246,17 @@ std::size_t Server::reap_dead_peers(std::uint64_t dead_after_ns) {
 }
 
 void Server::reap_lane(std::uint32_t peer_idx) {
-  LaneHeader* lane = lanes_[peer_idx].hdr;
-  ShmCell* ring = lanes_[peer_idx].ring;
-  ShmWait* waits = lanes_[peer_idx].waits;
   PeerSlot& slot = peers_[peer_idx];
-  constexpr std::uint64_t kMask = kShmRingCapacity - 1;
-
   slot.state.store(kPeerDead, std::memory_order_release);
 
-  // Administrative drain: every PUBLISHED in-flight cell completes with
-  // kCallAborted — nothing executes on behalf of a dead caller. A cell
-  // the dying peer claimed but never published (SIGKILL mid-post) has no
-  // readable payload; the wholesale ring reset below retires it.
-  std::uint64_t pos = lane->dequeue_pos.load(std::memory_order_relaxed);
-  const std::uint64_t end = lane->enqueue_pos.load(std::memory_order_acquire);
-  for (; pos != end; ++pos) {
-    ShmCell& cell = ring[pos & kMask];
-    if (cell.seq.load(std::memory_order_acquire) != pos + 1) continue;
-    if (cell.wait_off != kNullOff) {
-      seg_.at<ShmWait>(cell.wait_off)->complete(Status::kCallAborted);
-    }
-  }
-
-  // Re-arm the ring and rebuild the wait pool wholesale. Relinking all
-  // kShmWaitsPerLane blocks is what makes pool conservation a
-  // construction property rather than an accounting hope: whatever the
-  // dead peer held, the free list is full-length again.
-  for (std::uint64_t i = 0; i < kShmRingCapacity; ++i) {
-    ring[i].seq.store(i, std::memory_order_relaxed);
-  }
-  lane->enqueue_pos.store(0, std::memory_order_relaxed);
-  lane->dequeue_pos.store(0, std::memory_order_relaxed);
-  // Relink only — done words stay as the administrative drain left them.
-  // If the reap was spurious (8x backstop, peer merely wedged), the caller
-  // is still spinning on its done word and must be able to observe the
-  // kCallAborted completion; acquire_wait()+reset() clears the word when a
-  // block is next handed out.
-  for (std::uint32_t i = 0; i < kShmWaitsPerLane; ++i) {
-    waits[i].next_off = i + 1 < kShmWaitsPerLane
-                            ? seg_.offset_of(&waits[i + 1])
-                            : kNullOff;
-  }
-  lane->wait_free_off = seg_.offset_of(&waits[0]);
+  // Administrative drain: every PUBLISHED in-flight call completes with
+  // kCallAborted in its cell — nothing executes on behalf of a dead
+  // caller — and the ring is re-armed. A cell the dying peer claimed but
+  // never published (SIGKILL mid-post) has no readable payload; the
+  // re-arm retires it. State words survive the re-arm, so a peer that was
+  // only wedged still sees its abort (and, seeing its generation moved,
+  // never touches the lane again).
+  lanes_[peer_idx].abort_and_rearm(Status::kCallAborted);
 
   // Revoke the dead peer's grants: nothing may resolve against a region
   // whose owner is gone, and the backing segments' names are reclaimed.
@@ -374,7 +311,8 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
       program_(program) {
   ShmHeader* hdr = header();
   if (hdr->magic.load(std::memory_order_acquire) != kShmMagic ||
-      hdr->version != kShmVersion) {
+      hdr->version != kShmVersion ||
+      hdr->cell_bytes != sizeof(rt::XcallCell)) {
     throw std::runtime_error("shm::Peer: segment '" + name +
                              "' is not a published v" +
                              std::to_string(kShmVersion) + " transport");
@@ -393,9 +331,8 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
     throw std::runtime_error("shm::Peer: no free peer slot in '" + name + "'");
   }
   idx_ = claimed;
-  lane_ = seg_.at<LaneHeader>(hdr->lanes_off) + idx_;
-  ring_ = seg_.at<ShmCell>(lane_->ring_off);
-  waits_ = seg_.at<ShmWait>(lane_->waits_off);
+  ring_ = seg_.at<rt::XcallRing>(hdr->lanes_off +
+                                 idx_ * sizeof(rt::XcallRing));
   slot_ = &peers[idx_];
 
   PeerSlot& slot = *slot_;
@@ -408,7 +345,9 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
 }
 
 Peer::~Peer() {
-  if (!seg_.mapped()) return;
+  // A reaped peer owns nothing in the segment any more: the reaper revoked
+  // its grants and freed its slot, which another peer may hold by now.
+  if (!seg_.mapped() || reaped()) return;
   // Cooperative detach: return every grant, then free the slot so the
   // server stops draining the lane. (Uncooperative exit is the reaper's.)
   for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
@@ -419,78 +358,52 @@ Peer::~Peer() {
   slot_->state.store(kPeerFree, std::memory_order_release);
 }
 
-ShmWait* Peer::acquire_wait() {
-  const std::uint64_t off = lane_->wait_free_off;
-  if (off == kNullOff) return nullptr;
-  ShmWait* w = seg_.at<ShmWait>(off);
-  lane_->wait_free_off = w->next_off;
-  return w;
-}
-
-void Peer::release_wait(ShmWait* w) {
-  w->next_off = lane_->wait_free_off;
-  lane_->wait_free_off = seg_.offset_of(w);
+bool Peer::reaped() {
+  // The reaper bumps the slot generation; once seen, remember it, so a
+  // reaped peer's later calls fail without touching the segment.
+  if (!reaped_ &&
+      slot_->generation.load(std::memory_order_acquire) != generation_) {
+    reaped_ = true;
+  }
+  return reaped_;
 }
 
 Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
-  ShmWait* w = acquire_wait();
-  if (w == nullptr) return Status::kOutOfResources;
-  w->reset();
-
-  // Producer side of the lane ring: the MPSC claim protocol of the
-  // in-process layer (one CAS on the cursor, one release publish of the
-  // cell), kept even though a lane has a single producer — it costs one
-  // uncontended CAS and keeps the two implementations line-for-line
-  // comparable.
-  constexpr std::uint64_t kMask = kShmRingCapacity - 1;
-  std::uint64_t pos = lane_->enqueue_pos.load(std::memory_order_relaxed);
-  ShmCell* cell;
-  for (;;) {
-    cell = &ring_[pos & kMask];
-    const std::uint64_t seq = cell->seq.load(std::memory_order_acquire);
-    if (seq == pos) {
-      if (lane_->enqueue_pos.compare_exchange_weak(
-              pos, pos + 1, std::memory_order_relaxed)) {
-        break;
-      }
-    } else if (seq < pos) {
-      release_wait(w);
-      return Status::kOverloaded;  // lane ring full
-    } else {
-      pos = lane_->enqueue_pos.load(std::memory_order_relaxed);
-    }
-  }
-  cell->ep = rt::cell_pack_ep(ep, token & rt::kCellTokenLaneMask, false);
-  cell->caller = static_cast<std::uint32_t>(program_);
-  cell->wait_off = seg_.offset_of(w);
-  cell->aux = 0;
-  cell->regs = regs;
-  cell->seq.store(pos + 1, std::memory_order_release);
+  if (reaped()) return Status::kCallAborted;
+  std::uint64_t pos = 0;
+  const std::size_t posted = ring_->try_post(
+      1,
+      [&](rt::XcallCell& cell, std::size_t) {
+        cell.caller = program_;
+        cell.ep = rt::cell_pack_ep(ep, token & rt::kCellTokenLaneMask, false);
+        cell.deadline = 0;
+        cell.regs = regs;
+      },
+      &pos);
+  if (posted == 0) return Status::kOverloaded;  // lane ring full
 
   // Every call refreshes liveness (a line of its own, so the store never
-  // disturbs the state word the server polls); long waits below refresh
-  // it again so a caller stuck behind a slow handler is not declared dead.
+  // disturbs the state word the server polls); long waits refresh it
+  // again from the help callback, so a caller stuck behind a slow handler
+  // is not declared dead. NEVER park: the state word lives in the segment
+  // and futex wakeups do not cross address spaces here.
   slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
-
-  // Spin-then-yield on the done word. NEVER park: the done word lives in
-  // the segment and futex wakeups do not cross address spaces here.
-  std::uint32_t done;
-  std::uint32_t spins = 0;
-  while (((done = w->done.load(std::memory_order_acquire)) &
-          ShmWait::kDoneBit) == 0) {
-    if (++spins < 128) {
-      cpu_relax();
-    } else {
-      yield_thread();
-      if ((spins & 0x3FFF) == 0) {
-        slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
-      }
-    }
-  }
-  regs = w->reply;
-  release_wait(w);
+  rt::XcallCell& cell = ring_->cell(pos);
+  std::uint32_t rounds = 0;
+  const std::uint32_t st = rt::wait_complete(
+      cell, /*deadline=*/0, rt::kNeverPark,
+      [&] {
+        if ((++rounds & (kHeartbeatRounds - 1)) == 0) heartbeat();
+      },
+      [] {});
+  // Reaped while we waited: the reaper completed our cell with
+  // kCallAborted and re-armed the lane for the next peer, so the cell is
+  // no longer ours to read or release.
+  if (reaped()) return Status::kCallAborted;
+  regs = cell.regs;
+  ring_->release(pos);
   counters_->inc(obs::Counter::kCallsRemote);
-  return static_cast<Status>(done & 0xFF);
+  return rt::cell_status(st);
 }
 
 std::uint32_t Peer::cancel_token_create() {
@@ -500,6 +413,7 @@ std::uint32_t Peer::cancel_token_create() {
 void Peer::cancel(std::uint32_t token) { shm_cancel(seg_, token); }
 
 std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
+  if (reaped()) return kMaxShmRegions;
   ShmHeader* hdr = header();
   auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
   for (std::uint32_t r = 0; r < hdr->max_regions; ++r) {
@@ -529,12 +443,14 @@ std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
 
 void Peer::revoke_region(std::uint32_t region) {
   if (region >= kMaxShmRegions || !regions_[region].mapped()) return;
-  ShmHeader* hdr = header();
-  auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
-  RegionSlot& rs = regions[region];
-  rs.state.store(kRegionFree, std::memory_order_release);
-  rs.generation.fetch_add(1, std::memory_order_release);
-  regions_[region].unlink();
+  if (!reaped()) {  // else the reaper already revoked it
+    ShmHeader* hdr = header();
+    auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
+    RegionSlot& rs = regions[region];
+    rs.state.store(kRegionFree, std::memory_order_release);
+    rs.generation.fetch_add(1, std::memory_order_release);
+    regions_[region].unlink();
+  }
   regions_[region] = Segment{};
 }
 
@@ -545,6 +461,7 @@ std::byte* Peer::region_base(std::uint32_t region) {
 }
 
 void Peer::heartbeat() {
+  if (reaped()) return;
   slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
 }
 

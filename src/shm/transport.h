@@ -2,44 +2,43 @@
 // with zero locks and zero allocations.
 //
 // One Server process creates the segment (shm/layout.h) and polls it; up
-// to kMaxShmPeers Peer processes attach, each claiming a private lane —
-// a Vyukov cell ring plus a wait-block pool, all segment-resident, all
-// offset-linked. A warm call is:
+// to kMaxShmPeers Peer processes attach, each claiming a private lane — an
+// rt::XcallRing placed in the segment. A lane runs the in-process cell
+// format and completion protocol (rt/xcall.h) unchanged. A warm call is:
 //
-//   peer:   pop a wait block off the lane free list (plain loads/stores,
-//           peer-private), reset it, claim+publish one ring cell (one CAS
-//           on the lane's enqueue cursor, one release store of the cell
-//           seq), then spin-then-sched_yield on the wait's done word;
-//   server: drain the lane (acquire load of the cell seq, retire with a
-//           release store), dispatch through a flat function-pointer
-//           table — the frame-ABI shape, no std::function, no worker/CD
-//           machinery — on a server-local RegSet, then store the reply
-//           into the wait block and release-store the done word back to
-//           back;
-//   peer:   observe done (acquire), copy the reply, push the wait back.
+//   peer:   claim+publish one ring cell (XcallRing::try_post: one CAS on
+//           the lane's enqueue cursor, one release store of the cell seq),
+//           then spin-then-sched_yield on the cell's state word
+//           (rt::wait_complete with a never-park budget);
+//   server: drain the lane (XcallRing::drain), dispatch through a flat
+//           function-pointer table — the frame-ABI shape, no
+//           std::function, no worker/CD machinery — on a server-local
+//           RegSet, then store the reply into the cell and exchange its
+//           state word to done, back to back;
+//   peer:   observe done (acquire), copy the reply out of the cell, and
+//           release the slot (a CAS from the posted seq).
 //
-// No step locks, no step allocates, and the only lines that cross between
-// the processes on a warm call are the cell and the wait block: each
-// lane-header line and each peer-table line has a single writer (see the
-// ownership map in layout.h), and the server polls through pointers it
-// resolved at create time, never through offsets re-read from the
-// segment. Parking is
-// impossible across address spaces (futexes on segment words would need
-// FUTEX_WAIT on shared mappings; std::atomic::wait is private-futex), so
-// waiters spin-then-yield — on the single-CPU CI host every RTT is
-// scheduler-bound anyway, which the bench quantifies honestly.
+// No step locks, no step allocates, and the only line that crosses
+// between the processes on a warm call is the cell (plus the peer's own
+// heartbeat line): each cursor line and each peer-table line has a single
+// writer (see the ownership map in layout.h), and the server polls through
+// pointers it resolved at create time, never through offsets re-read from
+// the segment. Waiters never park: std::atomic::wait is a private futex,
+// which does not wake across address spaces. On a multi-core host the
+// reply usually lands inside the waiter's spin window; a waiter that
+// outlasts it yields the CPU between polls.
 //
 // Liveness (the hard-kill extension): each peer's PeerSlot carries a
-// heartbeat word it refreshes on attach, per call, and from heartbeat().
-// The server's reap_dead_peers() treats a stale heartbeat as suspicion
+// heartbeat word it refreshes on attach, per call, and while it waits. The
+// server's reap_dead_peers() treats a stale heartbeat as suspicion
 // (booked as heartbeats_missed) and kill(pid, 0) == ESRCH as confirmed
-// death: the lane is drained administratively — every published in-flight
-// cell's wait block completes with kCallAborted, nothing executes — the
-// wait free list is rebuilt wholesale (pool conservation holds by
-// construction: the reaper relinks all kShmWaitsPerLane blocks), the ring
-// is re-armed, the peer's grants are revoked and unmapped, and the slot
-// returns to kPeerFree (booked as peer_deaths). That is the paper's
-// hard-kill reclamation (§4.5.2) extended to process death.
+// death: every published in-flight cell completes with kCallAborted in
+// place, nothing executes, the ring is re-armed (seq words and cursors
+// only), the peer's grants are revoked and unmapped, and the slot returns
+// to kPeerFree with its generation bumped (booked as peer_deaths). That is
+// the paper's hard-kill reclamation (§4.5.2) extended to process death. A
+// peer reaped while merely wedged sees the generation move: its in-flight
+// call returns kCallAborted, and it never touches the lane again.
 #pragma once
 
 #include <array>
@@ -75,7 +74,7 @@ struct ShmCtx {
 
 /// A raw function pointer, the frame-ABI handler shape: `self` is the
 /// pointer registered at bind time, regs is in/out, the returned Status
-/// lands in the caller's done word.
+/// comes back in the caller's cell with the reply.
 using ShmFn = Status (*)(void* self, ShmCtx& ctx, ppc::RegSet& regs);
 
 /// Entry-point index into the server's dispatch table (low 16 bits of the
@@ -151,20 +150,13 @@ class Server {
     void* self = nullptr;
   };
 
-  /// One lane as the server resolved it at create time.
-  struct LaneView {
-    LaneHeader* hdr = nullptr;
-    ShmCell* ring = nullptr;
-    ShmWait* waits = nullptr;
-  };
-
   Segment seg_;
   // Process-private layout, resolved once at create time: a peer that
   // rewrites the segment's offsets cannot move what the server touches.
   PeerSlot* peers_ = nullptr;
   RegionSlot* regions_ = nullptr;
+  rt::XcallRing* lanes_ = nullptr;  // [kMaxShmPeers]
   std::atomic<std::uint32_t>* cancel_flags_ = nullptr;
-  std::array<LaneView, kMaxShmPeers> lanes_{};
   CopyServer copy_;
   obs::SlotCounters own_counters_;
   obs::SlotCounters* counters_;  // == opts.counters or &own_counters_
@@ -184,10 +176,11 @@ class Peer {
   Peer& operator=(const Peer&) = delete;
 
   /// Synchronous cross-process PPC: post one cell on this peer's lane and
-  /// spin-then-yield on the completion word. Warm path: zero locks, zero
-  /// allocations (one wait-block pop, one cell CAS+publish, one spin).
-  /// `token` (from cancel_token_create) rides the cell ep lane; 0 = not
-  /// cancellable. kOverloaded when the lane ring is full.
+  /// spin-then-yield on its state word; the reply comes back in the cell.
+  /// Warm path: zero locks, zero allocations (one cell CAS+publish, one
+  /// spin, one release). `token` (from cancel_token_create) rides the cell
+  /// ep lane; 0 = not cancellable. kOverloaded when the lane ring is full;
+  /// kCallAborted, without touching the lane, once this peer was reaped.
   Status call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token = 0);
 
   /// Cross-process cancellation over the segment-resident pool: tokens
@@ -227,18 +220,20 @@ class Peer {
   ShmHeader* header() const {
     return reinterpret_cast<ShmHeader*>(seg_.base());
   }
-  ShmWait* acquire_wait();
-  void release_wait(ShmWait* w);
+  /// Has the server reaped this peer (slot generation moved)? Sticky.
+  bool reaped();
+
+  /// Wait-ladder rounds between heartbeat refreshes (a power of two).
+  static constexpr std::uint32_t kHeartbeatRounds = 256;
 
   Segment seg_;
   obs::SlotCounters own_counters_;
   obs::SlotCounters* counters_;
   ProgramId program_ = 0;
-  std::uint32_t idx_ = 0;       // claimed PeerSlot / lane index
+  std::uint32_t idx_ = 0;  // claimed PeerSlot / lane index
   std::uint32_t generation_ = 0;
-  LaneHeader* lane_ = nullptr;  // process-local pointers resolved once
-  ShmCell* ring_ = nullptr;
-  ShmWait* waits_ = nullptr;
+  bool reaped_ = false;
+  rt::XcallRing* ring_ = nullptr;  // process-local pointers resolved once
   PeerSlot* slot_ = nullptr;
   std::array<Segment, kMaxShmRegions> regions_{};  // this peer's grants
 };

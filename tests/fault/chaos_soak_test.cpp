@@ -28,9 +28,7 @@ namespace {
 #if defined(HPPC_FAULT_INJECTION) && HPPC_FAULT_INJECTION
 
 // The schedule the chaos thread draws from: every compiled-in rt seam,
-// each with a spec that keeps the system lossy but live. The drop rate is
-// deliberately the smallest — each drop parks one pooled wait block until
-// its cell drains, and it relies on the caller's deadline for rescue.
+// each with a spec that keeps the system lossy but live.
 struct ChaosPoint {
   const char* name;
   const char* spec;
@@ -43,7 +41,6 @@ constexpr ChaosPoint kSchedule[] = {
     // posts race the handshake under live traffic.
     {"rt.xcall.doorbell.clear", "prob=0.5,delay=300"},
     {"rt.xcall.complete.delay", "prob=0.3,delay=2000"},
-    {"rt.xcall.complete.drop", "prob=0.02"},
     {"rt.worker.exhausted", "prob=0.05"},
     {"rt.handler.abort", "prob=0.05"},
     {"rt.call.delay", "prob=0.1,delay=500"},
@@ -59,8 +56,8 @@ constexpr ChaosPoint kSchedule[] = {
 constexpr std::size_t kSchedulePoints = std::size(kSchedule);
 
 // The park seams sit on the NO-deadline wait ladder, which the randomized
-// phase never walks (every soak call carries a deadline so injected drops
-// cannot hang it). They get their own deterministic phase after the chaos
+// phase never walks (every soak call carries a deadline, and a deadline
+// waiter never parks). They get their own deterministic phase after the chaos
 // stops: force every wait to park, against a still-live server, where a
 // lost kick would hang the test. A busy-polling server on its own core
 // answers inside the waiter's ~96-pause spin window, so the completion is
@@ -72,10 +69,24 @@ constexpr ChaosPoint kParkSchedule[] = {
     {"rt.xcall.complete.delay", "always,delay=20000"},
 };
 
+// Slot conservation: every cell ever posted on the (caller, target)
+// channel has been released, so a whole ring's worth of cells, fail-fast,
+// completes against the still-polling target. Run from the orchestrating
+// thread once the caller threads are joined (their slots are quiescent).
+void expect_channel_free(rt::Runtime& rt, rt::SlotId caller,
+                         rt::SlotId target, EntryPointId ep) {
+  std::array<rt::RegSet, rt::XcallRing::kCapacity> full{};
+  rt::CallOptions fail_fast;
+  fail_fast.retry = rt::RetryPolicy::kFailFast;
+  EXPECT_EQ(rt.call_remote_batch(caller, target, caller, ep, full, fail_fast),
+            Status::kOk)
+      << "channel " << caller << " -> " << target;
+}
+
 bool allowed_status(Status s) {
   switch (s) {
     case Status::kOk:
-    case Status::kDeadlineExceeded:  // deadline beat a delayed/dropped reply
+    case Status::kDeadlineExceeded:  // deadline beat a delayed reply
     case Status::kOverloaded:        // backoff budget ran out on a full ring
     case Status::kOutOfResources:    // injected pool exhaustion
     case Status::kCallAborted:       // injected handler abort
@@ -151,6 +162,12 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
     }
     rt.trace_end(my);
   }
+  // The doorbell-clear seam runs only when the server clears a doorbell
+  // bit after kDoorbellIdlePolls empty visits, which busy callers may
+  // never leave room for. Wait, still fully armed, until the warmup
+  // caller's bit is cleared, so the seam is evaluated whatever the timing
+  // of the randomized phase.
+  while (rt.ready_mask(0) != 0) std::this_thread::yield();
 
   // The chaos controller: every few hundred microseconds, re-roll which
   // points are armed. Seeded Prng, so a failing schedule replays.
@@ -243,6 +260,9 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
     r[0] = 100;
     ASSERT_EQ(rt.call_remote(me, 0, 3, ep, r), Status::kOk);
     ASSERT_EQ(r[1], 101u);
+  }
+  for (rt::SlotId c = 1; c < rt.slots(); ++c) {
+    expect_channel_free(rt, c, 0, ep);
   }
   stop_server.store(true, std::memory_order_release);
   server.join();

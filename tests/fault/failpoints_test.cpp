@@ -205,41 +205,6 @@ TEST_F(FailPointTest, ForcedRingFullStillCompletesUnderBlockPolicy) {
   owner.join();
 }
 
-TEST_F(FailPointTest, DroppedCompletionIsRescuedByTheDeadline) {
-  rt::Runtime rt(2);
-  const rt::SlotId me = rt.register_thread();
-  const EntryPointId ep = bind_adder(rt);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> up{false};
-  std::thread owner([&] {
-    const rt::SlotId s = rt.register_thread();
-    up.store(true, std::memory_order_release);
-    while (!stop.load(std::memory_order_acquire)) {
-      if (rt.poll(s) == 0) std::this_thread::yield();
-    }
-  });
-  while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
-  ASSERT_TRUE(fault::arm("rt.xcall.complete.drop", "oneshot"));
-  rt::CallOptions opts;
-  opts.deadline_cycles = 20'000'000;  // ~ms-scale on any host clock
-  rt::RegSet r = make_regs(3);
-  // The server executes but the completion never lands; without the
-  // deadline this would hang forever. kOk is also acceptable: the oneshot
-  // may be consumed by an unrelated drain racing this call.
-  const Status s = rt.call_remote(me, 1, 1, ep, r, opts);
-  EXPECT_TRUE(s == Status::kDeadlineExceeded || s == Status::kOk)
-      << to_string(s);
-  // If the caller abandoned before the server drained, the oneshot is
-  // still pending — disarm so the deadline-less probe below cannot hang.
-  fault::disarm("rt.xcall.complete.drop");
-  // Whatever happened, the runtime is still live:
-  r = make_regs(9);
-  EXPECT_EQ(rt.call_remote(me, 1, 1, ep, r), Status::kOk);
-  EXPECT_EQ(r[1], 10u);
-  stop.store(true, std::memory_order_release);
-  owner.join();
-}
-
 TEST_F(FailPointTest, SimFacilityFrankExhaustionUnwindsCleanly) {
   kernel::Machine machine(sim::hector_config(1));
   ppc::PpcFacility ppc(machine);

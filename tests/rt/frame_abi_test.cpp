@@ -75,7 +75,6 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
                             c.ep = kFrameCellEp | frame_service_of(f.op);
                             c.deadline = f.op;  // the op lane
                             c.regs.w = f.w;
-                            c.wait = nullptr;
                           }),
             1u);
   std::size_t seen = 0;
@@ -96,7 +95,6 @@ TEST(FrameCell, LegacyCellsAreNotFrames) {
                             c.caller = 1;
                             c.ep = 9;
                             c.regs = ppc::RegSet{};
-                            c.wait = nullptr;
                             c.deadline = 0;
                           }),
             1u);

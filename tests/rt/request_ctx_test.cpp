@@ -230,7 +230,6 @@ TEST(RequestCtxPropagation, ExpiredRootStopsNestedCalls) {
   EXPECT_EQ(nested_remote.load(), Status::kDeadlineExceeded);
   EXPECT_EQ(nested_counting.load(), Status::kDeadlineExceeded);
   EXPECT_EQ(leaf_executions.load(), 0);  // never executed, not executed-late
-  rt.shutdown();
 }
 
 TEST(RequestCtxPropagation, NestedOptionsTightenButNeverExtend) {
@@ -251,7 +250,6 @@ TEST(RequestCtxPropagation, NestedOptionsTightenButNeverExtend) {
   const auto delta = rt.slot_snapshot(me).delta(before);
   EXPECT_GE(delta.get(Counter::kDeadlineInherited), 1u);
   rt.clear_request_ctx(me);
-  rt.shutdown();
 }
 
 TEST(RequestCtxPropagation, ExpiredAmbientScreensLocalAndRemoteCalls) {
@@ -272,7 +270,6 @@ TEST(RequestCtxPropagation, ExpiredAmbientScreensLocalAndRemoteCalls) {
   // Screen is ambient-only: with the context cleared the same calls pass.
   r = make_regs(3);
   EXPECT_EQ(rt.call(me, 700, ep, r), Status::kOk);
-  rt.shutdown();
 }
 
 TEST(RequestCtxPropagation, AsyncDeferredCallsCarryTheContext) {
@@ -299,7 +296,6 @@ TEST(RequestCtxPropagation, AsyncDeferredCallsCarryTheContext) {
   ASSERT_EQ(rt.call_async(me, 700, ep, make_regs(2)), Status::kOk);
   rt.poll(me);
   EXPECT_EQ(executed.load(), 1);
-  rt.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +337,6 @@ TEST(Cancellation, CancelledTokenRefusesAtAdmission) {
   r = make_regs(2);
   EXPECT_EQ(rt.call(me, 700, ep, r), Status::kCallAborted);
   rt.clear_request_ctx(me);
-  rt.shutdown();
 }
 
 // Cancel of cells already in a ring: the drain refuses them and kicks the
@@ -374,7 +369,6 @@ TEST(Cancellation, CancelCompletesInRingCellAndKicksWaiter) {
   caller.join();
   EXPECT_EQ(result.load(std::memory_order_acquire), Status::kCallAborted);
   server.release_and_join();
-  rt.shutdown();
 }
 
 TEST(Cancellation, CancelOfBatchMidDrainAbortsRemainingCells) {
@@ -405,12 +399,11 @@ TEST(Cancellation, CancelOfBatchMidDrainAbortsRemainingCells) {
     EXPECT_EQ(ppc::rc_of(r), Status::kCallAborted);
   }
   server.release_and_join();
-  rt.shutdown();
 }
 
 // Cancel-vs-completion CAS race: cancel fires concurrently with the server
-// executing the call. Either outcome is legal; nothing may hang or leak
-// (shutdown asserts pool conservation). TSan-checked in CI.
+// executing the call. Either outcome is legal; nothing may hang.
+// TSan-checked in CI.
 TEST(Cancellation, CancelVersusCompletionRaceIsClean) {
   Runtime rt(2);
   const SlotId me = rt.register_thread();
@@ -448,7 +441,6 @@ TEST(Cancellation, CancelVersusCompletionRaceIsClean) {
   stop.store(true, std::memory_order_release);
   server.join();
   EXPECT_EQ(aborted + completed, 400);
-  rt.shutdown();
 }
 
 TEST(Cancellation, CooperativeHandlerObservesCancelMidCall) {
@@ -490,7 +482,6 @@ TEST(Cancellation, CooperativeHandlerObservesCancelMidCall) {
   canceller.join();
   stop.store(true, std::memory_order_release);
   server.join();
-  rt.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +519,6 @@ TEST(TrafficClass, BulkShedsFirstUnderPerClassWatermarks) {
             Status::kOverloaded);
   rt.clear_request_ctx(me);
   server.release_and_join();
-  rt.shutdown();
 }
 
 TEST(TrafficClass, InteractiveDrainsBeforeBulk) {
@@ -558,7 +548,6 @@ TEST(TrafficClass, InteractiveDrainsBeforeBulk) {
   EXPECT_GE(rt.counters(server.slot()).get(Counter::kBulkDrainsDeferred), 1u);
   EXPECT_EQ(rt.counters(bulk_src).get(Counter::kCallsBulk), 1u);
   EXPECT_EQ(rt.counters(me).get(Counter::kCallsBulk), 0u);
-  rt.shutdown();
 }
 
 TEST(TrafficClass, StickyBulkBitOverAnEmptyRingBooksNoDeferral) {
@@ -610,7 +599,6 @@ TEST(TrafficClass, StickyBulkBitOverAnEmptyRingBooksNoDeferral) {
   EXPECT_EQ(second, 1u);
   EXPECT_NE(bulk_mask, 0u);  // the scenario: bulk bit set, bulk ring empty
   EXPECT_EQ(rt.counters(1).get(Counter::kBulkDrainsDeferred), 0u);
-  rt.shutdown();
 }
 
 TEST(TrafficClass, BulkCallsRecordTheirOwnRtt) {
@@ -624,7 +612,6 @@ TEST(TrafficClass, BulkCallsRecordTheirOwnRtt) {
   ASSERT_EQ(rt.call_remote(me, 1, 700, ep, r, bulk), Status::kOk);
   EXPECT_EQ(r[1], 6u);
   EXPECT_EQ(rt.hist_snapshot(me).count(obs::Hist::kRttBulk), 1u);
-  rt.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +659,6 @@ TEST(FrameLane, AmbientContextGuardsAdmission) {
   f = make_frame(fid, 1);
   EXPECT_EQ(rt.call_remote_frame(me, 1, 700, f), Status::kOk);
   EXPECT_EQ(executed.load(), 1);
-  rt.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -701,7 +687,6 @@ TEST(RequestCtxWarmPath, NoContextCallsStayZeroLockZeroAlloc) {
   EXPECT_EQ(delta.get(Counter::kCallsCancelled), 0u);
   EXPECT_EQ(delta.get(Counter::kDeadlineInherited), 0u);
   EXPECT_EQ(delta.get(Counter::kDeadlineExceeded), 0u);
-  rt.shutdown();
 }
 
 TEST(KvServiceCtx, MultiGetInheritsExpiredAmbientBudget) {
@@ -729,7 +714,6 @@ TEST(KvServiceCtx, MultiGetInheritsExpiredAmbientBudget) {
   EXPECT_EQ(kv.multi_get(me, 1, 1, keys, out), 2u);
   EXPECT_EQ(*out[0], 100u);
   EXPECT_EQ(*out[1], 110u);
-  rt.shutdown();
 }
 
 }  // namespace

@@ -33,7 +33,6 @@ std::size_t post_many(XcallRing& ring, ProgramId caller, EntryPointId ep,
     c.caller = caller;
     c.ep = ep;
     c.regs = regs[i];
-    c.wait = nullptr;
     c.deadline = 0;
   });
 }
@@ -41,6 +40,28 @@ std::size_t post_many(XcallRing& ring, ProgramId caller, EntryPointId ep,
 bool post_one(XcallRing& ring, ProgramId caller, EntryPointId ep,
               const ppc::RegSet& regs) {
   return post_many(ring, caller, ep, &regs, 1) == 1;
+}
+
+// One sync cell; returns its ring position (the caller's release handle).
+std::uint64_t post_sync(XcallRing& ring, Word w0) {
+  std::uint64_t pos = ~0ull;
+  EXPECT_EQ(ring.try_post(
+                1,
+                [&](XcallCell& c, std::size_t) {
+                  c.caller = 1;
+                  c.ep = 1;
+                  c.regs = make_regs(w0);
+                  c.deadline = 0;
+                },
+                &pos),
+            1u);
+  return pos;
+}
+
+std::uint32_t wait_on(XcallRing& ring, std::uint64_t pos,
+                      std::uint64_t deadline = 0) {
+  return wait_complete(ring.cell(pos), deadline, kWaitYieldRounds, [] {},
+                       [] {});
 }
 
 // ---------------------------------------------------------------------------
@@ -57,7 +78,6 @@ TEST(XcallRing, PostDrainRoundTrip) {
     EXPECT_EQ(c.caller, 7u);
     EXPECT_EQ(c.ep, 9u);
     EXPECT_EQ(c.regs[0], 41u);
-    EXPECT_EQ(c.wait, nullptr);
     ++seen;
   });
   EXPECT_EQ(n, 1u);
@@ -126,6 +146,99 @@ TEST(XcallRing, ConcurrentProducersKeepPerProducerFifo) {
   for (auto& t : producers) t.join();
   for (Word n : next_from) EXPECT_EQ(n, kPerProducer);
   EXPECT_EQ(ring.depth(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The cell state protocol: completion in the cell, who releases the slot
+// ---------------------------------------------------------------------------
+
+TEST(XcallRing, SyncReplyComesBackInTheCellAndTheCallerReleases) {
+  XcallRing ring;
+  const std::uint64_t pos = post_sync(ring, 41);
+  EXPECT_EQ(ring.drain([](XcallCell& c) {
+    c.regs[0] += 1;
+    return Status::kServerError;
+  }),
+            1u);
+  const std::uint32_t st = wait_on(ring, pos);
+  EXPECT_EQ(st, kCellDone | static_cast<std::uint32_t>(Status::kServerError));
+  EXPECT_EQ(cell_status(st), Status::kServerError);
+  EXPECT_EQ(ring.cell(pos).regs[0], 42u);
+  // Drained but not released: the slot is still the caller's, so the
+  // producer that laps the ring finds it full there.
+  for (std::size_t i = 1; i < XcallRing::kCapacity; ++i) {
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i))) << i;
+  }
+  EXPECT_FALSE(post_one(ring, 1, 1, make_regs(0)));
+  EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity - 1);
+  ring.release(pos);
+  EXPECT_TRUE(post_one(ring, 1, 1, make_regs(0)));
+}
+
+TEST(XcallRing, HeldCellBlocksABatchClaimAcrossIt) {
+  // Slots free up out of order: a completed sync cell at index 0 is still
+  // held while the 63 async cells behind it are retired. A 2-run at
+  // positions 64..65 spans the held cell and must not be claimed, although
+  // its last cell is free.
+  XcallRing ring;
+  const std::uint64_t pos = post_sync(ring, 0);
+  std::array<ppc::RegSet, XcallRing::kCapacity - 1> regs{};
+  ASSERT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), regs.size());
+  EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), 2), 0u);
+  ring.release(pos);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), 2), 2u);
+}
+
+TEST(XcallRing, AbandonedCellIsReleasedByTheConsumerWithoutRunning) {
+  XcallRing ring;
+  const std::uint64_t pos = post_sync(ring, 1);
+  // Deadline tick 1 is long past: the waiter abandons after one spin
+  // window.
+  EXPECT_EQ(wait_on(ring, pos, /*deadline=*/1), kCellAbandoned);
+  int ran = 0;
+  EXPECT_EQ(ring.drain([&](XcallCell&) { ++ran; }), 1u);
+  EXPECT_EQ(ran, 0);
+  // The consumer released the slot: a whole ring fits again.
+  std::array<ppc::RegSet, XcallRing::kCapacity> regs{};
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), regs.size());
+}
+
+TEST(XcallRing, CompletionBeatsALateAbandon) {
+  XcallRing ring;
+  const std::uint64_t pos = post_sync(ring, 7);
+  ring.drain([](XcallCell& c) { c.regs[0] = 8; });
+  // The deadline has expired, but the completion landed first: the
+  // caller takes the real result.
+  const std::uint32_t st = wait_on(ring, pos, /*deadline=*/1);
+  EXPECT_EQ(st, kCellDone | static_cast<std::uint32_t>(Status::kOk));
+  EXPECT_EQ(ring.cell(pos).regs[0], 8u);
+  ring.release(pos);
+}
+
+TEST(XcallRing, AbortAndRearmCompletesPublishedCallsAndFreesEverySlot) {
+  XcallRing ring;
+  const std::uint64_t done = post_sync(ring, 1);
+  ring.drain([](XcallCell&) {});  // completed, never released
+  const std::uint64_t queued = post_sync(ring, 2);
+  ASSERT_TRUE(post_one(ring, 1, 1, make_regs(3)));
+  ring.abort_and_rearm(Status::kCallAborted);
+  // The queued call's caller observes the abort in its cell; the state
+  // word of the completed one is left as it was.
+  EXPECT_EQ(ring.cell(queued).state.load(),
+            kCellDone | static_cast<std::uint32_t>(Status::kCallAborted));
+  EXPECT_EQ(ring.cell(done).state.load(),
+            kCellDone | static_cast<std::uint32_t>(Status::kOk));
+  EXPECT_EQ(ring.depth(), 0u);
+  EXPECT_FALSE(ring.head_ready());
+  // A release from before the re-arm cannot land on the re-armed ring.
+  ring.release(done);
+  ring.release(queued);
+  for (std::uint64_t i = 0; i < XcallRing::kCapacity; ++i) {
+    EXPECT_EQ(ring.cell(i).seq.load(), i);
+  }
+  std::array<ppc::RegSet, XcallRing::kCapacity> regs{};
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), regs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +734,6 @@ TEST(XcallRing, BatchPostPublishesContiguousRunInOrder) {
   const std::size_t n = ring.drain([&](XcallCell& c) {
     EXPECT_EQ(c.caller, 3u);
     EXPECT_EQ(c.ep, 7u);
-    EXPECT_EQ(c.wait, nullptr);
     EXPECT_EQ(c.regs[0], expect++);
   });
   EXPECT_EQ(n, regs.size());
@@ -866,7 +978,7 @@ TEST(CallRemoteBatch, WarmBatchesTakeNoLocksAndNeverAllocate) {
   owner.join();
 }
 
-TEST(CallRemoteBatch, DeadlineExpiresOnStuckOwnerAndBlocksAreReaped) {
+TEST(CallRemoteBatch, DeadlineExpiresOnStuckOwnerAndCellsAreReleased) {
   Runtime rt(2);
   const SlotId me = rt.register_thread();
   const EntryPointId ep = bind_adder(rt);
@@ -884,15 +996,35 @@ TEST(CallRemoteBatch, DeadlineExpiresOnStuckOwnerAndBlocksAreReaped) {
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kDeadlineExceeded), 4u);
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallBatchPosts), 1u);
 
-  // The four abandoned pooled blocks ride the zombie list until the owner's
-  // drain acks them; after that the teardown sweep must reap all four.
+  // The four abandoned cells hold their ring slots until the owner's drain
+  // reaches them and releases them, without executing them. Then a whole
+  // ring's worth of cells fits again: a fail-fast batch of kCapacity
+  // against a polling owner completes.
   owner.release_and_join();
-  EXPECT_EQ(rt.shutdown(), 4u);
-  EXPECT_EQ(rt.shutdown(), 0u);  // idempotent
+  EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsRemote), 0u);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> holding{false};
+  std::thread poller([&] {
+    // Take slot 1's gate back, so the batch below goes through the ring
+    // instead of direct-executing on an idle slot.
+    rt.exit_idle(1);
+    holding.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(1) == 0) std::this_thread::yield();
+    }
+    rt.enter_idle(1);
+  });
+  while (!holding.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::array<RegSet, XcallRing::kCapacity> full{};
+  CallOptions fail_fast;
+  fail_fast.retry = RetryPolicy::kFailFast;
+  EXPECT_EQ(rt.call_remote_batch(me, 1, 1, ep, full, fail_fast), Status::kOk);
+  stop.store(true, std::memory_order_release);
+  poller.join();
 }
 
 // ---------------------------------------------------------------------------
-// Ready-mask scheduling, async cell deadlines, teardown sweep, park/kick
+// Ready-mask scheduling, async cell deadlines, park/kick
 // ---------------------------------------------------------------------------
 
 TEST(ReadyMask, ManyProducersOnePollingConsumerLoseNothing) {
@@ -1129,29 +1261,6 @@ TEST(CallRemoteAsync, ExpiredDeadlineCellIsDroppedAtDrain) {
   EXPECT_EQ(hits.load(), 0);
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kDeadlineExceeded), 1u);
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsRemote), 0u);
-}
-
-TEST(Shutdown, ReapsZombieWaitsFromPermanentlyStuckRing) {
-  // The regression the sweep exists for: a ring whose owner died holding
-  // the gate (hard-killed, never drains again) strands the abandoned
-  // block — unreachable by the normal ack path forever. shutdown() must
-  // reclaim it anyway, and its pool assert must hold.
-  Runtime rt(2);
-  const SlotId me = rt.register_thread();
-  const EntryPointId ep = bind_adder(rt);
-  std::thread dead_owner([&] {
-    const SlotId s = rt.register_thread();
-    EXPECT_EQ(s, 1u);
-    // Exit still holding kOwner: the slot is permanently stuck.
-  });
-  dead_owner.join();
-  CallOptions opts;
-  opts.deadline_cycles = 200'000;
-  ppc::RegSet r = make_regs(1);
-  EXPECT_EQ(rt.call_remote(me, 1, 1, ep, r, opts), Status::kDeadlineExceeded);
-  // The abandoned block is a zombie nobody will ever ack.
-  EXPECT_EQ(rt.shutdown(), 1u);
-  EXPECT_EQ(rt.shutdown(), 0u);
 }
 
 #if defined(HPPC_FAULT_INJECTION) && HPPC_FAULT_INJECTION

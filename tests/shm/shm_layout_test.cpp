@@ -1,5 +1,5 @@
 // The segment layout: header publication, offset links surviving a second
-// mapping at a different base, ring/wait-pool initial state, and the
+// mapping at a different base, the lanes' initial ring state, and the
 // segment-resident cancel pool being one pool across mappings.
 #include "shm/layout.h"
 
@@ -23,10 +23,10 @@ namespace {
 // Line ownership (layout.h): each line a call touches has one writer.
 constexpr std::size_t line_of(std::size_t off) { return off / kHostCacheLine; }
 
-static_assert(sizeof(ShmWait) == kHostCacheLine &&
-                  alignof(ShmWait) == kHostCacheLine,
-              "a wait block is exactly one line: the server writes the "
-              "reply and the done word on the waiter's one line");
+static_assert(alignof(rt::XcallRing) == kHostCacheLine &&
+                  sizeof(rt::XcallRing) % kHostCacheLine == 0,
+              "lanes tile lines: one peer's ring never shares a line with "
+              "another's");
 static_assert(line_of(offsetof(PeerSlot, heartbeat_ns)) !=
                   line_of(offsetof(PeerSlot, state)),
               "the per-call heartbeat store must not share the line of the "
@@ -34,18 +34,6 @@ static_assert(line_of(offsetof(PeerSlot, heartbeat_ns)) !=
 static_assert(sizeof(PeerSlot) % kHostCacheLine == 0 &&
                   alignof(PeerSlot) == kHostCacheLine,
               "one peer's entry never shares a line with another's");
-static_assert(line_of(offsetof(LaneHeader, wait_free_off)) ==
-                  line_of(offsetof(LaneHeader, enqueue_pos)),
-              "the peer's free-list head rides the peer-owned cursor line");
-static_assert(line_of(offsetof(LaneHeader, wait_free_off)) !=
-                  line_of(offsetof(LaneHeader, ring_off)),
-              "the peer's per-call stores stay off the layout line");
-static_assert(line_of(offsetof(LaneHeader, dequeue_pos)) !=
-                      line_of(offsetof(LaneHeader, enqueue_pos)) &&
-                  line_of(offsetof(LaneHeader, dequeue_pos)) !=
-                      line_of(offsetof(LaneHeader, ring_off)),
-              "the server's cursor has a line of its own");
-
 std::string uniq_name(const char* tag) {
 #ifdef __linux__
   return std::string("/hppc_") + tag + "_" + std::to_string(::getpid());
@@ -72,6 +60,7 @@ TEST(ShmLayout, HeaderPublishedAndOffsetsResolve) {
   EXPECT_EQ(hdr->version, kShmVersion);
   EXPECT_EQ(hdr->max_peers, kMaxShmPeers);
   EXPECT_EQ(hdr->ring_capacity, kShmRingCapacity);
+  EXPECT_EQ(hdr->cell_bytes, sizeof(rt::XcallCell));
   EXPECT_EQ(hdr->max_regions, kMaxShmRegions);
   EXPECT_EQ(hdr->total_bytes, view.size());
   EXPECT_NE(hdr->peers_off, kNullOff);
@@ -88,32 +77,23 @@ TEST(ShmLayout, HeaderPublishedAndOffsetsResolve) {
   }
 }
 
-TEST(ShmLayout, LanesStartEmptyWithFullWaitPools) {
+TEST(ShmLayout, LanesStartEmpty) {
   const std::string name = uniq_name("lanes");
   Server server(name);
   Segment view = Segment::open(name);
   const auto* hdr = reinterpret_cast<const ShmHeader*>(view.base());
-  auto* lanes = view.at<LaneHeader>(hdr->lanes_off);
+  auto* lanes = view.at<rt::XcallRing>(hdr->lanes_off);
+  // Every lane starts on a line boundary of the segment.
+  EXPECT_EQ(hdr->lanes_off % kHostCacheLine, 0u);
 
   for (std::uint32_t p = 0; p < hdr->max_peers; ++p) {
-    const LaneHeader& lane = lanes[p];
-    EXPECT_EQ(lane.enqueue_pos.load(), 0u);
-    EXPECT_EQ(lane.dequeue_pos.load(), 0u);
+    rt::XcallRing& lane = lanes[p];
+    EXPECT_EQ(lane.depth(), 0u);
+    EXPECT_FALSE(lane.head_ready());
     // Vyukov initial state: cell i's seq is i ("free, claimable at pos i").
-    auto* ring = view.at<ShmCell>(lane.ring_off);
     for (std::uint64_t i = 0; i < hdr->ring_capacity; ++i) {
-      EXPECT_EQ(ring[i].seq.load(), i);
+      EXPECT_EQ(lane.cell(i).seq.load(), i);
     }
-    // The wait free list links every block exactly once.
-    std::uint32_t len = 0;
-    for (std::uint64_t off = lane.wait_free_off; off != kNullOff;
-         off = view.at<ShmWait>(off)->next_off) {
-      ++len;
-      ASSERT_LE(len, hdr->waits_per_lane) << "free-list cycle";
-    }
-    EXPECT_EQ(len, hdr->waits_per_lane);
-    // Every wait block starts on a line boundary of the segment.
-    EXPECT_EQ(lane.waits_off % kHostCacheLine, 0u);
   }
   auto* peers = view.at<PeerSlot>(hdr->peers_off);
   EXPECT_EQ(hdr->peers_off % kHostCacheLine, 0u);
@@ -162,7 +142,6 @@ TEST(ShmLayout, CellMatchesInProcessPacking) {
                                               /*bulk=*/false);
   EXPECT_EQ(rt::cell_ep(wire), 7u);
   EXPECT_EQ(rt::cell_token_idx(wire), 99u);
-  EXPECT_EQ(sizeof(ShmCell), 64u);
 }
 
 #endif  // __linux__

@@ -1,14 +1,20 @@
 // The cross-process transport: warm calls over a lane (threaded and
 // forked), cross-process cancellation through the segment pool, the
-// granted-region bulk path, and the hard-kill extension — a SIGKILLed
-// peer detected by heartbeat, its in-flight call completed kCallAborted,
-// its lane's pool resources fully reclaimed.
+// granted-region bulk path, the hard-kill extension — a SIGKILLed peer
+// detected by heartbeat, its in-flight call completed kCallAborted, its
+// lane re-armed whole — and the faulty-peer cases: a scribbled cell stays
+// in its lane, a wrongly reaped peer leaves its old lane alone.
 #include "shm/transport.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstring>
+#include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,7 +158,6 @@ TEST(ShmTransport, BulkDescriptorsMoveBytesThroughGrantedRegions) {
   for (std::size_t i = 0; i < kBytes; ++i) {
     ASSERT_EQ(base[i], static_cast<std::byte>((i & 0xFF) ^ 0x5A)) << i;
   }
-  EXPECT_EQ(svc.bytes_seen, kBytes);
   // copy_from + copy_to both book: 2x the payload.
   EXPECT_EQ(server.counters().get(obs::Counter::kBulkCopyBytes), 2 * kBytes);
   // Main segment + the mapped grant.
@@ -167,6 +172,11 @@ TEST(ShmTransport, BulkDescriptorsMoveBytesThroughGrantedRegions) {
 
   done.store(true, std::memory_order_release);
   srv.join();
+  // Read the handler's own (process-private) tally after the join: the
+  // call's completion is ordered through the segment, which the peer maps
+  // at a different address than the server, so a race detector that
+  // tracks ordering per address does not see it.
+  EXPECT_EQ(svc.bytes_seen, kBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,10 +280,8 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   // Observe the in-flight cell through the segment, then kill -9.
   Segment& seg = server.segment();
   const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
-  auto* lane = seg.at<LaneHeader>(hdr->lanes_off);  // child took lane 0
-  while (lane->enqueue_pos.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
-  }
+  auto* lane = seg.at<rt::XcallRing>(hdr->lanes_off);  // child took lane 0
+  while (!lane->head_ready()) std::this_thread::yield();
   auto* regions = seg.at<RegionSlot>(hdr->regions_off);
   while (regions[0].state.load(std::memory_order_acquire) != kRegionGranted) {
     std::this_thread::yield();
@@ -282,12 +290,8 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   int st = 0;
   ASSERT_EQ(::waitpid(child, &st, 0), child);
   ASSERT_TRUE(WIFSIGNALED(st));
-
-  // Locate the in-flight call's wait block BEFORE the reap resets the
-  // ring, so the kCallAborted completion can be asserted on it after.
-  auto* ring = seg.at<ShmCell>(lane->ring_off);
-  ASSERT_EQ(ring[0].seq.load(std::memory_order_acquire), 1u);
-  auto* wait = seg.at<ShmWait>(ring[0].wait_off);
+  rt::XcallCell& cell = lane->cell(0);
+  ASSERT_EQ(cell.seq.load(std::memory_order_acquire), 1u);
 
   // The heartbeat (refreshed at call time) must go stale first; 20ms is
   // comfortably past a few scheduler quanta, and pid_gone() (ESRCH after
@@ -295,23 +299,24 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   ::usleep(25'000);
   EXPECT_EQ(server.reap_dead_peers(/*dead_after_ns=*/20'000'000), 1u);
 
-  // The in-flight call completed kCallAborted — exactly, including the
-  // done bit — without executing.
-  EXPECT_EQ(wait->done.load(),
-            ShmWait::kDoneBit | static_cast<std::uint32_t>(
-                                    Status::kCallAborted));
+  // The in-flight call completed kCallAborted in its own cell — exactly,
+  // including the done bit — without executing.
+  EXPECT_EQ(cell.state.load(),
+            rt::kCellDone | static_cast<std::uint32_t>(Status::kCallAborted));
 
-  // Pool conservation: the lane's free list is full-length again, the
-  // ring is re-armed, the peer slot and the grant are free.
-  std::uint32_t len = 0;
-  for (std::uint64_t off = lane->wait_free_off; off != kNullOff;
-       off = seg.at<ShmWait>(off)->next_off) {
-    ++len;
-    ASSERT_LE(len, kShmWaitsPerLane);
-  }
-  EXPECT_EQ(len, kShmWaitsPerLane);
-  EXPECT_EQ(lane->enqueue_pos.load(), 0u);
-  EXPECT_EQ(lane->dequeue_pos.load(), 0u);
+  // Slot conservation: the ring is re-armed — empty, and a claim of the
+  // whole ring succeeds — and the peer slot and the grant are free.
+  EXPECT_EQ(lane->depth(), 0u);
+  EXPECT_FALSE(lane->head_ready());
+  EXPECT_EQ(lane->try_post(rt::XcallRing::kCapacity,
+                           [](rt::XcallCell& c, std::size_t) {
+                             c.caller = 0;
+                             c.ep = 0;
+                             c.deadline = 0;
+                             c.regs = {};
+                           }),
+            rt::XcallRing::kCapacity);
+  EXPECT_EQ(lane->drain([](rt::XcallCell&) {}), rt::XcallRing::kCapacity);
   auto* peers = seg.at<PeerSlot>(hdr->peers_off);
   EXPECT_EQ(peers[0].state.load(), kPeerFree);
   EXPECT_EQ(regions[0].state.load(), kRegionFree);
@@ -340,9 +345,9 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
 TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   // The server resolves the layout once, at create time. After honest
   // peers attach, a writer with the segment mapped scribbles every layout
-  // offset the server could re-read — the header's lane and peer-table
-  // offsets and each lane's ring and wait-pool offsets — with values past
-  // the end of the segment, so any re-read would trip the bounds assert.
+  // offset the header holds — lanes, peer table, regions and cancel pool
+  // — with values past the end of the segment, so any re-read on the
+  // serving or reaping path would trip the bounds assert.
   // The server must keep serving exact replies, and the reaper must still
   // find and reap a dead peer.
   const std::string name = uniq_name("scribble");
@@ -384,14 +389,12 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
 
   Segment view = Segment::open(name);
   auto* hdr = reinterpret_cast<ShmHeader*>(view.base());
-  auto* lanes = view.at<LaneHeader>(hdr->lanes_off);
   const std::uint64_t wild = view.size() + 4096;
-  for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
-    lanes[p].ring_off = wild;
-    lanes[p].waits_off = wild + 64;
-  }
-  hdr->lanes_off = wild + 128;
-  hdr->peers_off = wild + 192;
+  hdr->lanes_off = wild;
+  hdr->peers_off = wild + 64;
+  hdr->regions_off = wild + 128;
+  hdr->cancel_flags_off = wild + 192;
+  hdr->cancel_cursor_off = wild + 256;
 
   for (std::uint32_t round = 0; round < 256; ++round) {
     for (std::size_t i = 0; i < kPpcWords; ++i) {
@@ -420,6 +423,166 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   regs[0] = 7;
   EXPECT_EQ(peer.call(1, regs), Status::kOk);
   EXPECT_EQ(regs[0], 8u);
+  done.store(true, std::memory_order_release);
+  srv.join();
+}
+
+TEST(ShmTransport, ScribbledCellStaysInItsLane) {
+  // Anything a peer writes into its own published cell is untrusted: the
+  // scribbler may lose its own call, but the server must stay up, write
+  // nowhere outside the scribbler's ring, and keep serving honest peers
+  // exactly. The cell is handled as raw bytes: the test finds it by its
+  // payload and overwrites everything after the seq word (bytes 8..63)
+  // with seeded random bytes before the server drains it.
+  const std::string name = uniq_name("scrcell");
+  Server server(name);
+  server.bind(&echo_add_one, nullptr);  // ep 1
+  Peer honest(name, 1);
+  Peer scribbler(name, 2);
+
+  constexpr Word kMark = 0x5C81BB10u;
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    ppc::RegSet regs;
+    for (std::size_t i = 0; i < kPpcWords; ++i) {
+      regs[i] = kMark + static_cast<Word>(i);
+    }
+    scribbler.call(1, regs);  // any status: the scribbler may lose it
+    returned.store(true, std::memory_order_release);
+  });
+
+  // The published cell is the one line of the segment holding the payload;
+  // its seq word reads 1 once the scribbler's first post is published.
+  Segment view = Segment::open(name);
+  std::array<Word, kPpcWords> mark{};
+  for (std::size_t i = 0; i < kPpcWords; ++i) {
+    mark[i] = kMark + static_cast<Word>(i);
+  }
+  std::size_t cell_off = 0;
+  while (cell_off == 0) {
+    for (std::size_t off = 0; off + sizeof(mark) <= view.size();
+         off += sizeof(Word)) {
+      if (std::memcmp(view.base() + off, mark.data(), sizeof(mark)) == 0) {
+        cell_off = off / kHostCacheLine * kHostCacheLine;
+        break;
+      }
+    }
+  }
+  auto* seq = reinterpret_cast<std::atomic<std::uint64_t>*>(view.base() +
+                                                            cell_off);
+  while (seq->load(std::memory_order_acquire) != 1) std::this_thread::yield();
+
+  std::mt19937_64 rng(20261017);
+  for (std::size_t b = 8; b < kHostCacheLine; ++b) {
+    view.base()[cell_off + b] = static_cast<std::byte>(rng() & 0xFF);
+  }
+
+  // Drain the scribbled cell; the server runs on this thread.
+  std::vector<std::byte> before(view.base(), view.base() + view.size());
+  while (!returned.load(std::memory_order_acquire)) {
+    server.poll();
+    std::this_thread::yield();
+  }
+  caller.join();
+  server.poll();
+
+  // Only the scribbler's ring changed: its cell, its cursors and the rest
+  // of its cells (one rt::XcallRing, the cell being its first), plus any
+  // peer's heartbeat word.
+  const std::size_t ring_lo = cell_off - 2 * kHostCacheLine;
+  const std::size_t ring_hi = cell_off + kShmRingCapacity * kHostCacheLine;
+  const auto* hdr = reinterpret_cast<const ShmHeader*>(view.base());
+  auto in_heartbeat = [&](std::size_t off) {
+    for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
+      const std::size_t hb =
+          hdr->peers_off + p * sizeof(PeerSlot) + offsetof(PeerSlot,
+                                                           heartbeat_ns);
+      if (off >= hb && off < hb + sizeof(std::uint64_t)) return true;
+    }
+    return false;
+  };
+  for (std::size_t off = 0; off < view.size(); ++off) {
+    if (view.base()[off] == before[off]) continue;
+    EXPECT_TRUE((off >= ring_lo && off < ring_hi) || in_heartbeat(off))
+        << "server wrote outside the scribbler's ring at offset " << off;
+  }
+
+  // The server is still up and honest replies stay exact.
+  std::atomic<bool> done{false};
+  std::thread srv([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (server.poll() == 0) std::this_thread::yield();
+    }
+  });
+  for (std::uint32_t round = 0; round < 2 * kShmRingCapacity; ++round) {
+    ppc::RegSet regs;
+    for (std::size_t i = 0; i < kPpcWords; ++i) {
+      regs[i] = round * 16 + static_cast<Word>(i);
+    }
+    ASSERT_EQ(honest.call(1, regs), Status::kOk);
+    for (std::size_t i = 0; i < kPpcWords; ++i) {
+      ASSERT_EQ(regs[i], round * 16 + i + 1);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  srv.join();
+}
+
+TEST(ShmTransport, ReapedWedgedPeerNeverTouchesItsOldLane) {
+  // The 8x backstop reaps a peer whose heartbeat went stale even though
+  // its pid is alive — a wedged peer. Here it is a thread of this process
+  // whose wait refreshes its heartbeat every few hundred ladder rounds,
+  // far slower than the 10 us threshold below, with nobody polling. Its
+  // in-flight call must come back kCallAborted, it must never touch the
+  // segment again, and a fresh peer on the same lane must run exactly.
+  const std::string name = uniq_name("wedged");
+  Server server(name);
+  server.bind(&echo_add_one, nullptr);  // ep 1
+  auto wedged = std::make_unique<Peer>(name, 3);
+  ASSERT_EQ(wedged->peer_index(), 0u);
+
+  std::atomic<Status> rc{Status::kOk};
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    ppc::RegSet regs;
+    regs[0] = 1;
+    rc.store(wedged->call(1, regs));
+    returned.store(true, std::memory_order_release);
+  });
+  Segment view = Segment::open(name);
+  const auto* hdr = reinterpret_cast<const ShmHeader*>(view.base());
+  auto* lane = view.at<rt::XcallRing>(hdr->lanes_off);
+  while (!lane->head_ready()) std::this_thread::yield();
+  while (server.reap_dead_peers(/*dead_after_ns=*/10'000) == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(server.counters().get(obs::Counter::kPeerDeaths), 1u);
+  caller.join();
+  EXPECT_EQ(rc.load(), Status::kCallAborted);
+
+  // A fresh peer takes the lane; the reaped one's later calls, heartbeats
+  // and teardown leave every byte of the segment as it was.
+  Peer fresh(name, 4);
+  ASSERT_EQ(fresh.peer_index(), 0u);
+  std::vector<std::byte> before(view.base(), view.base() + view.size());
+  ppc::RegSet regs;
+  EXPECT_EQ(wedged->call(1, regs), Status::kCallAborted);
+  wedged->heartbeat();
+  wedged.reset();
+  EXPECT_EQ(std::memcmp(before.data(), view.base(), view.size()), 0);
+  EXPECT_EQ(server.attached_peers(), 1u);
+
+  std::atomic<bool> done{false};
+  std::thread srv([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (server.poll() == 0) std::this_thread::yield();
+    }
+  });
+  for (std::uint32_t round = 0; round < 2 * kShmRingCapacity; ++round) {
+    regs[0] = round;
+    ASSERT_EQ(fresh.call(1, regs), Status::kOk);
+    ASSERT_EQ(regs[0], round + 1);
+  }
   done.store(true, std::memory_order_release);
   srv.join();
 }
