@@ -18,12 +18,14 @@
 // master copy (booked as repl_fallback_locked + locks_taken) so a stalled
 // writer can never wedge readers.
 //
-// Write protocol: mutate the master under its mutex, bump the version, then
-// publish — either inline to every replica (standalone mode), or through a
+// Write protocol: mutate the master under its mutex; the mutation reports
+// whether it changed the record. A change bumps the version, then publishes
+// — either inline to every replica (standalone mode), or through a
 // propagator hook (repl::ReplHub rides Runtime::call_remote_async so each
-// owner refreshes its own replica at its next drain; see repl_hub.h). All
-// replica publishes are serialized by the master mutex, so the sequence
-// word is never torn by two writers.
+// owner refreshes its own replica at its next drain; see repl_hub.h). An
+// unchanged record publishes nothing, as the paper's record block only
+// publishes on change (Figure 3). All replica publishes are serialized by
+// the master mutex, so the sequence word is never torn by two writers.
 //
 // Consistency contract: readers see a *consistent* (never torn) value that
 // is at most one propagation delay stale. Use a lock instead when readers
@@ -32,6 +34,7 @@
 
 #include <array>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -64,9 +67,10 @@ class Replicated {
   static_assert(sizeof(T) <= 256, "replicate small records, not buffers");
 
  public:
-  /// Called once per non-writer slot on write() when installed: posts the
-  /// refresh to `target_slot` (ReplHub rides the xcall ring). The writer's
-  /// own replica is always published inline before the propagator runs.
+  /// Called once per non-writer slot on a changing write() when installed:
+  /// posts the refresh to `target_slot` (ReplHub rides the xcall ring). The
+  /// writer's own replica is always published inline before the propagator
+  /// runs.
   using Propagator = std::function<void(
       std::uint32_t writer_slot, std::uint32_t target_slot,
       std::uint64_t version)>;
@@ -161,14 +165,22 @@ class Replicated {
   }
 
   /// Single writer path: mutate the master under its mutex, then propagate.
+  /// `mutate` returns whether it changed the record; an unchanged record
+  /// keeps its version and publishes nothing (no replica store, no
+  /// propagator call, no repl_invalidations).
   /// `writer_slot` names the calling thread's slot (its replica is
   /// published inline so the writer reads its own writes immediately);
   /// pass repl::kNoSlot from threads that own no slot.
   template <typename Fn>
-    requires requires(Fn f, T& t) { f(t); }
+    requires requires(Fn f, T& t) {
+      { f(t) } -> std::same_as<bool>;
+    }
   void write(std::uint32_t writer_slot, Fn&& mutate) {
     std::lock_guard<std::mutex> lock(master_mutex_);
-    mutate(master_);
+    obs::SlotCounters* c =
+        writer_slot != kNoSlot ? counters_[writer_slot] : nullptr;
+    if (c != nullptr) c->inc(obs::Counter::kLocksTaken);  // the master mutex
+    if (!mutate(master_)) return;
     const std::uint64_t v = version_.load(std::memory_order_relaxed) + 1;
     version_.store(v, std::memory_order_relaxed);
     std::uint64_t published = 0;
@@ -187,10 +199,8 @@ class Replicated {
       }
       ++published;
     }
-    if (writer_slot != kNoSlot && counters_[writer_slot] != nullptr) {
-      obs::SlotCounters* c = counters_[writer_slot];
+    if (c != nullptr) {
       c->inc(obs::Counter::kReplInvalidations, published);
-      c->inc(obs::Counter::kLocksTaken);  // the master mutex
       if (remote_lines != 0) {
         c->inc(obs::Counter::kSharedLinesTouched, remote_lines);
       }
@@ -210,7 +220,8 @@ class Replicated {
                 version_.load(std::memory_order_relaxed));
   }
 
-  /// Master version (writes so far). Relaxed: use for staleness probes.
+  /// Master version (changing writes so far). Relaxed: use for staleness
+  /// probes.
   std::uint64_t version() const {
     return version_.load(std::memory_order_relaxed);
   }

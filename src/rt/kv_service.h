@@ -34,7 +34,16 @@ enum KvOp : Word {
   kKvErase = 3,   // w[0]=key (owner of the key's entry only)
   kKvSize = 4,    // -> w[0]=entries in this slot's shard
   kKvOwnerOf = 5, // w[0]=key            -> w[1]=owning program
+  // Packed get: the flags byte of the opflags word holds n, w[0..n) hold
+  // n keys, 1 <= n <= kKvGetNMax. On kOk each found key's word is replaced
+  // by its value in place (a missed key's word is left as sent), and the
+  // flags byte holds the found bitmask (bit i = w[i] found) instead of n.
+  // Any other n answers kInvalidArgument without reading the shard.
+  kKvGetN = 6,
 };
+
+/// Keys one kKvGetN cell carries: every word but the opflags word.
+inline constexpr std::size_t kKvGetNMax = ppc::kOpWord;
 
 /// Fixed capacity of the replicated hot set. Sized so HotSet stays within
 /// the Replicated<T> small-payload bound (256 bytes); the config capacity
@@ -198,23 +207,36 @@ class KvService {
 
   /// Vectored read: out[i] = value of keys[i] (nullopt on miss). Keys the
   /// caller's replicated hot-set replica already holds are answered
-  /// locally; only the misses ride the batched xcall. Returns the number
-  /// of keys found. `out.size()` must be >= `keys.size()`.
+  /// locally; only the misses ride the batched xcall, packed kKvGetNMax to
+  /// a kKvGetN cell, so one submission carries up to multi_op_chunk() cells.
+  /// Returns the number of keys found. `out.size()` must be >= `keys.size()`.
   std::size_t multi_get(SlotId caller_slot, SlotId owner_slot,
                         ProgramId caller, std::span<const Word> keys,
                         std::span<std::optional<Word>> out) {
     HPPC_ASSERT(out.size() >= keys.size());
     std::size_t hits = 0;
     std::array<RegSet, kKvMaxMultiOpChunk> regs;
-    std::array<std::size_t, kKvMaxMultiOpChunk> origin;
+    // origin[k] = the keys/out index of the k-th packed miss, which rides
+    // cell k / kKvGetNMax in word k % kKvGetNMax.
+    std::array<std::size_t, kKvMaxMultiOpChunk * kKvGetNMax> origin;
     std::size_t pending = 0;
     auto flush = [&] {
       if (pending == 0) return;
+      const std::size_t cells = (pending + kKvGetNMax - 1) / kKvGetNMax;
+      for (std::size_t c = 0; c < cells; ++c) {
+        ppc::set_op(regs[c], kKvGetN,
+                    static_cast<Word>(
+                        std::min(kKvGetNMax, pending - c * kKvGetNMax)));
+      }
       rt_.call_remote_batch(caller_slot, owner_slot, caller, ep_,
-                            std::span<RegSet>(regs.data(), pending));
+                            std::span<RegSet>(regs.data(), cells));
       for (std::size_t k = 0; k < pending; ++k) {
-        if (ppc::rc_of(regs[k]) == Status::kOk) {
-          out[origin[k]] = regs[k][1];
+        const RegSet& r = regs[k / kKvGetNMax];
+        const std::size_t w = k % kKvGetNMax;
+        const bool found = ppc::rc_of(r) == Status::kOk &&
+                           ((ppc::flags_of(r) >> w) & 1u) != 0;
+        if (found) {
+          out[origin[k]] = r[w];
           ++hits;
         } else {
           out[origin[k]] = std::nullopt;
@@ -239,11 +261,9 @@ class KvService {
         }
         if (hit) continue;
       }
-      regs[pending] = RegSet{};
-      regs[pending][0] = keys[idx];
-      ppc::set_op(regs[pending], kKvGet);
+      regs[pending / kKvGetNMax][pending % kKvGetNMax] = keys[idx];
       origin[pending] = idx;
-      if (++pending == chunk_) flush();
+      if (++pending == chunk_ * kKvGetNMax) flush();
     }
     flush();
     return hits;
@@ -290,34 +310,41 @@ class KvService {
 #endif
   }
 
+  /// Hot-set write-through. The mutation reports "no change" for a key
+  /// the full set does not admit and for an equal value, so a cold put or
+  /// a rewrite publishes nothing to the other slots.
   void hot_put(std::uint32_t writer_slot, Word key, Word value) {
     hot_->write(writer_slot, [&](HotSet& h) {
       for (std::uint32_t i = 0; i < hot_cap_; ++i) {
         if (h.e[i].used != 0 && h.e[i].key == key) {
+          if (h.e[i].value == value) return false;
           h.e[i].value = value;
-          return;
+          return true;
         }
       }
       for (std::uint32_t i = 0; i < hot_cap_; ++i) {
         if (h.e[i].used == 0) {
           h.e[i] = HotEntry{key, value, 1};
           ++h.n;
-          return;
+          return true;
         }
       }
       // Hot set full: not admitted — gets for this key take the xcall path.
+      return false;
     });
   }
 
+  /// Hot-set eviction; erasing a key the set never held changes nothing.
   void hot_erase(std::uint32_t writer_slot, Word key) {
     hot_->write(writer_slot, [&](HotSet& h) {
       for (std::uint32_t i = 0; i < hot_cap_; ++i) {
         if (h.e[i].used != 0 && h.e[i].key == key) {
           h.e[i] = HotEntry{};
           --h.n;
-          return;
+          return true;
         }
       }
+      return false;
     });
   }
 
@@ -355,6 +382,8 @@ class KvService {
                         [this](RtCtx& c, RegSet& r) { do_put(c, r); })
                     .on(kKvGet,
                         [this](RtCtx& c, RegSet& r) { do_get(c, r); })
+                    .on(kKvGetN,
+                        [this](RtCtx& c, RegSet& r) { do_get_n(c, r); })
                     .on(kKvErase,
                         [this](RtCtx& c, RegSet& r) { do_erase(c, r); })
                     .on(kKvSize,
@@ -403,6 +432,24 @@ class KvService {
       return;
     }
     regs[1] = e->value;
+    ppc::set_rc(regs, Status::kOk);
+  }
+
+  void do_get_n(RtCtx& ctx, RegSet& regs) {
+    const Word n = ppc::flags_of(regs);
+    if (n == 0 || n > kKvGetNMax) {
+      ppc::set_rc(regs, Status::kInvalidArgument);
+      return;
+    }
+    Shard& shard = *shards_[ctx.slot()];
+    Word found = 0;
+    for (Word i = 0; i < n; ++i) {
+      if (const Entry* e = find(shard, regs[i])) {
+        regs[i] = e->value;
+        found |= Word{1} << i;
+      }
+    }
+    ppc::set_op(regs, kKvGetN, found);
     ppc::set_rc(regs, Status::kOk);
   }
 

@@ -4,23 +4,19 @@
 
 namespace hppc::shm {
 
-CopyServer::CopyServer(Segment& seg, obs::SlotCounters* counters)
-    : seg_(seg), counters_(counters) {}
+CopyServer::CopyServer(Segment& seg, RegionSlot* table,
+                       obs::SlotCounters* counters)
+    : seg_(seg), table_(table), counters_(counters) {}
 
 void CopyServer::book(obs::Counter c, std::uint64_t n) {
   if (counters_ != nullptr) counters_->inc(c, n);
 }
 
-RegionSlot* CopyServer::slot(std::uint32_t region) {
-  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg_.base());
-  if (region >= hdr->max_regions) return nullptr;
-  return seg_.at<RegionSlot>(hdr->regions_off) + region;
-}
-
 void* CopyServer::resolve(std::uint32_t region, std::uint64_t off,
                           std::uint32_t len, bool writable) {
-  RegionSlot* rs = slot(region);
-  if (rs == nullptr) return nullptr;
+  // Bounded by the table this process sized, never by the header.
+  if (region >= kMaxShmRegions) return nullptr;
+  RegionSlot* rs = table_ + region;
   if (rs->state.load(std::memory_order_acquire) != kRegionGranted) {
     return nullptr;
   }

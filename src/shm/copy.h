@@ -35,10 +35,12 @@ namespace hppc::shm {
 
 class CopyServer {
  public:
-  /// `seg` is the transport segment whose header names the region table.
-  /// `counters` is where bulk_copy_bytes / shm_segments_mapped are booked
-  /// (single-writer: the server's polling thread); nullptr books nowhere.
-  CopyServer(Segment& seg, obs::SlotCounters* counters);
+  /// `seg` is the transport segment and `table` its kMaxShmRegions-entry
+  /// region table, resolved once by the server: the peer-writable header
+  /// (`regions_off`, `max_regions`) is never read again. `counters` is
+  /// where bulk_copy_bytes / shm_segments_mapped are booked (single-writer:
+  /// the server's polling thread); nullptr books nowhere.
+  CopyServer(Segment& seg, RegionSlot* table, obs::SlotCounters* counters);
 
   CopyServer(const CopyServer&) = delete;
   CopyServer& operator=(const CopyServer&) = delete;
@@ -74,10 +76,10 @@ class CopyServer {
     bool live = false;
   };
 
-  RegionSlot* slot(std::uint32_t region);
   void book(obs::Counter c, std::uint64_t n);
 
   Segment& seg_;
+  RegionSlot* const table_;  // [kMaxShmRegions], in seg_
   obs::SlotCounters* counters_;
   std::array<Mapping, kMaxShmRegions> map_{};
 };

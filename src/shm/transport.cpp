@@ -101,34 +101,28 @@ bool shm_cancel_requested(Segment& seg, std::uint32_t token) {
 
 // -- Server -----------------------------------------------------------------
 
-Server::Server(const std::string& name, ServerOptions opts)
-    : seg_(Segment::create(name, opts.segment_bytes)),
-      copy_(seg_, opts.counters != nullptr ? opts.counters : &own_counters_),
-      counters_(opts.counters != nullptr ? opts.counters : &own_counters_) {
+Server::Layout Server::lay_out(Segment& seg) {
   // Lay the segment out through a segment-backed arena: the header is
   // page 0; everything else is bump-allocated behind it and linked into
   // the header by offset. The arena is a throwaway — its chunk is the
   // segment itself, which outlives it.
-  auto* hdr = ::new (seg_.base()) ShmHeader{};
-  mem::Arena arena(seg_.base() + sizeof(ShmHeader),
-                   seg_.size() - sizeof(ShmHeader));
+  auto* hdr = ::new (seg.base()) ShmHeader{};
+  mem::Arena arena(seg.base() + sizeof(ShmHeader),
+                   seg.size() - sizeof(ShmHeader));
   // allocate() aligns relative to its own base; the segment base is
   // page-aligned, so as long as sizeof(ShmHeader) keeps the arena base
   // 64-byte aligned the cache-line intents below hold. Assert it.
   static_assert(sizeof(ShmHeader) % 64 == 0,
                 "header must keep the arena base cache-line aligned");
 
-  auto* peers = arena.create_array<PeerSlot>(0, kMaxShmPeers);
-  auto* lanes = arena.create_array<rt::XcallRing>(0, kMaxShmPeers);
-  auto* regions = arena.create_array<RegionSlot>(0, kMaxShmRegions);
-  auto* flags =
-      arena.create_array<std::atomic<std::uint32_t>>(0, rt::kMaxCancelTokens);
+  const Layout lay{
+      .peers = arena.create_array<PeerSlot>(0, kMaxShmPeers),
+      .lanes = arena.create_array<rt::XcallRing>(0, kMaxShmPeers),
+      .regions = arena.create_array<RegionSlot>(0, kMaxShmRegions),
+      .cancel_flags = arena.create_array<std::atomic<std::uint32_t>>(
+          0, rt::kMaxCancelTokens),
+  };
   auto* cursor = arena.create<std::atomic<std::uint32_t>>(0, 1u);
-
-  peers_ = peers;
-  lanes_ = lanes;
-  regions_ = regions;
-  cancel_flags_ = flags;
 
   hdr->version = kShmVersion;
   hdr->max_peers = kMaxShmPeers;
@@ -136,16 +130,24 @@ Server::Server(const std::string& name, ServerOptions opts)
   hdr->cell_bytes = sizeof(rt::XcallCell);
   hdr->max_regions = kMaxShmRegions;
   hdr->server_pid.store(self_pid(), std::memory_order_relaxed);
-  hdr->total_bytes = seg_.size();
-  hdr->peers_off = seg_.offset_of(peers);
-  hdr->lanes_off = seg_.offset_of(lanes);
-  hdr->regions_off = seg_.offset_of(regions);
-  hdr->cancel_flags_off = seg_.offset_of(flags);
-  hdr->cancel_cursor_off = seg_.offset_of(cursor);
+  hdr->total_bytes = seg.size();
+  hdr->peers_off = seg.offset_of(lay.peers);
+  hdr->lanes_off = seg.offset_of(lay.lanes);
+  hdr->regions_off = seg.offset_of(lay.regions);
+  hdr->cancel_flags_off = seg.offset_of(lay.cancel_flags);
+  hdr->cancel_cursor_off = seg.offset_of(cursor);
 
   // Publish: openers acquire-load the magic before trusting any offset.
   hdr->magic.store(kShmMagic, std::memory_order_release);
+  return lay;
+}
 
+Server::Server(const std::string& name, ServerOptions opts)
+    : seg_(Segment::create(name, opts.segment_bytes)),
+      lay_(lay_out(seg_)),
+      copy_(seg_, lay_.regions,
+            opts.counters != nullptr ? opts.counters : &own_counters_),
+      counters_(opts.counters != nullptr ? opts.counters : &own_counters_) {
   counters_->inc(obs::Counter::kShmSegmentsMapped);
 }
 
@@ -167,7 +169,8 @@ ShmEp Server::bind(ShmFn fn, void* self) {
 std::size_t Server::poll() {
   std::size_t n = 0;
   for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
-    if (peers_[p].state.load(std::memory_order_acquire) == kPeerAttached) {
+    if (lay_.peers[p].state.load(std::memory_order_acquire) ==
+        kPeerAttached) {
       n += drain_lane(p);
     }
   }
@@ -178,13 +181,13 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
   // The lane is an rt::XcallRing: the ring runs the cell protocol, so this
   // is only the request body. Everything it reads is in the posting
   // peer's own cell, and the only thing it writes is that cell's reply.
-  const std::size_t n = lanes_[peer_idx].drain([&](rt::XcallCell& cell) {
+  const std::size_t n = lay_.lanes[peer_idx].drain([&](rt::XcallCell& cell) {
     const ShmEp ep = rt::cell_ep(cell.ep);
     const std::uint32_t token = rt::cell_token_idx(cell.ep);
     Status rc = Status::kNoSuchEntryPoint;
     ppc::RegSet out = cell.regs;
     if (token != 0 &&
-        cancel_flags_[token].load(std::memory_order_acquire) != 0) {
+        lay_.cancel_flags[token].load(std::memory_order_acquire) != 0) {
       // The drain-side cancel sweep — the same one-load check the
       // in-process drain performs, reading a flag ANY process may have
       // raised.
@@ -228,7 +231,7 @@ std::size_t Server::reap_dead_peers(std::uint64_t dead_after_ns) {
   const std::uint64_t now = now_ns();
   std::size_t reaped = 0;
   for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
-    PeerSlot& slot = peers_[p];
+    PeerSlot& slot = lay_.peers[p];
     if (slot.state.load(std::memory_order_acquire) != kPeerAttached) continue;
     const std::uint64_t hb = slot.heartbeat_ns.load(std::memory_order_acquire);
     if (now < hb + dead_after_ns) continue;
@@ -246,7 +249,7 @@ std::size_t Server::reap_dead_peers(std::uint64_t dead_after_ns) {
 }
 
 void Server::reap_lane(std::uint32_t peer_idx) {
-  PeerSlot& slot = peers_[peer_idx];
+  PeerSlot& slot = lay_.peers[peer_idx];
   slot.state.store(kPeerDead, std::memory_order_release);
 
   // Administrative drain: every PUBLISHED in-flight call completes with
@@ -256,12 +259,12 @@ void Server::reap_lane(std::uint32_t peer_idx) {
   // re-arm retires it. State words survive the re-arm, so a peer that was
   // only wedged still sees its abort (and, seeing its generation moved,
   // never touches the lane again).
-  lanes_[peer_idx].abort_and_rearm(Status::kCallAborted);
+  lay_.lanes[peer_idx].abort_and_rearm(Status::kCallAborted);
 
   // Revoke the dead peer's grants: nothing may resolve against a region
   // whose owner is gone, and the backing segments' names are reclaimed.
   for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
-    RegionSlot& rs = regions_[r];
+    RegionSlot& rs = lay_.regions[r];
     if (rs.state.load(std::memory_order_acquire) != kRegionGranted ||
         rs.owner_peer != peer_idx) {
       continue;
@@ -298,7 +301,9 @@ void Server::adopt_cancel_pool_into(rt::Runtime& rt) {
 std::uint32_t Server::attached_peers() const {
   std::uint32_t n = 0;
   for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
-    if (peers_[p].state.load(std::memory_order_acquire) == kPeerAttached) ++n;
+    if (lay_.peers[p].state.load(std::memory_order_acquire) == kPeerAttached) {
+      ++n;
+    }
   }
   return n;
 }
@@ -334,6 +339,7 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
   ring_ = seg_.at<rt::XcallRing>(hdr->lanes_off +
                                  idx_ * sizeof(rt::XcallRing));
   slot_ = &peers[idx_];
+  region_table_ = seg_.at<RegionSlot>(hdr->regions_off);
 
   PeerSlot& slot = *slot_;
   slot.pid.store(self_pid(), std::memory_order_relaxed);
@@ -414,10 +420,8 @@ void Peer::cancel(std::uint32_t token) { shm_cancel(seg_, token); }
 
 std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
   if (reaped()) return kMaxShmRegions;
-  ShmHeader* hdr = header();
-  auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
-  for (std::uint32_t r = 0; r < hdr->max_regions; ++r) {
-    RegionSlot& rs = regions[r];
+  for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
+    RegionSlot& rs = region_table_[r];
     std::uint32_t expect = kRegionFree;
     if (!rs.state.compare_exchange_strong(expect, kRegionGranting,
                                           std::memory_order_acq_rel)) {
@@ -444,9 +448,7 @@ std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
 void Peer::revoke_region(std::uint32_t region) {
   if (region >= kMaxShmRegions || !regions_[region].mapped()) return;
   if (!reaped()) {  // else the reaper already revoked it
-    ShmHeader* hdr = header();
-    auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
-    RegionSlot& rs = regions[region];
+    RegionSlot& rs = region_table_[region];
     rs.state.store(kRegionFree, std::memory_order_release);
     rs.generation.fetch_add(1, std::memory_order_release);
     regions_[region].unlink();

@@ -150,13 +150,19 @@ class Server {
     void* self = nullptr;
   };
 
+  /// Process-private layout, resolved once at create time: a peer that
+  /// rewrites the segment's offsets cannot move what the server touches.
+  struct Layout {
+    PeerSlot* peers;                           // [kMaxShmPeers]
+    rt::XcallRing* lanes;                      // [kMaxShmPeers]
+    RegionSlot* regions;                       // [kMaxShmRegions]
+    std::atomic<std::uint32_t>* cancel_flags;  // [rt::kMaxCancelTokens]
+  };
+  /// Write the header and lay the tables out behind it.
+  static Layout lay_out(Segment& seg);
+
   Segment seg_;
-  // Process-private layout, resolved once at create time: a peer that
-  // rewrites the segment's offsets cannot move what the server touches.
-  PeerSlot* peers_ = nullptr;
-  RegionSlot* regions_ = nullptr;
-  rt::XcallRing* lanes_ = nullptr;  // [kMaxShmPeers]
-  std::atomic<std::uint32_t>* cancel_flags_ = nullptr;
+  const Layout lay_;
   CopyServer copy_;
   obs::SlotCounters own_counters_;
   obs::SlotCounters* counters_;  // == opts.counters or &own_counters_
@@ -235,6 +241,7 @@ class Peer {
   bool reaped_ = false;
   rt::XcallRing* ring_ = nullptr;  // process-local pointers resolved once
   PeerSlot* slot_ = nullptr;
+  RegionSlot* region_table_ = nullptr;  // [kMaxShmRegions]
   std::array<Segment, kMaxShmRegions> regions_{};  // this peer's grants
 };
 

@@ -32,7 +32,10 @@ TEST(Replicated, InitialValueOnEverySlot) {
 TEST(Replicated, InlineWritePublishesEveryReplica) {
   // Without a propagator the writer refreshes all replicas itself.
   Replicated<std::uint64_t> val(4, 1);
-  val.write(2, [](std::uint64_t& v) { v = 9; });
+  val.write(2, [](std::uint64_t& v) {
+    v = 9;
+    return true;
+  });
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(val.read(s), 9u);
     EXPECT_EQ(val.replica_version(s), 1u);
@@ -52,7 +55,10 @@ TEST(Replicated, CountersBookReadsAndWrites) {
   EXPECT_EQ(c0.get(Counter::kLocksTaken), 0u);  // the read path is lock-free
   EXPECT_EQ(c0.get(Counter::kSharedLinesTouched), 0u);
 
-  val.write(1, [](std::uint64_t& v) { v = 5; });
+  val.write(1, [](std::uint64_t& v) {
+    v = 5;
+    return true;
+  });
   EXPECT_EQ(c1.get(Counter::kReplInvalidations), 2u);  // both replicas
   EXPECT_EQ(c1.get(Counter::kLocksTaken), 1u);         // the master mutex
   EXPECT_EQ(c1.get(Counter::kSharedLinesTouched), 1u);  // slot 0's line
@@ -98,6 +104,7 @@ TEST(Replicated, TornReadsNeverObserved) {
       val.write(1, [i](Pair& p) {
         p.a = i;
         p.b = ~i;
+        return true;
       });
     }
     done.store(true, std::memory_order_release);
@@ -124,7 +131,10 @@ TEST(Replicated, PropagatorReplacesInlinePublish) {
     EXPECT_EQ(version, 1u);
   });
 
-  val.write(1, [](std::uint64_t& v) { v = 2; });
+  val.write(1, [](std::uint64_t& v) {
+    v = 2;
+    return true;
+  });
   ASSERT_EQ(posts.size(), 3u);  // every slot but the writer
   for (const auto& [w, t] : posts) {
     EXPECT_EQ(w, 1u);
@@ -138,6 +148,43 @@ TEST(Replicated, PropagatorReplacesInlinePublish) {
   EXPECT_EQ(val.replica_version(0), 1u);
 }
 
+TEST(Replicated, UnchangedWritePublishesNothing) {
+  // A mutation that reports no change leaves the record's version, every
+  // replica and the propagator alone; only the master mutex is booked.
+  Replicated<std::uint64_t> val(4, 3);
+  std::vector<obs::SlotCounters> c(4);
+  for (std::uint32_t s = 0; s < 4; ++s) val.attach_counters(s, &c[s]);
+  std::uint32_t propagated = 0;
+  val.set_propagator([&](std::uint32_t, std::uint32_t, std::uint64_t) {
+    ++propagated;
+  });
+
+  val.write(1, [](std::uint64_t& v) { return v != 3; });
+  EXPECT_EQ(val.version(), 0u);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(val.replica_version(s), 0u) << "slot " << s;
+  }
+  EXPECT_EQ(propagated, 0u);
+  EXPECT_EQ(c[1].get(Counter::kReplInvalidations), 0u);
+  EXPECT_EQ(c[1].get(Counter::kLocksTaken), 1u);
+
+  // A changing write still reaches every replica: the writer's inline,
+  // the others through the propagator and their pull.
+  val.write(1, [](std::uint64_t& v) {
+    v = 4;
+    return true;
+  });
+  EXPECT_EQ(val.version(), 1u);
+  EXPECT_EQ(propagated, 3u);
+  EXPECT_EQ(c[1].get(Counter::kReplInvalidations), 4u);
+  EXPECT_EQ(c[1].get(Counter::kLocksTaken), 2u);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    if (s != 1) val.pull(s);
+    EXPECT_EQ(val.read(s), 4u) << "slot " << s;
+    EXPECT_EQ(val.replica_version(s), 1u) << "slot " << s;
+  }
+}
+
 TEST(ReplHub, WriteBurstPostsOneNudgePerSlot) {
   // Nudges are deduplicated per (object, slot): a burst of writes to a
   // never-draining slot leaves exactly one cell in its ring.
@@ -149,7 +196,10 @@ TEST(ReplHub, WriteBurstPostsOneNudgePerSlot) {
 
   const auto before = rt.slot_snapshot(me);
   for (std::uint64_t i = 1; i <= 16; ++i) {
-    val.write(me, [i](std::uint64_t& v) { v = i; });
+    val.write(me, [i](std::uint64_t& v) {
+      v = i;
+      return true;
+    });
   }
   const auto delta = rt.slot_snapshot(me).delta(before);
   EXPECT_EQ(delta.get(Counter::kXcallPosts), 1u);
@@ -171,7 +221,10 @@ TEST(ReplHub, NudgeRefreshesOwnerAtDrain) {
     rt.serve(s, stop);
   });
 
-  val.write(me, [](std::uint64_t& v) { v = 42; });
+  val.write(me, [](std::uint64_t& v) {
+    v = 42;
+    return true;
+  });
   for (int i = 0; i < 20000 && val.replica_version(1) < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "rt/request_ctx.h"
+
 namespace hppc::rt {
 namespace {
 
@@ -167,8 +169,9 @@ TEST(KvService, RemoteGetAgainstServingOwner) {
 TEST(KvService, MultiPutMultiGetRideBatchedXcalls) {
   // 50 puts then 60 gets (10 of them misses) against a busy-polling
   // owner: every chunk must ride the vectored ring path, so the caller's
-  // own counters show coalesced doorbells — ceil(50/16) + ceil(60/16)
-  // batch posts carrying one cell per key — and zero mailbox traffic.
+  // own counters show coalesced doorbells — ceil(50/16) batch posts of
+  // one cell per put, then one batch post of ceil(60/7) kKvGetN cells —
+  // and zero mailbox traffic.
   Runtime rt(2);
   const SlotId me = rt.register_thread();
   KvService kv(rt);
@@ -209,8 +212,8 @@ TEST(KvService, MultiPutMultiGetRideBatchedXcalls) {
   for (std::size_t i = kPuts; i < kGets; ++i) {
     EXPECT_FALSE(out[i].has_value()) << "key " << probe[i];
   }
-  EXPECT_EQ(delta.get(obs::Counter::kXcallBatchPosts), 4u + 4u);
-  EXPECT_EQ(delta.get(obs::Counter::kXcallCellsPerBatch), kPuts + kGets);
+  EXPECT_EQ(delta.get(obs::Counter::kXcallBatchPosts), 4u + 1u);
+  EXPECT_EQ(delta.get(obs::Counter::kXcallCellsPerBatch), kPuts + 9u);
   EXPECT_EQ(delta.get(obs::Counter::kXcallDirect), 0u);
   EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
 }
@@ -253,9 +256,11 @@ TEST(KvService, MultiGetAnswersHotKeysLocallyAndBatchesOnlyMisses) {
   EXPECT_EQ(*out[1], 600u);
   EXPECT_FALSE(out[2].has_value());
   EXPECT_FALSE(out[3].has_value());
-  // One doorbell, two cells: only the cold keys rode the ring.
-  EXPECT_EQ(delta.get(obs::Counter::kXcallBatchPosts), 1u);
-  EXPECT_EQ(delta.get(obs::Counter::kXcallCellsPerBatch), 2u);
+  // One cell: only the cold keys rode the ring, both packed in one
+  // kKvGetN cell, so the submission is a single post, not a batch.
+  EXPECT_EQ(delta.get(obs::Counter::kXcallPosts), 1u);
+  EXPECT_EQ(delta.get(obs::Counter::kXcallBatchPosts), 0u);
+  EXPECT_EQ(delta.get(obs::Counter::kXcallCellsPerBatch), 0u);
   EXPECT_GT(delta.get(obs::Counter::kReplReads), 0u);
 }
 
@@ -333,6 +338,179 @@ TEST(KvService, ReplicatedHotMissUsesXcallPath) {
     ASSERT_TRUE(v.has_value()) << "key " << k;
     EXPECT_EQ(*v, k * 10);
   }
+}
+
+TEST(KvService, PutThatLeavesTheHotSetUnchangedPublishesNothing) {
+  // A full hot set turns a cold key away: that put must not bump the
+  // replicas or nudge any other slot. A hot put still reaches them.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService::Config cfg;
+  cfg.replicated_hot_capacity = 2;  // keys 0 and 1 fill it
+  KvService kv(rt, cfg);
+  for (Word k = 0; k < 6; ++k) {
+    ASSERT_EQ(kv.put_remote(me, 1, 1, k, k * 10), Status::kOk);
+  }
+  rt.poll(me);
+  ASSERT_EQ(rt.xcall_depth(me), 0u);
+
+  auto before = rt.snapshot();
+  ASSERT_EQ(kv.put_remote(me, 1, 1, 4, 444), Status::kOk);  // cold key
+  ASSERT_EQ(kv.put_remote(me, 1, 1, 0, 0), Status::kOk);    // equal value
+  EXPECT_EQ(rt.snapshot().delta(before).get(obs::Counter::kReplInvalidations),
+            0u);
+  EXPECT_EQ(rt.xcall_depth(me), 0u);
+  EXPECT_EQ(*kv.get_remote(me, 1, 1, 4), 444u);
+
+  before = rt.snapshot();
+  ASSERT_EQ(kv.put_remote(me, 1, 1, 1, 111), Status::kOk);  // hot key
+  EXPECT_EQ(rt.snapshot().delta(before).get(obs::Counter::kReplInvalidations),
+            2u);
+  EXPECT_EQ(rt.xcall_depth(me), 1u);  // the refresh nudge
+  rt.poll(me);
+  const auto local = rt.slot_snapshot(me);
+  EXPECT_EQ(*kv.get_remote(me, 1, 1, 1), 111u);
+  // Answered by this slot's refreshed replica, not by the owner.
+  EXPECT_EQ(rt.slot_snapshot(me).delta(local).get(obs::Counter::kCallsRemote),
+            0u);
+}
+
+TEST(KvService, MultiGetPacksSevenMissesPerCell) {
+  // Replica misses ride kKvGetN cells, seven keys a cell, all cells of a
+  // probe behind one doorbell. Stored and absent keys are interleaved with
+  // hot ones; every answer must be exact.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService::Config cfg;
+  cfg.replicated_hot_capacity = 2;
+  KvService kv(rt, cfg);
+  ASSERT_EQ(kv.put_remote(me, 1, 1, 900, 9000), Status::kOk);  // hot
+  ASSERT_EQ(kv.put_remote(me, 1, 1, 901, 9010), Status::kOk);  // hot
+  for (Word k = 0; k < 15; ++k) {
+    if (k % 3 != 2) {  // every third cold key is absent
+      ASSERT_EQ(kv.put_remote(me, 1, 1, 100 + k, 1000 + k), Status::kOk);
+    }
+  }
+  rt.poll(me);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  for (const std::size_t cold : {1u, 7u, 8u, 15u}) {
+    std::vector<Word> probe;
+    for (Word k = 0; k < cold; ++k) {
+      probe.push_back(100 + k);
+      if (k % 4 == 0) probe.push_back(900 + (k / 4) % 2);
+    }
+    std::vector<std::optional<Word>> out(probe.size(), Word{7});
+    const auto before = rt.slot_snapshot(me);
+    const std::size_t found = kv.multi_get(me, 1, 1, probe, out);
+    const auto delta = rt.slot_snapshot(me).delta(before);
+
+    std::size_t want_found = 0;
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+      const Word key = probe[i];
+      if (key >= 900) {
+        EXPECT_EQ(out[i], 9000 + (key - 900) * 10) << "hot key " << key;
+        ++want_found;
+      } else if ((key - 100) % 3 == 2) {
+        EXPECT_FALSE(out[i].has_value()) << "absent key " << key;
+      } else {
+        EXPECT_EQ(out[i], 1000 + (key - 100)) << "cold key " << key;
+        ++want_found;
+      }
+    }
+    EXPECT_EQ(found, want_found) << cold << " cold keys";
+    const std::uint64_t cells = (cold + kKvGetNMax - 1) / kKvGetNMax;
+    EXPECT_EQ(delta.get(obs::Counter::kXcallPosts), cells) << cold;
+    EXPECT_EQ(delta.get(obs::Counter::kXcallBatchPosts), cells > 1 ? 1u : 0u)
+        << cold;
+    EXPECT_EQ(delta.get(obs::Counter::kXcallCellsPerBatch),
+              cells > 1 ? cells : 0u)
+        << cold;
+  }
+  stop.store(true, std::memory_order_release);
+  owner.join();
+}
+
+TEST(KvService, GetNRefusesAKeyCountOutsideOneToSeven) {
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService kv(rt);
+  for (Word k = 0; k < kPpcWords; ++k) {
+    ASSERT_EQ(kv.put_remote(me, 1, 1, k, 100 + k), Status::kOk);
+  }
+  for (const Word n : {Word{0}, Word{8}}) {
+    ppc::RegSet r;
+    for (Word k = 0; k < kKvGetNMax; ++k) r[k] = k;
+    ppc::set_op(r, kKvGetN, n);
+    const ppc::RegSet sent = r;
+    EXPECT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r), Status::kInvalidArgument)
+        << "n " << n;
+    EXPECT_EQ(ppc::flags_of(r), n);
+    // Every key word comes back as sent: the shard was never read.
+    for (std::size_t k = 0; k < kKvGetNMax; ++k) EXPECT_EQ(r[k], sent[k]);
+  }
+  ppc::RegSet r;
+  for (Word k = 0; k < kKvGetNMax; ++k) r[k] = k;
+  ppc::set_op(r, kKvGetN, kKvGetNMax);
+  ASSERT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r), Status::kOk);
+  EXPECT_EQ(ppc::flags_of(r), 0x7Fu);
+  for (Word k = 0; k < kKvGetNMax; ++k) EXPECT_EQ(r[k], 100 + k);
+}
+
+TEST(KvService, GetNIsRefusedLikeGetUnderExpiredDeadlineOrCancel) {
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService kv(rt);
+  ASSERT_EQ(kv.put_remote(me, 1, 1, 10, 100), Status::kOk);
+  const auto get = [] {
+    ppc::RegSet r;
+    r[0] = 10;
+    ppc::set_op(r, kKvGet);
+    return r;
+  };
+  const auto get_n = [] {
+    ppc::RegSet r;
+    r[0] = 10;
+    ppc::set_op(r, kKvGetN, 1);
+    return r;
+  };
+
+  RequestCtx req;
+  req.abs_deadline_cycles = 1;  // the distant past
+  rt.set_request_ctx(me, req);
+  for (ppc::RegSet r : {get(), get_n()}) {
+    EXPECT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r),
+              Status::kDeadlineExceeded);
+    EXPECT_EQ(ppc::rc_of(r), Status::kDeadlineExceeded);
+    EXPECT_EQ(r[0], 10u);  // never reached the shard
+  }
+  rt.clear_request_ctx(me);
+
+  const CancelToken token = rt.cancel_token_create();
+  rt.cancel(token);
+  CallOptions opts;
+  opts.cancel_token = token;
+  for (ppc::RegSet r : {get(), get_n()}) {
+    EXPECT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r, opts),
+              Status::kCallAborted);
+    EXPECT_EQ(ppc::rc_of(r), Status::kCallAborted);
+    EXPECT_EQ(r[0], 10u);
+  }
+
+  // Without the context both answer.
+  ppc::RegSet r = get_n();
+  ASSERT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r), Status::kOk);
+  EXPECT_EQ(r[0], 100u);
+  EXPECT_EQ(ppc::flags_of(r), 1u);
 }
 
 TEST(KvService, MultiOpChunkDefaultsAndClamps) {

@@ -129,6 +129,19 @@ struct BulkXorService {
   }
 };
 
+// regs carry one BulkSeg (w[0..3]): sum the granted bytes, read in place
+// through the grant check, into w[4].
+Status sum_in_place(void* /*self*/, ShmCtx& ctx, ppc::RegSet& regs) {
+  const rt::BulkSeg seg = rt::bulk_seg_unpack(regs, 0);
+  const auto* p = static_cast<const std::uint8_t*>(
+      ctx.copy->resolve(seg.region, seg.addr, seg.len, /*writable=*/false));
+  if (p == nullptr) return Status::kBadRegion;
+  Word sum = 0;
+  for (std::uint32_t i = 0; i < seg.len; ++i) sum += p[i];
+  regs[4] = sum;
+  return Status::kOk;
+}
+
 TEST(ShmTransport, BulkDescriptorsMoveBytesThroughGrantedRegions) {
   const std::string name = uniq_name("bulk");
   Server server(name);
@@ -347,12 +360,16 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   // peers attach, a writer with the segment mapped scribbles every layout
   // offset the header holds — lanes, peer table, regions and cancel pool
   // — with values past the end of the segment, so any re-read on the
-  // serving or reaping path would trip the bounds assert.
-  // The server must keep serving exact replies, and the reaper must still
-  // find and reap a dead peer.
+  // serving or reaping path would trip the bounds assert, and raises
+  // max_regions, so a bound read from the header would let a region id
+  // index past the server's own mapping table.
+  // The server must keep serving exact replies, in-place bulk calls
+  // included, refuse a region id past its table, and the reaper must
+  // still find and reap a dead peer.
   const std::string name = uniq_name("scribble");
   Server server(name);
   server.bind(&echo_add_one, nullptr);
+  const ShmEp sum_ep = server.bind(&sum_in_place, nullptr);
 
   // A forked peer takes lane 0 and waits to be killed; fork before any
   // thread starts. It also leaves if this process dies first, so a failed
@@ -386,6 +403,14 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   regs[0] = 1;
   ASSERT_EQ(peer.call(1, regs), Status::kOk);
   ASSERT_EQ(regs[0], 2u);
+  constexpr std::uint32_t kBytes = 4096;
+  const std::uint32_t region = peer.grant_region(kBytes);  // before scribbling
+  ASSERT_LT(region, kMaxShmRegions);
+  Word want = 0;
+  for (std::uint32_t i = 0; i < kBytes; ++i) {
+    peer.region_base(region)[i] = static_cast<std::byte>(i * 7);
+    want += static_cast<std::uint8_t>(i * 7);
+  }
 
   Segment view = Segment::open(name);
   auto* hdr = reinterpret_cast<ShmHeader*>(view.base());
@@ -395,6 +420,13 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   hdr->regions_off = wild + 128;
   hdr->cancel_flags_off = wild + 192;
   hdr->cancel_cursor_off = wild + 256;
+  hdr->max_regions = ~0u;
+
+  rt::bulk_seg_pack(regs, 0, rt::bulk_region(region, 0, kBytes));
+  ASSERT_EQ(peer.call(sum_ep, regs), Status::kOk);
+  EXPECT_EQ(regs[4], want);
+  rt::bulk_seg_pack(regs, 0, rt::bulk_region(kMaxShmRegions + 1, 0, kBytes));
+  EXPECT_EQ(peer.call(sum_ep, regs), Status::kBadRegion);
 
   for (std::uint32_t round = 0; round < 256; ++round) {
     for (std::size_t i = 0; i < kPpcWords; ++i) {
