@@ -244,11 +244,13 @@ class KvService {
       }
       pending = 0;
     };
+    // One replica snapshot for the whole call: every key is probed against
+    // the same consistent copy, lock-free and local, and hot hits never
+    // touch the ring at all.
+    HotSet h{};
+    if (hot_ != nullptr && !keys.empty()) h = hot_->read(caller_slot);
     for (std::size_t idx = 0; idx < keys.size(); ++idx) {
       if (hot_ != nullptr) {
-        // One replica read per key keeps the probe lock-free and local;
-        // hot hits never touch the ring at all.
-        const HotSet h = hot_->read(caller_slot);
         bool hit = false;
         for (std::uint32_t j = 0; j < hot_cap_; ++j) {
           if (h.e[j].used != 0 && h.e[j].key == keys[idx]) {

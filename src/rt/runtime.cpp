@@ -486,7 +486,7 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
                tok != 0 && cancel_requested(tok)) {
       // A cancelled cell is refused the same way: the root asked for the
       // whole tree to stop. A parked caller is kicked by the completion
-      // exchange exactly as a real result would kick it.
+      // exactly as a real result would kick it.
       rc = Status::kCallAborted;
       set_rc(out, rc);
       slot.counters.inc(obs::Counter::kCallsCancelled);
@@ -509,7 +509,7 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
     cell.regs = out;
     return rc;
   };
-  // The completing exchange found the parked bit: we just futex-woke a
+  // The completion's load found the parked bit: we just futex-woke a
   // waiter that gave up its timeslice to us.
   const auto kicked = [&slot]([[maybe_unused]] EntryPointId ep,
                               [[maybe_unused]] const obs::TraceCtx& tctx) {
@@ -1244,8 +1244,7 @@ template <typename Lane>
       continue;
     }
 
-    // Wait, then complete: copy each reply out of its cell and hand the
-    // slot back. The first waits dominate the wall time; later ones are
+    // Wait, then complete: copy each reply out of its cell. The first waits dominate the wall time; later ones are
     // usually done by the time we look. A waiter without a deadline walks
     // the spin→yield→park ladder; one with a deadline abandons its cell
     // when it expires. The park failpoints: "rt.xcall.park.now" collapses
@@ -1277,8 +1276,7 @@ template <typename Lane>
         me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
       }
       if (st == kCellAbandoned) {
-        // The cell is the server's now: it releases the slot when it
-        // reaches it.
+        // The cell is the server's now: its drain skips and retires it.
         me.counters.inc(obs::Counter::kDeadlineExceeded);
         HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
                          obs::TraceEvent::kDeadlineExceeded, target);
@@ -1286,8 +1284,9 @@ template <typename Lane>
         fold(Status::kDeadlineExceeded);
         continue;
       }
+      // The server has already retired the cell; we are the ring's only
+      // producer, so nobody reuses it before the reply is copied out.
       Lane::reply(req, cell, cell_status(st));
-      ring.release(first + k);
       fold(cell_status(st));
     }
     i += posted;

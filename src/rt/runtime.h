@@ -260,7 +260,7 @@ class Runtime {
   /// kDeadlineExceeded, and a retry policy for the ring-full case (block /
   /// bounded backoff / fail fast — the latter two return kOverloaded when
   /// the budget runs out). An abandoned cell stays in the ring until the
-  /// server reaches it and releases it; a deadline waiter never parks.
+  /// server reaches it and retires it; a deadline waiter never parks.
   Status call_remote(SlotId caller_slot, SlotId target, ProgramId caller,
                      EntryPointId id, RegSet& regs, const CallOptions& opts);
 

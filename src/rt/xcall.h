@@ -33,13 +33,24 @@
 //
 //   The cell   — also the completion: a sync call's reply comes back in the
 //                cell's RegSet and its state word moves posted → done with
-//                one server exchange, so a call moves one line each way.
-//                The caller waits on that word with an adaptive
-//                spin→yield→park ladder (wait_complete); a waiter that
-//                exhausts its yield budget parks on the word (C++20 atomic
-//                wait) and the completing exchange sees the parked bit and
-//                kicks it with one notify. A call owns its cell and
-//                nothing else.
+//                one server release store, so a call moves one line each
+//                way and the server never waits on the caller's copy of
+//                it. The server also retires the cell; the caller only
+//                copies the reply out. The caller waits on the word with an
+//                adaptive spin→yield→park ladder (wait_complete); a waiter
+//                that exhausts its yield budget parks on the word (a raw
+//                futex with a bounded sleep) and the completing server
+//                kicks it if it saw the parked bit. A call owns its cell
+//                and nothing else.
+//
+// One producer at a time per ring. For the in-process ring that is the
+// thread holding the source slot (its registered owner, or a thief that
+// won its SlotGate); for an shm lane, the peer that owns the lane. The
+// consumer retires a sync cell while its caller may still be reading the
+// reply, which is safe only because of this rule: the one producer that
+// could reclaim the cell is the caller itself, and it does not post again
+// until it has copied its reply out. Async-only use may have many
+// producers — nobody reads an async cell after the drain.
 //
 // This header is the one home of the cell format and the completion
 // protocol; the in-process runtime (rt/runtime.cpp) and the cross-process
@@ -88,19 +99,21 @@ using ::hppc::cpu_relax;
 ///                          drain retires the cell.
 ///   kCellPosted            sync call in flight, caller spinning/yielding.
 ///   kCellPosted → kCellParked      caller CAS: parked on the word (futex).
-///   kCellPosted → kCellAbandoned   caller CAS on deadline expiry: it left,
-///                          the consumer releases the cell when it gets
-///                          there (an abandoned cell is its own zombie).
-///   any → kCellDone | status       consumer exchange, after storing the
-///                          reply in `regs`. It sees the parked bit it
-///                          replaces (and kicks), or the abandoned value
-///                          (and releases the cell itself).
+///   kCellPosted → kCellAbandoned   caller CAS on deadline expiry: it left;
+///                          a drain that reaches the cell skips it.
+///   any → kCellDone | status       consumer release store, after storing
+///                          the reply in `regs` and loading the word once
+///                          (relaxed). If that load saw the parked bit, the
+///                          consumer kicks the waiter. An abandon that
+///                          lands after the load is overwritten, which is
+///                          harmless: the caller has left.
 ///
-/// Who releases the slot (seq = pos + capacity): the consumer for async
-/// and abandoned cells; the caller for a completed sync cell, after it has
-/// copied the reply out — so the slot is held for the length of the call.
-/// The caller's CASes are from kCellPosted only, so a parker or an
-/// abandoner can never erase a completion.
+/// The consumer retires every cell it drains (seq = pos + capacity) —
+/// async, sync and abandoned alike, in drain order. The caller's CASes are
+/// from kCellPosted only, so a parker or an abandoner can never erase a
+/// completion. A park CAS that lands between the consumer's load and its
+/// store gets no kick; the parked waiter's bounded sleep (kParkRecheckNs)
+/// covers that case.
 inline constexpr std::uint32_t kCellPosted = 0;
 inline constexpr std::uint32_t kCellDone = 0x100;
 inline constexpr std::uint32_t kCellAbandoned = 0x200;
@@ -217,6 +230,22 @@ inline bool cell_is_bulk(EntryPointId wire) {
   return (wire & kCellBulkBit) != 0;
 }
 
+/// The longest a parked waiter sleeps before it re-checks its cell. The
+/// completing server kicks a waiter it saw parked; one whose park CAS
+/// landed just after the server's load is found by this re-check instead.
+inline constexpr std::uint64_t kParkRecheckNs = 200'000;
+
+/// Sleep on `word` while it reads `expect`, for at most `timeout_ns`: a
+/// raw FUTEX_WAIT_PRIVATE (std::atomic::wait has no timeout). Returns on a
+/// kick, a changed word, the timeout or a spurious wake; the caller
+/// re-checks the word either way.
+void park_on(std::atomic<std::uint32_t>& word, std::uint32_t expect,
+             std::uint64_t timeout_ns);
+
+/// Wake one waiter sleeping in park_on(word): a raw FUTEX_WAKE_PRIVATE
+/// (libstdc++'s notify_one does not wake a raw futex waiter).
+void kick_waiter(std::atomic<std::uint32_t>& word);
+
 /// Consumer-side no-op for drain()'s kick callback.
 struct NoKick {
   void operator()(EntryPointId, const obs::TraceCtx&) const {}
@@ -249,20 +278,20 @@ class XcallRing {
   /// and, in trace builds, tctx): cells are reused. The ring writes the
   /// state word: with `sync_first` null the cells are fire-and-forget;
   /// otherwise they are sync calls, *sync_first receives the position of
-  /// the first, and the caller waits on each (wait_complete) and hands it
-  /// back (release). Returns the number of cells posted; 0 means the ring
+  /// the first, and the caller waits on each (wait_complete) and copies
+  /// its reply out. Returns the number of cells posted; 0 means the ring
   /// is full (the caller takes its retry or overflow path). Never blocks,
   /// never allocates.
   ///
-  /// The claim is validated against every cell of the run: slots are
-  /// released out of order (a caller releases its cell when its call ends,
-  /// the consumer retires async and abandoned cells as it drains), so one
-  /// free cell says nothing about its neighbours. A seq BEHIND its
-  /// position means that cell is still held — the run is halved until it
-  /// fits. A seq AHEAD of it means another producer moved the cursor since
-  /// we loaded it; the cursor is reloaded and the full run retried, so a
-  /// racing producer never turns a ring with room into a "full" answer. A
-  /// short count is not an error — the caller re-submits the tail.
+  /// The consumer retires cells in drain order, so the run's last cell
+  /// being free means every cell before it is free too: the claim checks
+  /// that one cell, and its acquire orders every earlier retire. A seq
+  /// BEHIND its position means the run reaches an undrained cell — the run
+  /// is halved until it fits. A seq AHEAD of it means another producer
+  /// moved the cursor since we loaded it; the cursor is reloaded and the
+  /// full run retried, so a racing producer never turns a ring with room
+  /// into a "full" answer. A short count is not an error — the caller
+  /// re-submits the tail.
   ///
   /// Cells after the run's first are published with relaxed seq stores;
   /// that is sound because the single consumer drains strictly in order,
@@ -277,13 +306,11 @@ class XcallRing {
     std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     std::size_t m = n;
     for (;;) {
-      std::int64_t dif = 0;
-      for (std::size_t k = 0; k < m && dif == 0; ++k) {
-        const std::uint64_t seq =
-            cell(pos + k).seq.load(std::memory_order_acquire);
-        dif = static_cast<std::int64_t>(seq) -
-              static_cast<std::int64_t>(pos + k);
-      }
+      const std::uint64_t last = pos + m - 1;
+      const std::int64_t dif =
+          static_cast<std::int64_t>(
+              cell(last).seq.load(std::memory_order_acquire)) -
+          static_cast<std::int64_t>(last);
       if (dif == 0) {
         if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
                                                std::memory_order_relaxed)) {
@@ -291,7 +318,7 @@ class XcallRing {
         }
         m = n;  // the CAS reloaded pos: revalidate the full run there
       } else if (dif < 0) {
-        m >>= 1;  // a cell of the run is still held
+        m >>= 1;  // the run reaches an undrained cell
         if (m == 0) return 0;
       } else {
         pos = enqueue_pos_.load(std::memory_order_relaxed);  // stale cursor
@@ -315,28 +342,16 @@ class XcallRing {
   /// The cell at ring position `pos`.
   XcallCell& cell(std::uint64_t pos) { return cells_[pos & (kCapacity - 1)]; }
 
-  /// Caller of a sync cell, once its completion is observed and its reply
-  /// copied out: hand the slot back to producers. A CAS from the posted
-  /// seq, so a release that races a re-arm of the ring (the shm reaper)
-  /// cannot land on a cell that no longer belongs to this call.
-  void release(std::uint64_t pos) {
-    std::uint64_t posted = pos + 1;
-    cell(pos).seq.compare_exchange_strong(posted, pos + kCapacity,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed);
-  }
-
   /// Ownership holder only. Consumes every ready cell in one batch and
   /// returns the batch size. `fn(cell)` runs a cell's request and returns
   /// its Status with the reply stored in `cell.regs` (a void `fn` answers
   /// kOk). The ring then runs the consumer half of the state protocol: an
-  /// abandoned cell is released without running `fn`; an async cell is
-  /// retired; a sync cell is completed with one exchange, which is the
-  /// consumer's last access to it — unless the caller abandoned it in the
-  /// meantime, in which case the consumer releases it. `on_kick(ep, tctx)`
-  /// runs after a completion woke a parked caller, with the cell's entry
-  /// point and (trace builds) trace context, both read before the
-  /// exchange.
+  /// abandoned cell is skipped without running `fn`; a sync cell is
+  /// completed with one release store (complete()); every cell is then
+  /// retired, so the server alone moves a cell back to the producers.
+  /// `on_kick(ep, tctx)` runs after a completion woke a parked caller,
+  /// with the cell's entry point and (trace builds) trace context, both
+  /// read before the completion.
   template <typename Fn, typename OnKick = NoKick>
   std::size_t drain(Fn&& fn, OnKick&& on_kick = {}) {
     std::size_t n = 0;
@@ -345,7 +360,6 @@ class XcallRing {
       XcallCell& c = cell(pos);
       if (c.seq.load(std::memory_order_acquire) != pos + 1) break;
       const std::uint32_t st = c.state.load(std::memory_order_acquire);
-      bool retire = true;
       if (st != kCellAbandoned) {
         Status rc = Status::kOk;
         if constexpr (std::is_void_v<decltype(fn(c))>) {
@@ -360,12 +374,10 @@ class XcallRing {
 #else
           const obs::TraceCtx tctx{};
 #endif
-          const std::uint32_t prev = complete(c, rc);
-          if ((prev & kCellParked) != 0) on_kick(ep, tctx);
-          retire = prev == kCellAbandoned;  // else the caller releases it
+          if (complete(c, rc)) on_kick(ep, tctx);
         }
       }
-      if (retire) c.seq.store(pos + kCapacity, std::memory_order_release);
+      c.seq.store(pos + kCapacity, std::memory_order_release);
       dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
       ++n;
     }
@@ -413,16 +425,19 @@ class XcallRing {
   }
 
  private:
-  /// Publish a sync cell's completion (reply already in regs): the
-  /// exchange closes the park race — a caller parks by CAS posted→parked,
-  /// so either its CAS loses and it sees the result without sleeping, or
-  /// this exchange observes the parked bit and kicks it. Returns the state
-  /// it replaced.
-  static std::uint32_t complete(XcallCell& c, Status rc) {
-    const std::uint32_t prev = c.state.exchange(
-        kCellDone | static_cast<std::uint32_t>(rc), std::memory_order_acq_rel);
-    if ((prev & kCellParked) != 0) c.state.notify_one();
-    return prev;
+  /// Publish a sync cell's completion (reply already in regs) with plain
+  /// stores: no RMW, so the server never stalls on the caller's copy of
+  /// the line. One relaxed load first tells whether the caller parked; if
+  /// it did, the waiter is kicked after the store. A park CAS that lands
+  /// between that load and the store goes unkicked — the waiter's bounded
+  /// sleep re-checks the word (wait_complete). Returns whether it kicked.
+  static bool complete(XcallCell& c, Status rc) {
+    const std::uint32_t prev = c.state.load(std::memory_order_relaxed);
+    c.state.store(kCellDone | static_cast<std::uint32_t>(rc),
+                  std::memory_order_release);
+    if ((prev & kCellParked) == 0) return false;
+    kick_waiter(c.state);
+    return true;
   }
 
   // Producer-shared and consumer-private positions on separate lines so
@@ -528,20 +543,22 @@ inline constexpr int kNeverPark = -1;
 ///   yield  up to `yield_rounds` rounds of help() + sched yield, so a
 ///          time-sliced server can run and an idle target can be drained
 ///          by the waiter itself (`help` steals the gate and drains);
-///   park   CAS the state word kCellPosted→kCellParked and block in the
-///          C++20 atomic wait until the server's completing exchange —
-///          which observes the parked bit it replaced — kicks us with
-///          notify_one().
+///   park   CAS the state word kCellPosted→kCellParked and sleep on it
+///          (park_on) until the completing server, whose load saw the
+///          parked bit, kicks us — or for kParkRecheckNs at most, after
+///          which the word is re-checked: a park CAS that landed between
+///          the server's load and its done store is never kicked.
 ///
 /// `deadline` is an absolute host_cycles() tick, 0 for none. A waiter
-/// holding one never parks (atomic wait has no timeout): each yield round
-/// checks the clock and, on expiry, abandons with a CAS from kCellPosted.
-/// A completion that races the expiry wins, so the caller takes the real
-/// result rather than reporting a deadline it missed by nanoseconds.
+/// holding one never parks: each yield round checks the clock and, on
+/// expiry, abandons with a CAS from kCellPosted. A completion that races
+/// the expiry wins, so the caller takes the real result rather than
+/// reporting a deadline it missed by nanoseconds.
 ///
 /// Returns the final state word: kCellDone | status (the reply is in
-/// cell.regs; the caller copies it out, then releases the slot), or
-/// kCellAbandoned (the cell now belongs to the server, which releases it).
+/// cell.regs; the caller copies it out — the server has already retired
+/// the cell, and only this caller can post into it again), or
+/// kCellAbandoned (the cell is the server's, which skips it).
 /// `on_park` runs once per park attempt, before blocking (counters/trace/
 /// failpoints). The park CAS is from kCellPosted only, so a parker can
 /// never erase a completion; completion checks test kCellDone, so a stale
@@ -566,7 +583,7 @@ template <typename Helper, typename OnPark>
                                              std::memory_order_acquire)) {
         return kCellAbandoned;
       }
-      return v;  // lost to the completing exchange: v is its done word
+      return v;  // lost to the completing store: v is its done word
     }
     help();
     const std::uint32_t v = cell.state.load(std::memory_order_acquire);
@@ -589,10 +606,11 @@ template <typename Helper, typename OnPark>
                                               std::memory_order_acquire)) {
         continue;  // completion raced in under us — re-examine
       }
-      // Blocks while the word still reads kCellParked; the server's
-      // completing exchange changes it and notifies. Spurious wakes just
+      // Sleeps while the word still reads kCellParked: the server's done
+      // store changes it and, if its load saw the park, kicks us. A kick
+      // missed in that window costs one bounded sleep; wakes of any kind
       // re-run the loop.
-      cell.state.wait(kCellParked, std::memory_order_acquire);
+      park_on(cell.state, kCellParked, kParkRecheckNs);
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "shm/copy.h"
 
+#include <cstdint>
 #include <cstring>
 
 namespace hppc::shm {
@@ -45,6 +46,9 @@ void* CopyServer::resolve(std::uint32_t region, std::uint64_t off,
 
 Status CopyServer::copy_from(std::uint32_t region, std::uint64_t off,
                              void* dst, std::size_t len) {
+  // The grant check sees a 32-bit length; a longer copy must not pass it
+  // on its low bits and then memcpy the full length.
+  if (len > UINT32_MAX) return Status::kBadRegion;
   const void* src =
       resolve(region, off, static_cast<std::uint32_t>(len), false);
   if (src == nullptr) return Status::kBadRegion;
@@ -55,6 +59,7 @@ Status CopyServer::copy_from(std::uint32_t region, std::uint64_t off,
 
 Status CopyServer::copy_to(std::uint32_t region, std::uint64_t off,
                            const void* src, std::size_t len) {
+  if (len > UINT32_MAX) return Status::kBadRegion;  // see copy_from
   void* dst = resolve(region, off, static_cast<std::uint32_t>(len), true);
   if (dst == nullptr) return Status::kBadRegion;
   std::memcpy(dst, src, len);

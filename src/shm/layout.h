@@ -8,7 +8,7 @@
 // shm_open/mmap segment, so a caller PROCESS and a server PROCESS run the
 // same cell format and completion protocol as two slots of one process —
 // the reply comes back in the cell that carried the call. One amendment
-// across the process boundary: nobody parks. std::atomic::wait lowers to
+// across the process boundary: nobody parks. The in-process park is a
 // FUTEX_WAIT_PRIVATE, which does not cross address spaces, so shm waiters
 // spin-then-sched_yield until the server completes them (a dead peer's
 // calls are completed by the reaper).
@@ -31,8 +31,8 @@
 //                          call;
 //   * lane dequeue line (XcallRing's dequeue cursor) — the server, once
 //                          per drained cell;
-//   * lane ring cells    — the owning peer posts and releases, the server
-//                          drains and completes in place (per-peer lanes,
+//   * lane ring cells    — the owning peer posts, the server drains,
+//                          completes and retires in place (per-peer lanes,
 //                          so rings are SPSC here, but they keep the MPSC
 //                          claim protocol of the in-process layer);
 //   * PeerSlot line 0 (state, pid, generation, program) — CAS-claimed by
@@ -62,8 +62,10 @@ namespace hppc::shm {
 
 inline constexpr std::uint64_t kShmMagic = 0x48505043'53484d31ull;  // HPPCSHM1
 /// v2: lanes are rt::XcallRings and the reply comes back in the cell (no
-/// wait blocks).
-inline constexpr std::uint32_t kShmVersion = 2;
+/// wait blocks). v3: the server retires every cell it drains; the peer
+/// writes nothing after posting (a v2 peer would still release, a v2
+/// server would never retire a sync cell).
+inline constexpr std::uint32_t kShmVersion = 3;
 
 /// Peers one segment can host (one call lane each).
 inline constexpr std::uint32_t kMaxShmPeers = 8;

@@ -404,10 +404,11 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
       [] {});
   // Reaped while we waited: the reaper completed our cell with
   // kCallAborted and re-armed the lane for the next peer, so the cell is
-  // no longer ours to read or release.
+  // no longer ours to read.
   if (reaped()) return Status::kCallAborted;
+  // The server has already retired the cell; this peer is the lane's only
+  // producer, so nobody reuses it before the reply is copied out.
   regs = cell.regs;
-  ring_->release(pos);
   counters_->inc(obs::Counter::kCallsRemote);
   return rt::cell_status(st);
 }

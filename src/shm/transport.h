@@ -13,17 +13,20 @@
 //   server: drain the lane (XcallRing::drain), dispatch through a flat
 //           function-pointer table — the frame-ABI shape, no
 //           std::function, no worker/CD machinery — on a server-local
-//           RegSet, then store the reply into the cell and exchange its
-//           state word to done, back to back;
-//   peer:   observe done (acquire), copy the reply out of the cell, and
-//           release the slot (a CAS from the posted seq).
+//           RegSet, then store the reply into the cell, store its state
+//           word to done and retire the cell, back to back: plain
+//           stores, no RMW on the line the peer spins on;
+//   peer:   observe done (acquire) and copy the reply out of the cell.
+//           Nothing else: the server already handed the slot back, and
+//           the peer, the lane's only producer, posts nothing into it
+//           before the copy is done.
 //
 // No step locks, no step allocates, and the only line that crosses
 // between the processes on a warm call is the cell (plus the peer's own
 // heartbeat line): each cursor line and each peer-table line has a single
 // writer (see the ownership map in layout.h), and the server polls through
 // pointers it resolved at create time, never through offsets re-read from
-// the segment. Waiters never park: std::atomic::wait is a private futex,
+// the segment. Waiters never park: the in-process park is a private futex,
 // which does not wake across address spaces. On a multi-core host the
 // reply usually lands inside the waiter's spin window; a waiter that
 // outlasts it yields the CPU between polls.
@@ -184,7 +187,8 @@ class Peer {
   /// Synchronous cross-process PPC: post one cell on this peer's lane and
   /// spin-then-yield on its state word; the reply comes back in the cell.
   /// Warm path: zero locks, zero allocations (one cell CAS+publish, one
-  /// spin, one release). `token` (from cancel_token_create) rides the cell
+  /// spin, one reply copy). One thread at a time: the peer is its lane's
+  /// only producer. `token` (from cancel_token_create) rides the cell
   /// ep lane; 0 = not cancellable. kOverloaded when the lane ring is full;
   /// kCallAborted, without touching the lane, once this peer was reaped.
   Status call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token = 0);

@@ -70,7 +70,7 @@ constexpr ChaosPoint kParkSchedule[] = {
 };
 
 // Slot conservation: every cell ever posted on the (caller, target)
-// channel has been released, so a whole ring's worth of cells, fail-fast,
+// channel has been retired, so a whole ring's worth of cells, fail-fast,
 // completes against the still-polling target. Run from the orchestrating
 // thread once the caller threads are joined (their slots are quiescent).
 void expect_channel_free(rt::Runtime& rt, rt::SlotId caller,

@@ -106,7 +106,7 @@ class Owner {
     if (thread_.joinable()) join();
   }
   /// Stop and join: the owner's counters are final afterwards (a kick is
-  /// booked just after the exchange that wakes the caller).
+  /// booked just after the completion that wakes the caller).
   void join() {
     stop_.store(true, std::memory_order_release);
     thread_.join();
@@ -284,7 +284,7 @@ TEST(CompletionLine, ExpiredAtDrainReplyCarriesTheDeadline) {
 TEST(CompletionLine, ParkedWaiterIsKickedWithTheReply) {
   // The owner holds its gate without draining until the caller has parked
   // on its wait line, so every lane's waiter walks the whole ladder and
-  // the completing exchange must kick it.
+  // the completing server, whose load sees the parked bit, must kick it.
   enum Lane { kSingle, kBatched, kFrame, kFrameBatch };
   constexpr SlotId kCallerSlot = 2;
   for (const Lane lane : {kSingle, kBatched, kFrame, kFrameBatch}) {
@@ -350,8 +350,9 @@ TEST(CompletionLine, ForcedParkThenDelayedCompletionDeliversTheReply) {
   // "rt.xcall.park.now" sends every no-deadline wait straight to the park
   // CAS after one spin window; "rt.xcall.complete.delay" holds the reply
   // back far longer than that window, so the waiter is parked when the
-  // server's reply store and done exchange land — against a live,
-  // draining owner, where a lost kick hangs the test. Both seams sit in
+  // server's reply and done stores land — against a live, draining
+  // owner, where a waiter that is never kicked would show up as a
+  // missing kick and a park->wake stall. Both seams sit in
   // one engine stage each, so all four sync lanes must honour them.
   ASSERT_TRUE(fault::arm("rt.xcall.park.now", "always"));
   ASSERT_TRUE(fault::arm("rt.xcall.complete.delay", "always,delay=20000"));

@@ -440,6 +440,60 @@ TEST(KvService, MultiGetPacksSevenMissesPerCell) {
   owner.join();
 }
 
+TEST(KvService, MultiGetReadsTheReplicaOncePerCall) {
+  // A 16-key multi_get probes every key against one replica snapshot:
+  // exactly one repl_read on the caller slot, and every answer exact —
+  // hot, stored cold and absent keys alike.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService::Config cfg;
+  cfg.replicated_hot_capacity = 8;
+  KvService kv(rt, cfg);
+  for (Word k = 0; k < 8; ++k) {  // fill the hot set: keys 10..17
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 10 + k, 100 + k), Status::kOk);
+  }
+  for (Word k = 0; k < 6; ++k) {  // stored beyond it: keys 20..25
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 20 + k, 200 + k), Status::kOk);
+  }
+  rt.poll(me);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  // 8 hot, 6 stored cold, 2 absent (30, 31), interleaved.
+  const std::array<Word, 16> probe = {10, 20, 11, 30, 21, 12, 13, 22,
+                                      14, 23, 31, 15, 24, 16, 25, 17};
+  std::array<std::optional<Word>, 16> out;
+  out.fill(Word{7});
+  const auto before = rt.slot_snapshot(me);
+  const std::size_t found = kv.multi_get(me, 1, 1, probe, out);
+  const auto delta = rt.slot_snapshot(me).delta(before);
+  stop.store(true, std::memory_order_release);
+  owner.join();
+
+  EXPECT_EQ(found, 14u);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    const Word key = probe[i];
+    if (key >= 30) {
+      EXPECT_FALSE(out[i].has_value()) << "absent key " << key;
+    } else if (key >= 20) {
+      EXPECT_EQ(out[i], 200 + (key - 20)) << "cold key " << key;
+    } else {
+      EXPECT_EQ(out[i], 100 + (key - 10)) << "hot key " << key;
+    }
+  }
+  EXPECT_EQ(delta.get(obs::Counter::kReplReads), 1u);
+  // Only the 8 misses rode the ring: ceil(8/7) = 2 cells.
+  EXPECT_EQ(delta.get(obs::Counter::kXcallPosts), 2u);
+}
+
 TEST(KvService, GetNRefusesAKeyCountOutsideOneToSeven) {
   Runtime rt(2);
   const SlotId me = rt.register_thread();

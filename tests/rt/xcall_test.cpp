@@ -42,7 +42,7 @@ bool post_one(XcallRing& ring, ProgramId caller, EntryPointId ep,
   return post_many(ring, caller, ep, &regs, 1) == 1;
 }
 
-// One sync cell; returns its ring position (the caller's release handle).
+// One sync cell; returns its ring position (the caller's wait handle).
 std::uint64_t post_sync(XcallRing& ring, Word w0) {
   std::uint64_t pos = ~0ull;
   EXPECT_EQ(ring.try_post(
@@ -149,10 +149,10 @@ TEST(XcallRing, ConcurrentProducersKeepPerProducerFifo) {
 }
 
 // ---------------------------------------------------------------------------
-// The cell state protocol: completion in the cell, who releases the slot
+// The cell state protocol: completion in the cell, the consumer retires
 // ---------------------------------------------------------------------------
 
-TEST(XcallRing, SyncReplyComesBackInTheCellAndTheCallerReleases) {
+TEST(XcallRing, SyncReplyComesBackInTheCellAndTheConsumerRetiresIt) {
   XcallRing ring;
   const std::uint64_t pos = post_sync(ring, 41);
   EXPECT_EQ(ring.drain([](XcallCell& c) {
@@ -160,33 +160,43 @@ TEST(XcallRing, SyncReplyComesBackInTheCellAndTheCallerReleases) {
     return Status::kServerError;
   }),
             1u);
+  // The drain completed AND retired the cell: its seq is already the next
+  // lap's free value, before the caller has looked at the reply.
+  EXPECT_EQ(ring.cell(pos).seq.load(), pos + XcallRing::kCapacity);
   const std::uint32_t st = wait_on(ring, pos);
   EXPECT_EQ(st, kCellDone | static_cast<std::uint32_t>(Status::kServerError));
   EXPECT_EQ(cell_status(st), Status::kServerError);
+  // The reply is still readable in the retired cell: only this producer
+  // could post into it again.
   EXPECT_EQ(ring.cell(pos).regs[0], 42u);
-  // Drained but not released: the slot is still the caller's, so the
-  // producer that laps the ring finds it full there.
+  // The same producer reclaims the slot one lap later, with no release of
+  // its own: a whole ring fits, and its last cell is the retired one.
   for (std::size_t i = 1; i < XcallRing::kCapacity; ++i) {
     ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i))) << i;
   }
+  const std::uint64_t again = post_sync(ring, 43);
+  EXPECT_EQ(again, pos + XcallRing::kCapacity);
+  EXPECT_EQ(&ring.cell(again), &ring.cell(pos));
+  EXPECT_EQ(ring.cell(again).state.load(), kCellPosted);
   EXPECT_FALSE(post_one(ring, 1, 1, make_regs(0)));
-  EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity - 1);
-  ring.release(pos);
-  EXPECT_TRUE(post_one(ring, 1, 1, make_regs(0)));
 }
 
-TEST(XcallRing, HeldCellBlocksABatchClaimAcrossIt) {
-  // Slots free up out of order: a completed sync cell at index 0 is still
-  // held while the 63 async cells behind it are retired. A 2-run at
-  // positions 64..65 spans the held cell and must not be claimed, although
-  // its last cell is free.
+TEST(XcallRing, UndrainedCellBlocksABatchClaimAcrossIt) {
+  // Cells retire in drain order. Index 0 is drained and retired; the 63
+  // cells behind it are published but undrained. A 2-run at positions
+  // 64..65 reaches the undrained cell at index 1, so the claim is cut to
+  // the one free cell in front of it.
   XcallRing ring;
-  const std::uint64_t pos = post_sync(ring, 0);
-  std::array<ppc::RegSet, XcallRing::kCapacity - 1> regs{};
-  ASSERT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), regs.size());
+  std::array<ppc::RegSet, XcallRing::kCapacity> regs{};
+  ASSERT_EQ(post_many(ring, 1, 1, regs.data(), 1), 1u);
+  ASSERT_EQ(ring.drain([](XcallCell&) {}), 1u);
+  ASSERT_EQ(post_many(ring, 1, 1, regs.data(), XcallRing::kCapacity - 1),
+            XcallRing::kCapacity - 1);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), 2), 1u);
+  EXPECT_EQ(ring.depth(), XcallRing::kCapacity);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), 2), 0u);  // full
+  // Draining retires every cell in order: the 2-run fits again.
   EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity);
-  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), 2), 0u);
-  ring.release(pos);
   EXPECT_EQ(post_many(ring, 1, 1, regs.data(), 2), 2u);
 }
 
@@ -199,7 +209,7 @@ TEST(XcallRing, AbandonedCellIsReleasedByTheConsumerWithoutRunning) {
   int ran = 0;
   EXPECT_EQ(ring.drain([&](XcallCell&) { ++ran; }), 1u);
   EXPECT_EQ(ran, 0);
-  // The consumer released the slot: a whole ring fits again.
+  // The consumer retired the slot: a whole ring fits again.
   std::array<ppc::RegSet, XcallRing::kCapacity> regs{};
   EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), regs.size());
 }
@@ -213,13 +223,48 @@ TEST(XcallRing, CompletionBeatsALateAbandon) {
   const std::uint32_t st = wait_on(ring, pos, /*deadline=*/1);
   EXPECT_EQ(st, kCellDone | static_cast<std::uint32_t>(Status::kOk));
   EXPECT_EQ(ring.cell(pos).regs[0], 8u);
-  ring.release(pos);
+}
+
+TEST(XcallRing, ParkedWaiterMissedByTheConsumerWakesOnItsRecheck) {
+  // The missed-kick interleaving: the waiter's park CAS lands after the
+  // consumer's one load of the state word, so the done store that follows
+  // comes with no wake. Here the test thread plays that consumer — a bare
+  // done store, no kick — and the parked waiter must still return the done
+  // word, found by its bounded re-check sleep.
+  XcallRing ring;
+  const std::uint64_t pos = post_sync(ring, 1);
+  XcallCell& c = ring.cell(pos);
+  std::atomic<std::uint32_t> got{0};
+  std::thread waiter([&] {
+    got.store(wait_complete(c, /*deadline=*/0, /*yield_rounds=*/0, [] {},
+                            [] {}),
+              std::memory_order_release);
+  });
+  while (c.state.load(std::memory_order_acquire) != kCellParked) {
+    std::this_thread::yield();
+  }
+  // Let the waiter get from its park CAS into the futex sleep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const std::uint32_t done = kCellDone | static_cast<std::uint32_t>(Status::kOk);
+  const auto t0 = std::chrono::steady_clock::now();
+  c.state.store(done, std::memory_order_release);
+  const auto limit = std::chrono::nanoseconds(100 * kParkRecheckNs);
+  while (got.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() - t0 < limit) {
+    std::this_thread::yield();
+  }
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  const std::uint32_t seen = got.load(std::memory_order_acquire);
+  if (seen == 0) kick_waiter(c.state);  // fail, but do not hang the suite
+  waiter.join();
+  EXPECT_EQ(seen, done) << "a missed kick left the waiter asleep";
+  EXPECT_LT(waited, limit);
 }
 
 TEST(XcallRing, AbortAndRearmCompletesPublishedCallsAndFreesEverySlot) {
   XcallRing ring;
   const std::uint64_t done = post_sync(ring, 1);
-  ring.drain([](XcallCell&) {});  // completed, never released
+  ring.drain([](XcallCell&) {});  // completed and retired
   const std::uint64_t queued = post_sync(ring, 2);
   ASSERT_TRUE(post_one(ring, 1, 1, make_regs(3)));
   ring.abort_and_rearm(Status::kCallAborted);
@@ -231,9 +276,6 @@ TEST(XcallRing, AbortAndRearmCompletesPublishedCallsAndFreesEverySlot) {
             kCellDone | static_cast<std::uint32_t>(Status::kOk));
   EXPECT_EQ(ring.depth(), 0u);
   EXPECT_FALSE(ring.head_ready());
-  // A release from before the re-arm cannot land on the re-armed ring.
-  ring.release(done);
-  ring.release(queued);
   for (std::uint64_t i = 0; i < XcallRing::kCapacity; ++i) {
     EXPECT_EQ(ring.cell(i).seq.load(), i);
   }
@@ -997,7 +1039,7 @@ TEST(CallRemoteBatch, DeadlineExpiresOnStuckOwnerAndCellsAreReleased) {
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallBatchPosts), 1u);
 
   // The four abandoned cells hold their ring slots until the owner's drain
-  // reaches them and releases them, without executing them. Then a whole
+  // reaches them and retires them, without executing them. Then a whole
   // ring's worth of cells fits again: a fail-fast batch of kCapacity
   // against a polling owner completes.
   owner.release_and_join();
@@ -1267,7 +1309,8 @@ TEST(CallRemoteAsync, ExpiredDeadlineCellIsDroppedAtDrain) {
 TEST(CallRemote, ForcedParkIsKickedByCompletingServer) {
   // "rt.xcall.park.now" collapses the yield phase, so every ring-path wait
   // goes straight to the park CAS; the owner's drain must then observe the
-  // parked bit and kick the waiter — the test hangs if the kick is lost.
+  // parked bit and kick the waiter (a missed kick would only cost the
+  // waiter a bounded re-check sleep, so the counters are the evidence).
   // A polling owner on its own core can answer inside the waiter's spin
   // window, so "rt.xcall.complete.delay" holds every completion back far
   // longer than that window: each call parks and is kicked, whatever the

@@ -192,6 +192,60 @@ TEST(ShmTransport, BulkDescriptorsMoveBytesThroughGrantedRegions) {
   EXPECT_EQ(svc.bytes_seen, kBytes);
 }
 
+// regs carry one BulkSeg (w[0..3]): copy_from then copy_to with a length
+// past 4 GiB whose low 32 bits (64) fit the grant. w[4]/w[5] = their
+// statuses, w[6] = 1 iff the destination canary is untouched.
+Status oversized_copies(void* /*self*/, ShmCtx& ctx, ppc::RegSet& regs) {
+  const rt::BulkSeg seg = rt::bulk_seg_unpack(regs, 0);
+  constexpr std::size_t kLen = (std::size_t{1} << 32) + 64;
+  std::array<std::uint8_t, 128> canary;
+  canary.fill(0xC3);
+  regs[4] = static_cast<Word>(
+      ctx.copy->copy_from(seg.region, seg.addr, canary.data(), kLen));
+  regs[5] = static_cast<Word>(
+      ctx.copy->copy_to(seg.region, seg.addr, canary.data(), kLen));
+  bool intact = true;
+  for (const std::uint8_t b : canary) intact = intact && b == 0xC3;
+  regs[6] = intact ? 1 : 0;
+  return Status::kOk;
+}
+
+TEST(ShmTransport, CopyRefusesALengthPastFourGiB) {
+  // The grant check takes a 32-bit length; a size_t copy length must not
+  // pass it on its low bits and then copy gigabytes past the mapping.
+  const std::string name = uniq_name("copylen");
+  Server server(name);
+  const ShmEp ep = server.bind(&oversized_copies, nullptr);
+  std::atomic<bool> done{false};
+  std::thread srv([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (server.poll() == 0) std::this_thread::yield();
+    }
+  });
+
+  Peer peer(name, 7);
+  constexpr std::size_t kBytes = 4096;
+  const std::uint32_t region = peer.grant_region(kBytes);
+  ASSERT_LT(region, kMaxShmRegions);
+  std::byte* base = peer.region_base(region);
+  ASSERT_NE(base, nullptr);
+  std::memset(base, 0x11, kBytes);
+
+  ppc::RegSet regs{};
+  rt::bulk_seg_pack(regs, 0, rt::bulk_region(region, 0, kBytes));
+  ASSERT_EQ(peer.call(ep, regs), Status::kOk);
+  EXPECT_EQ(static_cast<Status>(regs[4]), Status::kBadRegion);
+  EXPECT_EQ(static_cast<Status>(regs[5]), Status::kBadRegion);
+  EXPECT_EQ(regs[6], 1u) << "copy_from wrote the destination";
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    ASSERT_EQ(base[i], std::byte{0x11}) << "copy_to wrote the grant at " << i;
+  }
+
+  done.store(true, std::memory_order_release);
+  srv.join();
+  EXPECT_EQ(server.counters().get(obs::Counter::kBulkCopyBytes), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Forked (genuinely cross-process)
 // ---------------------------------------------------------------------------
