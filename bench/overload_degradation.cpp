@@ -17,8 +17,9 @@
 // overload no caller ever hangs, because every admission failure resolves
 // to kOverloaded and every queued call carries a deadline.
 //
-// Single-CPU note: "offered" load above capacity is really "attempted" —
-// the pacer can only generate calls as fast as its timeslices allow. That
+// Capacity note: "offered" load above capacity is really "attempted" —
+// the pacer generates calls only as fast as its own core allows, and on a
+// 4-vCPU host the callers, the pacer and the owner share four cores. That
 // still saturates the ring (attempts outpace the drain by construction),
 // which is the regime under test.
 #include <atomic>

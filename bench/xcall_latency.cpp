@@ -1,17 +1,18 @@
 // Cross-slot call latency: the xcall layer's synchronous round trip in its
 // three configurations — direct execution on an idle slot, the adaptive
 // serve() mix, and the pure ring path against a busy-polling owner —
-// against the two legacy cross-address-space baselines (the mutex+condvar
-// message-queue server and the allocating mailbox). Distributions land in
+// against the legacy cross-address-space baseline (the mutex+condvar
+// message-queue server). Distributions land in
 // BENCH_xcall_latency.json; the speedup_vs_msgq_* scalars and the
 // xcall_warm_phase counter block are the acceptance evidence: cross-slot
 // PPC beats the message queue by the paper's margin and never allocates
 // once warm.
 //
-// NOTE: this container exposes a single CPU, so ring-path round trips pay
-// two scheduler context switches (~500 ns each here) — that is the floor
-// for any two-thread handoff, msgq included. The direct path exists
-// precisely to dodge it.
+// NOTE: on a multi-core host (the committed numbers come from a 4-vCPU
+// VM) a ring-path round trip against a polling owner costs a few
+// cross-core cache-line transfers; a parked or time-sliced owner adds
+// scheduler context switches, the floor for any two-thread handoff, msgq
+// included. The direct path exists precisely to dodge both.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -24,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/heap_audit.h"
 #include "common/stats.h"
 #include "obs/bench_metrics.h"
 #include "rt/msgq.h"
@@ -148,8 +150,9 @@ int main() {
   }
 
   // 3. Pure ring path: the owner busy-polls and never parks, so the gate
-  // is always held and every call posts a cell and waits. On one CPU this
-  // pays the two-context-switch floor.
+  // is always held and every call posts a cell and waits. With the owner
+  // on its own core this pays the cross-core line transfers of a post and
+  // a completion.
   {
     rt::Runtime rt_(2);
     const rt::SlotId me = rt_.register_thread();
@@ -160,8 +163,9 @@ int main() {
       const rt::SlotId s = rt_.register_thread();
       up.store(true, std::memory_order_release);
       // Poll-driven owner: yields the CPU when a poll comes up empty (a
-      // non-yielding spin would hold the single CPU for its whole quantum)
-      // but never parks, so the gate stays held and no call can steal.
+      // non-yielding spin would hold its core for a whole quantum when
+      // the callers outnumber the cores) but never parks, so the gate
+      // stays held and no call can steal.
       while (!stop.load(std::memory_order_acquire)) {
         if (rt_.poll(s) == 0) std::this_thread::yield();
       }
@@ -176,35 +180,7 @@ int main() {
     owner.join();
   }
 
-  // 4. Legacy baseline: the allocating mailbox plus a hand-rolled
-  // completion flag — what every cross-slot call paid before this layer.
-  {
-    rt::Runtime rt_(2);
-    (void)rt_.register_thread();
-    std::atomic<bool> stop{false};
-    std::atomic<bool> up{false};
-    std::thread owner([&] {
-      const rt::SlotId s = rt_.register_thread();
-      up.store(true, std::memory_order_release);
-      while (!stop.load(std::memory_order_acquire)) {
-        if (rt_.poll(s) == 0) std::this_thread::yield();
-      }
-    });
-    while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
-    bench("mailbox_rtt", [&] {
-      std::atomic<std::uint32_t> done{0};
-      rt_.post(1, [&done] { done.store(1, std::memory_order_release); });
-      int spins = 0;
-      while (done.load(std::memory_order_acquire) == 0) {
-        if (++spins % 96 == 0) std::this_thread::yield();
-        rt::cpu_relax();
-      }
-    });
-    stop.store(true, std::memory_order_release);
-    owner.join();
-  }
-
-  // 5. Kernel baseline: the mutex+condvar message-queue server (§5's
+  // 4. Kernel baseline: the mutex+condvar message-queue server (§5's
   // message-passing comparison point).
   {
     rt::MsgQueueServer server(1, [](ppc::RegSet& regs) {
@@ -220,9 +196,9 @@ int main() {
   const double direct_mean = means[0];
   const double served_mean = means[1];
   const double polling_mean = means[2];
-  const double msgq_mean = means[4];
+  const double msgq_mean = means[3];
 
-  // 6. Batched ring path: one call_remote_batch of B calls against the
+  // 5. Batched ring path: one call_remote_batch of B calls against the
   // same busy-polling owner as (3). One claim CAS + one release store +
   // one doorbell carry the whole run, and the owner retires it in one
   // drain pass — so the two-context-switch toll of (3) is paid once per
@@ -260,7 +236,7 @@ int main() {
     owner.join();
   }
 
-  // 7. The frame ABI on the same two shapes. frame_rtt_direct repeats (1)
+  // 6. The frame ABI on the same two shapes. frame_rtt_direct repeats (1)
   // through the Figure-4 register contract: the packed op word indexes a
   // flat table of raw function pointers, so the call skips the Service
   // lookup, the worker/CD acquisition and the std::function dispatch of
@@ -347,10 +323,10 @@ int main() {
   // callers the offered load exceeds the measured per-call CPU ceiling,
   // so the 16-caller row is the runtime's actual capacity under 16-way
   // ring + ready-mask + waiter multiplexing. The think time is the point,
-  // not a nuisance: on this single-CPU container a zero-think workload is
-  // CPU-bound at ANY caller count (every cycle is already doing cell
-  // work), so its scaling curve is flat by construction and measures
-  // nothing. A single-call series runs alongside as the unbatched
+  // not a nuisance: with 16 callers on a 4-vCPU host a zero-think
+  // workload is CPU-bound from a handful of callers on (every core is
+  // already doing cell work), so its scaling curve flattens by
+  // construction and measures the core count, not the runtime. A single-call series runs alongside as the unbatched
   // reference; its saturation ceiling is ~12x lower — that gap is the
   // batched submission win at capacity.
   struct ThroughputRow {
@@ -421,8 +397,9 @@ int main() {
   }
 
   // Counter evidence, single-threaded so the snapshot cannot race: after
-  // warmup, 1000 cross-slot calls perform zero heap allocations, zero
-  // mailbox traffic, zero ring overflows, zero locks.
+  // warmup, 1000 cross-slot calls perform zero heap allocations (counted
+  // operator new calls, common/heap_audit.h), zero ring overflows, zero
+  // locks. Every warm-phase block carries its window's heap_allocs.
   rt::Runtime audit(2);
   const rt::SlotId me = audit.register_thread();
   const EntryPointId ep = bind_null(audit);
@@ -432,18 +409,17 @@ int main() {
     audit.call_remote(me, 1, 1, ep, regs);  // warmup: worker + CD creation
   }
   const obs::CounterSnapshot warm = audit.snapshot();
-  for (int i = 0; i < 1000; ++i) {
-    ppc::set_op(regs, 1);
-    audit.call_remote(me, 1, 1, ep, regs);
-  }
+  const std::uint64_t heap = heap_allocs_during([&] {
+    for (int i = 0; i < 1000; ++i) {
+      ppc::set_op(regs, 1);
+      audit.call_remote(me, 1, 1, ep, regs);
+    }
+  });
   const obs::CounterSnapshot delta = audit.snapshot().delta(warm);
   std::printf("\nxcall warm-phase audit over 1000 cross-slot calls: "
-              "mailbox_allocs=%llu mailbox_posts=%llu xcall_ring_full=%llu "
+              "heap_allocs=%llu xcall_ring_full=%llu "
               "locks_taken=%llu workers_created=%llu\n",
-              static_cast<unsigned long long>(
-                  delta.get(obs::Counter::kMailboxAllocs)),
-              static_cast<unsigned long long>(
-                  delta.get(obs::Counter::kMailboxPosts)),
+              static_cast<unsigned long long>(heap),
               static_cast<unsigned long long>(
                   delta.get(obs::Counter::kXcallRingFull)),
               static_cast<unsigned long long>(
@@ -505,28 +481,30 @@ int main() {
   };
   const obs::CounterSnapshot bwarm = barrier_snapshot();
   constexpr int kAuditBatches = 512;
-  for (int i = 0; i < kAuditBatches; ++i) run_audit_batch();
+  // The heap window spans the batches and the owner's concurrent polls.
+  const std::uint64_t bheap = heap_allocs_during([&] {
+    for (int i = 0; i < kAuditBatches; ++i) run_audit_batch();
+  });
   const obs::CounterSnapshot bafter = barrier_snapshot();
   b_stop.store(true, std::memory_order_release);
   baudit_owner.join();
   const obs::CounterSnapshot bdelta = bafter.delta(bwarm);
   std::printf("batched warm-phase audit over %d batches of %d: "
-              "batch_posts=%llu cells=%llu mailbox_allocs=%llu "
+              "batch_posts=%llu cells=%llu heap_allocs=%llu "
               "locks_taken=%llu ring_full=%llu\n",
               kAuditBatches, kBatch,
               static_cast<unsigned long long>(
                   bdelta.get(obs::Counter::kXcallBatchPosts)),
               static_cast<unsigned long long>(
                   bdelta.get(obs::Counter::kXcallCellsPerBatch)),
-              static_cast<unsigned long long>(
-                  bdelta.get(obs::Counter::kMailboxAllocs)),
+              static_cast<unsigned long long>(bheap),
               static_cast<unsigned long long>(
                   bdelta.get(obs::Counter::kLocksTaken)),
               static_cast<unsigned long long>(
                   bdelta.get(obs::Counter::kXcallRingFull)));
 
   // Frame warm-phase audit on the same single-threaded shape as the typed
-  // one: 1000 warm frame calls touch no lock, no heap, no mailbox, and no
+  // one: 1000 warm frame calls touch no lock, no heap, and no
   // worker machinery — each books exactly one calls_frame. The arena
   // gauges ride along as scalars: every hot structure the calls used
   // (rings, histogram blocks, CD stacks, wait pools) came out of the
@@ -539,19 +517,20 @@ int main() {
   rt::CallFrame ff = rt::make_frame(fsvc, 1);
   for (int i = 0; i < 32; ++i) faudit.call_remote_frame(fme, 1, 1, ff);
   const obs::CounterSnapshot fwarm = faudit.snapshot();
-  for (int i = 0; i < 1000; ++i) faudit.call_remote_frame(fme, 1, 1, ff);
+  const std::uint64_t fheap = heap_allocs_during([&] {
+    for (int i = 0; i < 1000; ++i) faudit.call_remote_frame(fme, 1, 1, ff);
+  });
   const obs::CounterSnapshot fdelta = faudit.snapshot().delta(fwarm);
   const mem::ArenaStats astats = faudit.arena_stats();
   std::printf("frame warm-phase audit over 1000 cross-slot frame calls: "
-              "calls_frame=%llu locks_taken=%llu mailbox_allocs=%llu "
+              "calls_frame=%llu locks_taken=%llu heap_allocs=%llu "
               "workers_created=%llu | arena: reserved=%llu B hugepages=%llu "
               "fallbacks=%llu node_mismatch=%llu\n",
               static_cast<unsigned long long>(
                   fdelta.get(obs::Counter::kCallsFrame)),
               static_cast<unsigned long long>(
                   fdelta.get(obs::Counter::kLocksTaken)),
-              static_cast<unsigned long long>(
-                  fdelta.get(obs::Counter::kMailboxAllocs)),
+              static_cast<unsigned long long>(fheap),
               static_cast<unsigned long long>(
                   fdelta.get(obs::Counter::kWorkersCreated)),
               static_cast<unsigned long long>(astats.bytes_reserved),
@@ -613,9 +592,9 @@ int main() {
         .cell("callers", r.callers)
         .cell("calls_per_sec", r.calls_per_sec);
   }
-  report.counters("xcall_warm_phase", delta);
-  report.counters("xcall_batch_warm_phase", bdelta);
-  report.counters("frame_warm_phase", fdelta);
+  report.counters("xcall_warm_phase", delta, heap);
+  report.counters("xcall_batch_warm_phase", bdelta, bheap);
+  report.counters("frame_warm_phase", fdelta, fheap);
   if (!report.write()) return 1;
   return 0;
 }

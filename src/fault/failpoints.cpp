@@ -1,6 +1,9 @@
 #include "fault/failpoints.h"
 
 #include <cstdlib>
+#include <span>
+
+#include "common/assert.h"
 
 namespace hppc::fault {
 
@@ -175,11 +178,15 @@ Registry::Registry() {
 
 FailPoint& Registry::point(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& p : points_) {
-    if (p->name() == name) return *p;
+  for (std::size_t i = 0; i < count_; ++i) {
+    if (points_[i].name() == name) return points_[i];
   }
-  points_.push_back(std::make_unique<FailPoint>(std::string(name)));
-  return *points_.back();
+  HPPC_ASSERT_MSG(count_ < kMaxPoints, "too many failpoints");
+  HPPC_ASSERT_MSG(name.size() <= FailPoint::kMaxName,
+                  "failpoint name too long");
+  FailPoint& p = points_[count_++];
+  name.copy(p.name_, name.size());
+  return p;
 }
 
 bool Registry::arm(std::string_view name, std::string_view spec) {
@@ -188,9 +195,9 @@ bool Registry::arm(std::string_view name, std::string_view spec) {
 
 void Registry::disarm(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& p : points_) {
-    if (p->name() == name) {
-      p->disarm();
+  for (FailPoint& p : std::span(points_.data(), count_)) {
+    if (p.name() == name) {
+      p.disarm();
       return;
     }
   }
@@ -198,20 +205,22 @@ void Registry::disarm(std::string_view name) {
 
 void Registry::disarm_all() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& p : points_) p->disarm();
+  for (FailPoint& p : std::span(points_.data(), count_)) p.disarm();
 }
 
 std::uint64_t Registry::total_injected() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t n = 0;
-  for (const auto& p : points_) n += p->injected();
+  for (const FailPoint& p : std::span(points_.data(), count_)) {
+    n += p.injected();
+  }
   return n;
 }
 
 std::uint64_t Registry::injected(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& p : points_) {
-    if (p->name() == name) return p->injected();
+  for (const FailPoint& p : std::span(points_.data(), count_)) {
+    if (p.name() == name) return p.injected();
   }
   return 0;
 }
@@ -219,8 +228,10 @@ std::uint64_t Registry::injected(std::string_view name) const {
 std::vector<std::string> Registry::names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  out.reserve(points_.size());
-  for (const auto& p : points_) out.push_back(p->name());
+  out.reserve(count_);
+  for (const FailPoint& p : std::span(points_.data(), count_)) {
+    out.emplace_back(p.name());
+  }
   return out;
 }
 

@@ -34,9 +34,10 @@
 // framework only answers "does this seam fail now?".
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -55,12 +56,14 @@ class FailPoint {
   // "oneshot" is kCount with a budget of 1, so it needs no mode of its own.
   enum class Mode : std::uint8_t { kOff = 0, kAlways, kCount, kProb };
 
-  explicit FailPoint(std::string name) : name_(std::move(name)) {}
+  /// Longest point name the registry stores.
+  static constexpr std::size_t kMaxName = 47;
 
+  FailPoint() = default;
   FailPoint(const FailPoint&) = delete;
   FailPoint& operator=(const FailPoint&) = delete;
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_; }
 
   /// The per-site evaluation. Disarmed: one relaxed load. Armed: consult
   /// the trigger, optionally spin the configured delay, and report whether
@@ -91,9 +94,12 @@ class FailPoint {
   }
 
  private:
+  friend class Registry;
   bool check_armed();  // out of line: the armed path is not the fast path
 
-  std::string name_;
+  // Written once, by the registry under its mutex, before the point is
+  // handed out.
+  char name_[kMaxName + 1] = {};
   std::atomic<std::uint32_t> armed_{0};
   std::atomic<Mode> mode_{Mode::kOff};
   // kCount: remaining fires. kProb: fire threshold in 2^-32 fixed point.
@@ -107,7 +113,9 @@ class FailPoint {
 
 /// Process-wide name → FailPoint table. Lookup is a mutex + linear scan —
 /// sites cache the reference in a function-local static, so the slow
-/// lookup happens once per site, not per evaluation.
+/// lookup happens once per site, not per evaluation. The table is a fixed
+/// array, so a site's first evaluation never allocates: heap audits
+/// (common/heap_audit.h) hold in fault builds too.
 class Registry {
  public:
   /// Find-or-create. The returned reference is stable forever.
@@ -139,9 +147,11 @@ class Registry {
   friend Registry& registry();
   Registry();  // reads $HPPC_FAULTS once
 
+  static constexpr std::size_t kMaxPoints = 64;
+
   mutable std::mutex mu_;
-  // Deque-like stability without <deque>: chunks of owned points.
-  std::vector<std::unique_ptr<FailPoint>> points_;
+  std::array<FailPoint, kMaxPoints> points_;  // [0, count_) in use
+  std::size_t count_ = 0;
 };
 
 /// The process-wide registry (materialized on first use; arms $HPPC_FAULTS).

@@ -77,8 +77,9 @@ BenchReport::Row& BenchReport::row(const std::string& table) {
 }
 
 void BenchReport::counters(const std::string& label,
-                           const CounterSnapshot& snap) {
-  counters_.emplace_back(label, snap);
+                           const CounterSnapshot& snap,
+                           std::optional<std::uint64_t> heap_allocs) {
+  counters_.push_back({label, snap, heap_allocs});
 }
 
 std::string BenchReport::to_json() const {
@@ -150,8 +151,14 @@ std::string BenchReport::to_json() const {
     out += ",\"counters\":{";
     for (std::size_t i = 0; i < counters_.size(); ++i) {
       if (i != 0) out += ',';
-      out += '"' + json_escape(counters_[i].first) +
-             "\":" + snapshot_to_json(counters_[i].second);
+      const CounterBlock& b = counters_[i];
+      std::string block = snapshot_to_json(b.snap);
+      if (b.heap_allocs) {
+        block.pop_back();  // reopen the object for one more key
+        if (block.size() > 1) block += ',';
+        block += "\"heap_allocs\":" + std::to_string(*b.heap_allocs) + '}';
+      }
+      out += '"' + json_escape(b.label) + "\":" + block;
     }
     out += '}';
   }

@@ -8,11 +8,12 @@
 //    "scalars": {number per key},
 //    "series":  {name: {count, mean, min, max, p50, p95, p99, p999}},
 //    "tables":  {name: [row objects...]},
-//    "counters": {label: {counter: value, ...}}}
+//    "counters": {label: {counter: value, ..., ["heap_allocs": n]}}}
 // Keys keep insertion order so diffs stay minimal.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,7 +57,11 @@ class BenchReport {
   Row& row(const std::string& table);
 
   // -- counter snapshots --
-  void counters(const std::string& label, const CounterSnapshot& snap);
+  // Zero-valued counters are omitted. A block given `heap_allocs` (the
+  // window's count from common/heap_audit.h) always carries it, 0
+  // included, so a gate can tell "no allocation" from "not audited".
+  void counters(const std::string& label, const CounterSnapshot& snap,
+                std::optional<std::uint64_t> heap_allocs = std::nullopt);
 
   std::string to_json() const;
 
@@ -72,7 +77,12 @@ class BenchReport {
   std::vector<std::pair<std::string, double>> scalars_;
   std::vector<std::pair<std::string, const Percentiles*>> series_;
   std::vector<std::pair<std::string, std::vector<Row>>> tables_;
-  std::vector<std::pair<std::string, CounterSnapshot>> counters_;
+  struct CounterBlock {
+    std::string label;
+    CounterSnapshot snap;
+    std::optional<std::uint64_t> heap_allocs;
+  };
+  std::vector<CounterBlock> counters_;
 };
 
 }  // namespace hppc::obs

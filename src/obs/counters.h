@@ -57,8 +57,8 @@ enum class Counter : std::uint32_t {
   kHardKills,
 
   // -- cross-slot traffic (the host analogue of remote interrupts) --
-  kMailboxPosts,        // actions posted to another slot's mailbox
-  kMailboxDrains,       // mailbox drain sweeps performed by the owner
+  kMailboxPosts,        // retired, nothing books it (the mailbox is gone)
+  kMailboxDrains,       // retired, nothing books it (the mailbox is gone)
   kIpisSent,            // simulated cross-processor interrupts sent
   kGatewayForwards,     // PPC->message gateway forwards (§5)
 
@@ -69,9 +69,9 @@ enum class Counter : std::uint32_t {
   // -- xcall: bounded cross-slot call rings (appended: ids are contract) --
   kXcallPosts,          // cells published into another slot's ring
   kXcallBatches,        // non-empty ring drain batches
-  kXcallRingFull,       // posts that found the ring full (overflow path)
+  kXcallRingFull,       // posts that found the ring full
   kXcallDirect,         // remote calls direct-executed on an idle slot
-  kMailboxAllocs,       // legacy mailbox node allocations (one per post)
+  kMailboxAllocs,       // retired, nothing books it (common/heap_audit.h)
 
   // -- repl: replicated read-mostly objects (appended: ids are contract) --
   kReplReads,           // replica reads (seqlock-validated, lock-free)

@@ -40,7 +40,7 @@ enum class Hist : std::uint32_t {
   kRttRemote,     // cross-slot sync call_remote, no deadline
   kRttBatched,    // call_remote_batch, whole-chunk RTT per submitted chunk
   kRttDeadlined,  // deadline-carrying cross-slot call (completed or expired)
-  kRttAsync,      // async queueing delay: enqueue -> execution start
+  kRttAsync,      // retired in rt: an async cell has no room for a stamp
 
   // -- queue dynamics --
   kRingWait,      // ring publish -> completion observed by the caller

@@ -8,7 +8,7 @@
 //
 // Request-scoped tracing rides the same rings: a TraceCtx (64-bit trace id
 // + current span id + hop count) travels with a call across slots — stashed
-// in the xcall cell's trace-build padding, carried by deferred async calls,
+// in the xcall cell's trace-build padding (async cells included),
 // restored around nested handler execution — and kSpanBegin/kSpanEnd
 // records parent-link each hop, so one exported chrome-trace shows a call
 // crossing caller slot -> ring -> server slot -> nested hops.
@@ -50,7 +50,7 @@ enum class SpanKind : std::uint32_t {
   kRemoteDirect,   // cross-slot call direct-executed under a gate steal
   kBatch,          // one call_remote_batch chunk (post -> all collected)
   kServerExec,     // server-side execution of one ring cell
-  kAsyncExec,      // deferred async call executed at poll()
+  kAsyncExec,      // retired in rt: async cells run as kServerExec
   kCount
 };
 

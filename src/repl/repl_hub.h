@@ -16,6 +16,12 @@
 // reads its previous — consistent, bounded-stale — version. Slots that
 // never drain keep their stale replica; that is the same liveness contract
 // every xcall ring already carries.
+//
+// Writers must own a slot: a nudge is a post from the writer's slot into
+// the target's ring for that slot, and each such ring has one producer. A
+// nudge the ring refuses (full: the target has not drained a lap of
+// posts) is dropped and its pending flag cleared, so the next write to
+// the object nudges that slot again.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +86,8 @@ class ReplHub {
 
   void post_update(std::uint32_t id, std::uint32_t writer_slot,
                    std::uint32_t target_slot) {
+    HPPC_ASSERT_MSG(writer_slot != kNoSlot,
+                    "a ReplHub-managed object needs writers that own a slot");
     Entry& e = *entries_[id];
     if (e.pending[target_slot].exchange(true, std::memory_order_acq_rel)) {
       return;  // a cell is already queued; its pull will see this write
@@ -87,14 +95,15 @@ class ReplHub {
     rt::RegSet regs;
     regs[0] = id;
     ppc::set_op(regs, kReplPullOp);
-    // Writers without a slot (kNoSlot) still post; call_remote_async only
-    // uses the caller slot for trace attribution.
-    const rt::SlotId from = writer_slot == kNoSlot ? 0 : writer_slot;
-    rt_.call_remote_async(from, target_slot, program_, ep_, regs);
-    if (writer_slot != kNoSlot) {
-      HPPC_TRACE_EVENT(rt_.trace_ring(writer_slot), obs::host_trace_now(),
-                       writer_slot, obs::TraceEvent::kReplPublish, id);
+    if (rt_.call_remote_async(writer_slot, target_slot, program_, ep_, regs) !=
+        Status::kOk) {
+      // Refused (a full ring or a shed): no cell will clear the flag, so
+      // clear it here and let the next write nudge again.
+      e.pending[target_slot].store(false, std::memory_order_release);
+      return;
     }
+    HPPC_TRACE_EVENT(rt_.trace_ring(writer_slot), obs::host_trace_now(),
+                     writer_slot, obs::TraceEvent::kReplPublish, id);
   }
 
   void handle(rt::RtCtx& ctx, rt::RegSet& regs) {

@@ -170,7 +170,9 @@ class Replicated {
   /// propagator call, no repl_invalidations).
   /// `writer_slot` names the calling thread's slot (its replica is
   /// published inline so the writer reads its own writes immediately);
-  /// pass repl::kNoSlot from threads that own no slot.
+  /// pass repl::kNoSlot from threads that own no slot — unless a ReplHub
+  /// manages the object: a hub posts each nudge from the writer's slot,
+  /// so its writers must own one (a slotless write asserts).
   template <typename Fn>
     requires requires(Fn f, T& t) {
       { f(t) } -> std::same_as<bool>;

@@ -10,7 +10,7 @@
 // independent shard; cross-slot access goes through the owner's xcall
 // channel (Runtime::call_remote — direct execution on an idle owner, a
 // bounded ring cell otherwise), mirroring the cross-processor rule of the
-// simulated kernel without the allocation the old post() path paid.
+// simulated kernel without a heap allocation.
 #pragma once
 
 #include <algorithm>

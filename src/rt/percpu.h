@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "common/assert.h"
-#include "common/cacheline.h"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -80,70 +79,6 @@ class SlotRegistry {
   std::uint64_t generation_;
   std::uint32_t capacity_;
   std::atomic<SlotId> next_{0};
-};
-
-/// Lock-free MPSC mailbox: any thread pushes, only the owning slot pops.
-/// This is the host analogue of the cross-processor interrupt (§4.5.2):
-/// remote slots never touch a slot's pools directly, they post work.
-template <typename T>
-class Mailbox {
- public:
-  struct Node {
-    T value;
-    Node* next = nullptr;
-  };
-
-  ~Mailbox() {
-    Node* n = head_.exchange(nullptr, std::memory_order_acquire);
-    while (n != nullptr) {
-      Node* next = n->next;
-      delete n;
-      n = next;
-    }
-  }
-
-  /// Any thread. Lock-free (Treiber push).
-  void post(T value) {
-    Node* node = new Node{std::move(value), nullptr};
-    Node* old = head_.load(std::memory_order_relaxed);
-    do {
-      node->next = old;
-    } while (!head_.compare_exchange_weak(old, node,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed));
-  }
-
-  /// Owner only: drain everything, invoking `fn` in FIFO order. An empty
-  /// mailbox costs one load: the line stays shared with posters.
-  template <typename Fn>
-  std::size_t drain(Fn&& fn) {
-    if (head_.load(std::memory_order_relaxed) == nullptr) return 0;
-    Node* n = head_.exchange(nullptr, std::memory_order_acquire);
-    // Reverse the LIFO chain for FIFO delivery.
-    Node* rev = nullptr;
-    while (n != nullptr) {
-      Node* next = n->next;
-      n->next = rev;
-      rev = n;
-      n = next;
-    }
-    std::size_t count = 0;
-    while (rev != nullptr) {
-      Node* next = rev->next;
-      fn(std::move(rev->value));
-      delete rev;
-      rev = next;
-      ++count;
-    }
-    return count;
-  }
-
-  bool empty() const {
-    return head_.load(std::memory_order_acquire) == nullptr;
-  }
-
- private:
-  std::atomic<Node*> head_{nullptr};
 };
 
 }  // namespace hppc::rt

@@ -102,11 +102,13 @@ Status Runtime::kill(EntryPointId id, bool hard) {
                    std::memory_order_release);
   if (hard) {
     services_[id].store(nullptr, std::memory_order_release);
-    // Per-slot resources may only be touched by their owner: post the
-    // reclamation to every slot (the mailbox stands in for the IPI of
-    // §4.5.2).
-    for (SlotId s = 0; s < slots_.size(); ++s) {
-      post(s, [this, s, id] { reclaim_service_on_slot(*slots_[s], id); });
+    // Per-slot resources may only be touched by their owner: interrupt
+    // every slot (the reclaim word is the IPI of §4.5.2). Its next poll
+    // sees the bump and reclaims whatever it pools for a service that is
+    // gone. An RMW, so two racing kills can never merge into one change.
+    for (auto& slot : slots_) {
+      shared_.inc(obs::Counter::kSharedLinesTouched);
+      slot->reclaim_epoch.fetch_add(1, std::memory_order_release);
     }
   }
   return Status::kOk;
@@ -131,6 +133,20 @@ void Runtime::reclaim_service_on_slot(Slot& slot, EntryPointId id) {
     }
     w = next;  // the owned_workers vector keeps the storage alive
   }
+}
+
+std::size_t Runtime::reclaim_dead_services(Slot& slot) {
+  // The acquire pairs with kill()'s bump, which follows its services_
+  // store: every kill counted in this epoch reads as gone below.
+  slot.reclaim_seen = slot.reclaim_epoch.load(std::memory_order_acquire);
+  std::size_t n = 0;
+  for (EntryPointId id = 0; id < kMaxEntryPoints; ++id) {
+    if (slot.worker_pool[id] != nullptr && lookup(id) == nullptr) {
+      reclaim_service_on_slot(slot, id);
+      ++n;
+    }
+  }
+  return n;
 }
 
 RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
@@ -347,29 +363,6 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
   const Status rc = call(slot_id, caller, id, regs);
   slot.cur_req = saved;
   return rc;
-}
-
-Status Runtime::call_async(SlotId slot_id, ProgramId caller, EntryPointId id,
-                           RegSet regs) {
-  HPPC_ASSERT(slot_id < slots_.size());
-  Slot& slot = *slots_[slot_id];
-  Service* svc = lookup(id);
-  if (svc == nullptr) return Status::kNoSuchEntryPoint;
-  if (svc->state.load(std::memory_order_acquire) != SvcState::kActive) {
-    return Status::kEntryPointDraining;
-  }
-  slot.counters.inc(obs::Counter::kCallsAsync);
-  HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                   obs::TraceEvent::kAsyncEnqueue, id);
-  DeferredCall d{caller, id, regs};
-  // Sampled calls only: poll() turns the stamp into kRttAsync, 0 skips it.
-  d.enqueue_tsc = hist_sampled(slot) ? host_cycles() : 0;
-  d.tctx = slot.cur_trace;        // trace context rides the deferral
-  d.rctx = slot.cur_req;          // ...and so does the request context:
-  // poll() re-installs it around the execution, where call()'s screen
-  // drops the deferred call if the root expired or was cancelled meanwhile.
-  slot.deferred.push_back(d);
-  return Status::kOk;
 }
 
 // ---------------------------------------------------------------------------
@@ -865,38 +858,6 @@ struct Runtime::TypedLane {
     r = cell.regs;
   }
 
-  /// Async ring-full overflow: a fire-and-forget caller cannot wait for
-  /// space, so this rare case rides the legacy allocating mailbox (booked
-  /// as such). The deadline and token still hold — the drain lambda
-  /// re-checks them before executing.
-  Status overflow(Runtime& rt, SlotId target, ProgramId caller,
-                  const RegSet& regs, const Admission& a) const {
-    rt.post(target, [&rt, target, caller, ep = id, r = regs, a]() mutable {
-      Slot& slot = *rt.slots_[target];
-      if (a.deadline != 0 && host_cycles() >= a.deadline) {
-        slot.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                         obs::TraceEvent::kDeadlineExceeded, ep);
-        return;
-      }
-      if (a.token != 0 && rt.cancel_requested(a.token)) {
-        slot.counters.inc(obs::Counter::kCallsCancelled);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                         obs::TraceEvent::kCallCancelled, ep);
-        return;
-      }
-      const RequestCtx saved_req = slot.cur_req;
-      RequestCtx req;
-      req.abs_deadline_cycles = a.deadline;
-      req.cancel_token = a.token;
-      req.traffic_class =
-          a.bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-      slot.cur_req = req;
-      rt.execute_remote(slot, caller, ep, r);
-      slot.cur_req = saved_req;
-    });
-    return Status::kOk;
-  }
 };
 
 /// Figure-4 frames: the packed op word rides the cell's deadline lane, so
@@ -932,11 +893,6 @@ struct Runtime::FrameLane {
     f.w = cell.regs.w;
     f.op = frame_with_rc(f.op, rc);
   }
-  /// No frame wrapper posts without waiting, so nothing overflows here.
-  Status overflow(Runtime&, SlotId, ProgramId, const CallFrame&,
-                  const Admission&) const {
-    return Status::kOverloaded;
-  }
 };
 
 template <typename Lane>
@@ -965,7 +921,7 @@ template <typename Lane>
     std::span<typename Lane::Req> reqs, const CallOptions& opts, bool async) {
   HPPC_ASSERT(caller_slot < slots_.size());
   HPPC_ASSERT(target < slots_.size());
-  HPPC_ASSERT(target != caller_slot);
+  HPPC_ASSERT(async || target != caller_slot);
   if (reqs.empty()) return Status::kOk;
   Slot& me = *slots_[caller_slot];
   Slot& tgt = *slots_[target];
@@ -1184,10 +1140,11 @@ template <typename Lane>
 
     if (posted == 0) {
       // Full ring: the submission's first books xcall_ring_full, each later
-      // attempt books a retry. Async overflows (or fails fast); a sync
-      // submission follows its retry policy — kBlock helps/yields forever,
-      // kBackoff burns a doubling cpu_relax budget per round and gives up
-      // after backoff_rounds, kFailFast gives up at once. A call that
+      // attempt books a retry. Async fails fast whatever its policy — a
+      // caller that does not wait for a reply cannot wait for room either.
+      // A sync submission follows its retry policy — kBlock helps/yields
+      // forever, kBackoff burns a doubling cpu_relax budget per round and
+      // gives up after backoff_rounds, kFailFast gives up at once. A call that
       // cannot even be queued before its deadline or cancel was still too
       // late.
       if (!booked_full) {
@@ -1197,12 +1154,7 @@ template <typename Lane>
         me.counters.inc(obs::Counter::kRetries);
       }
       Status give_up = Status::kOk;
-      if (async) {
-        give_up = opts.retry == RetryPolicy::kFailFast
-                      ? Status::kOverloaded
-                      : lane.overflow(*this, target, caller, reqs[i], adm);
-        if (give_up == Status::kOk) break;  // handed to the mailbox
-      } else if (opts.retry == RetryPolicy::kFailFast ||
+      if (async || opts.retry == RetryPolicy::kFailFast ||
                  (opts.retry == RetryPolicy::kBackoff &&
                   round >= opts.backoff_rounds)) {
         give_up = Status::kOverloaded;
@@ -1226,9 +1178,17 @@ template <typename Lane>
       continue;
     }
 
-    ring_doorbell(me, tgt, caller_slot, adm.bulk);
+    // A post on the slot's own ring touches no shared line, and its owner
+    // rings no doorbell: poll() checks that ring's head cell directly. A
+    // thief posting there (a handler run under a steal) does ring it, so
+    // its own settle_doorbells() — or a later one — drains the cell.
+    if (target != caller_slot) {
+      ring_doorbell(me, tgt, caller_slot, adm.bulk);
+      me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
+    } else if (me.gate.state() == SlotGate::kStolen) {
+      ring_doorbell(me, tgt, caller_slot, adm.bulk);
+    }
     me.counters.inc(obs::Counter::kXcallPosts, posted);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
     if (batched) {
       me.counters.inc(obs::Counter::kXcallBatchPosts);
       me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
@@ -1360,9 +1320,22 @@ Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
   // the clamped budget, the token and the class, and with no waiter to
   // rescue it, expiry is enforced by the drain — a cell reached late is
   // dropped (deadline_exceeded on the target) rather than executed late.
-  if (target == caller_slot) return call_async(caller_slot, caller, id, regs);
+  // A same-slot post rides the slot's own ring the same way.
   return submit(TypedLane{id}, caller_slot, target, caller,
                 std::span<RegSet>(&regs, 1), opts, /*async=*/true);
+}
+
+Status Runtime::call_async(SlotId slot_id, ProgramId caller, EntryPointId id,
+                           RegSet regs) {
+  const Status rc =
+      call_remote_async(slot_id, slot_id, caller, id, regs, kNoOptions);
+  if (rc == Status::kOk) {
+    Slot& slot = *slots_[slot_id];
+    slot.counters.inc(obs::Counter::kCallsAsync);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
+                     obs::TraceEvent::kAsyncEnqueue, id);
+  }
+  return rc;
 }
 
 Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
@@ -1406,18 +1379,22 @@ std::size_t Runtime::serve(SlotId slot_id, const std::atomic<bool>& stop) {
     // the owner goes idle (and direct steals resume) right after the poll
     // that found the rings empty.
     total += poll(slot_id);
+    // Our own async calls ring no doorbell: keep serving while a handler
+    // keeps re-posting them, rather than park on a non-empty ring.
+    if (slot.rings[slot_id].head_ready()) continue;
     total += settle_doorbells(slot);
     slot.gate.enter_idle();
     // Parked: remote callers direct-execute (or help-drain) through the
-    // gate; we only need to wake for control-plane mailbox posts, a rung
-    // doorbell, or stop. The idle test is O(1) — one mask load, one
-    // mailbox head load — with a periodic head-cell scan as the backstop
-    // for a producer preempted between its publish and its doorbell.
+    // gate; we only need to wake for a rung doorbell, a hard kill's
+    // reclaim bump, or stop. The idle test is O(1) — three word loads —
+    // with a periodic head-cell scan as the backstop for a producer
+    // preempted between its publish and its doorbell.
     std::uint32_t idle_rounds = 0;
     while (!stop.load(std::memory_order_acquire) &&
            slot.ready_mask.load(std::memory_order_relaxed) == 0 &&
            slot.bulk_ready_mask.load(std::memory_order_relaxed) == 0 &&
-           slot.mailbox.empty()) {
+           slot.reclaim_epoch.load(std::memory_order_relaxed) ==
+               slot.reclaim_seen) {
       if (++idle_rounds >= 256) {
         idle_rounds = 0;
         if (any_ring_pending(slot)) break;
@@ -1433,14 +1410,14 @@ std::size_t Runtime::serve(SlotId slot_id, const std::atomic<bool>& stop) {
 std::size_t Runtime::poll(SlotId slot_id) {
   HPPC_ASSERT(slot_id < slots_.size());
   Slot& slot = *slots_[slot_id];
-  // Control plane first (kill reclamation must not trail the calls it
-  // affects longer than necessary), then one ring batch, then the async
-  // queue — which reuses a member scratch buffer instead of constructing
-  // a fresh vector every poll.
-  std::size_t done = slot.mailbox.drain([&slot](std::function<void()>&& fn) {
-    slot.counters.inc(obs::Counter::kMailboxDrains);
-    fn();
-  });
+  // Reclaim first (a kill's reclamation must not trail the calls it
+  // affects longer than necessary): one load of a word on the doorbell
+  // line this poll loads anyway.
+  std::size_t done = 0;
+  if (slot.reclaim_epoch.load(std::memory_order_relaxed) !=
+      slot.reclaim_seen) [[unlikely]] {
+    done = reclaim_dead_services(slot);
+  }
   // Ready-mask scheduling: drain only the producer rings whose doorbell is
   // rung — idle polls cost one load, busy ones O(popcount) — with a full
   // head-cell scan every kPollScanPeriod-th poll as the backstop for a
@@ -1451,55 +1428,10 @@ std::size_t Runtime::poll(SlotId slot_id) {
   } else {
     done += drain_ready(slot);
   }
-  std::vector<DeferredCall>& pending = slot.deferred_scratch;
-  pending.swap(slot.deferred);  // async calls made below land in deferred
-  for (auto& d : pending) {
-    RegSet regs = d.regs;
-    // Queueing delay first (enqueue -> execution start), then execute
-    // under the context the call was enqueued with, so the async span
-    // parents to the caller's span even though it runs a poll later.
-    if (d.enqueue_tsc != 0) {
-      slot.hists->record(obs::Hist::kRttAsync, host_cycles() - d.enqueue_tsc);
-    }
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    const obs::TraceCtx saved = slot.cur_trace;
-    std::uint32_t aspan = 0;
-    if (d.tctx.traced()) {
-      aspan = begin_span(slot, obs::SpanKind::kAsyncExec, d.tctx.trace_id,
-                         d.tctx.span_id);
-      slot.cur_trace = d.tctx;
-      if (aspan != 0) slot.cur_trace.span_id = aspan;
-    }
-#endif
-    // Execute under the request context the call was enqueued with: a
-    // root that expired or was cancelled since enqueue is refused by the
-    // screen inside call() instead of executing late.
-    const RequestCtx saved_req = slot.cur_req;
-    slot.cur_req = d.rctx;
-    call(slot_id, d.caller, d.id, regs);  // results discarded (§4.4 async)
-    slot.cur_req = saved_req;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (d.tctx.traced()) {
-      slot.cur_trace = saved;
-      end_span(slot, d.tctx.trace_id, aspan, d.tctx.span_id, rc_of(regs));
-    }
-#endif
-    ++done;
-  }
-  pending.clear();  // keep capacity for the next poll
+  // The owner's own async calls ring no doorbell (see submit_ring).
+  XcallRing& own = slot.rings[slot_id];
+  if (own.head_ready()) done += drain_ring(slot, own);
   return done;
-}
-
-void Runtime::post(SlotId target, std::function<void()> fn) {
-  HPPC_ASSERT(target < slots_.size());
-  // A post pushes onto another slot's MPSC list — shared traffic by
-  // definition, booked on the shared block (the poster may not own a slot),
-  // and it heap-allocates the list node: this is the control-plane path,
-  // kept off every hot cross-slot call.
-  shared_.inc(obs::Counter::kMailboxPosts);
-  shared_.inc(obs::Counter::kMailboxAllocs);
-  shared_.inc(obs::Counter::kSharedLinesTouched);
-  slots_[target]->mailbox.post(std::move(fn));
 }
 
 const obs::SlotCounters& Runtime::counters(SlotId slot) const {

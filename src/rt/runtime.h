@@ -8,7 +8,7 @@
 // opcode+flags+rc packed in the last word, caller identified by a program
 // token (§4.1), workers created on demand with a one-time init routine
 // (§4.5.3), hold-CD mode, soft/hard kill (§4.5.2), and async calls
-// deferred to the owning slot.
+// queued on the owning slot's own ring.
 //
 // Cross-slot traffic (the paper's cross-processor path, §4.5.2) rides the
 // xcall layer: per-slot bounded MPSC rings of cache-line cells. Every
@@ -23,10 +23,13 @@
 // (LRPC-style ownership handoff through the SlotGate); the post stage
 // claims ring cells and the wait stage spins, yields and finally parks on
 // their state words; each sync reply comes back in its own cell
-// (rt/xcall.h), so a call owns one ring slot and no other object. The legacy allocating mailbox survives only as
-// the control-plane/overflow channel (kill reclamation, ring-full async
-// posts). A warm cross-slot call performs zero heap allocations, asserted
-// by the mailbox_allocs counter.
+// (rt/xcall.h), so a call owns one ring slot and no other object. The
+// rings are a slot's only queue: same-slot call_async posts an async cell
+// on the slot's own ring, a full ring refuses an async post with
+// kOverloaded, and hard-kill reclamation is a per-slot reclaim word that
+// poll() checks with one load (the IPI of §4.5.2). A warm cross-slot call
+// performs zero heap allocations; the tests and benches audit that with a
+// counted global operator new (common/heap_audit.h).
 #pragma once
 
 #include <array>
@@ -218,8 +221,9 @@ class Runtime {
   /// pooled resources are reclaimed lazily by each slot.
   Status soft_kill(EntryPointId id);
 
-  /// Hard kill: like soft kill, plus reclamation requests are posted to
-  /// every slot's mailbox immediately.
+  /// Hard kill: like soft kill, plus every slot's reclaim word is bumped
+  /// immediately; each slot frees the service's pooled workers and held
+  /// CDs at its owner's next poll().
   Status hard_kill(EntryPointId id);
 
   // ----- the fast path -----
@@ -235,7 +239,14 @@ class Runtime {
   Status call(SlotId slot, ProgramId caller, EntryPointId id, RegSet& regs,
               const CallOptions& opts);
 
-  /// Asynchronous call: queued on this slot, executed at the next poll().
+  /// Asynchronous call: an async cell on this slot's own ring, executed at
+  /// the slot's next drain (poll(), serve(), or a thief's settle). It is
+  /// call_remote_async with target == slot: the ambient request context is
+  /// screened at admission and rides the cell, a cell that expires in
+  /// flight is dropped, and an over-watermark ring sheds. A full ring
+  /// (XcallRing::kCapacity undrained posts) refuses with kOverloaded. The
+  /// drained call books calls_remote, like every ring cell; calls_async
+  /// counts the accepted posts.
   Status call_async(SlotId slot, ProgramId caller, EntryPointId id,
                     RegSet regs);
 
@@ -250,8 +261,8 @@ class Runtime {
   /// completion word, helping (stealing + draining) if the owner parks
   /// meanwhile. `target == caller_slot` degenerates to a local call().
   /// Requires the target slot to be either idle-gated or actively
-  /// poll()ing/serve()ing — like the mailbox, the ring is at-least-
-  /// eventually drained by construction only under that contract.
+  /// poll()ing/serve()ing — the ring is at-least-eventually drained by
+  /// construction only under that contract.
   Status call_remote(SlotId caller_slot, SlotId target, ProgramId caller,
                      EntryPointId id, RegSet& regs);
 
@@ -286,18 +297,20 @@ class Runtime {
                            ProgramId caller, EntryPointId id,
                            std::span<RegSet> batch, const CallOptions& opts);
 
-  /// Fire-and-forget cross-slot call: posted into the target's ring (or,
-  /// if the ring is full, the legacy mailbox — the allocating overflow
-  /// path) and executed at the target's next drain. Results discarded.
+  /// Fire-and-forget call: posted into the target's ring and executed at
+  /// the target's next drain. Results discarded. `target == caller_slot`
+  /// posts on the slot's own ring (see call_async). A full ring refuses
+  /// the post with kOverloaded (booked as xcall_ring_full): a caller that
+  /// does not wait cannot wait for room either.
   Status call_remote_async(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id, RegSet regs);
 
-  /// call_remote_async with options. Only the deadline acts here: it is
-  /// carried in the posted cell (and checked by the mailbox overflow
-  /// lambda), and a cell that drains after its deadline is dropped —
-  /// counted as deadline_exceeded on the target slot — instead of being
-  /// executed late. kFailFast additionally turns the ring-full overflow
-  /// into an immediate kOverloaded instead of an allocating mailbox post.
+  /// call_remote_async with options. The deadline, cancel token and class
+  /// act: they are screened at admission and carried in the posted cell,
+  /// and a cell that drains after its deadline (or its token's cancel) is
+  /// dropped — counted as deadline_exceeded (calls_cancelled) on the
+  /// target slot — instead of being executed late. The retry policy is
+  /// ignored: every async post fails fast on a full ring.
   Status call_remote_async(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id, RegSet regs,
                            const CallOptions& opts);
@@ -363,8 +376,12 @@ class Runtime {
   /// topologies we target — see docs/MEMORY.md).
   NodeId node_of_slot(SlotId slot) const { return slot % arena_.nodes(); }
 
-  /// Drain this slot's ring (one batch), mailbox, and deferred/async
-  /// queue. Owner thread only. Returns the number of actions performed.
+  /// Reclaim the pooled resources of services hard-killed since the last
+  /// poll (one load when none were), then drain the flagged rings and
+  /// the slot's own — at most one lap of each, so a handler that re-posts
+  /// to its own slot cannot keep poll() from returning. Owner thread only.
+  /// Returns the number of actions performed (services reclaimed plus
+  /// cells drained).
   std::size_t poll(SlotId slot);
 
   /// Owner's service loop: poll, then park idle — publishing the slot for
@@ -476,12 +493,6 @@ class Runtime {
   RequestCtx request_ctx(SlotId slot) const;
   void clear_request_ctx(SlotId slot);
 
-  /// Post a cross-slot action (host analogue of an IPI); it runs when the
-  /// owning thread next polls. Control-plane path: allocates a mailbox
-  /// node per post (booked as mailbox_allocs) — cross-slot *calls* belong
-  /// on call_remote, which does not.
-  void post(SlotId target, std::function<void()> fn);
-
   // ----- request tracing (spans recorded only under HPPC_TRACE) -----
 
   /// Start a new trace rooted at `slot`: mints a trace id, installs the
@@ -592,21 +603,12 @@ class Runtime {
     EntryPointId id = kInvalidEntryPoint;
   };
 
-  struct DeferredCall {
-    ProgramId caller;
-    EntryPointId id;
-    RegSet regs;
-    std::uint64_t enqueue_tsc = 0;  // host_cycles() at call_async; 0 unsampled
-    obs::TraceCtx tctx{};           // trace context at enqueue time
-    RequestCtx rctx{};              // request context at enqueue time
-  };
-
   /// Everything one slot owns. Only the slot's current ownership holder —
   /// the registered thread while the gate reads kOwner, or a remote thief
   /// while it reads kStolen — touches the non-atomic members; all other
-  /// threads go through the xcall ring (hot path) or mailbox (control
-  /// plane). Gate transitions are acquire/release, so ownership handoff
-  /// carries the slot state with it.
+  /// threads go through the xcall rings or the reclaim word. Gate
+  /// transitions are acquire/release, so ownership handoff carries the
+  /// slot state with it.
   struct Slot {
     SlotId self_id = 0;  // set once at construction; used by trace hooks
     NodeId node = 0;     // the NUMA node this slot's structures live on
@@ -632,7 +634,7 @@ class Runtime {
     std::uint32_t next_span = 1;
     // The ambient request context (deadline/cancel/class) the slot is
     // currently executing under. Same ownership discipline as cur_trace
-    // (saved/restored around remote and deferred execution), but unlike
+    // (saved/restored around remote and async execution), but unlike
     // the trace context it is load-bearing in every build: nested calls
     // read it to inherit the root's budget.
     RequestCtx cur_req;
@@ -640,17 +642,14 @@ class Runtime {
     // CDs (and their stacks) are arena-placed on this slot's node; the
     // vector only tracks them for introspection — storage is the arena's.
     std::vector<RtCd*> owned_cds;
-    std::vector<DeferredCall> deferred;
-    std::vector<DeferredCall> deferred_scratch;  // reused across polls
-    Mailbox<std::function<void()>> mailbox;
-    // Remote-CASed by thieves: aligned off the mailbox head and deferred
-    // queues the owner touches every poll (sharing their line measurably
-    // slowed both the parked-owner direct call and the ring round trip).
+    // Remote-CASed by thieves: aligned off the slot state the owner
+    // touches every call and poll.
     alignas(kHostCacheLine) SlotGate gate;
     // Per-producer xcall channels, indexed by the PRODUCER's slot id: each
     // (src, dst) pair gets its own ring, so concurrent posters to one slot
-    // never CAS the same enqueue cursor (the rings stay MPSC internally
-    // because layers like repl::ReplHub post with a shared caller slot).
+    // never CAS the same enqueue cursor. rings[self] carries the slot's
+    // own async calls (call_async); the owner rings no doorbell for them,
+    // so poll() and serve() check that ring's head cell directly.
     // Allocated once at construction from the arena, on this slot's node:
     // the consumer-side cells of every (src, this) channel sit in the
     // consumer's local memory — the paper's "structures live on the
@@ -665,6 +664,11 @@ class Runtime {
     // never stranded behind a cleared bit. Idle poll is one load; drain
     // work is O(popcount), not O(nslots).
     alignas(kHostCacheLine) std::atomic<std::uint64_t> ready_mask{0};
+    // The reclaim word (the host IPI of §4.5.2), on the line poll() loads
+    // anyway: hard_kill() bumps it with a release RMW, and a poll that
+    // finds it changed since reclaim_seen sweeps worker_pool for services
+    // that are gone.
+    std::atomic<std::uint32_t> reclaim_epoch{0};
     // The bulk doorbell word: producers posting kBulk-class cells ring
     // this mask instead, and the consumer's drain serves it only after
     // the interactive mask above — interactive-first drain ordering
@@ -677,6 +681,7 @@ class Runtime {
     alignas(kHostCacheLine) std::array<std::uint8_t, 64> idle_visits{};
     std::array<std::uint8_t, 64> bulk_idle_visits{};
     std::uint32_t polls_since_scan = 0;
+    std::uint32_t reclaim_seen = 0;  // reclaim_epoch at the last sweep
   };
 
   /// Producers at or beyond the mask width share the last doorbell bit.
@@ -720,6 +725,11 @@ class Runtime {
   RtCd* acquire_cd(Slot& slot, RtWorker& w);
   void release(Slot& slot, Service& svc, RtWorker* w, RtCd* cd);
   void reclaim_service_on_slot(Slot& slot, EntryPointId id);
+  /// The reclaim-word handler (ownership held): reclaim every service this
+  /// slot still pools workers for whose entry point is gone. Entry-point
+  /// ids are never reused, so "gone" is exactly "hard-killed". Returns
+  /// the number of services reclaimed.
+  std::size_t reclaim_dead_services(Slot& slot);
   Status kill(EntryPointId id, bool hard);
 
   /// The call body shared by the same-slot fast path and both remote
@@ -746,8 +756,9 @@ class Runtime {
   struct FrameLane;
   /// The cross-slot engine behind every call_remote* wrapper: screen →
   /// admit → direct | post → wait → complete over `reqs`. `async` posts
-  /// without waiting (no direct stage; a full ring overflows through the
-  /// lane). Caller guarantees target != caller_slot. submit() runs the
+  /// without waiting (no direct stage; a full ring refuses with
+  /// kOverloaded). A sync submission needs target != caller_slot; an async
+  /// one may post on the caller's own ring. submit() runs the
   /// screen, admission and direct stages; an async submission, or one
   /// whose target gate is held, goes on to submit_ring(), which posts,
   /// waits and completes it chunk by chunk under the retry policy (a sync

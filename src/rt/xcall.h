@@ -2,23 +2,22 @@
 //
 // The paper's fast path covers same-processor calls only; cross-processor
 // traffic goes through "interrupt + remote queue" (§4.5.2). The host
-// runtime used to model that with a Mailbox<std::function<void()>> — a
-// Treiber stack that heap-allocates a node per message — so every cross-
-// slot operation paid an allocation plus unbounded CAS contention. This
-// header replaces that hot path with a per-slot bounded MPSC ring of
-// fixed-size, cache-line-sized POD cells (caller program, entry point,
-// inline RegSet payload, completion state word), in the style of the
-// shared-memory rings the memory-offloading IPC literature places between
-// "same-core procedure call" and "kernel message queue".
+// runtime models the remote queue with per-(producer, consumer) bounded
+// rings of fixed-size, cache-line-sized POD cells (caller program, entry
+// point, inline RegSet payload, completion state word), in the style of
+// the shared-memory rings the memory-offloading IPC literature places
+// between "same-core procedure call" and "kernel message queue". The
+// rings are a slot's only queue: its own async calls ride its own ring,
+// and the interrupt half is a per-slot reclaim word (rt/runtime.h).
 //
 // Three pieces:
 //
 //   XcallRing  — a Vyukov-style bounded multi-producer/single-consumer
 //                ring. Producers claim a cell with one CAS and publish it
-//                with one release store; the consumer drains every ready
-//                cell in a batch. No allocation, ever; a full ring is
-//                reported to the caller, who falls back to the legacy
-//                mailbox (the overflow path, now control-plane only).
+//                with one release store; the consumer drains the ready
+//                cells in a batch of at most one lap. No allocation,
+//                ever; a full ring is reported to the caller, who retries
+//                (sync) or refuses the post with kOverloaded (async).
 //
 //   SlotGate   — the slot-ownership word that makes the *adaptive* part of
 //                Runtime::call_remote possible. A slot whose owning thread
@@ -64,8 +63,8 @@
 // each claimed cell, so typed and frame requests share the one protocol.
 //
 // A warm cross-slot call — direct or ring, single or batched — performs
-// ZERO heap allocations; the `mailbox_allocs` counter exists to assert
-// that.
+// ZERO heap allocations; the tests and benches assert that with a counted
+// global operator new (common/heap_audit.h).
 #pragma once
 
 #include <array>
@@ -280,8 +279,8 @@ class XcallRing {
   /// otherwise they are sync calls, *sync_first receives the position of
   /// the first, and the caller waits on each (wait_complete) and copies
   /// its reply out. Returns the number of cells posted; 0 means the ring
-  /// is full (the caller takes its retry or overflow path). Never blocks,
-  /// never allocates.
+  /// is full (the caller retries or refuses). Never blocks, never
+  /// allocates.
   ///
   /// The consumer retires cells in drain order, so the run's last cell
   /// being free means every cell before it is free too: the claim checks
@@ -342,8 +341,11 @@ class XcallRing {
   /// The cell at ring position `pos`.
   XcallCell& cell(std::uint64_t pos) { return cells_[pos & (kCapacity - 1)]; }
 
-  /// Ownership holder only. Consumes every ready cell in one batch and
-  /// returns the batch size. `fn(cell)` runs a cell's request and returns
+  /// Ownership holder only. Consumes the ready cells in one batch of at
+  /// most kCapacity — one lap — and returns the batch size. The bound
+  /// matters only when `fn` posts into this same ring (a handler re-posting
+  /// an async call to its own slot); any other producer can have at most a
+  /// lap in flight. `fn(cell)` runs a cell's request and returns
   /// its Status with the reply stored in `cell.regs` (a void `fn` answers
   /// kOk). The ring then runs the consumer half of the state protocol: an
   /// abandoned cell is skipped without running `fn`; a sync cell is
@@ -355,7 +357,7 @@ class XcallRing {
   template <typename Fn, typename OnKick = NoKick>
   std::size_t drain(Fn&& fn, OnKick&& on_kick = {}) {
     std::size_t n = 0;
-    for (;;) {
+    while (n < kCapacity) {
       const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
       XcallCell& c = cell(pos);
       if (c.seq.load(std::memory_order_acquire) != pos + 1) break;

@@ -225,25 +225,27 @@ TEST(HistSampling, PeriodChangeTakesEffectAtTheNextReload) {
 }
 
 TEST(HistSampling, UnsampledAsyncCallBooksNoQueueingDelay) {
-  auto run = [](std::uint32_t period) {
-    rt::Runtime rt(1);
-    rt.set_hist_sample_period(period);
-    const rt::SlotId slot = rt.register_thread();
-    const EntryPointId ep = bind_null(rt);
-    sync_calls(rt, slot, ep, 1);  // warm; takes the slot's first sample
-    for (int i = 0; i < 10; ++i) {
-      ppc::RegSet regs;
-      ppc::set_op(regs, 1);
-      EXPECT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOk);
-      EXPECT_EQ(rt.poll(slot), 1u);
-    }
-    EXPECT_EQ(rt.slot_snapshot(slot).get(Counter::kCallsAsync), 10u);
-    return rt.hist_snapshot(slot).count(obs::Hist::kRttAsync);
-  };
-  // 20 countdown steps (enqueue + deferred execution) stay inside one
-  // default period after the warm call: no enqueue is stamped.
-  EXPECT_EQ(run(rt::Runtime::kDefaultHistSamplePeriod), 0u);
-  EXPECT_EQ(run(1), 10u);
+  // An async call rides its slot's own ring, whose cell has no spare bytes
+  // for an enqueue stamp: rt books no async queueing delay at any period
+  // (rtt_async stays an id only). The post takes no sampling decision
+  // either, so it never spends a sync call's sample.
+  rt::Runtime rt(1);
+  rt.set_hist_sample_period(8);
+  const rt::SlotId slot = rt.register_thread();
+  const EntryPointId ep = bind_null(rt);
+  EXPECT_EQ(sync_calls(rt, slot, ep, 1), 1u);  // warm; the slot's first sample
+  for (int i = 0; i < 10; ++i) {
+    ppc::RegSet regs;
+    ppc::set_op(regs, 1);
+    EXPECT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOk);
+    EXPECT_EQ(rt.poll(slot), 1u);
+  }
+  EXPECT_EQ(rt.slot_snapshot(slot).get(Counter::kCallsAsync), 10u);
+  EXPECT_EQ(rt.hist_snapshot(slot).count(obs::Hist::kRttAsync), 0u);
+  // The countdown still stands where the warm call left it: seven sync
+  // calls book nothing, the eighth is sampled.
+  EXPECT_EQ(sync_calls(rt, slot, ep, 7), 1u);
+  EXPECT_EQ(sync_calls(rt, slot, ep, 1), 2u);
 }
 
 TEST(ZeroContention, SimHistogramsRecordDeterministicCycles) {

@@ -234,5 +234,78 @@ TEST(ReplHub, NudgeRefreshesOwnerAtDrain) {
   EXPECT_EQ(val.version(), 1u);
 }
 
+TEST(ReplHub, RefusedNudgeIsRetriedByTheNextWrite) {
+  // A nudge the target's ring refuses (full) must not leave the pending
+  // flag set: the next write nudges that slot again and refreshes it.
+  rt::Runtime rt(2);
+  const rt::SlotId me = rt.register_thread();
+  Replicated<std::uint64_t> val(rt.slots(), 0);
+  ReplHub hub(rt);
+  hub.manage(val);
+  const EntryPointId noop = rt.bind(
+      {.name = "noop"}, 0, [](rt::RtCtx&, rt::RegSet& r) {
+        ppc::set_rc(r, Status::kOk);
+      });
+
+  // Slot 1's owner holds its gate and does not drain until told to, so
+  // posts from this slot stay in the me -> 1 ring.
+  std::atomic<bool> drain{false};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> up{false};
+  std::thread owner([&] {
+    const rt::SlotId s = rt.register_thread();
+    up.store(true, std::memory_order_release);
+    while (!drain.load(std::memory_order_acquire)) std::this_thread::yield();
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (std::size_t i = 0; i < rt::XcallRing::kCapacity; ++i) {
+    ASSERT_EQ(rt.call_remote_async(me, 1, 0, noop, rt::RegSet{}), Status::kOk);
+  }
+
+  // The write's nudge finds the ring full and is refused.
+  val.write(me, [](std::uint64_t& v) {
+    v = 1;
+    return true;
+  });
+  EXPECT_EQ(rt.counters(me).get(Counter::kXcallRingFull), 1u);
+
+  // Unstick the owner and let it drain the lap: no refresh was queued.
+  drain.store(true, std::memory_order_release);
+  while (rt.xcall_depth(1) != 0) std::this_thread::yield();
+  EXPECT_EQ(val.replica_version(1), 0u);
+
+  // The next write nudges slot 1 again, and its drain refreshes it.
+  val.write(me, [](std::uint64_t& v) {
+    v = 2;
+    return true;
+  });
+  for (int i = 0; i < 20000 && val.replica_version(1) < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  stop.store(true, std::memory_order_release);
+  owner.join();
+  EXPECT_EQ(val.replica_version(1), 2u);
+  EXPECT_EQ(val.read(1), 2u);
+}
+
+TEST(ReplHubDeathTest, SlotlessWriteToAHubManagedObjectAsserts) {
+  // A hub posts each nudge from the writer's slot; a writer without one
+  // would post into rings whose single producer is another thread.
+  rt::Runtime rt(2);
+  (void)rt.register_thread();
+  Replicated<std::uint64_t> val(rt.slots(), 0);
+  ReplHub hub(rt);
+  hub.manage(val);
+  EXPECT_DEATH(val.write(kNoSlot,
+                         [](std::uint64_t& v) {
+                           v = 1;
+                           return true;
+                         }),
+               "writers that own a slot");
+}
+
 }  // namespace
 }  // namespace hppc::repl

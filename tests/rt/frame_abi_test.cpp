@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/heap_audit.h"
 #include "rt/runtime.h"
 #include "rt/xcall.h"
 #include "rt/bulk_desc.h"
@@ -320,13 +321,17 @@ TEST(FrameRemote, DirectExecutesOnIdleSlot) {
       rt.bind_frame(0, &Accumulator::echo_inc, &acc);
   CallFrame f = make_frame(svc, 1);
   f.w[0] = 41;
-  ASSERT_EQ(rt.call_remote_frame(me, /*target=*/1, /*caller=*/1, f),
-            Status::kOk);
+  Status s = Status::kOk;
+  // A frame call has no worker to create: even the first one allocates
+  // nothing.
+  const std::uint64_t heap = heap_allocs_during(
+      [&] { s = rt.call_remote_frame(me, /*target=*/1, /*caller=*/1, f); });
+  ASSERT_EQ(s, Status::kOk);
   EXPECT_EQ(f.w[0], 42u);
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kXcallDirect), 1u);
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsFrame), 1u);
   EXPECT_EQ(rt.counters(0).get(obs::Counter::kXcallPosts), 0u);
-  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
+  EXPECT_EQ(heap, 0u);
 }
 
 TEST(FrameRemote, UnboundServiceFailsBeforePosting) {
@@ -354,19 +359,23 @@ TEST(FrameRemote, RingPathWhileOwnerPolls) {
     }
   });
   while (!owner_up.load(std::memory_order_acquire)) std::this_thread::yield();
-  for (Word i = 0; i < 200; ++i) {
-    CallFrame f = make_frame(svc, 1);
-    for (std::size_t k = 0; k < kPpcWords; ++k) f.w[k] = i + k;
-    ASSERT_EQ(rt.call_remote_frame(me, 1, /*caller=*/1, f), Status::kOk);
-    for (std::size_t k = 0; k < kPpcWords; ++k) {
-      ASSERT_EQ(f.w[k], i + k + 1);  // full 8-word reply over the ring
+  int bad = 0;
+  const std::uint64_t heap = heap_allocs_during([&] {
+    for (Word i = 0; i < 200; ++i) {
+      CallFrame f = make_frame(svc, 1);
+      for (std::size_t k = 0; k < kPpcWords; ++k) f.w[k] = i + k;
+      if (rt.call_remote_frame(me, 1, /*caller=*/1, f) != Status::kOk) ++bad;
+      for (std::size_t k = 0; k < kPpcWords; ++k) {
+        if (f.w[k] != i + k + 1) ++bad;  // full 8-word reply over the ring
+      }
     }
-  }
+  });
   stop.store(true, std::memory_order_release);
   owner.join();
+  EXPECT_EQ(bad, 0);
   EXPECT_EQ(rt.counters(0).get(obs::Counter::kXcallPosts), 200u);
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsFrame), 200u);
-  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
+  EXPECT_EQ(heap, 0u);
 }
 
 TEST(FrameRemote, BatchRoundTripsOverServedSlot) {
@@ -386,18 +395,21 @@ TEST(FrameRemote, BatchRoundTripsOverServedSlot) {
     frames[i] = make_frame(svc, 1);
     frames[i].w[0] = static_cast<Word>(i);
   }
-  ASSERT_EQ(rt.call_remote_frame_batch(me, 1, /*caller=*/1,
-                                       std::span<CallFrame>(frames)),
-            Status::kOk);
+  Status s = Status::kOk;
+  const std::uint64_t heap = heap_allocs_during([&] {
+    s = rt.call_remote_frame_batch(me, 1, /*caller=*/1,
+                                   std::span<CallFrame>(frames));
+  });
   stop.store(true, std::memory_order_release);
   server.join();
+  ASSERT_EQ(s, Status::kOk);
   for (std::size_t i = 0; i < kBatch; ++i) {
     EXPECT_EQ(frames[i].w[0], static_cast<Word>(i) + 1);
     EXPECT_EQ(frame_rc_of(frames[i].op), Status::kOk);
   }
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsFrame), kBatch);
   EXPECT_EQ(acc.calls, kBatch);
-  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
+  EXPECT_EQ(heap, 0u);
 }
 
 TEST(FrameRemote, MixedOpWordsInOneBatch) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "common/heap_audit.h"
 #include "common/tsc.h"
 #include "obs/counters.h"
 #include "ppc/regs.h"
@@ -218,22 +219,24 @@ TEST_P(LaneParity, FullRingBooksRingFullOnceThenRetries) {
   RequestCtx ctx;
   ctx.abs_deadline_cycles = host_cycles() + 2'000'000;
   rt_.set_request_ctx(me_, ctx);
-  const Status s = sub_.run(me_, kTarget);
+  Status s = Status::kOk;
+  // Neither refusal nor retry allocates.
+  const std::uint64_t heap =
+      heap_allocs_during([&] { s = sub_.run(me_, kTarget); });
   rt_.clear_request_ctx(me_);
 
   EXPECT_EQ(rt_.counters(me_).get(Counter::kXcallRingFull), 1u);
+  EXPECT_EQ(heap, 0u);
   if (GetParam() == Lane::kAsync) {
-    // Post, don't wait: the full ring overflows into the mailbox at once.
-    EXPECT_EQ(s, Status::kOk);
+    // Post, don't wait: the full ring refuses the post at once.
+    EXPECT_EQ(s, Status::kOverloaded);
     EXPECT_EQ(rt_.counters(me_).get(Counter::kRetries), 0u);
-    EXPECT_EQ(rt_.shared_counters().get(Counter::kMailboxAllocs), 1u);
     return;
   }
   EXPECT_EQ(s, Status::kDeadlineExceeded);
   sub_.expect_rc(Status::kDeadlineExceeded);
   EXPECT_GE(rt_.counters(me_).get(Counter::kRetries), 1u);
   EXPECT_EQ(rt_.counters(me_).get(Counter::kDeadlineExceeded), sub_.size());
-  EXPECT_EQ(rt_.shared_counters().get(Counter::kMailboxAllocs), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLanes, LaneParity,

@@ -14,6 +14,7 @@
 #include <span>
 #include <thread>
 
+#include "common/heap_audit.h"
 #include "common/tsc.h"
 #include "ppc/regs.h"
 #include "rt/frame_abi.h"
@@ -282,18 +283,33 @@ TEST(RequestCtxPropagation, AsyncDeferredCallsCarryTheContext) {
         ppc::set_rc(regs, Status::kOk);
       });
 
+  // An already-expired root is refused at admission, exactly as
+  // call_remote_async refuses it: nothing is queued.
   RequestCtx req;
-  req.abs_deadline_cycles = 1;  // expired before the poll can run it
+  req.abs_deadline_cycles = 1;  // the distant past
   rt.set_request_ctx(me, req);
-  ASSERT_EQ(rt.call_async(me, 700, ep, make_regs(1)), Status::kOk);
+  EXPECT_EQ(rt.call_async(me, 700, ep, make_regs(1)),
+            Status::kDeadlineExceeded);
   rt.clear_request_ctx(me);
+  EXPECT_EQ(rt.counters(me).get(Counter::kDeadlineExceeded), 1u);
+  EXPECT_EQ(rt.poll(me), 0u);
+  EXPECT_EQ(executed.load(), 0);
+
+  // A root that expires between the post and the poll: the cell carries
+  // the budget across, and the drain drops it instead of running it late.
+  req.abs_deadline_cycles = host_cycles() + 20'000'000;
+  rt.set_request_ctx(me, req);
+  ASSERT_EQ(rt.call_async(me, 700, ep, make_regs(2)), Status::kOk);
+  rt.clear_request_ctx(me);
+  while (host_cycles() < req.abs_deadline_cycles) cpu_relax();
   const auto before = rt.slot_snapshot(me);
-  rt.poll(me);
+  EXPECT_EQ(rt.poll(me), 1u);  // drained, not executed
   const auto delta = rt.slot_snapshot(me).delta(before);
   EXPECT_EQ(executed.load(), 0);
-  EXPECT_GE(delta.get(Counter::kDeadlineExceeded), 1u);
+  EXPECT_EQ(delta.get(Counter::kDeadlineExceeded), 1u);
+  EXPECT_EQ(delta.get(Counter::kCallsRemote), 0u);
   // A context-free async call still executes.
-  ASSERT_EQ(rt.call_async(me, 700, ep, make_regs(2)), Status::kOk);
+  ASSERT_EQ(rt.call_async(me, 700, ep, make_regs(3)), Status::kOk);
   rt.poll(me);
   EXPECT_EQ(executed.load(), 1);
 }
@@ -674,14 +690,19 @@ TEST(RequestCtxWarmPath, NoContextCallsStayZeroLockZeroAlloc) {
   ASSERT_EQ(rt.call_remote(me, 1, 700, ep, r), Status::kOk);
 
   const auto before = rt.slot_snapshot(me);
-  for (Word i = 0; i < 512; ++i) {
-    r = make_regs(i);
-    ASSERT_EQ(rt.call_remote(me, 1, 700, ep, r), Status::kOk);
-    ASSERT_EQ(r[1], i + 1);
-  }
+  int bad = 0;
+  const std::uint64_t heap = heap_allocs_during([&] {
+    for (Word i = 0; i < 512; ++i) {
+      r = make_regs(i);
+      if (rt.call_remote(me, 1, 700, ep, r) != Status::kOk || r[1] != i + 1) {
+        ++bad;
+      }
+    }
+  });
   const auto delta = rt.slot_snapshot(me).delta(before);
+  EXPECT_EQ(bad, 0);
   EXPECT_EQ(delta.get(Counter::kLocksTaken), 0u);
-  EXPECT_EQ(rt.shared_counters().get(Counter::kMailboxAllocs), 0u);
+  EXPECT_EQ(heap, 0u);
   // The context machinery is invisible to context-free traffic.
   EXPECT_EQ(delta.get(Counter::kCallsBulk), 0u);
   EXPECT_EQ(delta.get(Counter::kCallsCancelled), 0u);

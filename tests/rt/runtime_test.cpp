@@ -6,6 +6,8 @@
 #include <atomic>
 #include <thread>
 
+#include "common/heap_audit.h"
+
 namespace hppc::rt {
 namespace {
 
@@ -178,7 +180,7 @@ TEST(RtRuntime, SoftKillRejectsNewCalls) {
   EXPECT_EQ(rt.call(slot, 1, ep, regs), Status::kEntryPointDraining);
 }
 
-TEST(RtRuntime, HardKillReclaimsPooledResourcesViaMailbox) {
+TEST(RtRuntime, HardKillReclaimsPooledResourcesAtTheOwnersPoll) {
   Runtime rt(1);
   const SlotId slot = rt.register_thread();
   RtServiceConfig hold;
@@ -190,30 +192,85 @@ TEST(RtRuntime, HardKillReclaimsPooledResourcesViaMailbox) {
   rt.call(slot, 1, ep, regs);
   EXPECT_EQ(rt.pooled_workers(slot, ep), 1u);
 
-  ASSERT_EQ(rt.hard_kill(ep), Status::kOk);
+  // The kill and the reclaim it triggers allocate nothing: the kill bumps
+  // a word per slot, and the poll sweeps the slot's own pools.
+  const std::uint64_t heap0 = heap_allocs();
+  const Status killed = rt.hard_kill(ep);
+  const std::size_t pooled_after_kill = rt.pooled_workers(slot, ep);
+  const std::size_t reclaimed = rt.poll(slot);
+  const std::uint64_t heap = heap_allocs() - heap0;
+  ASSERT_EQ(killed, Status::kOk);
+  // The reclamation runs when the owning slot polls, not before.
+  EXPECT_EQ(pooled_after_kill, 1u);
+  EXPECT_EQ(reclaimed, 1u);
+  EXPECT_EQ(rt.pooled_workers(slot, ep), 0u);
+  EXPECT_EQ(rt.counters(slot).get(obs::Counter::kWorkersReclaimed), 1u);
+  EXPECT_EQ(heap, 0u);
   set_op(regs, 1);
   EXPECT_EQ(rt.call(slot, 1, ep, regs), Status::kNoSuchEntryPoint);
-  // The reclamation runs when the owning slot polls, not before.
-  EXPECT_EQ(rt.pooled_workers(slot, ep), 1u);
-  rt.poll(slot);
-  EXPECT_EQ(rt.pooled_workers(slot, ep), 0u);
   EXPECT_EQ(rt.hard_kill(ep), Status::kNoSuchEntryPoint);
+  // The next poll finds the reclaim word unchanged: nothing to sweep.
+  EXPECT_EQ(rt.poll(slot), 0u);
 }
 
-TEST(RtRuntime, CrossSlotPost) {
-  Runtime rt(2);
-  const SlotId me = rt.register_thread();
-  const SlotId other = 1 - me;
-  bool ran = false;
-  rt.post(other, [&] { ran = true; });
-  EXPECT_FALSE(ran);
-  // Only the owner drains its mailbox; simulate the other thread polling.
-  std::thread t([&] {
-    rt.register_thread();
-    rt.poll(other);
+TEST(RtRuntime, AsyncThatRepostsItselfLetsPollReturn) {
+  // A handler that re-posts an async call to its own slot keeps that
+  // slot's own ring non-empty forever; poll() still returns, because a
+  // drain stops after one lap of the ring.
+  Runtime rt(1);
+  const SlotId slot = rt.register_thread();
+  std::uint64_t served = 0;
+  EntryPointId ep = kInvalidEntryPoint;
+  ep = rt.bind({}, 700, [&](RtCtx& ctx, RegSet& regs) {
+    ++served;
+    RegSet again;
+    set_op(again, 1);
+    EXPECT_EQ(ctx.runtime().call_async(ctx.slot(), 1, ep, again),
+              Status::kOk);
+    set_rc(regs, Status::kOk);
   });
-  t.join();
-  EXPECT_TRUE(ran);
+  RegSet regs;
+  set_op(regs, 1);
+  ASSERT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOk);
+  const std::size_t first = rt.poll(slot);
+  EXPECT_GE(first, 1u);
+  EXPECT_LE(first, 2 * XcallRing::kCapacity);  // a mask pass + a full scan
+  EXPECT_EQ(served, first);
+  // The chain is still live: the next poll keeps running it.
+  const std::size_t second = rt.poll(slot);
+  EXPECT_GE(second, 1u);
+  EXPECT_LE(second, 2 * XcallRing::kCapacity);
+  EXPECT_EQ(served, first + second);
+}
+
+TEST(RtRuntime, SameSlotAsyncOnAFullRingIsOverloaded) {
+  // Same-slot async calls ride the slot's own ring: a lap of undrained
+  // posts fills it, and the next post is refused instead of queued.
+  Runtime rt(2);
+  const SlotId slot = rt.register_thread();
+  int served = 0;
+  const EntryPointId ep = rt.bind({}, 700, [&](RtCtx&, RegSet& regs) {
+    ++served;
+    set_rc(regs, Status::kOk);
+  });
+  RegSet regs;
+  set_op(regs, 1);
+  for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
+    ASSERT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOk) << i;
+  }
+  EXPECT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOverloaded);
+  const obs::CounterSnapshot c = rt.slot_snapshot(slot);
+  EXPECT_EQ(c.get(obs::Counter::kXcallRingFull), 1u);
+  EXPECT_EQ(c.get(obs::Counter::kCallsAsync), XcallRing::kCapacity);
+  EXPECT_EQ(served, 0);
+  EXPECT_EQ(rt.poll(slot), XcallRing::kCapacity);
+  EXPECT_EQ(served, static_cast<int>(XcallRing::kCapacity));
+  // Executed cells book calls_remote, like every drained ring cell.
+  EXPECT_EQ(rt.slot_snapshot(slot).get(obs::Counter::kCallsRemote),
+            XcallRing::kCapacity);
+  // The drained ring takes posts again.
+  EXPECT_EQ(rt.call_async(slot, 1, ep, regs), Status::kOk);
+  EXPECT_EQ(rt.poll(slot), 1u);
 }
 
 TEST(RtRuntime, ConcurrentCallsFromManyThreads) {
