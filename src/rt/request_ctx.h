@@ -27,16 +27,13 @@
 //                        watermark per class (bulk sheds first) and the
 //                        ready-mask drain scheduler serves interactive
 //                        doorbells before bulk ones.
-//   trace_id             the root trace id (mirrors obs::TraceCtx so the
-//                        context is self-describing in all builds, not
-//                        just HPPC_TRACE ones).
 //
 // Unlike obs::TraceCtx — which exists everywhere but only *records* under
 // HPPC_TRACE — RequestCtx is load-bearing semantics in every build: the
 // deadline/cancel checks decide call outcomes. The struct is installed as
 // `Slot::cur_req` with the same save/restore discipline the trace context
-// uses, so the no-context warm path costs two plain u64-sized copies and
-// two always-false compares per call.
+// uses, so the no-context warm path costs one 16-byte copy and two
+// always-false compares per call.
 #pragma once
 
 #include <cstdint>
@@ -63,15 +60,20 @@ using CancelToken = std::uint32_t;
 
 struct RequestCtx {
   std::uint64_t abs_deadline_cycles = 0;  // absolute host_cycles tick; 0=none
-  std::uint64_t trace_id = 0;             // root trace id (0 = untraced)
   CancelToken cancel_token = 0;           // 0 = not cancellable
   TrafficClass traffic_class = TrafficClass::kInteractive;
+  // Named tail padding: a slot saves and restores this struct around
+  // every handler it runs for another slot; 16 named bytes copy as one
+  // move instead of two overlapping ones.
+  std::uint8_t reserved[3] = {};
 
   /// Anything to propagate? (The warm no-context path keeps this false.)
   bool active() const {
     return abs_deadline_cycles != 0 || cancel_token != 0 ||
            traffic_class != TrafficClass::kInteractive;
   }
+
+  bool bulk() const { return traffic_class == TrafficClass::kBulk; }
 
   bool expired(std::uint64_t now) const {
     return abs_deadline_cycles != 0 && now >= abs_deadline_cycles;

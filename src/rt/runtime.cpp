@@ -171,7 +171,10 @@ RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
   return w;
 }
 
-RtCd* Runtime::acquire_cd(Slot& slot, RtWorker& w) {
+// Inlined into the call body: a pooled CD is a few loads and stores, and
+// an out-of-line call measurably slowed the same-slot call.
+[[gnu::always_inline]] inline RtCd* Runtime::acquire_cd(Slot& slot,
+                                                        RtWorker& w) {
   if (w.held_cd != nullptr) {
     slot.counters.inc(obs::Counter::kHoldCdHits);
     return w.held_cd;
@@ -260,44 +263,83 @@ Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
   return rc_of(regs);
 }
 
+// The request screen and the ambient fold are defined once, here, and
+// inlined into every seam: the same-slot call, cross-slot admission, the
+// full-ring give-up and the drain.
+[[gnu::always_inline]] inline Status Runtime::screen_request(
+    Slot& slot, const RequestCtx& req, std::uint32_t arg, std::size_t n) {
+  Status s;
+  if (req.abs_deadline_cycles != 0 &&
+      host_cycles() >= req.abs_deadline_cycles) {
+    s = Status::kDeadlineExceeded;
+  } else if (req.cancel_token != 0 && cancel_requested(req.cancel_token)) {
+    s = Status::kCallAborted;
+  } else {
+    return Status::kOk;
+  }
+  book_refusal(slot, s, arg, n);
+  return s;
+}
+
+void Runtime::book_refusal(Slot& slot, Status s,
+                           [[maybe_unused]] std::uint32_t arg, std::size_t n) {
+  if (s == Status::kDeadlineExceeded) {
+    slot.counters.inc(obs::Counter::kDeadlineExceeded, n);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                     obs::TraceEvent::kDeadlineExceeded, arg);
+  } else if (s == Status::kCallAborted) {
+    slot.counters.inc(obs::Counter::kCallsCancelled, n);
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                     obs::TraceEvent::kCallCancelled, arg);
+  }
+}
+
+namespace {
+/// Install `req` as a slot's ambient context field by field. The caller
+/// usually holds `req` in registers (folded or decoded from a cell); a
+/// whole-struct copy makes the compiler rebuild it on the stack and reload
+/// it with one wide load that store forwarding cannot serve, about 5 ns on
+/// every direct call and every drained cell.
+[[gnu::always_inline]] inline void install_req(RequestCtx& slot_req,
+                                               const RequestCtx& req) {
+  slot_req.abs_deadline_cycles = req.abs_deadline_cycles;
+  slot_req.cancel_token = req.cancel_token;
+  slot_req.traffic_class = req.traffic_class;
+}
+}  // namespace
+
+[[gnu::always_inline]] inline RequestCtx Runtime::fold_request(
+    Slot& slot, const CallOptions& opts) {
+  const RequestCtx& ambient = slot.cur_req;
+  RequestCtx req = ambient;
+  req.abs_deadline_cycles = opts.with_budget(ambient.abs_deadline_cycles);
+  if (opts.cancel_token != 0) req.cancel_token = opts.cancel_token;
+  if (opts.traffic_class == TrafficClass::kBulk) {
+    req.traffic_class = TrafficClass::kBulk;
+  }
+  if (ambient.abs_deadline_cycles != 0 &&
+      req.abs_deadline_cycles == ambient.abs_deadline_cycles) {
+    slot.counters.inc(obs::Counter::kDeadlineInherited);
+  }
+  return req;
+}
+
 Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
                      RegSet& regs) {
   HPPC_ASSERT(slot_id < slots_.size());
   Slot& slot = *slots_[slot_id];
 
-  Service* svc = lookup(id);
-  if (svc == nullptr) {
-    set_rc(regs, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
-  }
-  const SvcState st = svc->state.load(std::memory_order_acquire);
-  if (st != SvcState::kActive) {
-    const Status s = st == SvcState::kDraining ? Status::kEntryPointDraining
-                                               : Status::kNoSuchEntryPoint;
-    set_rc(regs, s);
-    return s;
-  }
-
-  // Ambient request screen — call semantics, not instrumentation, so it
-  // runs at every sample period. The warm no-context path pays two
-  // always-false compares against slot-local state; an expired or
-  // cancelled root request refuses every nested call in its tree right
-  // here, before a worker is touched.
-  const RequestCtx& req = slot.cur_req;
-  if (req.abs_deadline_cycles != 0 &&
-      host_cycles() >= req.abs_deadline_cycles) {
-    slot.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                     obs::TraceEvent::kDeadlineExceeded, id);
-    set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  if (req.cancel_token != 0 && cancel_requested(req.cancel_token)) {
-    slot.counters.inc(obs::Counter::kCallsCancelled);
-    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                     obs::TraceEvent::kCallCancelled, id);
-    set_rc(regs, Status::kCallAborted);
-    return Status::kCallAborted;
+  // The service screen, then the ambient request screen — call semantics,
+  // not instrumentation, so they run at every sample period. The warm
+  // no-context path pays two always-false compares against slot-local
+  // state; an expired or cancelled root request refuses every nested call
+  // in its tree right here, before a worker is touched.
+  Status rc = Status::kOk;
+  Service* svc = screen_service(id, Status::kNoSuchEntryPoint, rc);
+  if (svc == nullptr ||
+      (rc = screen_request(slot, slot.cur_req, id)) != Status::kOk) {
+    set_rc(regs, rc);
+    return rc;
   }
 
   // Fast path: one plain store (calls_sync; hold-CD services pay a second
@@ -326,7 +368,7 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
     if (span != 0) slot.cur_trace.span_id = span;
   }
 #endif
-  const Status rc = execute_on_slot(slot, slot_id, *svc, caller, regs);
+  rc = execute_on_slot(slot, slot_id, *svc, caller, regs);
 #if defined(HPPC_TRACE) && HPPC_TRACE
   if (saved.traced()) {
     slot.cur_trace = saved;
@@ -341,25 +383,13 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
                      RegSet& regs, const CallOptions& opts) {
   // A same-slot call executes inline on the calling thread, so the retry
   // knob has nothing to act on — but the deadline/cancel/class knobs do:
-  // they scope the ambient request context around the handler. The
-  // relative deadline folds into the inherited absolute budget (tighten,
-  // never extend — with_budget), nested calls the handler makes inherit
-  // the result, and the plain call's pre-execution screen enforces both
-  // the budget and the cancel flag.
+  // folded into the ambient request, they scope it around the handler;
+  // nested calls the handler makes inherit the result, and the plain
+  // call's screen enforces both the budget and the cancel flag.
   HPPC_ASSERT(slot_id < slots_.size());
   Slot& slot = *slots_[slot_id];
   const RequestCtx saved = slot.cur_req;
-  RequestCtx eff = saved;
-  eff.abs_deadline_cycles = opts.with_budget(saved.abs_deadline_cycles);
-  if (opts.cancel_token != 0) eff.cancel_token = opts.cancel_token;
-  if (opts.traffic_class == TrafficClass::kBulk) {
-    eff.traffic_class = TrafficClass::kBulk;
-  }
-  if (saved.abs_deadline_cycles != 0 &&
-      eff.abs_deadline_cycles == saved.abs_deadline_cycles) {
-    slot.counters.inc(obs::Counter::kDeadlineInherited);
-  }
-  slot.cur_req = eff;
+  install_req(slot.cur_req, fold_request(slot, opts));
   const Status rc = call(slot_id, caller, id, regs);
   slot.cur_req = saved;
   return rc;
@@ -386,17 +416,11 @@ Status Runtime::execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
   // in flight — that is the §4.5.2 abort case, reported as kCallAborted so
   // a hard kill racing call_remote yields exactly {kOk, kCallAborted}.
   // Soft kill keeps its distinct drain code.
-  Service* svc = lookup(id);
+  Status rc = Status::kOk;
+  Service* svc = screen_service(id, Status::kCallAborted, rc);
   if (svc == nullptr) {
-    set_rc(regs, Status::kCallAborted);
-    return Status::kCallAborted;
-  }
-  const SvcState st = svc->state.load(std::memory_order_acquire);
-  if (st != SvcState::kActive) {
-    const Status s = st == SvcState::kDraining ? Status::kEntryPointDraining
-                                               : Status::kCallAborted;
-    set_rc(regs, s);
-    return s;
+    set_rc(regs, rc);
+    return rc;
   }
   slot.counters.inc(obs::Counter::kCallsRemote);
   HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
@@ -405,88 +429,62 @@ Status Runtime::execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
 }
 
 std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
-  // Execute one cell's request under the request context it carried across
-  // the ring (trace builds): a kServerExec span parented to the caller's
-  // post span, with cur_trace swapped so nested calls inside the handler
-  // parent to it in turn.
-  const auto run_cell = [this, &slot](const XcallCell& cell,
-                                      RegSet& out) -> Status {
-    // Install the request context the cell carried across the ring: the
-    // absolute budget rides the cell's deadline lane, the cancel-token
-    // index and traffic class ride the ep word's high lanes. Swapped in
-    // around the handler exactly like the trace context below — but
-    // unconditionally, in every build — so NESTED calls the handler makes
-    // inherit the root's budget and token. This is the hop the tentpole
-    // exists for: before it, an expired root died at the first xcall seam
-    // while downstream work kept burning cycles.
-    const RequestCtx saved_req = slot.cur_req;
-    RequestCtx req;
-    req.abs_deadline_cycles = cell.deadline;
-    req.cancel_token = cell_token_idx(cell.ep);
-    req.traffic_class = cell_is_bulk(cell.ep) ? TrafficClass::kBulk
-                                              : TrafficClass::kInteractive;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    const obs::TraceCtx cctx = cell.tctx;
-    req.trace_id = cctx.trace_id;
-    const obs::TraceCtx saved = slot.cur_trace;
-    std::uint32_t span = 0;
-    if (cctx.traced()) {
-      span = begin_span(slot, obs::SpanKind::kServerExec, cctx.trace_id,
-                        cctx.span_id);
-      slot.cur_trace = cctx;
-      if (span != 0) slot.cur_trace.span_id = span;
-    }
-#endif
-    slot.cur_req = req;
-    const Status rc =
-        execute_remote(slot, cell.caller, cell_ep(cell.ep), out);
-    slot.cur_req = saved_req;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (cctx.traced()) {
-      slot.cur_trace = saved;
-      end_span(slot, cctx.trace_id, span, cctx.span_id, rc);
-    }
-#endif
-    return rc;
-  };
   // One batch: every cell published before the first gap, one acquire per
   // cell to observe its payload, one book-keeping store per batch. The
   // ring runs the state protocol around each cell: abandoned cells never
   // reach this lambda, and a sync cell's reply is completed in its own
   // line right after it returns.
-  const auto run = [this, &slot, &run_cell](XcallCell& cell) -> Status {
+  const auto run = [this, &slot](XcallCell& cell) -> Status {
+    // The request context the cell carried across the ring: the absolute
+    // budget in its deadline lane, the cancel-token index and traffic
+    // class in the ep word's high lanes — the same for typed and frame
+    // cells. A cell that drained past its deadline, or whose root was
+    // cancelled, is not executed late: a fire-and-forget cell is dropped,
+    // a sync one is refused (a parked caller is kicked by that completion
+    // exactly as a real result would kick it).
+    RequestCtx req;
+    req.abs_deadline_cycles = cell.deadline;
+    req.cancel_token = cell_token_idx(cell.ep);
+    req.traffic_class = cell_is_bulk(cell.ep) ? TrafficClass::kBulk
+                                              : TrafficClass::kInteractive;
     // The handler runs on a server-local register file; the caller's line
     // is written once, reply then state word, after it returns.
     RegSet out = cell.regs;
-    Status rc;
-    if (cell_is_frame(cell)) {
-      // Frame cells first: their `deadline` lane carries the packed op
-      // word, so nothing below this branch may read it as a tick count.
-      // Frames carry no request context in flight, so they always run.
-      CallFrame f = cell_frame(cell);
-      rc = execute_frame(slot, cell.caller, f);
-      out.w = f.w;
-    } else if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
-      // A cell that drained past its deadline is not executed late: a
-      // fire-and-forget cell is dropped, a sync one fails instead of
-      // burning a worker on a result nobody can use.
-      rc = Status::kDeadlineExceeded;
-      set_rc(out, rc);
-      slot.counters.inc(obs::Counter::kDeadlineExceeded);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                       obs::TraceEvent::kDeadlineExceeded, cell_ep(cell.ep));
-    } else if (const std::uint32_t tok = cell_token_idx(cell.ep);
-               tok != 0 && cancel_requested(tok)) {
-      // A cancelled cell is refused the same way: the root asked for the
-      // whole tree to stop. A parked caller is kicked by the completion
-      // exactly as a real result would kick it.
-      rc = Status::kCallAborted;
-      set_rc(out, rc);
-      slot.counters.inc(obs::Counter::kCallsCancelled);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                       obs::TraceEvent::kCallCancelled, cell_ep(cell.ep));
-    } else {
-      rc = run_cell(cell, out);
+    Status rc = screen_request(slot, req, cell_ep(cell.ep));
+    if (rc == Status::kOk) {
+      // Run under the cell's context — swapped in around the handler like
+      // the trace context below, in every build — so NESTED calls the
+      // handler makes inherit the root's budget and token. In trace builds
+      // the cell's TraceCtx opens a kServerExec span parented to the
+      // caller's post span.
+      const RequestCtx saved_req = slot.cur_req;
+#if defined(HPPC_TRACE) && HPPC_TRACE
+      const obs::TraceCtx cctx = cell.tctx;
+      const obs::TraceCtx saved = slot.cur_trace;
+      std::uint32_t span = 0;
+      if (cctx.traced()) {
+        span = begin_span(slot, obs::SpanKind::kServerExec, cctx.trace_id,
+                          cctx.span_id);
+        slot.cur_trace = cctx;
+        if (span != 0) slot.cur_trace.span_id = span;
+      }
+#endif
+      install_req(slot.cur_req, req);
+      if (cell_is_frame(cell)) {
+        CallFrame f = cell_frame(cell);
+        rc = execute_frame(slot, cell.caller, f);
+        out.w = f.w;
+        cell.opflags = frame_opflags_of(f.op);
+      } else {
+        rc = execute_remote(slot, cell.caller, cell_ep(cell.ep), out);
+      }
+      slot.cur_req = saved_req;
+#if defined(HPPC_TRACE) && HPPC_TRACE
+      if (cctx.traced()) {
+        slot.cur_trace = saved;
+        end_span(slot, cctx.trace_id, span, cctx.span_id, rc);
+      }
+#endif
     }
     if (cell.is_sync()) {
       // Fault seam before a sync completion: the failpoint burns its delay
@@ -823,50 +821,51 @@ namespace {
 // The default-constructed options the option-less wrappers pass: one
 // read-only object instead of a temporary built on every call.
 constexpr CallOptions kNoOptions{};
+
+/// Refuse every request in `reqs` with `s`: the rc on each, the status
+/// back. Counters are booked where the refusal was decided.
+template <typename Lane>
+Status refuse_all(std::span<typename Lane::Req> reqs, Status s) {
+  for (auto& r : reqs) Lane::refuse(r, s);
+  return s;
+}
 }  // namespace
 
-/// Typed requests: RegSets against one entry point. The whole request
-/// context rides each cell — the absolute deadline in its own lane, the
-/// cancel-token index and traffic class in the ep word's spare high bits.
+// The two lane policies write the same cell format. The engine fills the
+// caller and the deadline; `lanes` is the ep word's request-context lanes
+// (cancel token and class), which a lane ors with its entry point.
+
+/// Typed requests: RegSets against one entry point. The status word is
+/// the rc: the reply stamps it into the op word.
 struct Runtime::TypedLane {
   using Req = RegSet;
-  static constexpr bool kInFlightContext = true;
   EntryPointId id;
 
   Status screen(const Runtime& rt, std::span<RegSet>) const {
-    const Service* svc = rt.lookup(id);
-    if (svc == nullptr) return Status::kNoSuchEntryPoint;
-    switch (svc->state.load(std::memory_order_acquire)) {
-      case SvcState::kActive:
-        return Status::kOk;
-      case SvcState::kDraining:
-        return Status::kEntryPointDraining;
-      default:
-        return Status::kNoSuchEntryPoint;
-    }
+    Status rc = Status::kOk;
+    rt.screen_service(id, Status::kNoSuchEntryPoint, rc);
+    return rc;
   }
   static void refuse(RegSet& r, Status s) { set_rc(r, s); }
-  void encode(XcallCell& cell, const RegSet& r, const Admission& a) const {
-    cell.ep = cell_pack_ep(id, a.token, a.bulk);
-    cell.deadline = a.deadline;
+  void encode(XcallCell& cell, const RegSet& r, EntryPointId lanes) const {
+    cell.ep = lanes | id;
     cell.regs = r;
   }
   Status execute(Runtime& rt, Slot& tgt, ProgramId caller, RegSet& r) const {
     return rt.execute_remote(tgt, caller, id, r);
   }
-  static void reply(RegSet& r, const XcallCell& cell, Status) {
+  static void reply(RegSet& r, const XcallCell& cell, Status rc) {
     r = cell.regs;
+    set_rc(r, rc);
   }
-
 };
 
-/// Figure-4 frames: the packed op word rides the cell's deadline lane, so
-/// a frame carries no deadline or cancel token in flight — its request
-/// context is enforced at admission (and by the retry loop) only, and a
-/// frame handler runs outside it whether it executes direct or drained.
+/// Figure-4 frames: the service id rides the ep lane and the op word's low
+/// half rides `opflags`; the payload is the cell's RegSet. The reply takes
+/// the server's opcode|flags with the status as rc, so a ring round trip
+/// returns the op word the direct path would.
 struct Runtime::FrameLane {
   using Req = CallFrame;
-  static constexpr bool kInFlightContext = false;
 
   Status screen(const Runtime& rt, std::span<CallFrame> reqs) const {
     for (const CallFrame& f : reqs) {
@@ -880,9 +879,9 @@ struct Runtime::FrameLane {
     return Status::kOk;
   }
   static void refuse(CallFrame& f, Status s) { f.op = frame_with_rc(f.op, s); }
-  void encode(XcallCell& cell, const CallFrame& f, const Admission&) const {
-    cell.ep = kFrameCellEp | frame_service_of(f.op);
-    cell.deadline = f.op;  // the op lane, not a deadline
+  void encode(XcallCell& cell, const CallFrame& f, EntryPointId lanes) const {
+    cell.ep = lanes | kFrameCellEp | frame_service_of(f.op);
+    cell.opflags = frame_opflags_of(f.op);
     cell.regs.w = f.w;
   }
   Status execute(Runtime& rt, Slot& tgt, ProgramId caller,
@@ -891,26 +890,9 @@ struct Runtime::FrameLane {
   }
   static void reply(CallFrame& f, const XcallCell& cell, Status rc) {
     f.w = cell.regs.w;
-    f.op = frame_with_rc(f.op, rc);
+    f.op = frame_with_rc((f.op & ~FrameWord{0xFFFFFFFFu}) | cell.opflags, rc);
   }
 };
-
-template <typename Lane>
-Status Runtime::refuse_all(Slot& me, [[maybe_unused]] SlotId caller_slot,
-                           [[maybe_unused]] SlotId target,
-                           std::span<typename Lane::Req> reqs, Status s) {
-  if (s == Status::kDeadlineExceeded) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded, reqs.size());
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-  } else if (s == Status::kCallAborted) {
-    me.counters.inc(obs::Counter::kCallsCancelled, reqs.size());
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-  }
-  for (auto& r : reqs) Lane::refuse(r, s);
-  return s;
-}
 
 // Inlined into each wrapper on purpose: a direct call is a few dozen
 // nanoseconds, and an out-of-line engine call with its stack-passed
@@ -927,68 +909,50 @@ template <typename Lane>
   Slot& tgt = *slots_[target];
   // Screen: an unbound or killed service fails before touching the target.
   if (const Status s = lane.screen(*this, reqs); s != Status::kOk) {
-    return refuse_all<Lane>(me, caller_slot, target, reqs, s);
+    return refuse_all<Lane>(reqs, s);
   }
 
   // Admit: fold the per-call knobs into the ambient request the caller is
-  // already executing under. The relative deadline converts to an absolute
-  // budget exactly once (with_budget) and clamps against the inherited one
-  // — tighten, never extend — while the token and class default to the
-  // ambient values, so a context installed at the root rides every hop.
-  const RequestCtx ambient = me.cur_req;
-  Admission adm;
-  adm.deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  adm.token = opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  adm.bulk = opts.traffic_class == TrafficClass::kBulk ||
-             ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      adm.deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
+  // already executing under, so a context installed at the root rides
+  // every hop. A spent budget or a cancelled root never touches the
+  // target; neither does a call over its class's shed watermark — a lower
+  // bulk watermark makes bulk traffic absorb the shedding first.
+  const RequestCtx req = fold_request(me, opts);
+  if (const Status s = screen_request(me, req, target, reqs.size());
+      s != Status::kOk) {
+    return refuse_all<Lane>(reqs, s);
   }
-  // A spent budget or a cancelled root never touches the target; neither
-  // does a call over its class's shed watermark — a lower bulk watermark
-  // makes bulk traffic absorb the shedding first.
-  if (adm.deadline != 0 && host_cycles() >= adm.deadline) {
-    return refuse_all<Lane>(me, caller_slot, target, reqs,
-                            Status::kDeadlineExceeded);
-  }
-  if (adm.token != 0 && cancel_requested(adm.token)) {
-    return refuse_all<Lane>(me, caller_slot, target, reqs,
-                            Status::kCallAborted);
-  }
-  const std::uint32_t watermark = shed_watermark(
-      adm.bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
+  const std::uint32_t watermark = shed_watermark(req.traffic_class);
   if (watermark != 0 && xcall_depth(target) >= watermark) {
     me.counters.inc(obs::Counter::kCallsShed, reqs.size());
-    if (adm.bulk) me.counters.inc(obs::Counter::kCallsShedBulk, reqs.size());
+    if (req.bulk()) me.counters.inc(obs::Counter::kCallsShedBulk, reqs.size());
     HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
                      obs::TraceEvent::kCallShed, target);
-    return refuse_all<Lane>(me, caller_slot, target, reqs,
-                            Status::kOverloaded);
+    return refuse_all<Lane>(reqs, Status::kOverloaded);
   }
-  if (adm.bulk) me.counters.inc(obs::Counter::kCallsBulk, reqs.size());
+  if (req.bulk()) me.counters.inc(obs::Counter::kCallsBulk, reqs.size());
 
   // One histogram sampling decision per sync call or batch chunk; this one
   // covers the first chunk, whichever stage carries it.
   const bool sampled = !async && hist_sampled(me);
   const std::uint64_t t0 = sampled ? host_cycles() : 0;
   if (async) {
-    return submit_ring(lane, caller_slot, target, caller, reqs, opts, adm,
+    return submit_ring(lane, caller_slot, target, caller, reqs, opts, req,
                        /*async=*/true, /*sampled=*/false, /*t0=*/0);
   }
   if (!tgt.gate.try_steal()) {
     return submit_ring_sync(lane, caller_slot, target, caller, reqs, opts,
-                            adm, sampled, t0);
+                            req, sampled, t0);
   }
 
   // Direct: the target is parked — we hold its gate, so the whole
   // submission runs right here, against the target's pools (LRPC-style
   // migration). No context switch, no allocation; two shared RMWs (steal +
   // release). Direct execution crosses slots without crossing the ring, so
-  // the stolen slot is put under the caller's trace context — and, on a
-  // lane whose cells carry the request context, under that too — by hand,
-  // exactly as the drain installs what a ring cell carries: nested calls
-  // the handlers make inherit the span, the budget and the token.
+  // the stolen slot is put under the caller's request and trace contexts
+  // by hand, exactly as the drain installs what a ring cell carries:
+  // nested calls the handlers make inherit the budget, the token and the
+  // span.
   const bool batched = reqs.size() > 1;
   me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
   tgt.counters.inc(obs::Counter::kXcallDirect, reqs.size());
@@ -1005,21 +969,14 @@ template <typename Lane>
     ++tgt.cur_trace.hop;
   }
 #endif
-  [[maybe_unused]] const RequestCtx saved_req = tgt.cur_req;
-  if constexpr (Lane::kInFlightContext) {
-    RequestCtx eff = ambient;
-    eff.abs_deadline_cycles = adm.deadline;
-    eff.cancel_token = adm.token;
-    eff.traffic_class =
-        adm.bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-    tgt.cur_req = eff;
-  }
+  const RequestCtx saved_req = tgt.cur_req;
+  install_req(tgt.cur_req, req);
   Status overall = Status::kOk;
   for (auto& r : reqs) {
     const Status s = lane.execute(*this, tgt, caller, r);
     if (overall == Status::kOk) overall = s;
   }
-  if constexpr (Lane::kInFlightContext) tgt.cur_req = saved_req;
+  tgt.cur_req = saved_req;
   // Help while we hold the slot: retire anything ring-queued behind us,
   // and hand the idle slot back with a clear mask. On an idle target this
   // is one load per mask.
@@ -1036,7 +993,7 @@ template <typename Lane>
     const std::uint64_t rtt = host_cycles() - t0;
     me.hists->record(batched ? obs::Hist::kRttBatched : obs::Hist::kRttRemote,
                      rtt);
-    if (adm.bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
+    if (req.bulk()) me.hists->record(obs::Hist::kRttBulk, rtt);
   }
   return overall;
 }
@@ -1048,8 +1005,8 @@ template <typename Lane>
 [[gnu::noinline]] Status Runtime::submit_ring_sync(
     const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
     std::span<typename Lane::Req> reqs, const CallOptions& opts,
-    Admission adm, bool sampled, std::uint64_t t0) {
-  return submit_ring(lane, caller_slot, target, caller, reqs, opts, adm,
+    RequestCtx req, bool sampled, std::uint64_t t0) {
+  return submit_ring(lane, caller_slot, target, caller, reqs, opts, req,
                      /*async=*/false, sampled, t0);
 }
 
@@ -1057,14 +1014,15 @@ template <typename Lane>
 [[gnu::always_inline]] inline Status Runtime::submit_ring(
     const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
     std::span<typename Lane::Req> reqs, const CallOptions& opts,
-    Admission adm, bool async, bool sampled, std::uint64_t t0) {
+    RequestCtx req, bool async, bool sampled, std::uint64_t t0) {
   Slot& me = *slots_[caller_slot];
   Slot& tgt = *slots_[target];
   const std::size_t n = reqs.size();
   const bool batched = n > 1;
-  // The deadline cells carry, and the one the waiter abandons at. Frames
-  // have no lane for it.
-  const std::uint64_t in_flight = Lane::kInFlightContext ? adm.deadline : 0;
+  // The deadline cells carry, and the one the waiter abandons at; the
+  // token and class ride every cell's ep lanes.
+  const std::uint64_t in_flight = req.abs_deadline_cycles;
+  const EntryPointId lanes = cell_pack_ep(0, req.cancel_token, req.bulk());
   Status overall = Status::kOk;
   const auto fold = [&overall](Status s) {
     if (overall == Status::kOk) overall = s;
@@ -1117,9 +1075,9 @@ template <typename Lane>
       t0 = sampled ? host_cycles() : 0;
       decided = true;
     }
-    // Post: claim up to a ring's worth of cells with one CAS; the lane
-    // encodes each. "rt.xcall.batch.post" delays every chunk post of a
-    // batch (a producer preempted mid-batch).
+    // Post: claim up to a ring's worth of cells; the lane encodes each.
+    // "rt.xcall.batch.post" delays every chunk post of a batch (a producer
+    // preempted mid-batch).
     const std::size_t want = std::min(n - i, XcallRing::kCapacity);
     if (batched && HPPC_FAULT_POINT("rt.xcall.batch.post")) fault_hit();
     std::size_t posted = 0;
@@ -1129,7 +1087,8 @@ template <typename Lane>
           want,
           [&](XcallCell& cell, std::size_t k) {
             cell.caller = caller;
-            lane.encode(cell, reqs[i + k], adm);
+            cell.deadline = in_flight;
+            lane.encode(cell, reqs[i + k], lanes);
 #if defined(HPPC_TRACE) && HPPC_TRACE
             cell.tctx = post_ctx;
 #endif
@@ -1153,19 +1112,14 @@ template <typename Lane>
       } else {
         me.counters.inc(obs::Counter::kRetries);
       }
-      Status give_up = Status::kOk;
-      if (async || opts.retry == RetryPolicy::kFailFast ||
-                 (opts.retry == RetryPolicy::kBackoff &&
-                  round >= opts.backoff_rounds)) {
-        give_up = Status::kOverloaded;
-      } else if (adm.deadline != 0 && host_cycles() >= adm.deadline) {
-        give_up = Status::kDeadlineExceeded;
-      } else if (adm.token != 0 && cancel_requested(adm.token)) {
-        give_up = Status::kCallAborted;
-      }
+      const Status give_up =
+          async || opts.retry == RetryPolicy::kFailFast ||
+                  (opts.retry == RetryPolicy::kBackoff &&
+                   round >= opts.backoff_rounds)
+              ? Status::kOverloaded
+              : screen_request(me, req, target, n - i);
       if (give_up != Status::kOk) {
-        fold(refuse_all<Lane>(me, caller_slot, target, reqs.subspan(i),
-                              give_up));
+        fold(refuse_all<Lane>(reqs.subspan(i), give_up));
         break;
       }
       if (opts.retry == RetryPolicy::kBackoff) {
@@ -1183,10 +1137,10 @@ template <typename Lane>
     // thief posting there (a handler run under a steal) does ring it, so
     // its own settle_doorbells() — or a later one — drains the cell.
     if (target != caller_slot) {
-      ring_doorbell(me, tgt, caller_slot, adm.bulk);
+      ring_doorbell(me, tgt, caller_slot, req.bulk());
       me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
     } else if (me.gate.state() == SlotGate::kStolen) {
-      ring_doorbell(me, tgt, caller_slot, adm.bulk);
+      ring_doorbell(me, tgt, caller_slot, req.bulk());
     }
     me.counters.inc(obs::Counter::kXcallPosts, posted);
     if (batched) {
@@ -1219,7 +1173,7 @@ template <typename Lane>
     }
     for (std::size_t k = 0; k < posted; ++k) {
       XcallCell& cell = ring.cell(first + k);
-      typename Lane::Req& req = reqs[i + k];
+      typename Lane::Req& r = reqs[i + k];
       std::uint64_t park_t = 0;  // stamped at park, read after the kick
       const std::uint32_t st =
           wait_complete(cell, in_flight, yield_rounds, help, [&] {
@@ -1237,16 +1191,14 @@ template <typename Lane>
       }
       if (st == kCellAbandoned) {
         // The cell is the server's now: its drain skips and retires it.
-        me.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kDeadlineExceeded, target);
-        Lane::refuse(req, Status::kDeadlineExceeded);
+        book_refusal(me, Status::kDeadlineExceeded, target, 1);
+        Lane::refuse(r, Status::kDeadlineExceeded);
         fold(Status::kDeadlineExceeded);
         continue;
       }
       // The server has already retired the cell; we are the ring's only
       // producer, so nobody reuses it before the reply is copied out.
-      Lane::reply(req, cell, cell_status(st));
+      Lane::reply(r, cell, cell_status(st));
       fold(cell_status(st));
     }
     i += posted;
@@ -1261,7 +1213,7 @@ template <typename Lane>
                        : in_flight != 0 ? obs::Hist::kRttDeadlined
                                         : obs::Hist::kRttRemote,
                        rtt);
-      if (adm.bulk) me.hists->record(obs::Hist::kRttBulk, rtt);
+      if (req.bulk()) me.hists->record(obs::Hist::kRttBulk, rtt);
     }
     decided = false;
   }

@@ -11,7 +11,8 @@
 // queued on the owning slot's own ring.
 //
 // Cross-slot traffic (the paper's cross-processor path, §4.5.2) rides the
-// xcall layer: per-slot bounded MPSC rings of cache-line cells. Every
+// xcall layer: one bounded single-producer ring of cache-line cells per
+// (caller slot, target slot) pair. Every
 // cross-slot call — call_remote, call_remote_batch, call_remote_async,
 // call_remote_frame and call_remote_frame_batch — is a thin wrapper over
 // one private engine, submit(), which runs screen → admit → direct | post
@@ -279,7 +280,7 @@ class Runtime {
   /// against `target` and wait for all of them. On an idle target one gate
   /// steal direct-executes the whole batch; otherwise the batch is posted
   /// in chunks of up to XcallRing::kCapacity cells, each chunk claimed
-  /// with ONE CAS and published with ONE release store + ONE doorbell
+  /// with plain stores and published with ONE release store + ONE doorbell
   /// (see XcallRing::try_post) — a burst of M calls costs ~1 cross-slot
   /// line transfer instead of M. Per-call results land in each RegSet's rc
   /// word; the return value is the first non-kOk rc (kOk if all passed).
@@ -323,9 +324,9 @@ class Runtime {
   // std::function. The same-slot call_frame books no histogram and no
   // span. Cross-slot frame calls ride the same engine as typed ones (same
   // admission, retry, wait ladder, histograms and spans) and inline the
-  // whole request in the 64 B XcallCell; because the cell's deadline lane
-  // carries the op word, a frame's ambient deadline is checked at
-  // admission only, never in flight.
+  // whole request in the 64 B XcallCell, in the typed cell format: the
+  // ambient deadline, cancel token and class ride with it, and a frame
+  // handler runs under them, direct or drained.
 
   /// Register a frame service: `fn` is invoked with `self` on every call.
   /// `self` must outlive the runtime (or the service's last call). Slow
@@ -350,9 +351,9 @@ class Runtime {
                            ProgramId caller, CallFrame& f);
 
   /// Batched cross-slot frame calls: chunks of up to XcallRing::kCapacity
-  /// cells, each chunk claimed with ONE CAS and published with ONE release
-  /// store + ONE doorbell. Frames in one batch may carry different op
-  /// words; a batch naming any unbound frame service is refused whole at
+  /// cells, each chunk claimed with plain stores and published with ONE
+  /// release store + ONE doorbell. Frames in one batch may carry different
+  /// op words; a batch naming any unbound frame service is refused whole at
   /// admission. Per-frame rc lands in each frame's op word; returns the
   /// first non-kOk rc.
   Status call_remote_frame_batch(SlotId caller_slot, SlotId target,
@@ -646,8 +647,8 @@ class Runtime {
     // touches every call and poll.
     alignas(kHostCacheLine) SlotGate gate;
     // Per-producer xcall channels, indexed by the PRODUCER's slot id: each
-    // (src, dst) pair gets its own ring, so concurrent posters to one slot
-    // never CAS the same enqueue cursor. rings[self] carries the slot's
+    // (src, dst) pair gets its own ring, whose one producer is whoever
+    // holds the src slot. rings[self] carries the slot's
     // own async calls (call_async); the owner rings no doorbell for them,
     // so poll() and serve() check that ring's head cell directly.
     // Allocated once at construction from the arena, on this slot's node:
@@ -742,13 +743,36 @@ class Runtime {
   Status execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
                         RegSet& regs);
 
-  /// What admission resolved for one cross-slot submission: the caller's
-  /// ambient request context folded with the per-call options.
-  struct Admission {
-    std::uint64_t deadline = 0;  // absolute host_cycles(); 0 = none
-    CancelToken token = 0;
-    bool bulk = false;
-  };
+  /// The service-state screen: `id`'s service while it is active, else
+  /// nullptr with `rc` set — kEntryPointDraining for a soft-killed service,
+  /// `gone` for one that is unbound or hard-killed.
+  Service* screen_service(EntryPointId id, Status gone, Status& rc) const {
+    Service* svc = lookup(id);
+    const SvcState st = svc != nullptr
+                            ? svc->state.load(std::memory_order_acquire)
+                            : SvcState::kDead;
+    if (st == SvcState::kActive) return svc;
+    rc = st == SvcState::kDraining ? Status::kEntryPointDraining : gone;
+    return nullptr;
+  }
+  /// The request screen (ownership of `slot` held): kDeadlineExceeded once
+  /// `req`'s budget is spent, kCallAborted once its token is cancelled,
+  /// else kOk. A refusal books `n` calls on `slot` (book_refusal).
+  Status screen_request(Slot& slot, const RequestCtx& req, std::uint32_t arg,
+                        std::size_t n = 1);
+  /// Book `n` calls refused with `s` on `slot`: deadline_exceeded or
+  /// calls_cancelled plus its trace event (`arg`: the entry point or
+  /// target slot). Other statuses book nothing here.
+  static void book_refusal(Slot& slot, Status s, std::uint32_t arg,
+                           std::size_t n);
+  /// The ambient fold (ownership of `slot` held): the slot's request
+  /// context with the per-call options folded in. The relative deadline
+  /// converts once and clamps against the inherited budget (tighten, never
+  /// extend — CallOptions::with_budget); a token or the bulk class in
+  /// `opts` overrides. Books deadline_inherited when the ambient budget
+  /// survives the fold.
+  RequestCtx fold_request(Slot& slot, const CallOptions& opts);
+
   /// The request policies of the two cross-slot lanes (runtime.cpp): how
   /// to screen a submission, encode a cell, execute a request directly and
   /// copy a reply out. Everything else is the engine's.
@@ -771,18 +795,13 @@ class Runtime {
   Status submit_ring_sync(const Lane& lane, SlotId caller_slot,
                           SlotId target, ProgramId caller,
                           std::span<typename Lane::Req> reqs,
-                          const CallOptions& opts, Admission adm,
+                          const CallOptions& opts, RequestCtx req,
                           bool sampled, std::uint64_t t0);
   template <typename Lane>
   Status submit_ring(const Lane& lane, SlotId caller_slot, SlotId target,
                      ProgramId caller, std::span<typename Lane::Req> reqs,
-                     const CallOptions& opts, Admission adm, bool async,
+                     const CallOptions& opts, RequestCtx req, bool async,
                      bool sampled, std::uint64_t t0);
-  /// Refuse every request in `reqs` with `s` (rc set on each); a deadline
-  /// or cancel refusal books one counter per refused call on `me`.
-  template <typename Lane>
-  static Status refuse_all(Slot& me, SlotId caller_slot, SlotId target,
-                           std::span<typename Lane::Req> reqs, Status s);
   /// Drain one batch of one producer ring on `slot` (ownership held).
   /// Books xcall_batches, drops/fails expired-deadline cells, completes
   /// sync cells (kicking parked waiters).

@@ -12,12 +12,13 @@
 //
 // Three pieces:
 //
-//   XcallRing  — a Vyukov-style bounded multi-producer/single-consumer
-//                ring. Producers claim a cell with one CAS and publish it
-//                with one release store; the consumer drains the ready
-//                cells in a batch of at most one lap. No allocation,
-//                ever; a full ring is reported to the caller, who retries
-//                (sync) or refuses the post with kOverloaded (async).
+//   XcallRing  — a bounded single-producer/single-consumer ring of
+//                Vyukov-sequenced cells. The producer claims cells with
+//                plain stores of its private tail and publishes them with
+//                one release store; the consumer drains the ready cells in
+//                a batch of at most one lap. No allocation, ever; a full
+//                ring is reported to the caller, who retries (sync) or
+//                refuses the post with kOverloaded (async).
 //
 //   SlotGate   — the slot-ownership word that makes the *adaptive* part of
 //                Runtime::call_remote possible. A slot whose owning thread
@@ -45,22 +46,23 @@
 // One producer at a time per ring. For the in-process ring that is the
 // thread holding the source slot (its registered owner, or a thief that
 // won its SlotGate); for an shm lane, the peer that owns the lane. The
-// consumer retires a sync cell while its caller may still be reading the
-// reply, which is safe only because of this rule: the one producer that
-// could reclaim the cell is the caller itself, and it does not post again
-// until it has copied its reply out. Async-only use may have many
-// producers — nobody reads an async cell after the drain.
+// rule carries correctness twice: the tail is a plain producer-private
+// cursor, and the consumer retires a sync cell while its caller may still
+// be reading the reply — the one producer that could reclaim the cell is
+// the caller itself, and it does not post again until it has copied its
+// reply out. Fault-injection builds abort on an overlapping producer.
 //
 // This header is the one home of the cell format and the completion
 // protocol; the in-process runtime (rt/runtime.cpp) and the cross-process
 // transport (shm/transport.cpp) both run it and keep no copy.
 //
 // Posting: XcallRing::try_post() claims N contiguous cells (N = 1 for a
-// single call) with ONE CAS and publishes the whole run with ONE release
-// store (the batch doorbell) — cells after the first are published with
-// relaxed stores, and the consumer's in-order acquire of the run's first
-// cell carries the happens-before edge for all of them. The caller fills
-// each claimed cell, so typed and frame requests share the one protocol.
+// single call) with one acquire load of the run's last cell and publishes
+// the whole run with ONE release store (the batch doorbell) — cells after
+// the first are published with relaxed stores, and the consumer's
+// in-order acquire of the run's first cell carries the happens-before edge
+// for all of them. The caller fills each claimed cell; typed and frame
+// requests share one cell format and one protocol.
 //
 // A warm cross-slot call — direct or ring, single or batched — performs
 // ZERO heap allocations; the tests and benches assert that with a counted
@@ -74,6 +76,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "common/assert.h"
 #include "common/cacheline.h"
 #include "common/cpu_relax.h"
 #include "common/status.h"
@@ -124,15 +127,19 @@ inline Status cell_status(std::uint32_t state) {
   return static_cast<Status>(state & 0xFFu);
 }
 
-/// One ring cell: exactly one cache line in shipped builds. `seq` is the
-/// Vyukov sequence (cell i starts at i; a producer claiming position p
-/// publishes p+1; the slot is free again at p+capacity). `state` is the
-/// completion word above. `deadline` is an absolute host_cycles() tick
-/// (0 = none): a cell that drains after its deadline is not executed late
-/// — the server drops it (async) or completes it with kDeadlineExceeded
-/// (sync), booking deadline_exceeded either way. A sync call's reply comes
-/// back in `regs`, the register set that carried its arguments (Figure 4).
-/// The cell holds no pointers, so a ring of them works unchanged inside a
+/// One ring cell: exactly one cache line in shipped builds, one format for
+/// typed and frame calls. `seq` is the Vyukov sequence (cell i starts at
+/// i; the producer claiming position p publishes p+1; the slot is free
+/// again at p+capacity). `state` is the completion word above. `deadline`
+/// is an absolute host_cycles() tick (0 = none): a cell that drains after
+/// its deadline is not executed late — the server drops it (async) or
+/// completes it with kDeadlineExceeded (sync), booking deadline_exceeded
+/// either way. `ep` packs the entry point (or frame service) with the
+/// request's cancel token and class (see the ep lanes below). A sync
+/// call's reply comes back in `regs`, the register set that carried its
+/// arguments (Figure 4); a frame's regs are its 8 payload words and its
+/// opcode|flags|rc word rides `opflags`, the line's last 4 bytes. The cell
+/// holds no pointers, so a ring of them works unchanged inside a
 /// cross-process segment (src/shm).
 ///
 /// Trace builds (HPPC_TRACE=1) carry the request's TraceCtx inline in the
@@ -147,6 +154,7 @@ struct alignas(kHostCacheLine) XcallCell {
   std::uint64_t deadline = 0;
   ppc::RegSet regs{};  // request in, reply out — no indirection, no alloc
   EntryPointId ep = 0;
+  Word opflags = 0;  // a frame's low op word; unused by typed cells
 #if defined(HPPC_TRACE) && HPPC_TRACE
   obs::TraceCtx tctx{};  // request context riding the cell across slots
 #endif
@@ -163,43 +171,22 @@ static_assert(sizeof(XcallCell) == kHostCacheLine,
               "shipped-build cells must stay exactly one cache line");
 #endif
 
-/// Frame-cell marker. An `ep` with this bit set carries a Figure-4
-/// CallFrame inlined in the cell instead of a typed-handler request:
-///   ep       = kFrameCellEp | FrameServiceId   (frame-table index)
-///   deadline = the 64-bit packed op word       (frame cells carry no
-///              deadline — the field is repurposed as the op lane)
-///   regs     = the frame's 8 payload words
-/// Legacy entry points are bounded by kMaxEntryPoints (1024), so the top
-/// bit can never collide with a real id. The consumer checks this bit
-/// FIRST and never interprets a frame cell's `deadline` as a tick count.
-inline constexpr EntryPointId kFrameCellEp = 0x80000000u;
-
-inline bool cell_is_frame(const XcallCell& cell) {
-  return (cell.ep & kFrameCellEp) != 0;
-}
-
-/// Rebuild the CallFrame a frame cell carries (consumer side).
-inline CallFrame cell_frame(const XcallCell& cell) {
-  CallFrame f;
-  f.op = cell.deadline;
-  f.w = cell.regs.w;
-  return f;
-}
-
-/// Request-context lanes in a typed (non-frame) cell's `ep` word. The cell
-/// is exactly one cache line with no spare bytes, so the context that must
-/// ride it — cancel-token index and traffic class — is packed into the ep
-/// word's unused high bits (the absolute deadline already has its own
-/// field). Layout, from the top:
+/// Request-context lanes in a cell's `ep` word. The cell is exactly one
+/// cache line, so the context that must ride it — cancel-token index and
+/// traffic class — is packed into the ep word's unused high bits (the
+/// absolute deadline has its own field). Layout, from the top:
 ///
-///   bit  31      kFrameCellEp   frame-cell marker (frames carry NO request
-///                               context in flight — see docs/XCALL.md)
+///   bit  31      kFrameCellEp   the cell carries a Figure-4 frame: the
+///                               low lane is a FrameServiceId and the op
+///                               word's low half rides `opflags`
 ///   bit  30      kCellBulkBit   traffic class (set = kBulk)
 ///   bits 16..29  token index    cancel-flag pool index (14 bits, 0 = none)
-///   bits  0..15  entry point    the real EntryPointId
+///   bits  0..15  entry point    the EntryPointId or FrameServiceId
 ///
-/// kMaxEntryPoints (1024) fits the low lane with room to spare; the
-/// static_assert below keeps the packing honest if that ever grows.
+/// kMaxEntryPoints (1024) and kMaxFrameServices (256) fit the low lane
+/// with room to spare; the static_asserts below keep the packing honest if
+/// either ever grows.
+inline constexpr EntryPointId kFrameCellEp = 0x80000000u;
 inline constexpr EntryPointId kCellBulkBit = 0x40000000u;
 inline constexpr unsigned kCellTokenShift = 16;
 inline constexpr EntryPointId kCellTokenLaneMask = 0x3FFFu;  // 14 bits
@@ -212,11 +199,17 @@ inline constexpr std::uint32_t kMaxCancelTokens = kCellTokenLaneMask + 1;
 
 static_assert(kMaxEntryPoints <= kCellEpMask + 1,
               "entry-point ids must fit the cell ep lane");
+static_assert(kMaxFrameServices <= kCellEpMask + 1,
+              "frame service ids must fit the cell ep lane");
 
 inline EntryPointId cell_pack_ep(EntryPointId ep, std::uint32_t token_idx,
                                  bool bulk) {
   return ep | ((token_idx & kCellTokenLaneMask) << kCellTokenShift) |
          (bulk ? kCellBulkBit : 0u);
+}
+
+inline bool cell_is_frame(const XcallCell& cell) {
+  return (cell.ep & kFrameCellEp) != 0;
 }
 
 inline EntryPointId cell_ep(EntryPointId wire) { return wire & kCellEpMask; }
@@ -227,6 +220,15 @@ inline std::uint32_t cell_token_idx(EntryPointId wire) {
 
 inline bool cell_is_bulk(EntryPointId wire) {
   return (wire & kCellBulkBit) != 0;
+}
+
+/// Rebuild the CallFrame a frame cell carries (consumer side): the service
+/// from the ep lane, opcode|flags|rc from `opflags`.
+inline CallFrame cell_frame(const XcallCell& cell) {
+  CallFrame f;
+  f.op = (FrameWord{cell_ep(cell.ep)} << 32) | cell.opflags;
+  f.w = cell.regs.w;
+  return f;
 }
 
 /// The longest a parked waiter sleeps before it re-checks its cell. The
@@ -250,11 +252,12 @@ struct NoKick {
   void operator()(EntryPointId, const obs::TraceCtx&) const {}
 };
 
-/// Bounded MPSC ring channel. Any thread posts; only the slot's current
-/// ownership holder (owner thread, or a remote thread that won the
-/// SlotGate) drains. Capacity is a compile-time power of two so the index
-/// wrap is a mask. No member is a pointer, so the ring is position-
-/// independent: the shm transport places one per peer in its segment.
+/// Bounded SPSC ring channel. One producer at a time posts (see the file
+/// comment); only the slot's current ownership holder (owner thread, or a
+/// remote thread that won the SlotGate) drains. Capacity is a compile-time
+/// power of two so the index wrap is a mask. No member is a pointer, so
+/// the ring is position-independent: the shm transport places one per peer
+/// in its segment.
 class XcallRing {
  public:
   static constexpr std::size_t kCapacity = 64;
@@ -269,28 +272,27 @@ class XcallRing {
   XcallRing(const XcallRing&) = delete;
   XcallRing& operator=(const XcallRing&) = delete;
 
-  /// Any thread. The one post entry point: claims up to `n` contiguous
-  /// cells with ONE CAS on the enqueue cursor, calls `fill(cell, i)` for
-  /// each claimed cell i, and publishes the run with ONE release store —
-  /// the doorbell of a batch, and the whole protocol for a single cell.
-  /// `fill` must write every payload field (caller, ep, regs, deadline
-  /// and, in trace builds, tctx): cells are reused. The ring writes the
+  /// The ring's one producer. The one post entry point: claims up to `n`
+  /// contiguous cells at the private tail, calls `fill(cell, i)` for each
+  /// claimed cell i, and publishes the run with ONE release store — the
+  /// doorbell of a batch, and the whole protocol for a single cell. `fill`
+  /// must write every field the consumer reads (caller, ep, regs,
+  /// deadline, a frame's opflags and, in trace builds, tctx): cells are
+  /// reused. The ring writes the
   /// state word: with `sync_first` null the cells are fire-and-forget;
   /// otherwise they are sync calls, *sync_first receives the position of
   /// the first, and the caller waits on each (wait_complete) and copies
   /// its reply out. Returns the number of cells posted; 0 means the ring
   /// is full (the caller retries or refuses). Never blocks, never
-  /// allocates.
+  /// allocates, and — outside the fault builds' overlap check — performs
+  /// no read-modify-write.
   ///
   /// The consumer retires cells in drain order, so the run's last cell
   /// being free means every cell before it is free too: the claim checks
   /// that one cell, and its acquire orders every earlier retire. A seq
-  /// BEHIND its position means the run reaches an undrained cell — the run
-  /// is halved until it fits. A seq AHEAD of it means another producer
-  /// moved the cursor since we loaded it; the cursor is reloaded and the
-  /// full run retried, so a racing producer never turns a ring with room
-  /// into a "full" answer. A short count is not an error — the caller
-  /// re-submits the tail.
+  /// behind its position means the run reaches an undrained cell — the run
+  /// is halved until it fits. A short count is not an error — the caller
+  /// re-submits the rest.
   ///
   /// Cells after the run's first are published with relaxed seq stores;
   /// that is sound because the single consumer drains strictly in order,
@@ -301,29 +303,18 @@ class XcallRing {
   std::size_t try_post(std::size_t n, Fill&& fill,
                        std::uint64_t* sync_first = nullptr) {
     if (n == 0) return 0;
+#if defined(HPPC_FAULT_INJECTION) && HPPC_FAULT_INJECTION
+    const OneProducer guard(producing_);
+#endif
     if (n > kCapacity) n = kCapacity;
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
+    const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
     std::size_t m = n;
-    for (;;) {
-      const std::uint64_t last = pos + m - 1;
-      const std::int64_t dif =
-          static_cast<std::int64_t>(
-              cell(last).seq.load(std::memory_order_acquire)) -
-          static_cast<std::int64_t>(last);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
-                                               std::memory_order_relaxed)) {
-          break;  // claimed [pos, pos+m)
-        }
-        m = n;  // the CAS reloaded pos: revalidate the full run there
-      } else if (dif < 0) {
-        m >>= 1;  // the run reaches an undrained cell
-        if (m == 0) return 0;
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);  // stale cursor
-        m = n;
-      }
+    while (cell(pos + m - 1).seq.load(std::memory_order_acquire) !=
+           pos + m - 1) {
+      m >>= 1;  // the run reaches an undrained cell
+      if (m == 0) return 0;
     }
+    tail_.store(pos + m, std::memory_order_relaxed);
     if (sync_first != nullptr) *sync_first = pos;
     const std::uint32_t kind = sync_first != nullptr ? kCellPosted : kCellAsync;
     // Fill back to front so the run's first cell — the one the consumer's
@@ -344,8 +335,8 @@ class XcallRing {
   /// Ownership holder only. Consumes the ready cells in one batch of at
   /// most kCapacity — one lap — and returns the batch size. The bound
   /// matters only when `fn` posts into this same ring (a handler re-posting
-  /// an async call to its own slot); any other producer can have at most a
-  /// lap in flight. `fn(cell)` runs a cell's request and returns
+  /// an async call to its own slot); a producer elsewhere can have at most
+  /// a lap in flight. `fn(cell)` runs a cell's request and returns
   /// its Status with the reply stored in `cell.regs` (a void `fn` answers
   /// kOk). The ring then runs the consumer half of the state protocol: an
   /// abandoned cell is skipped without running `fn`; a sync cell is
@@ -358,7 +349,7 @@ class XcallRing {
   std::size_t drain(Fn&& fn, OnKick&& on_kick = {}) {
     std::size_t n = 0;
     while (n < kCapacity) {
-      const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
+      const std::uint64_t pos = head_.load(std::memory_order_relaxed);
       XcallCell& c = cell(pos);
       if (c.seq.load(std::memory_order_acquire) != pos + 1) break;
       const std::uint32_t st = c.state.load(std::memory_order_acquire);
@@ -380,7 +371,7 @@ class XcallRing {
         }
       }
       c.seq.store(pos + kCapacity, std::memory_order_release);
-      dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
+      head_.store(pos + 1, std::memory_order_relaxed);
       ++n;
     }
     return n;
@@ -393,7 +384,7 @@ class XcallRing {
   /// was merely wedged still observes its completion. Reads no producer
   /// cursor, so it visits at most kCapacity cells whatever the ring holds.
   void abort_and_rearm(Status rc) {
-    const std::uint64_t deq = dequeue_pos_.load(std::memory_order_relaxed);
+    const std::uint64_t deq = head_.load(std::memory_order_relaxed);
     for (std::uint64_t pos = deq; pos != deq + kCapacity; ++pos) {
       XcallCell& c = cell(pos);
       if (c.seq.load(std::memory_order_acquire) != pos + 1) continue;
@@ -403,27 +394,27 @@ class XcallRing {
     for (std::size_t i = 0; i < kCapacity; ++i) {
       cells_[i].seq.store(i, std::memory_order_relaxed);
     }
-    enqueue_pos_.store(0, std::memory_order_relaxed);
-    dequeue_pos_.store(0, std::memory_order_relaxed);
+    tail_.store(0, std::memory_order_relaxed);
+    head_.store(0, std::memory_order_relaxed);
   }
 
   /// Ownership holder (or a racy observer): is the next cell to drain
   /// published? Reads only the consumer cursor and the head cell — never
-  /// the producers' enqueue cursor — so the backstop scans that call it
-  /// leave the producer-owned line alone.
+  /// the producer's tail — so the backstop scans that call it leave the
+  /// producer-owned line alone.
   bool head_ready() const {
-    const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
+    const std::uint64_t pos = head_.load(std::memory_order_relaxed);
     return cells_[pos & (kCapacity - 1)].seq.load(
                std::memory_order_acquire) == pos + 1;
   }
 
-  /// Approximate queue depth (racy snapshot of the two cursors). Admission
-  /// control compares it against a watermark; an off-by-a-few answer just
-  /// moves the shedding threshold by that much for one call.
+  /// Approximate queue depth (racy snapshot of the tail and the head).
+  /// Admission control compares it against a watermark; an off-by-a-few
+  /// answer just moves the shedding threshold by that much for one call.
   std::size_t depth() const {
-    const std::uint64_t enq = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::uint64_t deq = dequeue_pos_.load(std::memory_order_relaxed);
-    return enq > deq ? static_cast<std::size_t>(enq - deq) : 0;
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    return tail > head ? static_cast<std::size_t>(tail - head) : 0;
   }
 
  private:
@@ -442,10 +433,29 @@ class XcallRing {
     return true;
   }
 
-  // Producer-shared and consumer-private positions on separate lines so
-  // remote CAS traffic never collides with the drain cursor.
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> dequeue_pos_{0};
+#if defined(HPPC_FAULT_INJECTION) && HPPC_FAULT_INJECTION
+  /// Fault builds: holds `word` for one try_post and aborts if another
+  /// producer already holds it.
+  struct OneProducer {
+    explicit OneProducer(std::atomic<std::uint32_t>& word) : w(word) {
+      const bool overlap = w.exchange(1, std::memory_order_acquire) != 0;
+      HPPC_ASSERT_MSG(!overlap,
+                      "XcallRing: a second producer overlaps try_post");
+    }
+    ~OneProducer() { w.store(0, std::memory_order_release); }
+    std::atomic<std::uint32_t>& w;
+  };
+#endif
+
+  // The producer's and the consumer's cursors on separate lines. Atomic
+  // only so depth() may read them from any thread: each has one writer
+  // (the reaper's re-arm runs once the producer is gone).
+  alignas(kHostCacheLine) std::atomic<std::uint64_t> tail_{0};
+  // Set for the length of a try_post in fault builds; on the tail's line,
+  // and present in every build, so the ring's layout never depends on the
+  // build flags (shm peers and servers may be built differently).
+  std::atomic<std::uint32_t> producing_{0};
+  alignas(kHostCacheLine) std::atomic<std::uint64_t> head_{0};
   std::array<XcallCell, kCapacity> cells_;
 };
 

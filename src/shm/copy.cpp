@@ -15,8 +15,11 @@ void CopyServer::book(obs::Counter c, std::uint64_t n) {
 
 void* CopyServer::resolve(std::uint32_t region, std::uint64_t off,
                           std::uint32_t len, bool writable) {
-  // Bounded by the table this process sized, never by the header.
-  if (region >= kMaxShmRegions) return nullptr;
+  // Bounded by the table this process sized, never by the header, and by
+  // the calling lane's own range: the owner is the id's lane.
+  if (region >= kMaxShmRegions || region_lane(region) != lane_) {
+    return nullptr;
+  }
   RegionSlot* rs = table_ + region;
   if (rs->state.load(std::memory_order_acquire) != kRegionGranted) {
     return nullptr;
@@ -30,7 +33,6 @@ void* CopyServer::resolve(std::uint32_t region, std::uint64_t off,
     m.seg = Segment::try_open(region_name(seg_.name(), region, gen));
     m.live = m.seg.mapped();
     m.generation = gen;
-    m.owner_peer = rs->owner_peer;
     if (!m.live) return nullptr;
     book(obs::Counter::kShmSegmentsMapped, 1);
   }
@@ -73,12 +75,6 @@ void CopyServer::invalidate(std::uint32_t region) {
   m.seg = Segment{};
   m.live = false;
   m.generation = 0;
-}
-
-void CopyServer::invalidate_peer(std::uint32_t peer) {
-  for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
-    if (map_[r].live && map_[r].owner_peer == peer) invalidate(r);
-  }
 }
 
 }  // namespace hppc::shm

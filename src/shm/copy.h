@@ -45,10 +45,16 @@ class CopyServer {
   CopyServer(const CopyServer&) = delete;
   CopyServer& operator=(const CopyServer&) = delete;
 
+  /// The lane whose handler runs now (ShmCtx::peer): the server sets it
+  /// around each lane's drain. Every call below refuses a region outside
+  /// this lane's range; kMaxShmPeers (the default) refuses every region.
+  void serve_lane(std::uint32_t peer) { lane_ = peer; }
+
   /// Resolve one granted range to a server-local pointer, or nullptr when
-  /// the descriptor fails the grant check: unknown/revoked region, stale
-  /// generation, range outside the grant, or rights not covering the
-  /// access. Maps the region's backing segment on first use.
+  /// the descriptor fails the grant check: a region of another lane,
+  /// unknown/revoked region, stale generation, range outside the grant,
+  /// or rights not covering the access. Maps the region's backing segment
+  /// on first use.
   void* resolve(std::uint32_t region, std::uint64_t off, std::uint32_t len,
                 bool writable);
 
@@ -65,14 +71,10 @@ class CopyServer {
   /// the slot — and refuses if the grant is gone.
   void invalidate(std::uint32_t region);
 
-  /// Drop every cached mapping owned by `peer` (the reaper's path).
-  void invalidate_peer(std::uint32_t peer);
-
  private:
   struct Mapping {
     Segment seg;                     // unmapped when not resolved yet
     std::uint32_t generation = 0;    // grant generation the mapping is for
-    std::uint32_t owner_peer = 0;
     bool live = false;
   };
 
@@ -81,6 +83,7 @@ class CopyServer {
   Segment& seg_;
   RegionSlot* const table_;  // [kMaxShmRegions], in seg_
   obs::SlotCounters* counters_;
+  std::uint32_t lane_ = kMaxShmPeers;
   std::array<Mapping, kMaxShmRegions> map_{};
 };
 

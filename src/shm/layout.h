@@ -27,14 +27,13 @@
 // ring cell, plus the peer's heartbeat store. Every other line a call
 // touches is written by one side only and read by the other rarely or
 // never:
-//   * lane enqueue line (XcallRing's enqueue cursor) — the peer, once per
-//                          call;
-//   * lane dequeue line (XcallRing's dequeue cursor) — the server, once
-//                          per drained cell;
+//   * lane tail line (XcallRing's producer cursor) — the peer, once per
+//                          call, with a plain store;
+//   * lane head line (XcallRing's consumer cursor) — the server, once per
+//                          drained cell;
 //   * lane ring cells    — the owning peer posts, the server drains,
-//                          completes and retires in place (per-peer lanes,
-//                          so rings are SPSC here, but they keep the MPSC
-//                          claim protocol of the in-process layer);
+//                          completes and retires in place (one producer
+//                          per lane, like every XcallRing);
 //   * PeerSlot line 0 (state, pid, generation, program) — CAS-claimed by
 //                          attaching peers, reset by the server's reaper;
 //                          the server loads `state` every poll pass and
@@ -45,7 +44,8 @@
 //                          sweep reads them (rt::Runtime::adopt_cancel_pool
 //                          points a runtime at this pool);
 //   * RegionSlot         — CAS-claimed by granting peers, invalidated by
-//                          revoke or by the reaper.
+//                          revoke or by the reaper; its owner is its id's
+//                          lane (region_lane), never a field a peer wrote.
 #pragma once
 
 #include <atomic>
@@ -64,8 +64,9 @@ inline constexpr std::uint64_t kShmMagic = 0x48505043'53484d31ull;  // HPPCSHM1
 /// v2: lanes are rt::XcallRings and the reply comes back in the cell (no
 /// wait blocks). v3: the server retires every cell it drains; the peer
 /// writes nothing after posting (a v2 peer would still release, a v2
-/// server would never retire a sync cell).
-inline constexpr std::uint32_t kShmVersion = 3;
+/// server would never retire a sync cell). v4: region ids are partitioned
+/// by lane; RegionSlot carries no owner.
+inline constexpr std::uint32_t kShmVersion = 4;
 
 /// Peers one segment can host (one call lane each).
 inline constexpr std::uint32_t kMaxShmPeers = 8;
@@ -73,6 +74,15 @@ inline constexpr std::uint32_t kMaxShmPeers = 8;
 inline constexpr std::uint32_t kShmRingCapacity = rt::XcallRing::kCapacity;
 /// Grantable bulk-data regions per segment.
 inline constexpr std::uint32_t kMaxShmRegions = 32;
+/// Regions per lane: ids [p·K, (p+1)·K) belong to lane p.
+inline constexpr std::uint32_t kShmRegionsPerPeer =
+    kMaxShmRegions / kMaxShmPeers;
+static_assert(kMaxShmRegions % kMaxShmPeers == 0);
+
+/// The lane a region id belongs to (kMaxShmPeers or more for no lane).
+inline constexpr std::uint32_t region_lane(std::uint32_t region) {
+  return region / kShmRegionsPerPeer;
+}
 /// Entries in the server's shm dispatch table.
 inline constexpr std::uint32_t kMaxShmEps = 64;
 
@@ -129,7 +139,6 @@ inline constexpr std::uint32_t kRegionWrite = 2;  // server may write
 struct RegionSlot {
   std::atomic<std::uint32_t> state{kRegionFree};
   std::atomic<std::uint32_t> generation{0};  // bumped on revoke/reap
-  std::uint32_t owner_peer = 0;              // peer index that granted it
   std::uint32_t rights = 0;                  // kRegionRead | kRegionWrite
   std::uint64_t bytes = 0;
 };

@@ -181,6 +181,8 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
   // The lane is an rt::XcallRing: the ring runs the cell protocol, so this
   // is only the request body. Everything it reads is in the posting
   // peer's own cell, and the only thing it writes is that cell's reply.
+  // Bulk access is confined to this lane's regions for the drain.
+  copy_.serve_lane(peer_idx);
   const std::size_t n = lay_.lanes[peer_idx].drain([&](rt::XcallCell& cell) {
     const ShmEp ep = rt::cell_ep(cell.ep);
     const std::uint32_t token = rt::cell_token_idx(cell.ep);
@@ -207,6 +209,7 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
     counters_->inc(obs::Counter::kXcallCellsDrained);
     return rc;
   });
+  copy_.serve_lane(kMaxShmPeers);
   if (n != 0) counters_->inc(obs::Counter::kXcallBatches);
   return n;
 }
@@ -261,22 +264,20 @@ void Server::reap_lane(std::uint32_t peer_idx) {
   // never touches the lane again).
   lay_.lanes[peer_idx].abort_and_rearm(Status::kCallAborted);
 
-  // Revoke the dead peer's grants: nothing may resolve against a region
-  // whose owner is gone, and the backing segments' names are reclaimed.
-  for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
+  // Revoke the dead peer's grants, the regions of its lane's range:
+  // nothing may resolve against a region whose owner is gone, and the
+  // backing segments' names are reclaimed.
+  const std::uint32_t first = peer_idx * kShmRegionsPerPeer;
+  for (std::uint32_t r = first; r < first + kShmRegionsPerPeer; ++r) {
+    copy_.invalidate(r);
     RegionSlot& rs = lay_.regions[r];
-    if (rs.state.load(std::memory_order_acquire) != kRegionGranted ||
-        rs.owner_peer != peer_idx) {
-      continue;
-    }
+    if (rs.state.load(std::memory_order_acquire) != kRegionGranted) continue;
     const std::uint32_t gen = rs.generation.load(std::memory_order_relaxed);
     rs.state.store(kRegionFree, std::memory_order_release);
     rs.generation.store(gen + 1, std::memory_order_release);
-    copy_.invalidate(r);
     Segment dead = Segment::try_open(region_name(seg_.name(), r, gen));
     dead.unlink();
   }
-  copy_.invalidate_peer(peer_idx);
 
   slot.pid.store(0, std::memory_order_relaxed);
   slot.heartbeat_ns.store(0, std::memory_order_relaxed);
@@ -421,7 +422,8 @@ void Peer::cancel(std::uint32_t token) { shm_cancel(seg_, token); }
 
 std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
   if (reaped()) return kMaxShmRegions;
-  for (std::uint32_t r = 0; r < kMaxShmRegions; ++r) {
+  const std::uint32_t first = idx_ * kShmRegionsPerPeer;
+  for (std::uint32_t r = first; r < first + kShmRegionsPerPeer; ++r) {
     RegionSlot& rs = region_table_[r];
     std::uint32_t expect = kRegionFree;
     if (!rs.state.compare_exchange_strong(expect, kRegionGranting,
@@ -436,7 +438,6 @@ std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
       rs.state.store(kRegionFree, std::memory_order_release);
       return kMaxShmRegions;
     }
-    rs.owner_peer = idx_;
     rs.rights = rights;
     rs.bytes = bytes;
     rs.state.store(kRegionGranted, std::memory_order_release);

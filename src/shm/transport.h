@@ -6,8 +6,8 @@
 // rt::XcallRing placed in the segment. A lane runs the in-process cell
 // format and completion protocol (rt/xcall.h) unchanged. A warm call is:
 //
-//   peer:   claim+publish one ring cell (XcallRing::try_post: one CAS on
-//           the lane's enqueue cursor, one release store of the cell seq),
+//   peer:   claim+publish one ring cell (XcallRing::try_post: a plain
+//           store of the lane's tail, one release store of the cell seq),
 //           then spin-then-sched_yield on the cell's state word
 //           (rt::wait_complete with a never-park budget);
 //   server: drain the lane (XcallRing::drain), dispatch through a flat
@@ -67,7 +67,8 @@ class Server;
 
 /// What an shm handler sees. `copy` is the grant-checked bulk engine —
 /// handlers move big payloads through it (or through rt::bulk_gather with
-/// CopyResolver{copy}) instead of the ring.
+/// CopyResolver{copy}) instead of the ring. It resolves only the calling
+/// lane's own regions.
 struct ShmCtx {
   Server* server = nullptr;
   CopyServer* copy = nullptr;
@@ -186,7 +187,7 @@ class Peer {
 
   /// Synchronous cross-process PPC: post one cell on this peer's lane and
   /// spin-then-yield on its state word; the reply comes back in the cell.
-  /// Warm path: zero locks, zero allocations (one cell CAS+publish, one
+  /// Warm path: zero locks, zero allocations (one cell claim+publish, one
   /// spin, one reply copy). One thread at a time: the peer is its lane's
   /// only producer. `token` (from cancel_token_create) rides the cell
   /// ep lane; 0 = not cancellable. kOverloaded when the lane ring is full;
@@ -201,8 +202,9 @@ class Peer {
 
   /// Grant the server read/write rights over a fresh region of `bytes`
   /// (a new shm segment this peer creates and maps). Returns the region
-  /// id, or kMaxShmRegions ( = failure: table full). The mapped bytes are
-  /// reachable at region_base().
+  /// id — one of this lane's kShmRegionsPerPeer ids — or kMaxShmRegions
+  /// ( = failure: all of them granted). The mapped bytes are reachable at
+  /// region_base().
   std::uint32_t grant_region(std::size_t bytes,
                              std::uint32_t rights = kRegionRead |
                                                     kRegionWrite);

@@ -312,10 +312,14 @@ TEST(WholeSystemChaos, ComposedOverloadKillFaultAndCancellationStorm) {
 
   // Kill/rebind churn: the victim service dies hard mid-traffic and is
   // reborn under a fresh id. Callers racing the gap see only the
-  // documented kill statuses.
+  // documented kill statuses. Entry-point ids are never reused, so the
+  // churn is bounded by a count, not by how long the callers take: a
+  // loaded host stretches the storm, never the number of ids it burns.
+  constexpr int kKillRounds = 256;
   std::atomic<bool> stop_kill{false};
   std::thread killer([&] {
-    while (!stop_kill.load(std::memory_order_acquire)) {
+    for (int k = 0;
+         k < kKillRounds && !stop_kill.load(std::memory_order_acquire); ++k) {
       const EntryPointId old = victim.load(std::memory_order_acquire);
       const Status ks = rt.hard_kill(old);
       EXPECT_TRUE(ks == Status::kOk || ks == Status::kNoSuchEntryPoint)

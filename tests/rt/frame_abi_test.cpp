@@ -74,7 +74,8 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
                           [&](XcallCell& c, std::size_t) {
                             c.caller = 3;
                             c.ep = kFrameCellEp | frame_service_of(f.op);
-                            c.deadline = f.op;  // the op lane
+                            c.opflags = frame_opflags_of(f.op);
+                            c.deadline = 0;  // a real deadline lane
                             c.regs.w = f.w;
                           }),
             1u);
@@ -332,6 +333,46 @@ TEST(FrameRemote, DirectExecutesOnIdleSlot) {
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsFrame), 1u);
   EXPECT_EQ(rt.counters(0).get(obs::Counter::kXcallPosts), 0u);
   EXPECT_EQ(heap, 0u);
+}
+
+// Rewrites the flags byte and the last payload word and answers a
+// non-kOk status: everything a handler can put into the op word.
+Status flip_flags(void*, FrameCtx&, CallFrame& f) {
+  f.op = frame_with_flags(f.op, frame_flags_of(f.op) ^ 0x5A);
+  f.w[7] = ~f.w[7];
+  return Status::kInvalidArgument;
+}
+
+TEST(FrameRemote, RingRoundTripReturnsTheDirectOpWord) {
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  const FrameServiceId svc = rt.bind_frame(0, &flip_flags, nullptr);
+  CallFrame in = make_frame(svc, /*opcode=*/0x1234, /*flags=*/0x81);
+  for (std::size_t k = 0; k < kPpcWords; ++k) in.w[k] = 7 * k + 1;
+
+  CallFrame direct = in;  // slot 1 is unregistered: its gate is idle
+  EXPECT_EQ(rt.call_remote_frame(me, 1, 1, direct), Status::kInvalidArgument);
+  ASSERT_EQ(rt.counters(1).get(obs::Counter::kXcallDirect), 1u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> owner_up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    owner_up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!owner_up.load(std::memory_order_acquire)) std::this_thread::yield();
+  CallFrame ring = in;
+  EXPECT_EQ(rt.call_remote_frame(me, 1, 1, ring), Status::kInvalidArgument);
+  stop.store(true, std::memory_order_release);
+  owner.join();
+  ASSERT_EQ(rt.counters(me).get(obs::Counter::kXcallPosts), 1u);
+  EXPECT_EQ(ring.op, direct.op);  // opcode, flags, rc and service
+  EXPECT_EQ(ring.w, direct.w);
+  EXPECT_EQ(frame_flags_of(ring.op), 0x81u ^ 0x5Au);
+  EXPECT_EQ(frame_rc_of(ring.op), Status::kInvalidArgument);
 }
 
 TEST(FrameRemote, UnboundServiceFailsBeforePosting) {

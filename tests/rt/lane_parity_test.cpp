@@ -1,10 +1,10 @@
 // Lane parity: every cross-slot wrapper — call_remote, call_remote_batch,
 // call_remote_async, call_remote_frame and call_remote_frame_batch — runs
-// the one submit engine, so a refusal at admission or a full ring must
-// look the same on all five: the same status, every request's rc set, one
-// counter per refused call, and the ROBUSTNESS ring-full rule (the first
-// full ring of a submission books xcall_ring_full, each later attempt
-// books a retry).
+// the one submit engine and posts the one cell format, so a refusal at
+// admission, a refusal at the drain or a full ring must look the same on
+// all five: the same status, every request's rc set, one counter per
+// refused call, and the ROBUSTNESS ring-full rule (the first full ring of
+// a submission books xcall_ring_full, each later attempt books a retry).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -114,17 +114,24 @@ class Submission {
 
 /// Slot 1's owner: registers (gate kOwner) and never drains until
 /// released, so posted cells stay in its rings and nothing goes direct.
+/// Released, it drains its rings and parks idle — or, with `drain` false,
+/// parks idle at once, so a waiter's help drains the rings instead.
 class StuckOwner {
  public:
-  explicit StuckOwner(Runtime& rt) : rt_(rt), thread_([this] { run(); }) {
+  explicit StuckOwner(Runtime& rt, bool drain = true)
+      : rt_(rt), drain_(drain), thread_([this] { run(); }) {
     while (!up_.load(std::memory_order_acquire)) std::this_thread::yield();
   }
-  ~StuckOwner() {
-    release_.store(true, std::memory_order_release);
-    thread_.join();
-  }
+  ~StuckOwner() { finish(); }
   StuckOwner(const StuckOwner&) = delete;
   StuckOwner& operator=(const StuckOwner&) = delete;
+
+  void release() { release_.store(true, std::memory_order_release); }
+  /// Release, and wait until the owner has drained and parked.
+  void finish() {
+    release();
+    if (thread_.joinable()) thread_.join();
+  }
 
  private:
   void run() {
@@ -134,12 +141,13 @@ class StuckOwner {
     while (!release_.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    while (rt_.poll(s) > 0) {
+    while (drain_ && rt_.poll(s) > 0) {
     }
     rt_.enter_idle(s);
   }
 
   Runtime& rt_;
+  const bool drain_;
   std::atomic<bool> up_{false};
   std::atomic<bool> release_{false};
   std::thread thread_;  // last: starts once every member above exists
@@ -150,13 +158,19 @@ class LaneParity : public testing::TestWithParam<Lane> {
   LaneParity()
       : me_(rt_.register_thread()),
         ep_(rt_.bind({.name = "adder"}, kCaller,
-                     [](RtCtx&, ppc::RegSet& r) {
+                     [this](RtCtx&, ppc::RegSet& r) {
+                       runs_.fetch_add(1, std::memory_order_relaxed);
                        r[1] = r[0] + 1;
                        ppc::set_rc(r, Status::kOk);
                      })),
         fid_(rt_.bind_frame(
-            kCaller, [](void*, FrameCtx&, CallFrame&) { return Status::kOk; },
-            nullptr)),
+            kCaller,
+            [](void* runs, FrameCtx&, CallFrame&) {
+              static_cast<std::atomic<int>*>(runs)->fetch_add(
+                  1, std::memory_order_relaxed);
+              return Status::kOk;
+            },
+            &runs_)),
         sub_(rt_, GetParam(), ep_, fid_) {}
 
   /// Refused at admission: the status comes back, every rc carries it, and
@@ -170,8 +184,26 @@ class LaneParity : public testing::TestWithParam<Lane> {
     EXPECT_EQ(rt_.counters(kTarget).get(Counter::kXcallDirect), 0u);
   }
 
+  /// Submit from this thread while a helper thread waits until the
+  /// submission's cells (plus `ahead` cells queued before it) are all in
+  /// the target's ring and then runs `then`. Returns the submission's
+  /// status once both are done.
+  template <typename Then>
+  Status submit_then(std::size_t ahead, Then then) {
+    std::thread helper([&] {
+      while (rt_.xcall_depth(kTarget) < ahead + sub_.size()) {
+        std::this_thread::yield();
+      }
+      then();
+    });
+    const Status s = sub_.run(me_, kTarget);
+    helper.join();
+    return s;
+  }
+
   static constexpr SlotId kTarget = 1;  // never registered: its gate is idle
   Runtime rt_{2};
+  std::atomic<int> runs_{0};  // typed and frame handler executions
   SlotId me_;
   EntryPointId ep_;
   FrameServiceId fid_;
@@ -214,8 +246,7 @@ TEST_P(LaneParity, FullRingBooksRingFullOnceThenRetries) {
         Status::kOk);
   }
   ASSERT_EQ(rt_.counters(me_).get(Counter::kXcallRingFull), 0u);
-  // A short ambient budget bounds the sync lanes' kBlock retry loop; the
-  // frame lanes honour it there too, though their cells cannot carry it.
+  // A short ambient budget bounds the sync lanes' kBlock retry loop.
   RequestCtx ctx;
   ctx.abs_deadline_cycles = host_cycles() + 2'000'000;
   rt_.set_request_ctx(me_, ctx);
@@ -237,6 +268,67 @@ TEST_P(LaneParity, FullRingBooksRingFullOnceThenRetries) {
   sub_.expect_rc(Status::kDeadlineExceeded);
   EXPECT_GE(rt_.counters(me_).get(Counter::kRetries), 1u);
   EXPECT_EQ(rt_.counters(me_).get(Counter::kDeadlineExceeded), sub_.size());
+}
+
+// Refusals at the drain: the request context rides every lane's cells, so
+// the server refuses a cell whose root expired or was cancelled while it
+// waited — without running the handler, booking the refusal on the target.
+
+TEST_P(LaneParity, CellThatExpiresInFlightIsRefusedAtTheDrain) {
+  // Ahead of the submission on the same ring sits a cell whose handler
+  // runs until the shared ambient deadline passes, so whoever drains the
+  // ring reaches the submission expired. For a sync lane that drainer is
+  // the waiter itself (the owner parks without draining and the waiter's
+  // help takes the slot): a waiter busy draining cannot abandon its cells
+  // first, so the refusal is the server's on every lane.
+  const EntryPointId sleeper = rt_.bind(
+      {.name = "sleeper"}, kCaller, [](RtCtx& ctx, ppc::RegSet& r) {
+        while (!ctx.cancellation_requested()) std::this_thread::yield();
+        ppc::set_rc(r, Status::kOk);
+      });
+  const bool async = GetParam() == Lane::kAsync;
+  StuckOwner owner(rt_, /*drain=*/async);
+  RequestCtx ctx;
+  ctx.abs_deadline_cycles = host_cycles() + 400'000'000;  // ~0.1-0.2 s
+  rt_.set_request_ctx(me_, ctx);
+  ASSERT_EQ(
+      rt_.call_remote_async(me_, kTarget, kCaller, sleeper, ppc::RegSet{}),
+      Status::kOk);
+  const Status s = submit_then(1, [&] { owner.release(); });
+  rt_.clear_request_ctx(me_);
+  owner.finish();
+
+  EXPECT_EQ(s, async ? Status::kOk : Status::kDeadlineExceeded);
+  sub_.expect_rc(Status::kDeadlineExceeded);
+  EXPECT_EQ(rt_.counters(kTarget).get(Counter::kDeadlineExceeded),
+            sub_.size());
+  EXPECT_EQ(rt_.counters(me_).get(Counter::kDeadlineExceeded), 0u);
+  EXPECT_EQ(runs_.load(), 0);
+}
+
+TEST_P(LaneParity, CellCancelledInFlightIsRefusedAtTheDrain) {
+  // The waiter never abandons on a cancel, so the owner drains: the token
+  // is cancelled once every cell is queued (the cancel sweep skips the
+  // held slot), then the owner drains and refuses them.
+  const CancelToken token = rt_.cancel_token_create();
+  StuckOwner owner(rt_);
+  RequestCtx ctx;
+  ctx.cancel_token = token;
+  rt_.set_request_ctx(me_, ctx);
+  const Status s = submit_then(0, [&] {
+    rt_.cancel(token);
+    owner.release();
+  });
+  rt_.clear_request_ctx(me_);
+  owner.finish();
+
+  EXPECT_EQ(s, GetParam() == Lane::kAsync ? Status::kOk
+                                          : Status::kCallAborted);
+  sub_.expect_rc(Status::kCallAborted);
+  EXPECT_EQ(rt_.counters(kTarget).get(Counter::kCallsCancelled),
+            sub_.size());
+  EXPECT_EQ(rt_.counters(me_).get(Counter::kCallsCancelled), 0u);
+  EXPECT_EQ(runs_.load(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLanes, LaneParity,

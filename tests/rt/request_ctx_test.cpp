@@ -1,6 +1,7 @@
 // RequestCtx end to end: budget inheritance (clamp, never extend) across
 // nested calls, cooperative and sweeping cancellation, traffic-class
-// admission/drain ordering, and the frame lane's admission-only contract.
+// admission/drain ordering, and the frame lane's context, at admission
+// and in flight.
 // The races (cancel-vs-completion, cancel-vs-park, cancel mid-batch) run
 // under TSan in the tsan-rt and fault-tsan CI jobs.
 #include "rt/request_ctx.h"
@@ -631,7 +632,7 @@ TEST(TrafficClass, BulkCallsRecordTheirOwnRtt) {
 }
 
 // ---------------------------------------------------------------------------
-// The frame lane's admission-only contract
+// The frame lane's request context: admission and in flight
 // ---------------------------------------------------------------------------
 
 TEST(FrameLane, AmbientContextGuardsAdmission) {
@@ -675,6 +676,56 @@ TEST(FrameLane, AmbientContextGuardsAdmission) {
   f = make_frame(fid, 1);
   EXPECT_EQ(rt.call_remote_frame(me, 1, 700, f), Status::kOk);
   EXPECT_EQ(executed.load(), 1);
+}
+
+TEST(FrameLane, NestedCallInheritsTheRootContextDirectAndDrained) {
+  // A frame handler's nested typed call runs under the root's budget and
+  // token whether the frame executed under a gate steal or from a ring
+  // cell: both install the context the frame's cell format carries.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  std::optional<RequestCtx> seen;  // read once the call has returned
+  struct Nest {
+    EntryPointId probe;
+  } nest{rt.bind({.name = "probe"}, 700, [&seen](RtCtx& ctx, ppc::RegSet& r) {
+    seen = ctx.runtime().request_ctx(ctx.slot());
+    ppc::set_rc(r, Status::kOk);
+  })};
+  const FrameServiceId fid = rt.bind_frame(
+      0,
+      [](void* self, FrameCtx& ctx, CallFrame&) {
+        ppc::RegSet r{};
+        return ctx.rt->call(ctx.slot, ctx.caller,
+                            static_cast<Nest*>(self)->probe, r);
+      },
+      &nest);
+  RequestCtx root;
+  root.abs_deadline_cycles = host_cycles() + 1'000'000'000'000ull;
+  root.cancel_token = rt.cancel_token_create();
+  rt.set_request_ctx(me, root);
+  const auto expect_root = [&](const char* how) {
+    ASSERT_TRUE(seen.has_value()) << how;
+    EXPECT_EQ(seen->abs_deadline_cycles, root.abs_deadline_cycles) << how;
+    EXPECT_EQ(seen->cancel_token & kCellTokenLaneMask,
+              root.cancel_token & kCellTokenLaneMask)
+        << how;
+  };
+
+  CallFrame f = make_frame(fid, 1);  // slot 1 is unregistered: direct
+  ASSERT_EQ(rt.call_remote_frame(me, 1, 700, f), Status::kOk);
+  ASSERT_EQ(rt.counters(1).get(Counter::kXcallDirect), 1u);
+  expect_root("direct");
+
+  seen.reset();
+  HeldSlot server(rt);
+  ASSERT_EQ(server.slot(), 1u);
+  server.poll_now();
+  f = make_frame(fid, 1);
+  ASSERT_EQ(rt.call_remote_frame(me, 1, 700, f), Status::kOk);
+  server.release_and_join();
+  ASSERT_EQ(rt.counters(me).get(Counter::kXcallPosts), 1u);
+  expect_root("drained");
+  rt.clear_request_ctx(me);
 }
 
 // ---------------------------------------------------------------------------

@@ -192,6 +192,70 @@ TEST(ShmTransport, BulkDescriptorsMoveBytesThroughGrantedRegions) {
   EXPECT_EQ(svc.bytes_seen, kBytes);
 }
 
+TEST(ShmTransport, APeerCannotReachAnotherPeersRegion) {
+  // Region ids are partitioned by lane: the server derives a region's
+  // owner from its id, so peer B naming peer A's region is refused before
+  // any byte moves — A's bytes stay as they were and nothing is booked.
+  const std::string name = uniq_name("isolate");
+  Server server(name);
+  BulkXorService svc;
+  const ShmEp ep = server.bind(&BulkXorService::run, &svc);
+  std::atomic<bool> done{false};
+  std::thread srv([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (server.poll() == 0) std::this_thread::yield();
+    }
+  });
+
+  Peer a(name, 7);
+  Peer b(name, 8);
+  constexpr std::size_t kBytes = 4096;
+  const std::uint32_t region = a.grant_region(kBytes);
+  ASSERT_LT(region, kMaxShmRegions);
+  EXPECT_EQ(region_lane(region), a.peer_index());
+  std::byte* base = a.region_base(region);
+  ASSERT_NE(base, nullptr);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    base[i] = static_cast<std::byte>(i & 0xFF);
+  }
+
+  ppc::RegSet regs{};
+  rt::bulk_seg_pack(regs, 0, rt::bulk_region(region, 0, kBytes));
+  EXPECT_EQ(b.call(ep, regs), Status::kBadRegion);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    ASSERT_EQ(base[i], static_cast<std::byte>(i & 0xFF)) << i;
+  }
+  EXPECT_EQ(server.counters().get(obs::Counter::kBulkCopyBytes), 0u);
+
+  // The owner's own call still goes through.
+  rt::bulk_seg_pack(regs, 0, rt::bulk_region(region, 0, kBytes));
+  EXPECT_EQ(a.call(ep, regs), Status::kOk);
+  EXPECT_EQ(base[1], static_cast<std::byte>(1 ^ 0x5A));
+
+  done.store(true, std::memory_order_release);
+  srv.join();
+}
+
+TEST(ShmTransport, GrantsComeFromTheLanesOwnRangeUntilItIsFull) {
+  const std::string name = uniq_name("range");
+  Server server(name);
+  Peer a(name, 7);
+  Peer b(name, 8);
+  std::vector<std::uint32_t> mine;
+  for (std::uint32_t k = 0; k < kShmRegionsPerPeer; ++k) {
+    const std::uint32_t r = a.grant_region(64);
+    ASSERT_LT(r, kMaxShmRegions);
+    EXPECT_EQ(region_lane(r), a.peer_index());
+    mine.push_back(r);
+  }
+  EXPECT_EQ(a.grant_region(64), kMaxShmRegions);  // A's range is full
+  const std::uint32_t other = b.grant_region(64);  // B's is not
+  ASSERT_LT(other, kMaxShmRegions);
+  EXPECT_EQ(region_lane(other), b.peer_index());
+  a.revoke_region(mine.front());
+  EXPECT_EQ(a.grant_region(64), mine.front());
+}
+
 // regs carry one BulkSeg (w[0..3]): copy_from then copy_to with a length
 // past 4 GiB whose low 32 bits (64) fit the grant. w[4]/w[5] = their
 // statuses, w[6] = 1 iff the destination canary is untouched.

@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""Line counts of the host runtime: src/rt + src/shm, .h and .cpp files.
+
+Prints two numbers per directory and for both together:
+  total  every line;
+  code   lines that are neither blank nor a `//` comment line (the rule the
+         ROADMAP's size targets use).
+
+Usage: python3 tools/loc.py [repo_root]   (default: the parent of tools/)
+"""
+
+import pathlib
+import sys
+
+DIRS = ("src/rt", "src/shm")
+
+
+def count(path):
+    total = code = 0
+    for line in path.read_text(encoding="utf-8").splitlines():
+        total += 1
+        stripped = line.strip()
+        if stripped and not stripped.startswith("//"):
+            code += 1
+    return total, code
+
+
+def main():
+    default = pathlib.Path(__file__).parent.parent
+    root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else default
+    grand_total = grand_code = 0
+    for d in DIRS:
+        files = sorted(
+            p for p in (root / d).iterdir() if p.suffix in (".h", ".cpp")
+        )
+        total = code = 0
+        for f in files:
+            t, c = count(f)
+            total += t
+            code += c
+        print(f"{d:<10} total {total:>6}  code {code:>6}  ({len(files)} files)")
+        grand_total += total
+        grand_code += code
+    print(f"{'both':<10} total {grand_total:>6}  code {grand_code:>6}")
+
+
+if __name__ == "__main__":
+    main()
