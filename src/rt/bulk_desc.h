@@ -1,72 +1,40 @@
-// The unified bulk-data descriptor — ONE spill layout for both call lanes.
+// The bulk-data descriptor: one granted-region range in a ring cell.
 //
-// Two paths move payloads that do not fit the 8-word register contract:
+// A call carries 8 words; payloads that do not fit them move through the
+// cross-process CopyServer (src/shm/copy.h), the host form of the paper's
+// §4.2 CopyTo/CopyFrom. A caller grants the server a shared-memory region,
+// and a call carries `BulkSeg{region, len, addr}` descriptors in its cell —
+// `addr` is a byte offset into the region — while the CopyServer moves the
+// bytes directly between the granted region and the server's memory. The
+// payload never rides the ring.
 //
-//   * the frame ABI's scatter/gather spill (kFrameFlagSg, rt/frame_abi.h):
-//     a >8-word frame call points w[0..1] at a caller-owned descriptor
-//     block and the handler copies exactly the enumerated ranges — the
-//     same-process analogue of the paper's §4.2 grant;
-//
-//   * the cross-process CopyServer (src/shm/): a caller grants the server
-//     a shared-memory region, and calls carry {region_id, offset, len}
-//     descriptors in the ring cell while CopyTo/CopyFrom move the bytes
-//     directly between granted regions — the payload never rides the ring.
-//
-// Both lanes describe a range the same way, so they share one segment
-// descriptor: `BulkSeg{region, len, addr}`. A local segment (`region ==
-// kBulkRegionLocal`) addresses the caller's own address space (`addr` is a
-// VA); a granted segment names a region id and `addr` is a byte offset
-// into it. Gather/scatter are written once, over a pluggable resolver:
-// the frame lane resolves local VAs (LocalBulkResolver), the shm lane
-// resolves region ids against its grant table (shm::CopyServer) — the
-// copy loops, truncation rules and staging helper are identical either
-// way. This replaces the arena-staged gather/scatter that used to live in
-// servers/frame_bulk.h.
-//
-// Permission model, both lanes: the descriptors ARE the grant. A handler
-// touches exactly the ranges the caller enumerated — nothing else — and
-// the bytes move once, directly between the caller's buffers (or granted
-// region) and the service's own memory.
-//
-// Lifetime, frame lane: descriptor blocks and local segments are
-// caller-owned and must outlive the call; synchronous frame calls make
-// that trivial (the caller's stack frame is alive until the reply lands).
-// One-way frames must not carry local spills — there is no reply edge to
-// sequence the caller's reclaim against. Granted-region segments instead
-// live until revoked, which is what makes them safe to ship cross-process.
+// Permission model: the descriptor is the request, not the grant. The
+// server checks every descriptor against the region table it resolved
+// itself (lane, state, generation, byte range, rights); a descriptor is
+// peer-written input and names nothing the server did not grant.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "common/assert.h"
-#include "mem/arena.h"
 #include "ppc/regs.h"
 
 namespace hppc::rt {
 
-/// Region id of a process-local segment: `addr` is a virtual address in
-/// the describing process. Any other value names a granted shm region and
-/// `addr` is a byte offset into it.
-inline constexpr std::uint32_t kBulkRegionLocal = 0xFFFFFFFFu;
+/// Region id of a default BulkSeg: no region table holds it, so the
+/// CopyServer refuses it with kBadRegion.
+inline constexpr std::uint32_t kBulkRegionNone = 0xFFFFFFFFu;
 
-/// One bulk-data segment — the wire format both lanes share.
+/// One bulk-data segment: `len` bytes at byte offset `addr` of granted
+/// region `region`.
 struct BulkSeg {
-  std::uint32_t region = kBulkRegionLocal;
+  std::uint32_t region = kBulkRegionNone;
   std::uint32_t len = 0;
-  std::uint64_t addr = 0;  // VA when local, region byte offset when granted
+  std::uint64_t addr = 0;  // byte offset into the region
 
   bool operator==(const BulkSeg&) const = default;
 };
-
-inline BulkSeg bulk_local(const void* p, std::size_t len) {
-  BulkSeg s;
-  s.region = kBulkRegionLocal;
-  s.len = static_cast<std::uint32_t>(len);
-  s.addr = reinterpret_cast<std::uintptr_t>(p);
-  return s;
-}
 
 inline BulkSeg bulk_region(std::uint32_t region, std::uint64_t offset,
                            std::size_t len) {
@@ -77,84 +45,13 @@ inline BulkSeg bulk_region(std::uint32_t region, std::uint64_t offset,
   return s;
 }
 
-/// The descriptor block a spilled call points at: gather segments (request
-/// bytes the handler may read) and scatter segments (reply ranges the
-/// handler may write).
-struct BulkDesc {
-  const BulkSeg* in = nullptr;
-  std::uint32_t n_in = 0;
-  const BulkSeg* out = nullptr;
-  std::uint32_t n_out = 0;
-};
-
-/// Total request bytes across the gather segments.
-inline std::size_t bulk_total_in(const BulkDesc& d) {
-  std::size_t n = 0;
-  for (std::uint32_t i = 0; i < d.n_in; ++i) n += d.in[i].len;
-  return n;
-}
-
-/// Total reply capacity across the scatter segments.
-inline std::size_t bulk_total_out(const BulkDesc& d) {
-  std::size_t n = 0;
-  for (std::uint32_t i = 0; i < d.n_out; ++i) n += d.out[i].len;
-  return n;
-}
-
-/// The frame lane's resolver: local segments are plain VAs; granted
-/// regions do not exist in-process, so they refuse to resolve.
-struct LocalBulkResolver {
-  void* operator()(const BulkSeg& s, bool /*writable*/) const {
-    if (s.region != kBulkRegionLocal) return nullptr;
-    return reinterpret_cast<void*>(static_cast<std::uintptr_t>(s.addr));
-  }
-};
-
-/// Gather the request: concatenate the in-segments into [dst, dst+cap).
-/// Returns bytes copied; stops (without overrun) when dst fills or a
-/// segment fails to resolve — callers compare against bulk_total_in when
-/// a short gather must be an error (same contract the old sg_gather had
-/// for truncation).
-template <class Resolver>
-std::size_t bulk_gather(const BulkDesc& d, Resolver&& resolve, void* dst,
-                        std::size_t cap) {
-  std::size_t off = 0;
-  for (std::uint32_t i = 0; i < d.n_in && off < cap; ++i) {
-    const BulkSeg& seg = d.in[i];
-    const void* base = resolve(seg, /*writable=*/false);
-    if (base == nullptr) break;
-    const std::size_t n = seg.len < cap - off ? seg.len : cap - off;
-    std::memcpy(static_cast<std::byte*>(dst) + off, base, n);
-    off += n;
-  }
-  return off;
-}
-
-/// Scatter the reply: spread [src, src+len) across the out-segments in
-/// order. Returns bytes placed; stops when the segments fill or one fails
-/// to resolve.
-template <class Resolver>
-std::size_t bulk_scatter(const BulkDesc& d, Resolver&& resolve,
-                         const void* src, std::size_t len) {
-  std::size_t off = 0;
-  for (std::uint32_t i = 0; i < d.n_out && off < len; ++i) {
-    const BulkSeg& seg = d.out[i];
-    void* base = resolve(seg, /*writable=*/true);
-    if (base == nullptr) break;
-    const std::size_t n = seg.len < len - off ? seg.len : len - off;
-    std::memcpy(base, static_cast<const std::byte*>(src) + off, n);
-    off += n;
-  }
-  return off;
-}
-
 // -- RegSet packing (the shm cell wire format) ------------------------------
 //
-// A granted-region segment rides a ring cell as four payload words:
-// {region, len, addr lo, addr hi}. With the op word at w[7], a cell fits
-// one segment per direction (in at w[0], out at... the handler's choice);
-// calls needing more segments place a descriptor block in a granted region
-// and point one segment at it.
+// A segment rides a ring cell as four payload words: {region, len, addr lo,
+// addr hi}. With the op word at w[7], a cell fits one segment per
+// direction (in at w[0], out at... the handler's choice); calls needing
+// more segments place a descriptor block in a granted region and point one
+// segment at it.
 
 inline constexpr std::size_t kBulkSegWords = 4;
 
@@ -174,48 +71,5 @@ inline BulkSeg bulk_seg_unpack(const ppc::RegSet& regs, std::size_t w0) {
   s.addr = ppc::get_u64(regs, w0 + 2);
   return s;
 }
-
-// -- staging ----------------------------------------------------------------
-
-/// A node-local staging buffer for services that transform bulk payloads
-/// rather than streaming them: gather lands the request on the serving
-/// slot's own node, the handler works in place, scatter sends the result
-/// back. Arena-backed; create one per slot at service construction. Works
-/// against any resolver, so the frame lane and the shm CopyServer share it.
-class BulkStage {
- public:
-  BulkStage(mem::Arena& arena, NodeId node, std::size_t capacity)
-      : buf_(static_cast<std::byte*>(
-            arena.allocate(node, capacity, alignof(std::max_align_t)))),
-        cap_(capacity) {}
-
-  BulkStage(const BulkStage&) = delete;
-  BulkStage& operator=(const BulkStage&) = delete;
-
-  std::byte* data() { return buf_; }
-  std::size_t capacity() const { return cap_; }
-
-  /// Gather a spilled call's request into the stage. Fails (returns
-  /// false) when the payload exceeds the stage — the handler should answer
-  /// kOutOfResources rather than truncate silently.
-  template <class Resolver>
-  bool gather(const BulkDesc& d, Resolver&& resolve, std::size_t* len) {
-    if (bulk_total_in(d) > cap_) return false;
-    *len = bulk_gather(d, resolve, buf_, cap_);
-    return true;
-  }
-
-  /// Scatter [data(), data()+len) back through the out-segments.
-  template <class Resolver>
-  std::size_t scatter(const BulkDesc& d, Resolver&& resolve,
-                      std::size_t len) {
-    HPPC_ASSERT(len <= cap_);
-    return bulk_scatter(d, resolve, buf_, len);
-  }
-
- private:
-  std::byte* buf_;  // arena storage: freed wholesale with the arena
-  std::size_t cap_;
-};
 
 }  // namespace hppc::rt

@@ -13,13 +13,9 @@
 // No std::function, no worker/CD acquisition, no heap touch, no pointer
 // chase past the one table load on the warm path.
 //
-// Calls whose payload exceeds the 8 words do NOT grow the frame: they set
-// kFrameFlagSg and spend two payload words on a pointer to a caller-owned
-// BulkDesc descriptor block — scatter/gather segments in the unified
-// bulk-data format (rt/bulk_desc.h) shared with the cross-process
-// CopyServer, the host analogue of the paper's §4.2 copy-server channel.
-// The frame itself stays 8 words; only the descriptors' bytes move, and
-// only once.
+// A frame is 8 words each way and never grows. Payloads that do not fit
+// move through granted regions and the cross-process CopyServer
+// (src/shm/copy.h, §4.2), not through the frame.
 //
 // Packed op word (64-bit):
 //   [63:48] reserved (zero)
@@ -37,7 +33,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "ppc/regs.h"
-#include "rt/bulk_desc.h"
 #include "rt/percpu.h"
 
 namespace hppc::rt {
@@ -104,40 +99,6 @@ inline CallFrame make_frame(FrameServiceId service, Word opcode,
   CallFrame f;
   f.op = frame_op(service, opcode, flags);
   return f;
-}
-
-// -- scatter/gather spill (the >8-word side path) ---------------------------
-
-/// Flag bit: w[0..1] carry a pointer to a caller-owned BulkDesc block
-/// (rt/bulk_desc.h — the same descriptor layout the cross-process
-/// CopyServer ships in ring cells; here the segments are process-local,
-/// region == kBulkRegionLocal, and handlers resolve them with
-/// LocalBulkResolver).
-inline constexpr Word kFrameFlagSg = 0x01;
-
-/// Attach a descriptor block: burns w[0] and w[1] on the pointer and sets
-/// kFrameFlagSg. w[2..7] stay free for inline arguments. The block and
-/// every segment it names are caller-owned and must outlive the call
-/// (synchronous frame calls guarantee that by construction — the caller's
-/// frame is alive until the reply lands).
-inline void frame_attach_sg(CallFrame& f, const BulkDesc* sg) {
-  const auto p = reinterpret_cast<std::uintptr_t>(sg);
-  f.w[0] = static_cast<Word>(p);
-  f.w[1] = static_cast<Word>(static_cast<std::uint64_t>(p) >> 32);
-  f.op = frame_with_flags(f.op, frame_flags_of(f.op) | kFrameFlagSg);
-}
-
-inline bool frame_has_sg(const CallFrame& f) {
-  return (frame_flags_of(f.op) & kFrameFlagSg) != 0;
-}
-
-/// Handler side: resolve the descriptor block (nullptr when the flag is
-/// clear — an 8-word call has no spill).
-inline const BulkDesc* frame_sg(const CallFrame& f) {
-  if (!frame_has_sg(f)) return nullptr;
-  const std::uint64_t p = static_cast<std::uint64_t>(f.w[0]) |
-                          (static_cast<std::uint64_t>(f.w[1]) << 32);
-  return reinterpret_cast<const BulkDesc*>(static_cast<std::uintptr_t>(p));
 }
 
 // -- handler contract ------------------------------------------------------

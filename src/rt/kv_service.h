@@ -33,7 +33,6 @@ enum KvOp : Word {
   kKvGet = 2,     // w[0]=key            -> w[1]=value
   kKvErase = 3,   // w[0]=key (owner of the key's entry only)
   kKvSize = 4,    // -> w[0]=entries in this slot's shard
-  kKvOwnerOf = 5, // w[0]=key            -> w[1]=owning program
   // Packed get: the flags byte of the opflags word holds n, w[0..n) hold
   // n keys, 1 <= n <= kKvGetNMax. On kOk each found key's word is replaced
   // by its value in place (a missed key's word is left as sent), and the
@@ -392,16 +391,6 @@ class KvService {
                         [this](RtCtx& c, RegSet& r) {
                           r[0] = static_cast<Word>(
                               shards_[c.slot()]->size);
-                          ppc::set_rc(r, Status::kOk);
-                        })
-                    .on(kKvOwnerOf,
-                        [this](RtCtx& c, RegSet& r) {
-                          Entry* e = find(*shards_[c.slot()], r[0]);
-                          if (!e) {
-                            ppc::set_rc(r, Status::kInvalidArgument);
-                            return;
-                          }
-                          r[1] = e->owner;
                           ppc::set_rc(r, Status::kOk);
                         })
                     .handler();

@@ -55,17 +55,13 @@ Runtime::Runtime(std::uint32_t slots, bool pin_threads)
   // The cancel-flag pool (value-initialized: every flag starts clear).
   // Heap, not arena: it is runtime-wide, not per-slot, and cold until a
   // cancel actually lands. adopt_cancel_pool() may later re-point the
-  // working pointers at segment-resident storage.
+  // pool at segment-resident storage.
   owned_cancel_flags_ =
       std::make_unique<std::atomic<std::uint32_t>[]>(kMaxCancelTokens);
-  cancel_flags_ = owned_cancel_flags_.get();
+  cancel_pool_ = {owned_cancel_flags_.get(), &owned_next_cancel_token_};
 }
 
-void Runtime::adopt_cancel_pool(std::atomic<std::uint32_t>* flags,
-                                std::atomic<std::uint32_t>* next_token) {
-  cancel_flags_ = flags;
-  next_cancel_token_ = next_token;
-}
+void Runtime::adopt_cancel_pool(CancelPool pool) { cancel_pool_ = pool; }
 
 EntryPointId Runtime::bind(RtServiceConfig cfg, ProgramId program,
                            RtHandler initial_handler) {
@@ -678,23 +674,10 @@ bool Runtime::help_drain(Slot& target, SlotId self) {
   return true;
 }
 
-CancelToken Runtime::cancel_token_create() {
-  // Wait-free monotonic allocation. Values whose pool-index lane is zero
-  // are skipped — 0 in the cell's token lane means "not cancellable", so
-  // no real token may alias it. The pool is generation-free: reuse needs
-  // kMaxCancelTokens intervening allocations, and a stale cancel on a
-  // recycled index is a benign spurious kCallAborted (see request_ctx.h).
-  std::uint32_t t;
-  do {
-    t = next_cancel_token_->fetch_add(1, std::memory_order_relaxed);
-  } while ((t & kCellTokenLaneMask) == 0);
-  cancel_flags_[t & kCellTokenLaneMask].store(0, std::memory_order_relaxed);
-  return t;
-}
+CancelToken Runtime::cancel_token_create() { return cancel_pool_.create(); }
 
 bool Runtime::cancel_requested(CancelToken token) const {
-  return token != 0 && cancel_flags_[token & kCellTokenLaneMask].load(
-                           std::memory_order_acquire) != 0;
+  return cancel_pool_.requested(token);
 }
 
 void Runtime::cancel(CancelToken token) {
@@ -703,8 +686,7 @@ void Runtime::cancel(CancelToken token) {
   shared_.inc(obs::Counter::kSharedLinesTouched);
   // Raise the flag first: every seam (admission, drain, give-up loops,
   // cooperative handler polls) observes it from here on.
-  cancel_flags_[token & kCellTokenLaneMask].store(1,
-                                                  std::memory_order_release);
+  cancel_pool_.raise(token);
   if (HPPC_FAULT_POINT("rt.cancel.sweep")) {
     // Delay seam between flag-raise and sweep: widens the window where a
     // cancelled cell is still in a ring, so the soak exercises the
@@ -1536,11 +1518,6 @@ void Runtime::trace_end(SlotId slot_id, Status rc) {
   slot.cur_trace = obs::TraceCtx{};
 }
 
-void Runtime::set_trace_ctx(SlotId slot_id, const obs::TraceCtx& ctx) {
-  HPPC_ASSERT(slot_id < slots_.size());
-  slots_[slot_id]->cur_trace = ctx;
-}
-
 obs::TraceCtx Runtime::trace_ctx(SlotId slot_id) const {
   HPPC_ASSERT(slot_id < slots_.size());
   return slots_[slot_id]->cur_trace;
@@ -1551,11 +1528,6 @@ obs::TraceCtx Runtime::trace_ctx(SlotId slot_id) const {
 // ---------------------------------------------------------------------------
 
 const obs::SlotHistograms& Runtime::histograms(SlotId slot) const {
-  HPPC_ASSERT(slot < slots_.size());
-  return *slots_[slot]->hists;
-}
-
-obs::SlotHistograms& Runtime::slot_histograms(SlotId slot) {
   HPPC_ASSERT(slot < slots_.size());
   return *slots_[slot]->hists;
 }

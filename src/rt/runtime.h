@@ -105,7 +105,6 @@ using RtHandler = std::function<void(RtCtx&, RegSet&)>;
 struct RtServiceConfig {
   std::string name = "service";
   bool hold_cd = false;
-  std::uint32_t pool_target = 1;
 };
 
 /// What a synchronous cross-slot caller does when the target ring is full.
@@ -448,11 +447,9 @@ class Runtime {
   // cancel flag (kCallAborted), so an expired or cancelled root request
   // stops its whole tree at the next seam instead of executing late.
 
-  /// Allocate a cancel token. Tokens are handles into a fixed pool of
-  /// kMaxCancelTokens flags; allocation is wait-free (one fetch_add) and
-  /// clears the slot it maps to, so reuse after 2^14 intervening
-  /// allocations is benign-stale (documented in rt/request_ctx.h). Safe
-  /// from any thread.
+  /// Allocate a cancel token from the runtime's pool (CancelPool::create:
+  /// wait-free, reuse after 2^14 intervening allocations is benign-stale,
+  /// documented in rt/request_ctx.h). Safe from any thread.
   CancelToken cancel_token_create();
 
   /// Raise `token`'s cancel flag, then best-effort sweep: for every slot
@@ -467,18 +464,17 @@ class Runtime {
   /// Has cancel() been called for this token? (0 is never cancelled.)
   bool cancel_requested(CancelToken token) const;
 
-  /// Re-point the cancel pool at external storage: `flags` must be a
+  /// Re-point the cancel pool at external storage: `pool.flags` must be a
   /// zero-initialised array of kMaxCancelTokens atomic words and
-  /// `next_token` a shared allocation cursor (>= 1). The intended caller
+  /// `pool.cursor` a shared allocation cursor (>= 1). The intended caller
   /// is the shm transport (src/shm/), which places both inside the
   /// cross-process segment so a peer's cancel(token) raises a flag this
   /// runtime's drain-side sweep reads directly — cancellation crosses the
-  /// process boundary through the same one-relaxed-load check the
-  /// in-process path uses. Call before any traffic (tokens minted from
-  /// the old pool do not transfer); the previously owned pool is retained
-  /// but unused. Storage must outlive this Runtime.
-  void adopt_cancel_pool(std::atomic<std::uint32_t>* flags,
-                         std::atomic<std::uint32_t>* next_token);
+  /// process boundary through the same one-load check the in-process path
+  /// uses. Call before any traffic (tokens minted from the old pool do not
+  /// transfer); the owned pool is retained but unused. Storage must
+  /// outlive this Runtime.
+  void adopt_cancel_pool(CancelPool pool);
 
   /// Ambient probe: is the request `slot` is currently executing under
   /// cancelled or past its deadline? Handlers reach this through
@@ -507,9 +503,7 @@ class Runtime {
   /// clears the slot's current context). Owner thread only.
   void trace_end(SlotId slot, Status rc = Status::kOk);
 
-  /// Install / read the slot's current request context (propagation across
-  /// layers that carry their own context, e.g. tests). Owner thread only.
-  void set_trace_ctx(SlotId slot, const obs::TraceCtx& ctx);
+  /// Read the slot's current trace context. Owner thread only.
   obs::TraceCtx trace_ctx(SlotId slot) const;
 
   // ----- histograms & telemetry -----
@@ -537,7 +531,6 @@ class Runtime {
   /// The slot's always-on latency histogram block (single writer: the
   /// slot's ownership holder; racy-but-race-free reads for observers).
   const obs::SlotHistograms& histograms(SlotId slot) const;
-  obs::SlotHistograms& slot_histograms(SlotId slot);
 
   /// One slot's histogram snapshot / the merge across all slots.
   obs::HistSnapshot hist_snapshot(SlotId slot) const;
@@ -881,17 +874,12 @@ class Runtime {
       shed_watermark_{};
   // Read by a slot only when its histogram countdown reloads.
   std::atomic<std::uint32_t> hist_sample_period_{kDefaultHistSamplePeriod};
-  // The cancel-flag pool: token t maps to cancel_flags_[t % kMaxCancel-
-  // Tokens]. Fixed-size so a token index fits the cell ep lane and lookup
-  // is one relaxed load with no lifetime question. By default the pool is
-  // process-private (owned_cancel_* below, allocated zeroed at
-  // construction); adopt_cancel_pool() re-points both the flag array and
-  // the allocation cursor at segment-resident storage so cancellation is
-  // visible across processes. next_cancel_token never hands out index 0.
+  // The cancel-flag pool. It points at the owned storage below (allocated
+  // zeroed at construction) until adopt_cancel_pool() re-points it at a
+  // segment's, so cancellation is visible across processes.
   std::unique_ptr<std::atomic<std::uint32_t>[]> owned_cancel_flags_;
   std::atomic<std::uint32_t> owned_next_cancel_token_{1};
-  std::atomic<std::uint32_t>* cancel_flags_ = nullptr;
-  std::atomic<std::uint32_t>* next_cancel_token_ = &owned_next_cancel_token_;
+  CancelPool cancel_pool_;
   TelemetryState telemetry_;
   EntryPointId next_ep_ = 8;
 };

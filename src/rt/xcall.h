@@ -197,6 +197,36 @@ inline constexpr EntryPointId kCellEpMask = 0xFFFFu;
 /// stale cancel needs 2^14 intervening allocations to alias.
 inline constexpr std::uint32_t kMaxCancelTokens = kCellTokenLaneMask + 1;
 
+/// The cancel-flag pool, a view over storage somebody else owns: the
+/// runtime's own, or a shm segment's (resolved once by whoever maps it).
+/// Token t maps to flags[t & kCellTokenLaneMask]. Tokens allocate
+/// wait-free and monotonically, never with index 0 (0 in the cell's token
+/// lane means "not cancellable"), and allocation clears the flag it maps
+/// to. The pool is generation-free: a stale cancel on a recycled index is
+/// a benign spurious kCallAborted (see rt/request_ctx.h).
+struct CancelPool {
+  std::atomic<std::uint32_t>* flags = nullptr;   // [kMaxCancelTokens]
+  std::atomic<std::uint32_t>* cursor = nullptr;  // next token, starts >= 1
+
+  std::uint32_t create() const {
+    std::uint32_t t;
+    do {
+      t = cursor->fetch_add(1, std::memory_order_relaxed);
+    } while ((t & kCellTokenLaneMask) == 0);
+    flags[t & kCellTokenLaneMask].store(0, std::memory_order_relaxed);
+    return t;
+  }
+  void raise(std::uint32_t token) const {
+    if (token == 0) return;
+    flags[token & kCellTokenLaneMask].store(1, std::memory_order_release);
+  }
+  /// One acquire load; 0 is never cancelled.
+  bool requested(std::uint32_t token) const {
+    return token != 0 && flags[token & kCellTokenLaneMask].load(
+                             std::memory_order_acquire) != 0;
+  }
+};
+
 static_assert(kMaxEntryPoints <= kCellEpMask + 1,
               "entry-point ids must fit the cell ep lane");
 static_assert(kMaxFrameServices <= kCellEpMask + 1,

@@ -13,12 +13,8 @@
 // the grant's byte range, rights and generation, and moves payloads with
 // one memcpy directly between the granted region and the server's memory
 // — O(1) cell traffic per call no matter the payload size, and the bytes
-// themselves never ride the ring.
-//
-// It is also a rt::bulk_gather/bulk_scatter resolver (CopyResolver), so
-// the frame ABI's in-process spill path and this cross-process path are
-// the same copy loops over the same descriptor layout — the satellite
-// unification this subsystem exists to prove.
+// themselves never ride the ring. This is the runtime's one bulk-data
+// path: a call carries 8 words, and anything larger moves here.
 #pragma once
 
 #include <array>
@@ -27,7 +23,6 @@
 
 #include "common/status.h"
 #include "obs/counters.h"
-#include "rt/bulk_desc.h"
 #include "shm/layout.h"
 #include "shm/segment.h"
 
@@ -85,20 +80,6 @@ class CopyServer {
   obs::SlotCounters* counters_;
   std::uint32_t lane_ = kMaxShmPeers;
   std::array<Mapping, kMaxShmRegions> map_{};
-};
-
-/// rt::bulk_gather / bulk_scatter resolver for the server side: local
-/// segments resolve as plain VAs (the in-process rule), granted segments
-/// through the CopyServer's grant check. Handlers use this to run the
-/// SAME gather/scatter the frame lane runs.
-struct CopyResolver {
-  CopyServer* cs;
-  void* operator()(const rt::BulkSeg& s, bool writable) const {
-    if (s.region == rt::kBulkRegionLocal) {
-      return rt::LocalBulkResolver{}(s, writable);
-    }
-    return cs->resolve(s.region, s.addr, s.len, writable);
-  }
 };
 
 }  // namespace hppc::shm

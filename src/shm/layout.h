@@ -42,7 +42,7 @@
 //                          the reaper;
 //   * cancel pool        — any process raises flags; the server's drain
 //                          sweep reads them (rt::Runtime::adopt_cancel_pool
-//                          points a runtime at this pool);
+//                          points a runtime at this rt::CancelPool);
 //   * RegionSlot         — CAS-claimed by granting peers, invalidated by
 //                          revoke or by the reaper; its owner is its id's
 //                          lane (region_lane), never a field a peer wrote.
@@ -169,12 +169,12 @@ struct ShmHeader {
   std::uint64_t peers_off = kNullOff;    // PeerSlot[max_peers]
   std::uint64_t lanes_off = kNullOff;    // rt::XcallRing[max_peers]
   std::uint64_t regions_off = kNullOff;  // RegionSlot[max_regions]
-  /// The segment-resident cancel pool: flags_off names
+  /// The segment-resident cancel pool (rt::CancelPool): flags_off names
   /// atomic<u32>[rt::kMaxCancelTokens] and cursor_off the shared token
-  /// allocator — the storage rt::Runtime::adopt_cancel_pool() points a
-  /// runtime at, which is what makes cancel(token) cross the process
-  /// boundary (satellite of the transport: the server's drain-side sweep
-  /// reads the same flag the remote canceller raised).
+  /// allocator. Peers resolve both once, at attach; the server keeps the
+  /// pool it laid out and never reads them back. The server's drain reads
+  /// the same flag a remote canceller raised, which is what makes
+  /// cancel(token) cross the process boundary.
   std::uint64_t cancel_flags_off = kNullOff;
   std::uint64_t cancel_cursor_off = kNullOff;
 

@@ -59,45 +59,7 @@ bool pid_gone(std::uint32_t pid) {
 #endif
 }
 
-std::atomic<std::uint32_t>* cancel_flags_of(Segment& seg) {
-  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
-  return seg.at<std::atomic<std::uint32_t>>(hdr->cancel_flags_off);
-}
-
-std::atomic<std::uint32_t>* cancel_cursor_of(Segment& seg) {
-  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
-  return seg.at<std::atomic<std::uint32_t>>(hdr->cancel_cursor_off);
-}
-
 }  // namespace
-
-// -- segment-resident cancel pool -------------------------------------------
-
-std::uint32_t shm_cancel_token_create(Segment& seg) {
-  // Same contract as Runtime::cancel_token_create: never hand out a token
-  // whose pool index is 0 (0 in the cell lane means "not cancellable"),
-  // and clear the flag the new token maps to.
-  std::atomic<std::uint32_t>* cursor = cancel_cursor_of(seg);
-  std::uint32_t t;
-  do {
-    t = cursor->fetch_add(1, std::memory_order_relaxed);
-  } while ((t & rt::kCellTokenLaneMask) == 0);
-  cancel_flags_of(seg)[t & rt::kCellTokenLaneMask].store(
-      0, std::memory_order_relaxed);
-  return t;
-}
-
-void shm_cancel(Segment& seg, std::uint32_t token) {
-  if (token == 0) return;
-  cancel_flags_of(seg)[token & rt::kCellTokenLaneMask].store(
-      1, std::memory_order_release);
-}
-
-bool shm_cancel_requested(Segment& seg, std::uint32_t token) {
-  return token != 0 &&
-         cancel_flags_of(seg)[token & rt::kCellTokenLaneMask].load(
-             std::memory_order_acquire) != 0;
-}
 
 // -- Server -----------------------------------------------------------------
 
@@ -119,10 +81,10 @@ Server::Layout Server::lay_out(Segment& seg) {
       .peers = arena.create_array<PeerSlot>(0, kMaxShmPeers),
       .lanes = arena.create_array<rt::XcallRing>(0, kMaxShmPeers),
       .regions = arena.create_array<RegionSlot>(0, kMaxShmRegions),
-      .cancel_flags = arena.create_array<std::atomic<std::uint32_t>>(
-          0, rt::kMaxCancelTokens),
+      .cancel = {arena.create_array<std::atomic<std::uint32_t>>(
+                     0, rt::kMaxCancelTokens),
+                 arena.create<std::atomic<std::uint32_t>>(0, 1u)},
   };
-  auto* cursor = arena.create<std::atomic<std::uint32_t>>(0, 1u);
 
   hdr->version = kShmVersion;
   hdr->max_peers = kMaxShmPeers;
@@ -134,8 +96,8 @@ Server::Layout Server::lay_out(Segment& seg) {
   hdr->peers_off = seg.offset_of(lay.peers);
   hdr->lanes_off = seg.offset_of(lay.lanes);
   hdr->regions_off = seg.offset_of(lay.regions);
-  hdr->cancel_flags_off = seg.offset_of(lay.cancel_flags);
-  hdr->cancel_cursor_off = seg.offset_of(cursor);
+  hdr->cancel_flags_off = seg.offset_of(lay.cancel.flags);
+  hdr->cancel_cursor_off = seg.offset_of(lay.cancel.cursor);
 
   // Publish: openers acquire-load the magic before trusting any offset.
   hdr->magic.store(kShmMagic, std::memory_order_release);
@@ -188,8 +150,7 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
     const std::uint32_t token = rt::cell_token_idx(cell.ep);
     Status rc = Status::kNoSuchEntryPoint;
     ppc::RegSet out = cell.regs;
-    if (token != 0 &&
-        lay_.cancel_flags[token].load(std::memory_order_acquire) != 0) {
+    if (lay_.cancel.requested(token)) {
       // The drain-side cancel sweep — the same one-load check the
       // in-process drain performs, reading a flag ANY process may have
       // raised.
@@ -296,7 +257,7 @@ bool Server::stop_requested() const {
 }
 
 void Server::adopt_cancel_pool_into(rt::Runtime& rt) {
-  rt.adopt_cancel_pool(cancel_flags_of(seg_), cancel_cursor_of(seg_));
+  rt.adopt_cancel_pool(lay_.cancel);
 }
 
 std::uint32_t Server::attached_peers() const {
@@ -341,6 +302,8 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
                                  idx_ * sizeof(rt::XcallRing));
   slot_ = &peers[idx_];
   region_table_ = seg_.at<RegionSlot>(hdr->regions_off);
+  cancel_ = {seg_.at<std::atomic<std::uint32_t>>(hdr->cancel_flags_off),
+             seg_.at<std::atomic<std::uint32_t>>(hdr->cancel_cursor_off)};
 
   PeerSlot& slot = *slot_;
   slot.pid.store(self_pid(), std::memory_order_relaxed);
@@ -414,11 +377,9 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
   return rt::cell_status(st);
 }
 
-std::uint32_t Peer::cancel_token_create() {
-  return shm_cancel_token_create(seg_);
-}
+std::uint32_t Peer::cancel_token_create() { return cancel_.create(); }
 
-void Peer::cancel(std::uint32_t token) { shm_cancel(seg_, token); }
+void Peer::cancel(std::uint32_t token) { cancel_.raise(token); }
 
 std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
   if (reaped()) return kMaxShmRegions;
@@ -478,7 +439,7 @@ void Peer::request_stop() {
 }
 
 void Peer::adopt_cancel_pool_into(rt::Runtime& rt) {
-  rt.adopt_cancel_pool(cancel_flags_of(seg_), cancel_cursor_of(seg_));
+  rt.adopt_cancel_pool(cancel_);
 }
 
 }  // namespace hppc::shm

@@ -66,9 +66,8 @@ namespace hppc::shm {
 class Server;
 
 /// What an shm handler sees. `copy` is the grant-checked bulk engine —
-/// handlers move big payloads through it (or through rt::bulk_gather with
-/// CopyResolver{copy}) instead of the ring. It resolves only the calling
-/// lane's own regions.
+/// handlers move big payloads through it instead of the ring. It
+/// resolves only the calling lane's own regions.
 struct ShmCtx {
   Server* server = nullptr;
   CopyServer* copy = nullptr;
@@ -127,10 +126,11 @@ class Server {
   void request_stop();
   bool stop_requested() const;
 
-  /// Adopt the segment's cancel pool into `rt` (satellite 2): after this,
-  /// rt.cancel_token_create()/cancel() operate on segment-resident flags,
-  /// so a token minted in EITHER process aborts calls in both — this
-  /// server's drain checks the same flags rt's drain-side sweep reads.
+  /// Adopt the segment's cancel pool, as lay_out placed it, into `rt`:
+  /// after this, rt.cancel_token_create()/cancel() operate on the
+  /// segment-resident flags, so a token minted in EITHER process aborts
+  /// calls in both — this server's drain checks the same flags rt's
+  /// drain-side sweep reads. No offset is re-read from the segment.
   void adopt_cancel_pool_into(rt::Runtime& rt);
 
   /// The grant-checked bulk engine (handlers reach it via ShmCtx::copy).
@@ -157,10 +157,10 @@ class Server {
   /// Process-private layout, resolved once at create time: a peer that
   /// rewrites the segment's offsets cannot move what the server touches.
   struct Layout {
-    PeerSlot* peers;                           // [kMaxShmPeers]
-    rt::XcallRing* lanes;                      // [kMaxShmPeers]
-    RegionSlot* regions;                       // [kMaxShmRegions]
-    std::atomic<std::uint32_t>* cancel_flags;  // [rt::kMaxCancelTokens]
+    PeerSlot* peers;       // [kMaxShmPeers]
+    rt::XcallRing* lanes;  // [kMaxShmPeers]
+    RegionSlot* regions;   // [kMaxShmRegions]
+    rt::CancelPool cancel;
   };
   /// Write the header and lay the tables out behind it.
   static Layout lay_out(Segment& seg);
@@ -220,8 +220,9 @@ class Peer {
   bool stop_requested() const;
   void request_stop();
 
-  /// Adopt the segment's cancel pool into a runtime embedded in THIS
-  /// process (mirror of Server::adopt_cancel_pool_into).
+  /// Adopt the segment's cancel pool, as resolved at attach, into a
+  /// runtime embedded in THIS process (mirror of
+  /// Server::adopt_cancel_pool_into).
   void adopt_cancel_pool_into(rt::Runtime& rt);
 
   std::uint32_t peer_index() const { return idx_; }
@@ -248,13 +249,8 @@ class Peer {
   rt::XcallRing* ring_ = nullptr;  // process-local pointers resolved once
   PeerSlot* slot_ = nullptr;
   RegionSlot* region_table_ = nullptr;  // [kMaxShmRegions]
+  rt::CancelPool cancel_;
   std::array<Segment, kMaxShmRegions> regions_{};  // this peer's grants
 };
-
-/// Segment-resident cancel-pool accessors shared by both endpoints (and
-/// by tests): raise/read flag `token & rt::kCellTokenLaneMask`.
-std::uint32_t shm_cancel_token_create(Segment& seg);
-void shm_cancel(Segment& seg, std::uint32_t token);
-bool shm_cancel_requested(Segment& seg, std::uint32_t token);
 
 }  // namespace hppc::shm

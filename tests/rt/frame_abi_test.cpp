@@ -1,22 +1,18 @@
-// The Figure-4 frame ABI: op-word packing, the 8-word register contract,
-// the scatter/gather spill path for >8-word payloads, and the cross-slot
-// lanes (direct steal, ring cell, batch). Also the frame path's counter
-// contract: frame calls book calls_frame and never touch the typed path's
-// worker/CD machinery.
+// The Figure-4 frame ABI: op-word packing, the 8-word register contract
+// and the cross-slot lanes (direct steal, ring cell, batch). Also the
+// frame path's counter contract: frame calls book calls_frame and never
+// touch the typed path's worker/CD machinery.
 #include "rt/frame_abi.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "common/heap_audit.h"
 #include "rt/runtime.h"
 #include "rt/xcall.h"
-#include "rt/bulk_desc.h"
 
 namespace hppc::rt {
 namespace {
@@ -193,121 +189,6 @@ TEST(FrameCall, BooksCallsFrameNotTheTypedCounters) {
             before.get(obs::Counter::kCallsSync));
   EXPECT_EQ(after.get(obs::Counter::kWorkersCreated),
             before.get(obs::Counter::kWorkersCreated));
-}
-
-// ---------------------------------------------------------------------------
-// Scatter/gather spill (>8 words)
-// ---------------------------------------------------------------------------
-
-/// A checksum service: gathers the (arbitrarily long) request, sums its
-/// bytes into w[2], and scatters a transformed copy into the reply
-/// segments. Payload length is sg-described, NOT frame-resident — this is
-/// the 9-words-and-up path.
-struct ChecksumService {
-  static Status run(void* /*self*/, FrameCtx&, CallFrame& f) {
-    const BulkDesc* sg = frame_sg(f);
-    if (sg == nullptr) return Status::kInvalidArgument;
-    std::vector<std::byte> buf(bulk_total_in(*sg));
-    const std::size_t n =
-        bulk_gather(*sg, LocalBulkResolver{}, buf.data(), buf.size());
-    std::uint32_t sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += static_cast<std::uint32_t>(buf[i]);
-      buf[i] = static_cast<std::byte>(static_cast<unsigned>(buf[i]) ^ 0xFF);
-    }
-    f.w[2] = sum;
-    f.w[3] = static_cast<Word>(
-        bulk_scatter(*sg, LocalBulkResolver{}, buf.data(), n));
-    return Status::kOk;
-  }
-};
-
-TEST(FrameSgSpill, NineWordsSpillThroughDescriptors) {
-  Runtime rt(1);
-  const SlotId slot = rt.register_thread();
-  const FrameServiceId svc = rt.bind_frame(0, &ChecksumService::run, nullptr);
-
-  // A 9-word payload: one word too many for the frame, so it rides SG.
-  std::array<Word, 9> payload;
-  std::iota(payload.begin(), payload.end(), 1);
-  std::array<Word, 9> reply{};
-  const BulkSeg in[] = {bulk_local(payload.data(), sizeof(payload))};
-  const BulkSeg out[] = {bulk_local(reply.data(), sizeof(reply))};
-  const BulkDesc sg{in, 1, out, 1};
-
-  CallFrame f = make_frame(svc, /*opcode=*/7);
-  frame_attach_sg(f, &sg);
-  ASSERT_TRUE(frame_has_sg(f));
-  ASSERT_EQ(rt.call_frame(slot, 1, f), Status::kOk);
-
-  std::uint32_t expect_sum = 0;
-  const auto* bytes = reinterpret_cast<const std::byte*>(payload.data());
-  for (std::size_t i = 0; i < sizeof(payload); ++i) {
-    expect_sum += static_cast<std::uint32_t>(bytes[i]);
-  }
-  EXPECT_EQ(f.w[2], expect_sum);
-  EXPECT_EQ(f.w[3], sizeof(payload));
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    EXPECT_EQ(reply[i], payload[i] ^ 0xFFFFFFFFu);
-  }
-}
-
-TEST(FrameSgSpill, MultiSegmentGatherAndScatter) {
-  // Scatter/gather proper: discontiguous caller buffers on both sides.
-  const char a[] = "hello ";
-  const char b[] = "frame world";
-  const BulkSeg in[] = {bulk_local(a, 6), bulk_local(b, 11)};
-  char out1[5] = {};
-  char out2[12] = {};
-  const BulkSeg out[] = {bulk_local(out1, 5), bulk_local(out2, 12)};
-  const BulkDesc sg{in, 2, out, 2};
-  EXPECT_EQ(bulk_total_in(sg), 17u);
-  EXPECT_EQ(bulk_total_out(sg), 17u);
-
-  char gathered[32] = {};
-  const LocalBulkResolver local{};
-  EXPECT_EQ(bulk_gather(sg, local, gathered, sizeof(gathered)), 17u);
-  EXPECT_EQ(std::string_view(gathered, 17), "hello frame world");
-  EXPECT_EQ(bulk_scatter(sg, local, gathered, 17), 17u);
-  EXPECT_EQ(std::string_view(out1, 5), "hello");
-  EXPECT_EQ(std::string_view(out2, 12), " frame world");
-}
-
-TEST(FrameSgSpill, StageRejectsOversizedPayloadInsteadOfTruncating) {
-  mem::Arena arena;
-  BulkStage stage(arena, /*node=*/0, /*capacity=*/16);
-  std::array<std::byte, 32> big{};
-  const BulkSeg in[] = {bulk_local(big.data(), big.size())};
-  const BulkDesc sg{in, 1, nullptr, 0};
-  const LocalBulkResolver local{};
-  std::size_t len = 0;
-  EXPECT_FALSE(stage.gather(sg, local, &len));
-
-  const BulkSeg small_in[] = {bulk_local(big.data(), 8)};
-  const BulkDesc small{small_in, 1, nullptr, 0};
-  ASSERT_TRUE(stage.gather(small, local, &len));
-  EXPECT_EQ(len, 8u);
-}
-
-TEST(FrameSgSpill, GrantedRegionSegmentsRefuseLocalResolution) {
-  // A granted-region segment names a CopyServer region id, which does not
-  // exist in-process: the frame lane's resolver must refuse it, and the
-  // copy loops must stop at the refusal instead of faulting or truncating
-  // silently past it.
-  char src[8] = "abcdefg";
-  char dst[8] = {};
-  const BulkSeg in[] = {bulk_local(src, 4), bulk_region(3, 0, 4)};
-  const BulkDesc sg{in, 2, nullptr, 0};
-  const LocalBulkResolver local{};
-  EXPECT_EQ(local(in[1], false), nullptr);
-  char gathered[16] = {};
-  EXPECT_EQ(bulk_gather(sg, local, gathered, sizeof(gathered)), 4u);
-  EXPECT_LT(bulk_gather(sg, local, gathered, sizeof(gathered)),
-            bulk_total_in(sg));  // short gather is detectable
-
-  const BulkSeg out[] = {bulk_region(3, 0, 8), bulk_local(dst, 8)};
-  const BulkDesc sg_out{nullptr, 0, out, 2};
-  EXPECT_EQ(bulk_scatter(sg_out, local, src, 8), 0u);
 }
 
 // ---------------------------------------------------------------------------

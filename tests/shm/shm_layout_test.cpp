@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <string>
 
@@ -100,19 +101,28 @@ TEST(ShmLayout, LanesStartEmpty) {
   EXPECT_EQ(view.offset_of(&peers[1]) - hdr->peers_off, sizeof(PeerSlot));
 }
 
+/// The cancel pool as seen through `seg`'s mapping, via the header offsets.
+rt::CancelPool pool_of(Segment& seg) {
+  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
+  return {seg.at<std::atomic<std::uint32_t>>(hdr->cancel_flags_off),
+          seg.at<std::atomic<std::uint32_t>>(hdr->cancel_cursor_off)};
+}
+
 TEST(ShmLayout, CancelPoolIsOnePoolAcrossMappings) {
   const std::string name = uniq_name("cancel");
   Server server(name);
   Segment view = Segment::open(name);
+  const rt::CancelPool viewed = pool_of(view);
+  const rt::CancelPool served = pool_of(server.segment());
 
   // Token minted through one mapping, flag raised through the other,
   // observed through both: one pool, two address spaces' worth of bases.
-  const std::uint32_t tok = shm_cancel_token_create(view);
+  const std::uint32_t tok = viewed.create();
   EXPECT_NE(tok & rt::kCellTokenLaneMask, 0u);
-  EXPECT_FALSE(shm_cancel_requested(server.segment(), tok));
-  shm_cancel(server.segment(), tok);
-  EXPECT_TRUE(shm_cancel_requested(view, tok));
-  EXPECT_TRUE(shm_cancel_requested(server.segment(), tok));
+  EXPECT_FALSE(served.requested(tok));
+  served.raise(tok);
+  EXPECT_TRUE(viewed.requested(tok));
+  EXPECT_TRUE(served.requested(tok));
 }
 
 TEST(ShmLayout, RuntimeAdoptsSegmentCancelPool) {
@@ -120,18 +130,19 @@ TEST(ShmLayout, RuntimeAdoptsSegmentCancelPool) {
   Server server(name);
   rt::Runtime rt(1);
   server.adopt_cancel_pool_into(rt);
+  const rt::CancelPool segment = pool_of(server.segment());
 
   // Tokens the runtime mints now live in the segment: a raise through the
   // runtime is visible to raw segment reads (what the shm server's drain
   // does), and vice versa.
   const rt::CancelToken tok = rt.cancel_token_create();
-  EXPECT_FALSE(shm_cancel_requested(server.segment(), tok));
+  EXPECT_FALSE(segment.requested(tok));
   rt.cancel(tok);
-  EXPECT_TRUE(shm_cancel_requested(server.segment(), tok));
+  EXPECT_TRUE(segment.requested(tok));
 
-  const std::uint32_t tok2 = shm_cancel_token_create(server.segment());
+  const std::uint32_t tok2 = segment.create();
   EXPECT_FALSE(rt.cancel_requested(tok2));
-  shm_cancel(server.segment(), tok2);
+  segment.raise(tok2);
   EXPECT_TRUE(rt.cancel_requested(tok2));
 }
 

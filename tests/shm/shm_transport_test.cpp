@@ -21,6 +21,7 @@
 
 #include "obs/counters.h"
 #include "rt/bulk_desc.h"
+#include "rt/runtime.h"
 #include "rt/xcall.h"
 #include "shm/layout.h"
 
@@ -482,7 +483,8 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   // max_regions, so a bound read from the header would let a region id
   // index past the server's own mapping table.
   // The server must keep serving exact replies, in-place bulk calls
-  // included, refuse a region id past its table, and the reaper must
+  // included, refuse a region id past its table and the default BulkSeg's
+  // id, hand a runtime the cancel pool it laid out, and the reaper must
   // still find and reap a dead peer.
   const std::string name = uniq_name("scribble");
   Server server(name);
@@ -543,8 +545,20 @@ TEST(ShmTransport, ServerNeverRereadsLayoutOffsets) {
   rt::bulk_seg_pack(regs, 0, rt::bulk_region(region, 0, kBytes));
   ASSERT_EQ(peer.call(sum_ep, regs), Status::kOk);
   EXPECT_EQ(regs[4], want);
-  rt::bulk_seg_pack(regs, 0, rt::bulk_region(kMaxShmRegions + 1, 0, kBytes));
-  EXPECT_EQ(peer.call(sum_ep, regs), Status::kBadRegion);
+  EXPECT_EQ(rt::BulkSeg{}.region, 0xFFFFFFFFu);
+  for (const std::uint32_t bad : {kMaxShmRegions + 1, rt::BulkSeg{}.region}) {
+    rt::bulk_seg_pack(regs, 0, rt::bulk_region(bad, 0, kBytes));
+    EXPECT_EQ(peer.call(sum_ep, regs), Status::kBadRegion) << bad;
+  }
+
+  // A fresh runtime adopts the pool through the server, which still holds
+  // the pool it laid out: a token cancelled there aborts a peer's call.
+  rt::Runtime rt(1);
+  server.adopt_cancel_pool_into(rt);
+  const rt::CancelToken tok = rt.cancel_token_create();
+  rt.cancel(tok);
+  regs[0] = 1;
+  EXPECT_EQ(peer.call(1, regs, tok), Status::kCallAborted);
 
   for (std::uint32_t round = 0; round < 256; ++round) {
     for (std::size_t i = 0; i < kPpcWords; ++i) {
