@@ -139,10 +139,6 @@ Arena::Chunk* Arena::map_chunk(NodeId node, std::size_t min_bytes) {
     base = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (base == MAP_FAILED) throw std::bad_alloc{};
-#ifdef MADV_HUGEPAGE
-    // Best effort: let THP coalesce the fallback mapping.
-    ::madvise(base, size, MADV_HUGEPAGE);
-#endif
   }
 
   // Bind before faulting: placement must come from policy, not from
@@ -165,18 +161,19 @@ Arena::Chunk* Arena::map_chunk(NodeId node, std::size_t min_bytes) {
 
   if (cfg_.verify_placement) {
     std::uint64_t mismatches = 0;
-    bool policy_readable = true;
-    for (std::size_t off = 0; off < size && policy_readable; off += step) {
+    std::uint64_t verified = 0;
+    for (std::size_t off = 0; off < size; off += step) {
       int where = -1;
       if (sys_get_mempolicy(&where, nullptr, 0, bytes + off,
                             kMpolFNode | kMpolFAddr) != 0) {
         // Syscall filtered or unsupported: placement is unknown, which is
         // not the same as wrong — count nothing.
-        policy_readable = false;
         break;
       }
+      ++verified;
       if (where >= 0 && static_cast<NodeId>(where) != node) ++mismatches;
     }
+    pages_verified_.fetch_add(verified, std::memory_order_relaxed);
     if (mismatches != 0) {
       node_mismatches_.fetch_add(mismatches, std::memory_order_relaxed);
     }
@@ -218,7 +215,9 @@ void* Arena::allocate(NodeId node, std::size_t bytes, std::size_t align) {
   std::byte* p = pool.cur != nullptr ? aligned(pool.cur) : nullptr;
   if (p == nullptr ||
       static_cast<std::size_t>(p - pool.cur) + bytes > pool.left) {
-    Chunk* chunk = map_chunk(node % pools_.size(), bytes + align);
+    // Chunks start page-aligned, so only a wider alignment needs slack.
+    Chunk* chunk = map_chunk(node % pools_.size(),
+                             align <= kPageSize ? bytes : bytes + align);
     chunk->next = pool.chunks;
     pool.chunks = chunk;
     pool.cur = chunk->base;
@@ -242,6 +241,7 @@ ArenaStats Arena::stats() const {
   s.hugepage_fallbacks =
       hugepage_fallbacks_.load(std::memory_order_relaxed);
   s.node_mismatches = node_mismatches_.load(std::memory_order_relaxed);
+  s.pages_verified = pages_verified_.load(std::memory_order_relaxed);
   s.mbind_failures = mbind_failures_.load(std::memory_order_relaxed);
   s.chunks = chunks_.load(std::memory_order_relaxed);
   return s;

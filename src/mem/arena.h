@@ -4,11 +4,15 @@
 // station memory so the warm path never crosses the interconnect (§4.5).
 // This arena is the host-runtime analogue: one bump pool per NUMA node,
 // backed by anonymous mmap chunks that are requested as explicit hugepages
-// (MAP_HUGETLB) first and fall back to 4 K pages (plus a best-effort
-// MADV_HUGEPAGE) when the system has no hugetlbfs reservation — CI
-// containers are the common case of that. Chunks are bound to their node
-// with mbind() *before* they are faulted in, then pre-faulted, so placement
-// is decided here once and never by first-touch accident on the warm path.
+// (MAP_HUGETLB) first and fall back to plain 4 K pages when the system has
+// no hugetlbfs reservation — CI containers are the common case of that. A
+// fallback chunk is sized to the pool's growth (chunk_bytes, 64 KiB, or the
+// request rounded up to the page when larger) and asks for no transparent
+// hugepage: a runtime places a few hundred KiB, and zeroing a 2 MiB THP and
+// checking its 512 pages was most of what building one cost. Chunks are
+// bound to their node with mbind() *before* they are faulted in, then
+// pre-faulted, so placement is decided here once and never by first-touch
+// accident on the warm path.
 //
 // The arena never runs destructors and never unmaps individual objects:
 // callers may only place trivially-destructible types (rings, replica
@@ -40,20 +44,23 @@ struct ArenaStats {
   std::uint64_t hugepage_bytes = 0;   ///< bytes backed by MAP_HUGETLB
   std::uint64_t hugepage_fallbacks = 0;  ///< chunks that fell back to 4 K
   std::uint64_t node_mismatches = 0;  ///< pages found resident off-node
+  std::uint64_t pages_verified = 0;   ///< pages whose node was read back
   std::uint64_t mbind_failures = 0;   ///< mbind/get_mempolicy not honoured
   std::uint64_t chunks = 0;           ///< mapped chunks across all nodes
 };
 
 struct ArenaConfig {
-  /// Granularity of pool growth. Rounded up to the hugepage size when a
-  /// chunk is hugepage-backed.
-  std::size_t chunk_bytes = 2u << 20;
+  /// Granularity of pool growth: a request that does not fit the pool's
+  /// current chunk maps max(chunk_bytes, request) rounded up to the page —
+  /// or to whole hugepages when the chunk is hugepage-backed.
+  std::size_t chunk_bytes = 64u << 10;
   /// Expected explicit hugepage size (x86-64 default 2 MiB).
   std::size_t hugepage_bytes = 2u << 20;
   /// Try MAP_HUGETLB first. The 4 K fallback is always available.
   bool use_hugepages = true;
-  /// Sample resident pages with get_mempolicy(MPOL_F_NODE|MPOL_F_ADDR)
-  /// after binding, counting off-node pages into node_mismatches.
+  /// Read back the node of every pre-faulted page with
+  /// get_mempolicy(MPOL_F_NODE|MPOL_F_ADDR) after binding, counting
+  /// off-node pages into node_mismatches.
   bool verify_placement = true;
   /// Number of node pools; 0 means detect from /sys/devices/system/node.
   std::uint32_t nodes = 0;
@@ -142,6 +149,7 @@ class Arena {
   std::atomic<std::uint64_t> hugepage_bytes_{0};
   std::atomic<std::uint64_t> hugepage_fallbacks_{0};
   std::atomic<std::uint64_t> node_mismatches_{0};
+  std::atomic<std::uint64_t> pages_verified_{0};
   std::atomic<std::uint64_t> mbind_failures_{0};
   std::atomic<std::uint64_t> chunks_{0};
 };

@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,7 +25,6 @@
 #include "common/assert.h"
 #include "repl/repl_hub.h"
 #include "repl/replicated.h"
-#include "rt/dispatch.h"
 #include "rt/runtime.h"
 
 namespace hppc::rt {
@@ -187,18 +188,17 @@ class KvService {
                    std::span<const Word> keys, std::span<const Word> values) {
     HPPC_ASSERT(keys.size() == values.size());
     Status overall = Status::kOk;
-    std::array<RegSet, kKvMaxMultiOpChunk> regs;
+    ChunkCells regs;
     for (std::size_t pos = 0; pos < keys.size(); pos += chunk_) {
       const std::size_t n = std::min(chunk_, keys.size() - pos);
       for (std::size_t k = 0; k < n; ++k) {
-        regs[k] = RegSet{};
-        regs[k][0] = keys[pos + k];
-        regs[k][1] = values[pos + k];
-        ppc::set_op(regs[k], kKvPut);
+        RegSet& r = regs.fresh(k);
+        r[0] = keys[pos + k];
+        r[1] = values[pos + k];
+        ppc::set_op(r, kKvPut);
       }
-      const Status s = rt_.call_remote_batch(
-          caller_slot, owner_slot, caller, ep_,
-          std::span<RegSet>(regs.data(), n));
+      const Status s = rt_.call_remote_batch(caller_slot, owner_slot, caller,
+                                             ep_, regs.first(n));
       if (overall == Status::kOk && s != Status::kOk) overall = s;
     }
     return overall;
@@ -214,7 +214,7 @@ class KvService {
                         std::span<std::optional<Word>> out) {
     HPPC_ASSERT(out.size() >= keys.size());
     std::size_t hits = 0;
-    std::array<RegSet, kKvMaxMultiOpChunk> regs;
+    ChunkCells regs;
     // origin[k] = the keys/out index of the k-th packed miss, which rides
     // cell k / kKvGetNMax in word k % kKvGetNMax.
     std::array<std::size_t, kKvMaxMultiOpChunk * kKvGetNMax> origin;
@@ -228,7 +228,7 @@ class KvService {
                         std::min(kKvGetNMax, pending - c * kKvGetNMax)));
       }
       rt_.call_remote_batch(caller_slot, owner_slot, caller, ep_,
-                            std::span<RegSet>(regs.data(), cells));
+                            regs.first(cells));
       for (std::size_t k = 0; k < pending; ++k) {
         const RegSet& r = regs[k / kKvGetNMax];
         const std::size_t w = k % kKvGetNMax;
@@ -262,7 +262,12 @@ class KvService {
         }
         if (hit) continue;
       }
-      regs[pending / kKvGetNMax][pending % kKvGetNMax] = keys[idx];
+      // A cell is built when its first key lands, so no word of it is
+      // left over from an earlier flush.
+      const std::size_t w = pending % kKvGetNMax;
+      RegSet& cell = w == 0 ? regs.fresh(pending / kKvGetNMax)
+                            : regs[pending / kKvGetNMax];
+      cell[w] = keys[idx];
       origin[pending] = idx;
       if (++pending == chunk_ * kKvGetNMax) flush();
     }
@@ -271,6 +276,21 @@ class KvService {
   }
 
  private:
+  /// Stack room for one chunk of cells, left unconstructed: a vectored
+  /// call value-initializes only the cells it sends (fresh), not all
+  /// kKvMaxMultiOpChunk of them on every call.
+  class ChunkCells {
+   public:
+    ChunkCells() {}
+    RegSet& fresh(std::size_t k) { return *::new (data() + k) RegSet{}; }
+    RegSet& operator[](std::size_t k) { return data()[k]; }
+    std::span<RegSet> first(std::size_t n) { return {data(), n}; }
+
+   private:
+    RegSet* data() { return std::launder(reinterpret_cast<RegSet*>(raw_)); }
+    alignas(RegSet) std::byte raw_[sizeof(RegSet) * kKvMaxMultiOpChunk];
+  };
+
   struct Entry {
     Word key = 0;
     Word value = 0;
@@ -356,21 +376,27 @@ class KvService {
     std::uint32_t inits = 0;
   };
 
+  /// Linear probe from the key's home entry: the key is reduced once and
+  /// the index wraps with a compare, not a division per probe.
   Entry* find(Shard& shard, Word key) {
-    const std::size_t start = key % shard.entries.size();
-    for (std::size_t probe = 0; probe < shard.entries.size(); ++probe) {
-      Entry& e = shard.entries[(start + probe) % shard.entries.size()];
+    const std::size_t cap = shard.entries.size();
+    std::size_t i = key % cap;
+    for (std::size_t probe = 0; probe < cap; ++probe) {
+      Entry& e = shard.entries[i];
       if (!e.used) return nullptr;
       if (e.key == key) return &e;
+      if (++i == cap) i = 0;
     }
     return nullptr;
   }
 
   Entry* find_free(Shard& shard, Word key) {
-    const std::size_t start = key % shard.entries.size();
-    for (std::size_t probe = 0; probe < shard.entries.size(); ++probe) {
-      Entry& e = shard.entries[(start + probe) % shard.entries.size()];
+    const std::size_t cap = shard.entries.size();
+    std::size_t i = key % cap;
+    for (std::size_t probe = 0; probe < cap; ++probe) {
+      Entry& e = shard.entries[i];
       if (!e.used || e.key == key) return &e;
+      if (++i == cap) i = 0;
     }
     return nullptr;
   }
@@ -378,24 +404,24 @@ class KvService {
   void init(RtCtx& ctx, RegSet& regs) {
     // One-time worker setup (§4.5.3): count it, swap in the real handler.
     ++shards_[ctx.slot()]->inits;
-    auto main = OpDispatcher()
-                    .on(kKvPut,
-                        [this](RtCtx& c, RegSet& r) { do_put(c, r); })
-                    .on(kKvGet,
-                        [this](RtCtx& c, RegSet& r) { do_get(c, r); })
-                    .on(kKvGetN,
-                        [this](RtCtx& c, RegSet& r) { do_get_n(c, r); })
-                    .on(kKvErase,
-                        [this](RtCtx& c, RegSet& r) { do_erase(c, r); })
-                    .on(kKvSize,
-                        [this](RtCtx& c, RegSet& r) {
-                          r[0] = static_cast<Word>(
-                              shards_[c.slot()]->size);
-                          ppc::set_rc(r, Status::kOk);
-                        })
-                    .handler();
-    ctx.set_worker_handler(main);
-    main(ctx, regs);
+    ctx.set_worker_handler([this](RtCtx& c, RegSet& r) { serve(c, r); });
+    serve(ctx, regs);
+  }
+
+  /// The worker's handler: one switch on the opcode. An unknown opcode
+  /// answers kInvalidArgument, the OpDispatcher convention.
+  void serve(RtCtx& ctx, RegSet& regs) {
+    switch (ppc::opcode_of(regs)) {
+      case kKvPut: do_put(ctx, regs); return;
+      case kKvGet: do_get(ctx, regs); return;
+      case kKvGetN: do_get_n(ctx, regs); return;
+      case kKvErase: do_erase(ctx, regs); return;
+      case kKvSize:
+        regs[0] = static_cast<Word>(shards_[ctx.slot()]->size);
+        ppc::set_rc(regs, Status::kOk);
+        return;
+      default: ppc::set_rc(regs, Status::kInvalidArgument); return;
+    }
   }
 
   void do_put(RtCtx& ctx, RegSet& regs) {

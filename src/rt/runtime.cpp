@@ -44,6 +44,10 @@ Runtime::Runtime(std::uint32_t slots, bool pin_threads)
   // structures — its ring cells and its histogram block here; CD stacks
   // as they are pooled — come from the arena pool of the
   // slot's own node, so the warm path's stores stay on local memory.
+#if !(defined(HPPC_TRACE) && HPPC_TRACE)
+  static_assert(sizeof(Slot) < sizeof(obs::TraceRing),
+                "a shipped slot carries no trace ring");
+#endif
   const std::uint32_t cap = registry_.capacity();
   for (SlotId s = 0; s < cap; ++s) {
     Slot& slot = *slots_[s];
@@ -1429,10 +1433,19 @@ obs::CounterSnapshot Runtime::snapshot() const {
   return s;
 }
 
+#if defined(HPPC_TRACE) && HPPC_TRACE
 obs::TraceRing& Runtime::trace_ring(SlotId slot) {
   HPPC_ASSERT(slot < slots_.size());
   return slots_[slot]->trace_ring;
 }
+#else
+const obs::TraceRing& Runtime::trace_ring(SlotId slot) const {
+  HPPC_ASSERT(slot < slots_.size());
+  // Zero-initialized static storage: its pages stay untouched until read.
+  static obs::TraceRing empty;
+  return empty;
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Request tracing

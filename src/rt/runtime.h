@@ -567,8 +567,15 @@ class Runtime {
   /// Merge of every slot block plus the shared block.
   obs::CounterSnapshot snapshot() const;
 
-  /// The slot's trace ring (records only under HPPC_TRACE).
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  /// The slot's trace ring.
   obs::TraceRing& trace_ring(SlotId slot);
+#else
+  /// Shipped builds keep no per-slot ring (every HPPC_TRACE_EVENT compiles
+  /// to nothing): this is one shared, empty ring that nothing writes, so
+  /// exporters and span collectors see no records.
+  const obs::TraceRing& trace_ring(SlotId slot) const;
+#endif
 
   std::size_t pooled_workers(SlotId slot, EntryPointId id) const;
 
@@ -618,7 +625,11 @@ class Runtime {
     // written on every sampled call — keeping it node-local keeps the
     // histogram store off the interconnect).
     obs::SlotHistograms* hists = nullptr;
+#if defined(HPPC_TRACE) && HPPC_TRACE
+    // 128 KiB of event records: trace builds only, so a shipped slot
+    // neither carries nor zero-fills a ring no hook ever writes.
     obs::TraceRing trace_ring;
+#endif
     // Request-tracing state: the context the slot is currently executing
     // under (installed by trace_begin / restored around remote and async
     // execution) and the slot-local span-id allocator. Span ids are only

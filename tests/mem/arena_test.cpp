@@ -11,9 +11,52 @@
 #include <cstring>
 #include <new>
 #include <set>
+#include <vector>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace hppc::mem {
 namespace {
+
+#ifdef __linux__
+/// True when MAP_HUGETLB can back one default-size hugepage here; hosts
+/// without a hugetlbfs reservation (most CI runners) answer false.
+bool hugetlb_available() {
+  constexpr std::size_t kHuge = 2u << 20;
+  void* p = ::mmap(nullptr, kHuge, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
+  if (p == MAP_FAILED) return false;
+  ::munmap(p, kHuge);
+  return true;
+}
+
+/// Pages of [p, p + bytes) resident right now.
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  std::vector<unsigned char> vec(bytes / kPageSize);
+  if (::mincore(const_cast<void*>(p), bytes, vec.data()) != 0) return 0;
+  std::size_t n = 0;
+  for (unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+/// Whether get_mempolicy can report a page's node in this process (a
+/// seccomp filter or a kernel without NUMA syscalls makes it fail).
+bool placement_readable(const void* p) {
+#ifdef SYS_get_mempolicy
+  int where = -1;
+  constexpr unsigned kMpolFNodeAddr = 3;  // MPOL_F_NODE | MPOL_F_ADDR
+  return ::syscall(SYS_get_mempolicy, &where, nullptr, 0UL, p,
+                   kMpolFNodeAddr) == 0;
+#else
+  (void)p;
+  return false;
+#endif
+}
+#endif  // __linux__
 
 TEST(Arena, AllocationsAreAlignedAndWritable) {
   Arena arena;
@@ -60,6 +103,70 @@ TEST(Arena, HugepageRequestAlwaysYieldsUsableMemory) {
     EXPECT_GT(s.hugepage_bytes, 0u);
   }
 }
+
+#ifdef __linux__
+TEST(Arena, FallbackChunkIsSizedToTheRequest) {
+  // Without a hugetlbfs reservation a 4 KiB request maps one 64 KiB chunk
+  // (the chunk_bytes default), not a 2 MiB block: every page of it is
+  // pre-faulted and its node read back.
+  if (hugetlb_available()) GTEST_SKIP() << "MAP_HUGETLB works here";
+  Arena arena;
+  void* p = arena.allocate(0, 4096, 64);
+  const ArenaStats s = arena.stats();
+  EXPECT_EQ(s.chunks, 1u);
+  EXPECT_EQ(s.bytes_reserved, 64u << 10);
+  EXPECT_EQ(s.hugepages, 0u);
+  EXPECT_EQ(s.hugepage_bytes, 0u);
+  EXPECT_EQ(s.hugepage_fallbacks, 1u);
+  // The first allocation starts its chunk, so the chunk is [p, p + 64 KiB).
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kPageSize, 0u);
+  EXPECT_EQ(resident_pages(p, 64u << 10), 16u);
+  EXPECT_EQ(s.node_mismatches, 0u);
+  if (placement_readable(p)) {
+    EXPECT_EQ(s.pages_verified, 16u);
+  }
+}
+
+TEST(Arena, LargeFallbackRequestGetsAChunkOfItsOwnSize) {
+  // A request past chunk_bytes maps exactly its own size rounded up to the
+  // page, and every chunk books one fallback.
+  if (hugetlb_available()) GTEST_SKIP() << "MAP_HUGETLB works here";
+  Arena arena;
+  constexpr std::size_t kBig = (100u << 10) + 1;  // 26 pages once rounded
+  void* p = arena.allocate(0, kBig, 64);
+  ArenaStats s = arena.stats();
+  EXPECT_EQ(s.chunks, 1u);
+  EXPECT_EQ(s.bytes_reserved, 26u * kPageSize);
+  EXPECT_EQ(s.hugepage_fallbacks, 1u);
+  EXPECT_EQ(resident_pages(p, 26u * kPageSize), 26u);
+
+  // The big chunk is full: the next request grows the pool by one default
+  // 64 KiB chunk, booking a second fallback.
+  (void)arena.allocate(0, 8192, 64);
+  s = arena.stats();
+  EXPECT_EQ(s.chunks, 2u);
+  EXPECT_EQ(s.bytes_reserved, 26u * kPageSize + (64u << 10));
+  EXPECT_EQ(s.hugepage_fallbacks, 2u);
+  EXPECT_EQ(s.hugepage_fallbacks, s.chunks);
+  EXPECT_EQ(s.node_mismatches, 0u);
+  if (placement_readable(p)) {
+    EXPECT_EQ(s.pages_verified, 26u + 16u);
+  }
+}
+
+TEST(Arena, HugetlbChunksAreWholeHugepages) {
+  // Where MAP_HUGETLB works, a chunk is whole hugepages even though the
+  // growth granularity is smaller.
+  if (!hugetlb_available()) GTEST_SKIP() << "no hugetlbfs reservation";
+  Arena arena;
+  (void)arena.allocate(0, 4096, 64);
+  const ArenaStats s = arena.stats();
+  EXPECT_EQ(s.hugepage_fallbacks, 0u);
+  EXPECT_EQ(s.hugepages, 1u);
+  EXPECT_EQ(s.hugepage_bytes, 2u << 20);
+  EXPECT_EQ(s.bytes_reserved, 2u << 20);
+}
+#endif  // __linux__
 
 TEST(Arena, HugepagesOffNeverTriesOrBooks) {
   ArenaConfig cfg;

@@ -452,6 +452,53 @@ TEST(KvService, MultiGetPacksSevenMissesPerCell) {
   owner.join();
 }
 
+TEST(KvService, MultiGetAnswersExactlyAcrossFlushes) {
+  // Every miss rides a kKvGetN cell; the default chunk flushes after 16
+  // cells (112 keys), so 113 misses take two batched submissions in one
+  // call. Stored and absent keys alternate and the answers start out as a
+  // sentinel: a word left over from the first flush must never be read
+  // as a key, or an answer, of the second.
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService kv(rt);
+  constexpr Word kBase = 5000;
+  for (Word k = 1; k < 113; k += 2) {  // odd offsets stored, even absent
+    ASSERT_EQ(kv.put_remote(me, 1, 1, kBase + k, 70000 + k), Status::kOk);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  for (const std::size_t misses : {1u, 7u, 8u, 112u, 113u}) {
+    std::vector<Word> probe(misses);
+    for (std::size_t k = 0; k < misses; ++k) probe[k] = kBase + k;
+    std::vector<std::optional<Word>> out(misses, Word{7});
+    const auto before = rt.slot_snapshot(me);
+    const std::size_t found = kv.multi_get(me, 1, 1, probe, out);
+    const auto delta = rt.slot_snapshot(me).delta(before);
+
+    EXPECT_EQ(found, misses / 2) << misses << " misses";
+    for (std::size_t k = 0; k < misses; ++k) {
+      if (k % 2 == 1) {
+        EXPECT_EQ(out[k], 70000 + k) << misses << " misses, key " << k;
+      } else {
+        EXPECT_FALSE(out[k].has_value()) << misses << " misses, key " << k;
+      }
+    }
+    const std::uint64_t cells = (misses + kKvGetNMax - 1) / kKvGetNMax;
+    EXPECT_EQ(delta.get(obs::Counter::kXcallPosts), cells) << misses;
+  }
+  stop.store(true, std::memory_order_release);
+  owner.join();
+}
+
 TEST(KvService, MultiGetReadsTheReplicaOncePerCall) {
   // A 16-key multi_get probes every key against one replica snapshot:
   // exactly one repl_read on the caller slot, and every answer exact —

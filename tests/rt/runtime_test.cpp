@@ -29,6 +29,29 @@ TEST(RtRuntime, BasicCallRoundTrip) {
   for (std::size_t i = 0; i + 1 < kPpcWords; ++i) EXPECT_EQ(regs[i], 101 + i);
 }
 
+TEST(RtRuntime, ThreeSlotRuntimeReservesAtMostQuarterMiB) {
+  // A runtime maps what it places: three slots' rings and histogram
+  // blocks, plus the CD and stack a first call pools, fit in 256 KiB of
+  // 4 KiB-page chunks. Where MAP_HUGETLB works a chunk is whole hugepages
+  // instead, so only the hugepage accounting is checked there.
+  Runtime rt(3);
+  const SlotId slot = rt.register_thread();
+  const EntryPointId ep = rt.bind({}, 700, [](RtCtx&, RegSet& regs) {
+    set_rc(regs, Status::kOk);
+  });
+  RegSet regs;
+  set_op(regs, 1);
+  ASSERT_EQ(rt.call(slot, 1, ep, regs), Status::kOk);
+  const mem::ArenaStats a = rt.arena_stats();
+  EXPECT_EQ(a.node_mismatches, 0u);
+  if (a.hugepages == 0) {
+    EXPECT_LE(a.bytes_reserved, 256u << 10);
+    EXPECT_EQ(a.hugepage_fallbacks, a.chunks);
+  } else {
+    EXPECT_EQ(a.bytes_reserved, a.hugepage_bytes);
+  }
+}
+
 TEST(RtRuntime, UnknownEntryPoint) {
   Runtime rt(1);
   const SlotId slot = rt.register_thread();
