@@ -26,7 +26,16 @@ namespace {
 constexpr SimAddr kStackVaBase = SimAddr{0xF0} << 40;
 constexpr SimAddr kStackVaStride = kPageSize * 64;  // room for 64-page stacks
 
-TlbContext user_ctx_of(const AddressSpace& as) { return as.tlb_context(); }
+/// Points one processor's table copy at `ep` for `id`; nullptr removes it.
+void set_table_entry(CpuPpcState& st, EntryPointId id, EntryPoint* ep) {
+  if (id < kMaxEntryPoints) {
+    st.service_table[id] = ep;
+  } else if (ep != nullptr) {
+    st.hashed_table[id] = ep;
+  } else {
+    st.hashed_table.erase(id);
+  }
+}
 
 }  // namespace
 
@@ -65,26 +74,9 @@ void ServerCtx::touch_stack(std::size_t off, std::size_t bytes,
     // Page fault path (§4.5.4): trap, grab a page, map it. "This would keep
     // the common case fast and only penalize those servers that require the
     // extra space."
-    auto& mem = cpu_.mem();
-    auto& epcpu = ep.per_cpu(cpu_.id());
     while (worker_.mapped_stack_pages() <= page_idx) {
-      mem.trap_roundtrip();
-      SimAddr page;
-      if (!epcpu.extra_stack_pages.empty()) {
-        page = epcpu.extra_stack_pages.back();
-        epcpu.extra_stack_pages.pop_back();
-        mem.charge(CostCategory::kCdManipulation, 12);  // list pop
-      } else {
-        page = machine().frames().alloc(cpu_.node());
-        mem.charge(CostCategory::kCdManipulation,
-                   ppc_.calibration().cd_create_cycles);
-      }
-      const SimAddr va = worker_.stack_vaddr() +
-                         SimAddr{worker_.mapped_stack_pages()} * kPageSize;
-      ep.address_space()->map_page(va, page);
-      mem.tlb_map_one(va, ep.address_space()->tlb_context());
-      worker_.active_extra_pages.push_back(page);
-      worker_.set_mapped_stack_pages(worker_.mapped_stack_pages() + 1);
+      cpu_.mem().trap_roundtrip();
+      ppc_.map_extra_stack_page(cpu_, ep, worker_, /*pop_cycles=*/12);
     }
   }
 
@@ -177,10 +169,10 @@ const UserStubText& PpcFacility::user_stub(AddressSpace& as) {
   // its own reload — part of Figure 2's TLB-miss bar.
   UserStubText t;
   t.save = {alloc.alloc(n, std::size_t{cal_.user_save_instr} * 4, kPageSize),
-            cal_.user_save_instr, user_ctx_of(as)};
+            cal_.user_save_instr, as.tlb_context()};
   t.restore = {alloc.alloc(n, std::size_t{cal_.user_restore_instr} * 4,
                            kPageSize),
-               cal_.user_restore_instr, user_ctx_of(as)};
+               cal_.user_restore_instr, as.tlb_context()};
   return user_stubs_.emplace(as.id(), t).first->second;
 }
 
@@ -221,19 +213,14 @@ EntryPointId PpcFacility::do_bind(EntryPointId id, EntryPointConfig cfg,
   service_text_[id] = stext;
 
   EntryPoint* raw = ep.get();
-  // Replicate into every processor's table copy (functional part; the
-  // traffic is charged when binding goes through Frank's handler).
   if (hashed) {
     hashed_eps_[id] = std::move(ep);
-    for (CpuId c = 0; c < machine_.num_cpus(); ++c) {
-      state(machine_.cpu(c)).hashed_table[id] = raw;
-    }
   } else {
     eps_[id] = std::move(ep);
-    for (CpuId c = 0; c < machine_.num_cpus(); ++c) {
-      state(machine_.cpu(c)).service_table[id] = raw;
-    }
   }
+  // Replicate into every processor's table copy (functional part; the
+  // traffic is charged when binding goes through Frank's handler).
+  publish(id, raw);
   return id;
 }
 
@@ -401,16 +388,12 @@ CallDescriptor* PpcFacility::acquire_cd(Cpu& cpu, Worker& w) {
 
 void PpcFacility::release_cd(Cpu& cpu, Worker& w, CallDescriptor* cd) {
   auto& mem = cpu.mem();
-  auto& st = state(cpu);
-  const auto& text = text_[cpu.node()];
-
   cd->set_caller(nullptr);
   cd->completion() = nullptr;
   cd->set_in_use(false);
   if (w.held_cd() == cd) return;  // stays with the worker
-  (void)st;
   CdPool& pool = cd_pool_of(cpu, w.entry_point()->config().trust_group);
-  mem.exec(text.cd_free, CostCategory::kCdManipulation);
+  mem.exec(text_[cpu.node()].cd_free, CostCategory::kCdManipulation);
   mem.access(pool.saddr, 8, /*is_store=*/true, TlbContext::kSupervisor,
              CostCategory::kCdManipulation);
   pool.pool.push(cd);
@@ -418,66 +401,56 @@ void PpcFacility::release_cd(Cpu& cpu, Worker& w, CallDescriptor* cd) {
 
 void PpcFacility::map_worker_stack(Cpu& cpu, EntryPoint& ep, Worker& w,
                                    CallDescriptor* cd) {
-  auto& mem = cpu.mem();
-  const auto& text = text_[cpu.node()];
-  AddressSpace* sas = ep.address_space();
-
   if (w.held_cd() == cd && w.mapped_stack_pages() > 0) {
     return;  // permanently mapped
   }
-
-  mem.exec(text.map_stack, CostCategory::kTlbSetup);
+  auto& mem = cpu.mem();
+  AddressSpace* sas = ep.address_space();
+  mem.exec(text_[cpu.node()].map_stack, CostCategory::kTlbSetup);
   sas->map_page(w.stack_vaddr(), cd->stack_page());
   mem.tlb_map_one(w.stack_vaddr(), sas->tlb_context());
-  std::uint32_t pages = 1;
+  w.set_mapped_stack_pages(1);
 
   if (ep.config().stack_strategy == StackStrategy::kFixedMultiple) {
     // "It simply requires keeping an independent list of stack pages ...
     //  and mapping as many as required. For speed, this would be treated as
     //  an exceptional case." (§4.5.4)
-    auto& epcpu = ep.per_cpu(cpu.id());
-    for (std::uint32_t i = 1; i < ep.config().stack_pages; ++i) {
-      SimAddr page;
-      if (!epcpu.extra_stack_pages.empty()) {
-        page = epcpu.extra_stack_pages.back();
-        epcpu.extra_stack_pages.pop_back();
-        mem.charge(CostCategory::kCdManipulation, 10);
-      } else {
-        page = machine_.frames().alloc(cpu.node());
-        mem.charge(CostCategory::kCdManipulation, cal_.cd_create_cycles);
-      }
-      const SimAddr va = w.stack_vaddr() + SimAddr{i} * kPageSize;
-      sas->map_page(va, page);
-      mem.tlb_map_one(va, sas->tlb_context());
-      w.active_extra_pages.push_back(page);
-      ++pages;
+    while (w.mapped_stack_pages() < ep.config().stack_pages) {
+      map_extra_stack_page(cpu, ep, w, /*pop_cycles=*/10);
     }
   }
-  w.set_mapped_stack_pages(pages);
+}
+
+void PpcFacility::map_extra_stack_page(Cpu& cpu, EntryPoint& ep, Worker& w,
+                                       Cycles pop_cycles) {
+  // A spare page from this CPU's list, else a fresh frame.
+  auto& mem = cpu.mem();
+  auto& spares = ep.per_cpu(cpu.id()).extra_stack_pages;
+  SimAddr page;
+  if (!spares.empty()) {
+    page = spares.back();
+    spares.pop_back();
+    mem.charge(CostCategory::kCdManipulation, pop_cycles);  // list pop
+  } else {
+    page = machine_.frames().alloc(cpu.node());
+    mem.charge(CostCategory::kCdManipulation, cal_.cd_create_cycles);
+  }
+  AddressSpace* sas = ep.address_space();
+  const SimAddr va =
+      w.stack_vaddr() + SimAddr{w.mapped_stack_pages()} * kPageSize;
+  sas->map_page(va, page);
+  mem.tlb_map_one(va, sas->tlb_context());
+  w.active_extra_pages.push_back(page);
+  w.set_mapped_stack_pages(w.mapped_stack_pages() + 1);
 }
 
 void PpcFacility::unmap_worker_stack(Cpu& cpu, EntryPoint& ep, Worker& w,
                                      CallDescriptor* cd) {
   auto& mem = cpu.mem();
-  const auto& text = text_[cpu.node()];
   AddressSpace* sas = ep.address_space();
-
-  if (w.held_cd() == cd) {
-    // Held stacks stay mapped; lazily faulted extra pages still come off.
-    while (w.mapped_stack_pages() > 1) {
-      const SimAddr va =
-          w.stack_vaddr() + SimAddr{w.mapped_stack_pages() - 1} * kPageSize;
-      sas->unmap_page(va);
-      mem.tlb_unmap_one(va, sas->tlb_context());
-      ep.per_cpu(cpu.id()).extra_stack_pages.push_back(
-          w.active_extra_pages.back());
-      w.active_extra_pages.pop_back();
-      w.set_mapped_stack_pages(w.mapped_stack_pages() - 1);
-    }
-    return;
-  }
-
-  mem.exec(text.unmap_stack, CostCategory::kTlbSetup);
+  // Held stacks stay mapped; extra pages always come off.
+  const bool held = w.held_cd() == cd;
+  if (!held) mem.exec(text_[cpu.node()].unmap_stack, CostCategory::kTlbSetup);
   while (w.mapped_stack_pages() > 1) {
     const SimAddr va =
         w.stack_vaddr() + SimAddr{w.mapped_stack_pages() - 1} * kPageSize;
@@ -488,38 +461,44 @@ void PpcFacility::unmap_worker_stack(Cpu& cpu, EntryPoint& ep, Worker& w,
     w.active_extra_pages.pop_back();
     w.set_mapped_stack_pages(w.mapped_stack_pages() - 1);
   }
+  if (held) return;
   sas->unmap_page(w.stack_vaddr());
   mem.tlb_unmap_one(w.stack_vaddr(), sas->tlb_context());
   w.set_mapped_stack_pages(0);
 }
 
-void PpcFacility::enter_server_space(Cpu& cpu, Process& from, EntryPoint& ep) {
+void PpcFacility::switch_space(Cpu& cpu, const Process* other,
+                               EntryPoint& ep) {
+  // Entering or leaving a user-space server from another space, or with no
+  // caller at all, flushes the user TLB context (Figure 2: "A call to a
+  // service in the supervisor address space does not require a TLB flush
+  // and thus incurs fewer TLB misses").
   AddressSpace* sas = ep.address_space();
-  if (!sas->supervisor() && sas != from.address_space()) {
-    // User->user crossing: the user TLB context must be flushed (Figure 2:
-    // "A call to a service in the supervisor address space does not require
-    // a TLB flush and thus incurs fewer TLB misses").
+  if (!sas->supervisor() &&
+      (other == nullptr || sas != other->address_space())) {
     cpu.mem().tlb_flush_user();
   }
 }
 
-void PpcFacility::leave_server_space(Cpu& cpu, Process& to, EntryPoint& ep) {
-  AddressSpace* sas = ep.address_space();
-  if (!sas->supervisor() && sas != to.address_space()) {
-    cpu.mem().tlb_flush_user();
-  }
+void PpcFacility::server_frame(Cpu& cpu, EntryPoint& ep, Worker& w,
+                               bool is_store) {
+  // The server's register frame on its (freshly mapped) stack: stored by
+  // the prologue, reloaded by the epilogue.
+  cpu.mem().access_mapped(w.active_cd()->stack_page() + kPageSize - 64,
+                          w.stack_vaddr() + kPageSize - 64,
+                          cal_.server_prologue_bytes, is_store,
+                          ep.address_space()->tlb_context(),
+                          CostCategory::kServerTime);
 }
 
 void PpcFacility::run_handler(Cpu& cpu, EntryPoint& ep, Worker& w,
-                              ProgramId caller_prog, Pid caller_pid,
                               RegSet& regs) {
   auto& mem = cpu.mem();
-  const auto& text = text_[cpu.node()];
   CallDescriptor* cd = w.active_cd();
 
   // Upcall into the server: identity switch + worker (re)initialization to
   // the service's call-handling code (§2).
-  mem.exec(text.upcall, CostCategory::kPpcKernel);
+  mem.exec(text_[cpu.node()].upcall, CostCategory::kPpcKernel);
   mem.load(w.context_save_area(), cal_.worker_ctx_bytes,
            TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
 
@@ -527,43 +506,30 @@ void PpcFacility::run_handler(Cpu& cpu, EntryPoint& ep, Worker& w,
   w.set_state(ProcessState::kRunning);
   cpu.set_current(&w);
 
-  // Server prologue: frame setup on the (freshly mapped) stack.
-  mem.access_mapped(cd->stack_page() + kPageSize - 64,
-                    w.stack_vaddr() + kPageSize - 64,
-                    cal_.server_prologue_bytes, /*is_store=*/true,
-                    ep.address_space()->tlb_context(),
-                    CostCategory::kServerTime);
+  server_frame(cpu, ep, w, /*is_store=*/true);
   mem.exec(service_text_[ep.id()].handler_code, CostCategory::kServerTime);
 
-  ServerCtx ctx(*this, cpu, w, caller_prog, caller_pid);
+  ServerCtx ctx(*this, cpu, w, cd->caller_program(), cd->caller_pid());
   // Invoke through a copy: the handler may replace itself mid-call via
   // set_worker_handler (the worker-initialization protocol, §4.5.3).
   Worker::CallHandler handler = w.call_handler();
   handler(ctx, regs);
 
-  if (!w.blocked_in_call()) {
-    // Server epilogue: restore saved registers from the stack frame.
-    mem.access_mapped(cd->stack_page() + kPageSize - 64,
-                      w.stack_vaddr() + kPageSize - 64,
-                      cal_.server_prologue_bytes, /*is_store=*/false,
-                      ep.address_space()->tlb_context(),
-                      CostCategory::kServerTime);
-  }
+  if (!w.blocked_in_call()) server_frame(cpu, ep, w, /*is_store=*/false);
   cpu.set_current(prev);
+}
+
+void PpcFacility::publish(EntryPointId id, EntryPoint* ep) {
+  for (CpuId c = 0; c < machine_.num_cpus(); ++c) {
+    set_table_entry(state(machine_.cpu(c)), id, ep);
+  }
 }
 
 void PpcFacility::finish_drain_if_idle(EntryPoint& ep) {
   if (ep.state() != EpState::kDraining) return;
   if (ep.total_in_progress() != 0) return;
   ep.set_state(EpState::kDead);
-  for (CpuId c = 0; c < machine_.num_cpus(); ++c) {
-    auto& st = state(machine_.cpu(c));
-    if (ep.id() < kMaxEntryPoints) {
-      st.service_table[ep.id()] = nullptr;
-    } else {
-      st.hashed_table.erase(ep.id());
-    }
-  }
+  publish(ep.id(), nullptr);
 }
 
 void PpcFacility::complete_call(Cpu& cpu, EntryPoint& ep, Worker& w,
@@ -578,12 +544,7 @@ void PpcFacility::complete_call(Cpu& cpu, EntryPoint& ep, Worker& w,
   mem.exec(text.ret_entry, CostCategory::kPpcKernel);
 
   unmap_worker_stack(cpu, ep, w, cd);
-  if (caller != nullptr) {
-    leave_server_space(cpu, *caller, ep);
-  } else if (!ep.address_space()->supervisor()) {
-    // No caller to return to: leaving a user-space server still flushes.
-    mem.tlb_flush_user();
-  }
+  switch_space(cpu, caller, ep);
 
   auto completion = std::move(cd->completion());
   release_cd(cpu, w, cd);
@@ -604,9 +565,7 @@ void PpcFacility::complete_call(Cpu& cpu, EntryPoint& ep, Worker& w,
 
   if (caller != nullptr) {
     // Hand control straight back to the caller (handoff, no scheduler).
-    mem.exec(text.kernel_restore, CostCategory::kKernelSaveRestore);
-    mem.load(caller->context_save_area(), cal_.kernel_ctx_bytes,
-             TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+    restore_caller(cpu, *caller);
     caller->set_state(ProcessState::kRunning);
     cpu.set_current(caller);
   } else {
@@ -626,91 +585,133 @@ void PpcFacility::complete_call(Cpu& cpu, EntryPoint& ep, Worker& w,
 }
 
 // ---------------------------------------------------------------------------
+// The dispatch engine
+// ---------------------------------------------------------------------------
+
+void PpcFacility::stub_save(Cpu& cpu, Process& caller) {
+  // Only user-space callers run the stub, which spills the registers the
+  // call may clobber.
+  AddressSpace& as = *caller.address_space();
+  if (as.supervisor()) return;
+  cpu.mem().exec(user_stub(as).save, CostCategory::kUserSaveRestore);
+  cpu.mem().store(caller.user_stack(), cal_.user_reg_bytes, as.tlb_context(),
+                  CostCategory::kUserSaveRestore);
+}
+
+void PpcFacility::stub_restore(Cpu& cpu, Process& caller) {
+  AddressSpace& as = *caller.address_space();
+  if (as.supervisor()) return;
+  cpu.mem().exec(user_stub(as).restore, CostCategory::kUserSaveRestore);
+  cpu.mem().load(caller.user_stack(), cal_.user_reg_bytes, as.tlb_context(),
+                 CostCategory::kUserSaveRestore);
+}
+
+void PpcFacility::save_caller(Cpu& cpu, Process& caller) {
+  // The minimum caller state for the switch into the worker.
+  cpu.mem().exec(text_[cpu.node()].kernel_save,
+                 CostCategory::kKernelSaveRestore);
+  cpu.mem().store(caller.context_save_area(), cal_.kernel_ctx_bytes,
+                  TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+}
+
+void PpcFacility::restore_caller(Cpu& cpu, Process& caller) {
+  cpu.mem().exec(text_[cpu.node()].kernel_restore,
+                 CostCategory::kKernelSaveRestore);
+  cpu.mem().load(caller.context_save_area(), cal_.kernel_ctx_bytes,
+                 TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+}
+
+Worker* PpcFacility::take_worker(Cpu& cpu, EntryPoint& ep, Process* link,
+                                 ProgramId caller_prog, Pid caller_pid,
+                                 Completion done) {
+  // `link` is the caller the CD hands control back to: null for async and
+  // kernel-manufactured requests, which have no one waiting.
+  Worker* w = acquire_worker(cpu, ep);
+  CallDescriptor* cd = acquire_cd(cpu, *w);
+  cd->set_caller(link);
+  cd->set_caller_identity(caller_prog, caller_pid);
+  cd->completion() = std::move(done);
+  return w;
+}
+
+bool PpcFacility::run_call(Cpu& cpu, EntryPoint& ep, Worker& w,
+                           const Process* from, RegSet& regs) {
+  auto& epcpu = ep.per_cpu(cpu.id());
+  epcpu.in_progress++;
+  epcpu.active_workers.push_back(&w);
+
+  map_worker_stack(cpu, ep, w, w.active_cd());
+  switch_space(cpu, from, ep);
+  run_handler(cpu, ep, w, regs);
+
+  if (w.blocked_in_call()) {
+    // Stash the registers in the CD; the call completes on resume_worker.
+    w.active_cd()->regs() = regs;
+    return false;
+  }
+  complete_call(cpu, ep, w, regs);
+  return true;
+}
+
+Status PpcFacility::dispatch_no_caller(Cpu& cpu, EntryPointId id, RegSet regs,
+                                       Completion done) {
+  Status s;
+  EntryPoint* ep = lookup(cpu, id, &s);
+  if (ep == nullptr) {
+    set_rc(regs, s);
+    if (done) done(s, regs);
+    return s;
+  }
+  Worker* w = take_worker(cpu, *ep, nullptr, /*kernel*/ 0, kInvalidPid,
+                          std::move(done));
+  run_call(cpu, *ep, *w, nullptr, regs);
+  return Status::kOk;
+}
+
+// ---------------------------------------------------------------------------
 // Call variants
 // ---------------------------------------------------------------------------
 
 Status PpcFacility::call(Cpu& cpu, Process& caller, EntryPointId id,
                          RegSet& regs) {
-  auto& mem = cpu.mem();
   const Cycles call_t0 = cpu.now();
-  const bool user_caller = !caller.address_space()->supervisor();
-  const UserStubText* stub = nullptr;
-
-  if (user_caller) {
-    stub = &user_stub(*caller.address_space());
-    mem.exec(stub->save, CostCategory::kUserSaveRestore);
-    mem.store(caller.user_stack(), cal_.user_reg_bytes,
-              user_ctx_of(*caller.address_space()),
-              CostCategory::kUserSaveRestore);
-  }
-  mem.trap_roundtrip();
+  stub_save(cpu, caller);
+  cpu.mem().trap_roundtrip();
 
   Status s;
   EntryPoint* ep = lookup(cpu, id, &s);
+  if (ep != nullptr) {
+    cpu.counters().inc(obs::Counter::kCallsSync);
+    HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
+                     obs::TraceEvent::kCallEnter, id);
+    // Fault seam: pretend Frank's redirect could not produce a worker or CD
+    // (§4.5.6 exhaustion) — the sim analogue of rt.worker.exhausted. Unwinds
+    // exactly like a lookup failure.
+    if (HPPC_FAULT_POINT("ppc.call.frank_exhausted")) {
+      cpu.counters().inc(obs::Counter::kFaultsInjected);
+      HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
+                       obs::TraceEvent::kFaultInject, id);
+      ep = nullptr;
+      s = Status::kOutOfResources;
+    }
+  }
   if (ep == nullptr) {
     set_rc(regs, s);
-    if (user_caller) {
-      mem.exec(stub->restore, CostCategory::kUserSaveRestore);
-      mem.load(caller.user_stack(), cal_.user_reg_bytes,
-               user_ctx_of(*caller.address_space()),
-               CostCategory::kUserSaveRestore);
-    }
+    stub_restore(cpu, caller);
     return s;
   }
 
-  auto& epcpu = ep->per_cpu(cpu.id());
-  cpu.counters().inc(obs::Counter::kCallsSync);
-  HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
-                   obs::TraceEvent::kCallEnter, id);
-  // Fault seam: pretend Frank's redirect could not produce a worker or CD
-  // (§4.5.6 exhaustion) — the sim analogue of rt.worker.exhausted. Must
-  // unwind exactly like the lookup-failure path above.
-  if (HPPC_FAULT_POINT("ppc.call.frank_exhausted")) {
-    cpu.counters().inc(obs::Counter::kFaultsInjected);
-    HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
-                     obs::TraceEvent::kFaultInject, id);
-    set_rc(regs, Status::kOutOfResources);
-    if (user_caller) {
-      mem.exec(stub->restore, CostCategory::kUserSaveRestore);
-      mem.load(caller.user_stack(), cal_.user_reg_bytes,
-               user_ctx_of(*caller.address_space()),
-               CostCategory::kUserSaveRestore);
-    }
-    return Status::kOutOfResources;
-  }
-  Worker* w = acquire_worker(cpu, *ep);
-  CallDescriptor* cd = acquire_cd(cpu, *w);
-  cd->set_caller(&caller);
-  cd->set_caller_identity(caller.program(), caller.pid());
-
-  // Save the minimum caller state for the switch into the worker.
-  const auto& text = text_[cpu.node()];
-  mem.exec(text.kernel_save, CostCategory::kKernelSaveRestore);
-  mem.store(caller.context_save_area(), cal_.kernel_ctx_bytes,
-            TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+  Worker* w = take_worker(cpu, *ep, &caller, caller.program(), caller.pid());
+  save_caller(cpu, caller);
   const ProcessState caller_prev_state = caller.state();
   caller.set_state(ProcessState::kBlocked);
-
-  epcpu.in_progress++;
-  epcpu.active_workers.push_back(w);
-
-  map_worker_stack(cpu, *ep, *w, cd);
-  enter_server_space(cpu, caller, *ep);
-  run_handler(cpu, *ep, *w, caller.program(), caller.pid(), regs);
-
-  HPPC_ASSERT_MSG(!w->blocked_in_call(),
+  const bool completed = run_call(cpu, *ep, *w, &caller, regs);
+  HPPC_ASSERT_MSG(completed,
                   "handler blocked inside synchronous call(); the service "
                   "needs call_blocking");
-
-  complete_call(cpu, *ep, *w, regs);
   caller.set_state(caller_prev_state);
+  stub_restore(cpu, caller);
 
-  if (user_caller) {
-    mem.exec(stub->restore, CostCategory::kUserSaveRestore);
-    mem.load(caller.user_stack(), cal_.user_reg_bytes,
-             user_ctx_of(*caller.address_space()),
-             CostCategory::kUserSaveRestore);
-  }
   HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
                    obs::TraceEvent::kCallExit,
                    static_cast<Word>(rc_of(regs)));
@@ -720,19 +721,10 @@ Status PpcFacility::call(Cpu& cpu, Process& caller, EntryPointId id,
   return rc_of(regs);
 }
 
-Status PpcFacility::call_blocking(
-    Cpu& cpu, Process& caller, EntryPointId id, RegSet regs,
-    std::function<void(Status, RegSet&)> on_complete) {
-  auto& mem = cpu.mem();
-  const bool user_caller = !caller.address_space()->supervisor();
-  if (user_caller) {
-    const UserStubText& stub = user_stub(*caller.address_space());
-    mem.exec(stub.save, CostCategory::kUserSaveRestore);
-    mem.store(caller.user_stack(), cal_.user_reg_bytes,
-              user_ctx_of(*caller.address_space()),
-              CostCategory::kUserSaveRestore);
-  }
-  mem.trap_roundtrip();
+Status PpcFacility::call_blocking(Cpu& cpu, Process& caller, EntryPointId id,
+                                  RegSet regs, Completion on_complete) {
+  stub_save(cpu, caller);
+  cpu.mem().trap_roundtrip();
 
   Status s;
   EntryPoint* ep = lookup(cpu, id, &s);
@@ -742,51 +734,21 @@ Status PpcFacility::call_blocking(
     return s;
   }
 
-  auto& epcpu = ep->per_cpu(cpu.id());
   cpu.counters().inc(obs::Counter::kCallsSync);
   cpu.counters().inc(obs::Counter::kCallsBlocking);
   HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
                    obs::TraceEvent::kCallEnter, id);
-  Worker* w = acquire_worker(cpu, *ep);
-  CallDescriptor* cd = acquire_cd(cpu, *w);
-  cd->set_caller(&caller);
-  cd->set_caller_identity(caller.program(), caller.pid());
-  cd->completion() = std::move(on_complete);
-
-  const auto& text = text_[cpu.node()];
-  mem.exec(text.kernel_save, CostCategory::kKernelSaveRestore);
-  mem.store(caller.context_save_area(), cal_.kernel_ctx_bytes,
-            TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+  Worker* w = take_worker(cpu, *ep, &caller, caller.program(), caller.pid(),
+                          std::move(on_complete));
+  save_caller(cpu, caller);
   machine_.block(caller);
-
-  epcpu.in_progress++;
-  epcpu.active_workers.push_back(w);
-
-  map_worker_stack(cpu, *ep, *w, cd);
-  enter_server_space(cpu, caller, *ep);
-  run_handler(cpu, *ep, *w, caller.program(), caller.pid(), regs);
-
-  if (w->blocked_in_call()) {
-    // Stash the registers in the CD; the call completes on resume_worker.
-    cd->regs() = regs;
-    return Status::kOk;
-  }
-  complete_call(cpu, *ep, *w, regs);
-  return rc_of(regs);
+  return run_call(cpu, *ep, *w, &caller, regs) ? rc_of(regs) : Status::kOk;
 }
 
 Status PpcFacility::call_async(Cpu& cpu, Process& caller, EntryPointId id,
                                RegSet regs) {
-  auto& mem = cpu.mem();
-  const bool user_caller = !caller.address_space()->supervisor();
-  if (user_caller) {
-    const UserStubText& stub = user_stub(*caller.address_space());
-    mem.exec(stub.save, CostCategory::kUserSaveRestore);
-    mem.store(caller.user_stack(), cal_.user_reg_bytes,
-              user_ctx_of(*caller.address_space()),
-              CostCategory::kUserSaveRestore);
-  }
-  mem.trap_roundtrip();
+  stub_save(cpu, caller);
+  cpu.mem().trap_roundtrip();
 
   Status s;
   EntryPoint* ep = lookup(cpu, id, &s);
@@ -799,63 +761,12 @@ Status PpcFacility::call_async(Cpu& cpu, Process& caller, EntryPointId id,
   // "Asynchronous requests are implemented ... by putting the calling
   //  process onto the processor ready-queue rather than linking it into the
   //  call descriptor of the worker." (§4.4)
-  const auto& text = text_[cpu.node()];
-  mem.exec(text.async_enqueue, CostCategory::kPpcKernel);
-  mem.exec(text.kernel_save, CostCategory::kKernelSaveRestore);
-  mem.store(caller.context_save_area(), cal_.kernel_ctx_bytes,
-            TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+  cpu.mem().exec(text_[cpu.node()].async_enqueue, CostCategory::kPpcKernel);
+  save_caller(cpu, caller);
   machine_.ready(cpu, caller);
 
-  auto& epcpu = ep->per_cpu(cpu.id());
-  Worker* w = acquire_worker(cpu, *ep);
-  CallDescriptor* cd = acquire_cd(cpu, *w);
-  cd->set_caller(nullptr);
-  cd->set_caller_identity(caller.program(), caller.pid());
-
-  epcpu.in_progress++;
-  epcpu.active_workers.push_back(w);
-
-  map_worker_stack(cpu, *ep, *w, cd);
-  enter_server_space(cpu, caller, *ep);
-  run_handler(cpu, *ep, *w, caller.program(), caller.pid(), regs);
-
-  if (w->blocked_in_call()) {
-    cd->regs() = regs;
-    return Status::kOk;
-  }
-  complete_call(cpu, *ep, *w, regs);
-  return Status::kOk;
-}
-
-Status PpcFacility::dispatch_no_caller(Cpu& cpu, EntryPointId id, RegSet regs,
-                                       bool charge_trap,
-                                       kernel::Process* caller_to_ready) {
-  auto& mem = cpu.mem();
-  if (charge_trap) mem.trap_roundtrip();
-  if (caller_to_ready != nullptr) machine_.ready(cpu, *caller_to_ready);
-
-  Status s;
-  EntryPoint* ep = lookup(cpu, id, &s);
-  if (ep == nullptr) return s;
-
-  auto& epcpu = ep->per_cpu(cpu.id());
-  Worker* w = acquire_worker(cpu, *ep);
-  CallDescriptor* cd = acquire_cd(cpu, *w);
-  cd->set_caller(nullptr);
-  cd->set_caller_identity(/*kernel*/ 0, kInvalidPid);
-
-  epcpu.in_progress++;
-  epcpu.active_workers.push_back(w);
-
-  map_worker_stack(cpu, *ep, *w, cd);
-  if (!ep->address_space()->supervisor()) mem.tlb_flush_user();
-  run_handler(cpu, *ep, *w, /*caller_prog=*/0, kInvalidPid, regs);
-
-  if (w->blocked_in_call()) {
-    cd->regs() = regs;
-    return Status::kOk;
-  }
-  complete_call(cpu, *ep, *w, regs);
+  Worker* w = take_worker(cpu, *ep, nullptr, caller.program(), caller.pid());
+  run_call(cpu, *ep, *w, &caller, regs);
   return Status::kOk;
 }
 
@@ -863,8 +774,8 @@ Status PpcFacility::upcall(Cpu& cpu, EntryPointId id, RegSet regs) {
   cpu.counters().inc(obs::Counter::kCallsUpcall);
   HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
                    obs::TraceEvent::kUpcall, id);
-  return dispatch_no_caller(cpu, id, std::move(regs), /*charge_trap=*/true,
-                            nullptr);
+  cpu.mem().trap_roundtrip();
+  return dispatch_no_caller(cpu, id, std::move(regs));
 }
 
 void PpcFacility::raise_interrupt(CpuId target, Cycles time, EntryPointId id,
@@ -877,7 +788,7 @@ void PpcFacility::raise_interrupt(CpuId target, Cycles time, EntryPointId id,
     cpu.counters().inc(obs::Counter::kCallsInterrupt);
     HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
                      obs::TraceEvent::kInterrupt, id);
-    dispatch_no_caller(cpu, id, regs, /*charge_trap=*/false, nullptr);
+    dispatch_no_caller(cpu, id, regs);
   });
 }
 
@@ -907,31 +818,22 @@ void PpcFacility::resume_worker(Cpu& cpu, Worker& worker) {
   if (worker.blocked_in_call()) return;  // blocked again
 
   // Epilogue that run_handler skipped when the call first blocked.
-  mem.access_mapped(cd->stack_page() + kPageSize - 64,
-                    worker.stack_vaddr() + kPageSize - 64,
-                    cal_.server_prologue_bytes, /*is_store=*/false,
-                    ep.address_space()->tlb_context(),
-                    CostCategory::kServerTime);
-
+  server_frame(cpu, ep, worker, /*is_store=*/false);
   RegSet regs = cd->regs();
   Process* caller = cd->caller();
   complete_call(cpu, ep, worker, regs);
-  if (caller != nullptr) {
-    // The synchronous-style caller becomes runnable again.
-    machine_.ready(cpu, *caller);
-    caller->set_state(ProcessState::kReady);
-  }
+  // The synchronous-style caller becomes runnable again.
+  if (caller != nullptr) machine_.ready(cpu, *caller);
 }
 
-Status PpcFacility::call_remote(
-    Cpu& cpu, Process& caller, CpuId target, EntryPointId id, RegSet regs,
-    std::function<void(Status, RegSet&)> on_complete) {
+Status PpcFacility::call_remote(Cpu& cpu, Process& caller, CpuId target,
+                                EntryPointId id, RegSet regs,
+                                Completion on_complete) {
   if (target == cpu.id()) {
     return call_blocking(cpu, caller, id, std::move(regs),
                          std::move(on_complete));
   }
   HPPC_ASSERT(target < machine_.num_cpus());
-  auto& mem = cpu.mem();
   cpu.counters().inc(obs::Counter::kCallsRemote);
   HPPC_TRACE_EVENT(cpu.trace_ring(), cpu.now(), cpu.id(),
                    obs::TraceEvent::kRemoteCall, target);
@@ -939,19 +841,9 @@ Status PpcFacility::call_remote(
   // Origin side: save state, block the caller, ship the request as an
   // interrupt to the target processor (§4.3: cross-processor operations
   // travel as remote interrupts).
-  const bool user_caller = !caller.address_space()->supervisor();
-  if (user_caller) {
-    const UserStubText& stub = user_stub(*caller.address_space());
-    mem.exec(stub.save, CostCategory::kUserSaveRestore);
-    mem.store(caller.user_stack(), cal_.user_reg_bytes,
-              user_ctx_of(*caller.address_space()),
-              CostCategory::kUserSaveRestore);
-  }
-  mem.trap_roundtrip();
-  const auto& text = text_[cpu.node()];
-  mem.exec(text.kernel_save, CostCategory::kKernelSaveRestore);
-  mem.store(caller.context_save_area(), cal_.kernel_ctx_bytes,
-            TlbContext::kSupervisor, CostCategory::kKernelSaveRestore);
+  stub_save(cpu, caller);
+  cpu.mem().trap_roundtrip();
+  save_caller(cpu, caller);
   machine_.block(caller);
 
   const CpuId origin = cpu.id();
@@ -963,7 +855,7 @@ Status PpcFacility::call_remote(
       cpu, target,
       [this, id, regs, origin, caller_ptr, target,
        done = std::move(on_complete)](Cpu& tcpu) mutable {
-        dispatch_no_caller_with_completion(
+        dispatch_no_caller(
             tcpu, id, std::move(regs),
             [this, origin, caller_ptr, target,
              done = std::move(done)](Status s, RegSet& out) mutable {
@@ -972,49 +864,12 @@ Status PpcFacility::call_remote(
                   machine_.cpu(target), origin,
                   [this, caller_ptr, done = std::move(done), result,
                    s](Cpu& ocpu) mutable {
-                    auto& omem = ocpu.mem();
-                    omem.exec(text_[ocpu.node()].kernel_restore,
-                              CostCategory::kKernelSaveRestore);
-                    omem.load(caller_ptr->context_save_area(),
-                              cal_.kernel_ctx_bytes, TlbContext::kSupervisor,
-                              CostCategory::kKernelSaveRestore);
+                    restore_caller(ocpu, *caller_ptr);
                     machine_.ready(ocpu, *caller_ptr);
                     if (done) done(s, result);
                   });
             });
       });
-  return Status::kOk;
-}
-
-Status PpcFacility::dispatch_no_caller_with_completion(
-    Cpu& cpu, EntryPointId id, RegSet regs,
-    std::function<void(Status, RegSet&)> completion) {
-  Status s;
-  EntryPoint* ep = lookup(cpu, id, &s);
-  if (ep == nullptr) {
-    set_rc(regs, s);
-    if (completion) completion(s, regs);
-    return s;
-  }
-  auto& epcpu = ep->per_cpu(cpu.id());
-  Worker* w = acquire_worker(cpu, *ep);
-  CallDescriptor* cd = acquire_cd(cpu, *w);
-  cd->set_caller(nullptr);
-  cd->set_caller_identity(/*kernel*/ 0, kInvalidPid);
-  cd->completion() = std::move(completion);
-
-  epcpu.in_progress++;
-  epcpu.active_workers.push_back(w);
-
-  map_worker_stack(cpu, *ep, *w, cd);
-  if (!ep->address_space()->supervisor()) cpu.mem().tlb_flush_user();
-  run_handler(cpu, *ep, *w, /*caller_prog=*/0, kInvalidPid, regs);
-
-  if (w->blocked_in_call()) {
-    cd->regs() = regs;
-    return Status::kOk;
-  }
-  complete_call(cpu, *ep, *w, regs);
   return Status::kOk;
 }
 
@@ -1210,12 +1065,11 @@ void PpcFacility::hard_kill_on_cpu(Cpu& cpu, EntryPoint& ep) {
   if (ep.id() < kMaxEntryPoints) {
     mem.store(st.table_saddr + SimAddr{ep.id()} * 4, 4,
               TlbContext::kSupervisor, CostCategory::kPpcKernel);
-    st.service_table[ep.id()] = nullptr;
   } else {
     mem.store(st.hashed_table_saddr + (ep.id() % 32) * 32, 16,
               TlbContext::kSupervisor, CostCategory::kPpcKernel);
-    st.hashed_table.erase(ep.id());
   }
+  set_table_entry(st, ep.id(), nullptr);
 }
 
 void PpcFacility::reclaim_worker(Cpu& cpu, Worker* w) {

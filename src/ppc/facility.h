@@ -181,6 +181,8 @@ class PpcFacility {
     sim::CodeRegion handler_code;
   };
 
+  using Completion = std::function<void(Status, RegSet&)>;
+
   // Fast-path helpers (all charge costs on `cpu`).
   EntryPoint* lookup(kernel::Cpu& cpu, EntryPointId id, Status* out_status);
   Worker* acquire_worker(kernel::Cpu& cpu, EntryPoint& ep);
@@ -188,17 +190,33 @@ class PpcFacility {
   void release_cd(kernel::Cpu& cpu, Worker& w, CallDescriptor* cd);
   void map_worker_stack(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
                         CallDescriptor* cd);
+  void map_extra_stack_page(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
+                            Cycles pop_cycles);
   void unmap_worker_stack(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
                           CallDescriptor* cd);
-  void enter_server_space(kernel::Cpu& cpu, kernel::Process& from,
-                          EntryPoint& ep);
-  void leave_server_space(kernel::Cpu& cpu, kernel::Process& to,
-                          EntryPoint& ep);
-  void run_handler(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
-                   ProgramId caller_prog, Pid caller_pid, RegSet& regs);
+  void switch_space(kernel::Cpu& cpu, const kernel::Process* other,
+                    EntryPoint& ep);
+  void server_frame(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
+                    bool is_store);
+  void run_handler(kernel::Cpu& cpu, EntryPoint& ep, Worker& w, RegSet& regs);
   void complete_call(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
                      RegSet& regs);
+  void publish(EntryPointId id, EntryPoint* ep);
   void finish_drain_if_idle(EntryPoint& ep);
+
+  // The dispatch engine: every call variant is a prologue around these
+  // (§4.4: a manufactured request is "dispatched as for a normal call").
+  void stub_save(kernel::Cpu& cpu, kernel::Process& caller);
+  void stub_restore(kernel::Cpu& cpu, kernel::Process& caller);
+  void save_caller(kernel::Cpu& cpu, kernel::Process& caller);
+  void restore_caller(kernel::Cpu& cpu, kernel::Process& caller);
+  Worker* take_worker(kernel::Cpu& cpu, EntryPoint& ep, kernel::Process* link,
+                      ProgramId caller_prog, Pid caller_pid,
+                      Completion done = nullptr);
+  bool run_call(kernel::Cpu& cpu, EntryPoint& ep, Worker& w,
+                const kernel::Process* from, RegSet& regs);
+  Status dispatch_no_caller(kernel::Cpu& cpu, EntryPointId id, RegSet regs,
+                            Completion done = nullptr);
 
   // Slow paths (Frank, §4.5.6).
   Worker* frank_create_worker(kernel::Cpu& cpu, EntryPoint& ep);
@@ -211,13 +229,6 @@ class PpcFacility {
   void reclaim_worker(kernel::Cpu& cpu, Worker* w);
   void hard_kill_on_cpu(kernel::Cpu& cpu, EntryPoint& ep);
 
-  // Internal dispatch shared by async/upcall/interrupt.
-  Status dispatch_no_caller(kernel::Cpu& cpu, EntryPointId id, RegSet regs,
-                            bool charge_user_side,
-                            kernel::Process* caller_to_ready);
-  Status dispatch_no_caller_with_completion(
-      kernel::Cpu& cpu, EntryPointId id, RegSet regs,
-      std::function<void(Status, RegSet&)> completion);
   CdPool& cd_pool_of(kernel::Cpu& cpu, std::uint32_t group);
 
   kernel::Machine& machine_;

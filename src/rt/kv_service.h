@@ -409,7 +409,7 @@ class KvService {
   }
 
   /// The worker's handler: one switch on the opcode. An unknown opcode
-  /// answers kInvalidArgument, the OpDispatcher convention.
+  /// answers kInvalidArgument, as every PPC server does (§4.5.1).
   void serve(RtCtx& ctx, RegSet& regs) {
     switch (ppc::opcode_of(regs)) {
       case kKvPut: do_put(ctx, regs); return;

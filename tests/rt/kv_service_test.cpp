@@ -46,6 +46,17 @@ TEST(KvService, OverwriteKeepsOneEntry) {
   EXPECT_EQ(r[0], 1u);
 }
 
+TEST(KvService, UnknownOpcodeAnswersInvalidArgument) {
+  Runtime rt(1);
+  const SlotId slot = rt.register_thread();
+  KvService kv(rt);
+  kv.put(slot, 1, 5, 100);
+  ppc::RegSet r;
+  ppc::set_op(r, 99);
+  EXPECT_EQ(rt.call(slot, 1, kv.ep(), r), Status::kInvalidArgument);
+  EXPECT_EQ(*kv.get(slot, 1, 5), 100u);  // the shard is untouched
+}
+
 TEST(KvService, EraseRequiresOwner) {
   Runtime rt(1);
   const SlotId slot = rt.register_thread();
