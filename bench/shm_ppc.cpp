@@ -5,8 +5,9 @@
 // granted-region transfers) against a pipe baseline. The acceptance
 // scalars:
 //
-//   shm_vs_inproc_rtt        cross-process RTT over in-process ring RTT —
-//                            the gate requires <= 3x: on a multi-core
+//   shm_vs_inproc_rtt        cross-process RTT p50 over in-process ring
+//                            RTT p50 (medians, so one preempted batch
+//                            cannot move it) — the gate requires <= 3x: on a multi-core
 //                            host both spin on a polling server on
 //                            another core and pay the same cache-line
 //                            round trips, so the shm protocol itself must
@@ -198,7 +199,7 @@ int main() {
     measure(d, op);
     std::printf("%-24s mean %8.1f ns  p50 %8.1f  p99 %8.1f\n", name.c_str(),
                 d.mean(), d.median(), d.p99());
-    return d.mean();
+    return d.median();  // the headline ratios are p50 over p50
   };
 
   std::printf("cross-process PPC round trip and bulk bandwidth\n");
@@ -206,7 +207,7 @@ int main() {
 
   // 1. In-process reference: the xcall ring against a busy-polling owner
   // thread — the lane the shm transport mirrors cell-for-cell.
-  double inproc_mean = 0;
+  double inproc_p50 = 0;
   {
     rt::Runtime rt_(2);
     const rt::SlotId me = rt_.register_thread();
@@ -225,7 +226,7 @@ int main() {
     });
     while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
     ppc::RegSet regs;
-    inproc_mean = bench("inproc_ring_rtt", [&] {
+    inproc_p50 = bench("inproc_ring_rtt", [&] {
       ppc::set_op(regs, 1);
       rt_.call_remote(me, 1, 1, ep, regs);
     });
@@ -236,7 +237,7 @@ int main() {
   // 2. The shm lane, threaded: same protocol, same address space. The gap
   // between this row and (1) is pure protocol cost (wait-block pop, cell
   // CAS+publish, done-word spin vs the runtime's ring machinery).
-  double shm_threaded_mean = 0;
+  double shm_threaded_p50 = 0;
   obs::CounterSnapshot warm_peer, warm_srv;
   std::uint64_t warm_heap = 0;
   {
@@ -251,7 +252,7 @@ int main() {
     });
     shm::Peer peer(name, 1);
     ppc::RegSet regs;
-    shm_threaded_mean = bench("shm_rtt_threaded", [&] { peer.call(1, regs); });
+    shm_threaded_p50 = bench("shm_rtt_threaded", [&] { peer.call(1, regs); });
 
     // Warm-phase audit: 1000 calls after the measured run book exactly
     // 1000 calls_remote / 1000 drained cells — and zero of everything
@@ -283,7 +284,7 @@ int main() {
   // the tentpole configuration. The server polls on its own core, so a
   // round trip pays the same cross-core line transfers as (1), plus the
   // shm protocol's own; the gate holds this within 3x.
-  double shm_cross_mean = 0;
+  double shm_cross_p50 = 0;
   {
     const std::string name = uniq_name("xproc");
     const pid_t child = spawn_server(name);
@@ -292,7 +293,7 @@ int main() {
       shm::Peer peer(name, /*program=*/1);
       warm_null_ep(peer);
       ppc::RegSet regs;
-      shm_cross_mean =
+      shm_cross_p50 =
           bench("shm_rtt_cross_process", [&] { peer.call(1, regs); });
       peer.request_stop();
     }
@@ -466,7 +467,7 @@ int main() {
     srv.join();
   }
 
-  const double vs_inproc = shm_cross_mean / inproc_mean;
+  const double vs_inproc = shm_cross_p50 / inproc_p50;
   const double bulk_1m = bulk[2].deliver_mbps / bulk[2].pipe_mbps;
   const double bulk_1m_copy = bulk[2].copy_mbps / bulk[2].pipe_mbps;
   std::printf("\nshm cross-process RTT %.2fx in-process ring; 1 MiB bulk "
@@ -480,7 +481,7 @@ int main() {
   report.meta("warmup_iters", static_cast<double>(kWarmupIters));
   for (const NamedDist& d : dists) report.series(d.name, d.dist);
   report.scalar("shm_vs_inproc_rtt", vs_inproc);
-  report.scalar("shm_threaded_vs_inproc_rtt", shm_threaded_mean / inproc_mean);
+  report.scalar("shm_threaded_vs_inproc_rtt", shm_threaded_p50 / inproc_p50);
   report.scalar("bulk_1m_speedup_vs_pipe", bulk_1m);
   report.scalar("bulk_1m_copy_speedup_vs_pipe", bulk_1m_copy);
   report.scalar("bulk_cells_per_call", bulk_cells_per_call);

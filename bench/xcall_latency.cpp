@@ -237,10 +237,9 @@ int main() {
   }
 
   // 6. The frame ABI on the same two shapes. frame_rtt_direct repeats (1)
-  // through the Figure-4 register contract: the packed op word indexes a
-  // flat table of raw function pointers, so the call skips the Service
-  // lookup, the worker/CD acquisition and the std::function dispatch of
-  // the typed path (both lanes share the rest of the engine). The batched
+  // through the Figure-4 register contract against a frame entry: the
+  // same entry-table load, but no worker/CD acquisition and no
+  // std::function dispatch (both share the rest of the engine). The batched
   // rows repeat the
   // b16/b64 ring measurements with the whole request inlined in each 64 B
   // cell. The frame_abi_speedup_* scalars compare frame vs typed within

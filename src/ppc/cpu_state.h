@@ -49,16 +49,9 @@ struct CpuPpcState {
   SimAddr hashed_table_saddr = kInvalidAddr;
 
   /// CD pools, one per trust group that has been used on this processor
-  /// (group 0 first; linear scan is fine, groups are few).
+  /// (group 0 first; linear scan is fine, groups are few). Found, and
+  /// created on first use, by PpcFacility::cd_pool_of.
   std::vector<CdPool> cd_pools;
-
-  CdPool& cd_pool_for(std::uint32_t group) {
-    for (auto& p : cd_pools) {
-      if (p.group == group) return p;
-    }
-    HPPC_ASSERT_MSG(false, "cd pool for group not initialized");
-    __builtin_unreachable();
-  }
 
   // Statistics moved to the fixed-id observability block on kernel::Cpu
   // (cpu.counters(), src/obs/counters.h): same per-processor ownership

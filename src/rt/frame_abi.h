@@ -1,17 +1,18 @@
 // The Figure-4 call ABI: 8 words in, the same 8 words out, one packed
-// opcode|flags|service word — the paper's PPC register contract lifted to
-// a first-class call frame.
+// opcode|flags|entry word — the paper's PPC register contract lifted to a
+// first-class call frame, and the one request format of every call.
 //
-// The typed-handler path (Runtime::bind / Runtime::call) resolves a
-// Service*, acquires a worker and a CD, and invokes a std::function —
-// three pointer chases and a heap-backed callable between the caller and
-// the handler. A CallFrame call does none of that: the packed op word
-// indexes a flat table of raw function pointers, the 8 payload words are
-// the whole argument/result surface, and a cross-slot frame call inlines
-// the entire request in the 64-byte XcallCell (the op word rides the
-// cell's spare 8-byte lane; the payload rides the cell's inline RegSet).
-// No std::function, no worker/CD acquisition, no heap touch, no pointer
-// chase past the one table load on the warm path.
+// The runtime has one service table (§4.1): the packed op word names an
+// entry point, and the entry holds a raw function pointer, its `self` and
+// its kind on one line, so resolving a call is one indexed load and one
+// indirect call. A frame entry (Runtime::bind with a FrameFn) runs that
+// function to completion: no std::function, no worker/CD acquisition, no
+// heap touch. A worker-backed entry (Runtime::bind with an RtHandler) is
+// the same kind of entry whose function acquires a worker and a CD and
+// runs the typed handler on the frame's words as a RegSet. A cross-slot
+// call inlines the entire request in the 64-byte XcallCell (the op word's
+// low half rides the cell's spare 4-byte lane, the entry its ep lane, the
+// payload its inline RegSet).
 //
 // A frame is 8 words each way and never grows. Payloads that do not fit
 // move through granted regions and the cross-process CopyServer
@@ -19,11 +20,13 @@
 //
 // Packed op word (64-bit):
 //   [63:48] reserved (zero)
-//   [47:32] service  — FrameServiceId, index into the runtime's frame table
+//   [47:32] entry    — EntryPointId, index into the runtime's one table
 //   [31:16] opcode   — service-defined operation number   -+
 //   [15: 8] flags    — service-defined modifier bits       +- identical to
 //   [ 7: 0] rc       — return code (Status), out only     -+  ppc::op_flags
-// The low 32 bits are bit-for-bit the legacy regs[kOpWord] layout.
+// The low 32 bits are bit-for-bit the legacy regs[kOpWord] layout, so a
+// RegSet call is the frame of its entry whose op word's low half is
+// regs[kOpWord].
 #pragma once
 
 #include <array>
@@ -42,11 +45,8 @@ class Runtime;
 /// The packed opcode|flags|service word.
 using FrameWord = std::uint64_t;
 
-/// Index into the runtime's frame-service table. Dense, starting at 0.
-using FrameServiceId = std::uint32_t;
-
-inline constexpr std::size_t kMaxFrameServices = 256;
-inline constexpr FrameServiceId kInvalidFrameService = ~FrameServiceId{0};
+/// The entry a frame names: an EntryPointId (this name is kept for callers).
+using FrameServiceId = EntryPointId;
 
 // -- op word packing -------------------------------------------------------
 
@@ -56,8 +56,10 @@ constexpr FrameWord frame_op(FrameServiceId service, Word opcode,
          ppc::op_flags(opcode, flags);
 }
 
+/// The entry field with the reserved bits above it: a word whose reserved
+/// bits are set names no entry.
 constexpr FrameServiceId frame_service_of(FrameWord op) {
-  return static_cast<FrameServiceId>((op >> 32) & 0xFFFFu);
+  return static_cast<FrameServiceId>(op >> 32);
 }
 constexpr Word frame_opflags_of(FrameWord op) {  // the legacy 32-bit word
   return static_cast<Word>(op);
@@ -114,7 +116,7 @@ struct FrameCtx {
 
 /// A frame handler: a raw function pointer — no std::function, nothing to
 /// copy or chase on the warm path. `self` is the pointer registered at
-/// bind_frame time; `f` is in/out (mutate f.w in place for the reply; the
+/// bind time; `f` is in/out (mutate f.w in place for the reply; the
 /// returned Status is packed into f.op's rc byte by the runtime).
 using FrameFn = Status (*)(void* self, FrameCtx& ctx, CallFrame& f);
 

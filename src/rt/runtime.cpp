@@ -67,41 +67,51 @@ Runtime::Runtime(std::uint32_t slots, bool pin_threads)
 
 void Runtime::adopt_cancel_pool(CancelPool pool) { cancel_pool_ = pool; }
 
-EntryPointId Runtime::bind(RtServiceConfig cfg, ProgramId program,
-                           RtHandler initial_handler) {
-  // Off-slot slow path: the bind lock and the service-table publication are
+EntryPointId Runtime::add_entry(FrameFn fn, void* self, bool hold_cd,
+                               std::unique_ptr<RtHandler> handler) {
+  HPPC_ASSERT((fn == nullptr) == (handler != nullptr));
+  // Off-slot slow path: the bind lock and the table publication are
   // exactly the shared traffic the warm path avoids — book them.
   shared_.inc(obs::Counter::kBinds);
   shared_.inc(obs::Counter::kLocksTaken);
   shared_.inc(obs::Counter::kSharedLinesTouched);
   std::lock_guard<std::mutex> lock(bind_mutex_);
-  while (next_ep_ < kMaxEntryPoints &&
-         services_[next_ep_].load(std::memory_order_relaxed) != nullptr) {
-    ++next_ep_;
-  }
   HPPC_ASSERT_MSG(next_ep_ < kMaxEntryPoints, "out of entry points");
-  auto svc = std::make_unique<Service>();
-  svc->cfg = std::move(cfg);
-  svc->program = program;
-  svc->initial_handler = std::move(initial_handler);
-  svc->id = next_ep_;
-  Service* raw = svc.get();
-  owned_services_.push_back(std::move(svc));
-  services_[next_ep_].store(raw, std::memory_order_release);
-  return next_ep_++;
+  const EntryPointId id = next_ep_++;
+  Entry& e = entries_[id];
+  if (handler != nullptr) {
+    self = handler.get();
+    owned_handlers_.push_back(std::move(handler));
+  }
+  e.hold_cd = hold_cd;
+  e.fn = fn;
+  e.self = self;
+  e.state.store(SvcState::kActive, std::memory_order_release);
+  return id;
+}
+
+// The owning program (§4.1) is part of the binding contract; no call
+// path consults it yet, so the table does not store it.
+EntryPointId Runtime::bind(RtServiceConfig cfg, ProgramId /*program*/,
+                           RtHandler initial_handler) {
+  return add_entry(nullptr, nullptr, cfg.hold_cd,
+                   std::make_unique<RtHandler>(std::move(initial_handler)));
+}
+
+EntryPointId Runtime::bind(ProgramId /*program*/, FrameFn fn, void* self) {
+  return add_entry(fn, self, /*hold_cd=*/false, nullptr);
 }
 
 Status Runtime::kill(EntryPointId id, bool hard) {
-  Service* svc = lookup(id);
-  if (svc == nullptr || svc->state.load() == SvcState::kDead) {
+  if (id >= kMaxEntryPoints ||
+      entries_[id].state.load(std::memory_order_acquire) == SvcState::kDead) {
     return Status::kNoSuchEntryPoint;
   }
   shared_.inc(hard ? obs::Counter::kHardKills : obs::Counter::kSoftKills);
   shared_.inc(obs::Counter::kSharedLinesTouched);  // the state store below
-  svc->state.store(hard ? SvcState::kDead : SvcState::kDraining,
-                   std::memory_order_release);
+  entries_[id].state.store(hard ? SvcState::kDead : SvcState::kDraining,
+                           std::memory_order_release);
   if (hard) {
-    services_[id].store(nullptr, std::memory_order_release);
     // Per-slot resources may only be touched by their owner: interrupt
     // every slot (the reclaim word is the IPI of §4.5.2). Its next poll
     // sees the bump and reclaims whatever it pools for a service that is
@@ -117,42 +127,41 @@ Status Runtime::kill(EntryPointId id, bool hard) {
 Status Runtime::soft_kill(EntryPointId id) { return kill(id, /*hard=*/false); }
 Status Runtime::hard_kill(EntryPointId id) { return kill(id, /*hard=*/true); }
 
-void Runtime::reclaim_service_on_slot(Slot& slot, EntryPointId id) {
-  RtWorker* w = slot.worker_pool[id];
-  slot.worker_pool[id] = nullptr;
-  while (w != nullptr) {
-    RtWorker* next = w->next;
-    slot.counters.inc(obs::Counter::kWorkersReclaimed);
-    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                     obs::TraceEvent::kReclaim, id);
-    if (w->held_cd != nullptr) {
-      // Return the held CD (and its stack) to the slot's shared pool.
-      w->held_cd->next = slot.cd_pool;
-      slot.cd_pool = w->held_cd;
-      w->held_cd = nullptr;
-    }
-    w = next;  // the owned_workers vector keeps the storage alive
-  }
-}
-
 std::size_t Runtime::reclaim_dead_services(Slot& slot) {
-  // The acquire pairs with kill()'s bump, which follows its services_
-  // store: every kill counted in this epoch reads as gone below.
+  // The acquire pairs with kill()'s bump, which follows its state store:
+  // every kill counted in this epoch reads as dead below.
   slot.reclaim_seen = slot.reclaim_epoch.load(std::memory_order_acquire);
   std::size_t n = 0;
   for (EntryPointId id = 0; id < kMaxEntryPoints; ++id) {
-    if (slot.worker_pool[id] != nullptr && lookup(id) == nullptr) {
-      reclaim_service_on_slot(slot, id);
-      ++n;
+    RtWorker* w = slot.worker_pool[id];
+    if (w == nullptr ||
+        entries_[id].state.load(std::memory_order_relaxed) !=
+            SvcState::kDead) {
+      continue;
+    }
+    slot.worker_pool[id] = nullptr;
+    ++n;
+    // The owned_workers vector keeps each worker's storage alive.
+    for (; w != nullptr; w = w->next) {
+      slot.counters.inc(obs::Counter::kWorkersReclaimed);
+      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                       obs::TraceEvent::kReclaim, id);
+      if (w->held_cd != nullptr) {
+        // Return the held CD (and its stack) to the slot's shared pool.
+        w->held_cd->next = slot.cd_pool;
+        slot.cd_pool = w->held_cd;
+        w->held_cd = nullptr;
+      }
     }
   }
   return n;
 }
 
-RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
-  RtWorker* w = slot.worker_pool[svc.id];
+RtWorker* Runtime::acquire_worker(Slot& slot, EntryPointId id,
+                                  const Entry& e) {
+  RtWorker* w = slot.worker_pool[id];
   if (w != nullptr) {
-    slot.worker_pool[svc.id] = w->next;
+    slot.worker_pool[id] = w->next;
     w->next = nullptr;
     return w;
   }
@@ -161,11 +170,11 @@ RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
   slot.counters.inc(obs::Counter::kWorkersCreated);
   slot.counters.inc(obs::Counter::kSlowPathEntries);
   HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                   obs::TraceEvent::kWorkerCreate, svc.id);
-  auto owned = std::make_unique<RtWorker>(svc.initial_handler);
+                   obs::TraceEvent::kWorkerCreate, id);
+  auto owned = std::make_unique<RtWorker>(*static_cast<RtHandler*>(e.self));
   w = owned.get();
   slot.owned_workers.push_back(std::move(owned));
-  if (svc.cfg.hold_cd) {
+  if (e.hold_cd) {
     w->held_cd = acquire_cd(slot, *w);
   }
   return w;
@@ -196,15 +205,16 @@ RtWorker* Runtime::acquire_worker(Slot& slot, Service& svc) {
   return cd;
 }
 
-void Runtime::release(Slot& slot, Service& svc, RtWorker* w, RtCd* cd) {
+void Runtime::release(Slot& slot, EntryPointId id, const Entry& e, RtWorker* w,
+                      RtCd* cd) {
   w->active_cd = nullptr;
   if (w->held_cd != cd) {
     cd->next = slot.cd_pool;
     slot.cd_pool = cd;
   }
-  if (svc.state.load(std::memory_order_acquire) == SvcState::kActive) {
-    w->next = slot.worker_pool[svc.id];
-    slot.worker_pool[svc.id] = w;
+  if (e.state.load(std::memory_order_acquire) == SvcState::kActive) {
+    w->next = slot.worker_pool[id];
+    slot.worker_pool[id] = w;
   } else if (w->held_cd != nullptr) {
     // Draining/dead: the worker is not re-pooled; free its held CD.
     w->held_cd->next = slot.cd_pool;
@@ -213,14 +223,15 @@ void Runtime::release(Slot& slot, Service& svc, RtWorker* w, RtCd* cd) {
   }
 }
 
-Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
+Status Runtime::execute_on_slot(Slot& slot, EntryPointId id, const Entry& e,
                                 ProgramId caller, RegSet& regs) {
+  const SlotId slot_id = slot.self_id;
   // The shared call body: everything below is slot-local under the current
   // ownership — no atomics, no locks. Pool-hit and CD-recycle tallies are
   // derived at snapshot time from the slow-path counters instead of being
   // incremented per call (see derive_pool_counters).
   HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                   obs::TraceEvent::kCallEnter, svc.id);
+                   obs::TraceEvent::kCallEnter, id);
   // Fault seams for the resource-acquisition half of the call body:
   // simulate the worker pool (then the CD pool) being exhausted past even
   // Frank's reach — the §4.5.6 failure mode — without perturbing the real
@@ -229,11 +240,11 @@ Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
       HPPC_FAULT_POINT("rt.cd.exhausted")) {
     slot.counters.inc(obs::Counter::kFaultsInjected);
     HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                     obs::TraceEvent::kFaultInject, svc.id);
+                     obs::TraceEvent::kFaultInject, id);
     set_rc(regs, Status::kOutOfResources);
     return Status::kOutOfResources;
   }
-  RtWorker* w = acquire_worker(slot, svc);
+  RtWorker* w = acquire_worker(slot, id, e);
   RtCd* cd = acquire_cd(slot, *w);
   w->active_cd = cd;
 
@@ -243,7 +254,7 @@ Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
   if (HPPC_FAULT_POINT("rt.handler.abort")) {
     slot.counters.inc(obs::Counter::kFaultsInjected);
     HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
-                     obs::TraceEvent::kFaultInject, svc.id);
+                     obs::TraceEvent::kFaultInject, id);
     set_rc(regs, Status::kCallAborted);
     aborted = true;
   }
@@ -256,11 +267,124 @@ Status Runtime::execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
     if (w->has_pending_handler()) w->commit_pending_handler();
   }
 
-  release(slot, svc, w, cd);
+  release(slot, id, e, w, cd);
   HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
                    obs::TraceEvent::kCallExit,
                    static_cast<std::uint32_t>(rc_of(regs)));
   return rc_of(regs);
+}
+
+/// The one request policy: every request is a Figure-4 frame. A CallFrame
+/// names its own entry; a RegSet is the frame of `id` whose op word's low
+/// half is regs[kOpWord]. Both carry their 8 words in `w`, so the engine
+/// reads and writes a request through `w` and the op word's low half
+/// alone. A drained cell is the same frame in the ring's format.
+struct Runtime::Lane {
+  EntryPointId id = kInvalidEntryPoint;  // names a RegSet request's entry
+
+  EntryPointId entry(const RegSet&) const { return id; }
+  static EntryPointId entry(const CallFrame& f) {
+    return frame_service_of(f.op);
+  }
+  static EntryPointId entry(const XcallCell& c) { return cell_ep(c.ep); }
+  static Word opflags(const RegSet& r) { return r[ppc::kOpWord]; }
+  static Word opflags(const CallFrame& f) { return frame_opflags_of(f.op); }
+  static void set_opflags(RegSet& r, Word o) { r[ppc::kOpWord] = o; }
+  static void set_opflags(CallFrame& f, Word o) {
+    store_op(f, (f.op & ~FrameWord{0xFFFFFFFFu}) | o);
+  }
+  static void set_rc(RegSet& r, Status s) { ppc::set_rc(r, s); }
+  static void set_rc(CallFrame& f, Status s) {
+    store_op(f, frame_with_rc(f.op, s));
+  }
+  /// One 8-byte store: the compiler would store only the bytes that
+  /// changed, and the caller's next load of the whole op word (a reused
+  /// frame's next call) would then stall on store forwarding.
+  static void store_op(CallFrame& f, FrameWord op) {
+    asm("" : "+r"(op));
+    f.op = op;
+  }
+  /// Refuse every request in `rs` with `s`: the rc on each, the status
+  /// back. Counters are booked where the refusal was decided.
+  template <typename Req>
+  static Status refuse(std::span<Req> rs, Status s) {
+    for (Req& r : rs) set_rc(r, s);
+    return s;
+  }
+  /// Run `body` on `r` as a `Want` (the form its entry's kind runs on): in
+  /// place when `r` is one, else on a copy, out of line so the same-kind
+  /// paths keep their tail calls. A frame run as a RegSet has its word 7
+  /// replaced by its op word's low half, which takes the reply's back.
+  template <typename Want, typename Req, typename Body>
+  Status as(Req& r, Body&& body) const {
+    if constexpr (std::is_same_v<Want, Req>) {
+      return body(r);
+    } else {
+      return adapt<Want>(r, body);
+    }
+  }
+  template <typename Want, typename Req, typename Body>
+  [[gnu::noinline]] Status adapt(Req& r, Body& body) const {
+    Want v{};
+    if constexpr (std::is_same_v<Want, CallFrame>) v.op = FrameWord{id} << 32;
+    v.w = r.w;
+    set_opflags(v, opflags(r));
+    const Status rc = body(v);
+    r.w = v.w;
+    set_opflags(r, opflags(v));
+    return rc;
+  }
+  static void set_rc(XcallCell& c, Status s) {
+    c.opflags = ppc::with_rc(c.opflags, s);
+  }
+  /// A drained cell is copied once, inline, into the form its entry runs
+  /// on, and its reply written back once, after the body returns, so the
+  /// caller's line is written once.
+  template <typename Want, typename Body>
+  Status as(XcallCell& c, Body&& body) const {
+    Want v{};
+    if constexpr (std::is_same_v<Want, RegSet>) {
+      v = c.regs;
+      v[ppc::kOpWord] = c.opflags;
+    } else {
+      v = cell_frame(c);
+    }
+    const Status rc = body(v);
+    c.regs.w = v.w;
+    c.opflags = opflags(v);
+    return rc;
+  }
+};
+
+// Inlined into every call site (same-slot, direct, drained): past the
+// entry's one line, nothing but the entry's own body costs a call.
+template <typename Req>
+[[gnu::always_inline]] inline Status Runtime::dispatch(
+    Slot& slot, ProgramId caller, const Lane& lane, Req& r,
+    obs::Counter worker_ctr, Status gone) {
+  Status rc = Status::kOk;
+  const Entry* e = screen_entry(lane.entry(r), gone, rc);
+  if (e == nullptr) return Lane::refuse(std::span<Req>(&r, 1), rc);
+  if (worker_ctr == obs::Counter::kCallsRemote) {
+    HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                     obs::TraceEvent::kRemoteCall, lane.entry(r));
+  }
+  // The bodies capture by value: a by-reference capture would keep
+  // `caller` and `e` in memory on the same-kind paths too.
+  if (e->fn == nullptr) {
+    slot.counters.inc(worker_ctr);
+    const EntryPointId id = lane.entry(r);
+    return lane.as<RegSet>(r, [this, &slot, id, e, caller](RegSet& regs) {
+      return execute_on_slot(slot, id, *e, caller, regs);
+    });
+  }
+  slot.counters.inc(obs::Counter::kCallsFrame);
+  return lane.as<CallFrame>(r, [this, &slot, e, caller](CallFrame& f) {
+    FrameCtx ctx{this, slot.self_id, caller};
+    const Status s = e->fn(e->self, ctx, f);
+    Lane::set_rc(f, s);
+    return s;
+  });
 }
 
 // The request screen and the ambient fold are defined once, here, and
@@ -335,15 +459,21 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
   // state; an expired or cancelled root request refuses every nested call
   // in its tree right here, before a worker is touched.
   Status rc = Status::kOk;
-  Service* svc = screen_service(id, Status::kNoSuchEntryPoint, rc);
-  if (svc == nullptr ||
+  const Entry* e = screen_entry(id, Status::kNoSuchEntryPoint, rc);
+  if (e == nullptr ||
       (rc = screen_request(slot, slot.cur_req, id)) != Status::kOk) {
     set_rc(regs, rc);
     return rc;
   }
+  // A frame entry runs the RegSet as its frame, as call_frame would: it
+  // books calls_frame, and no histogram and no span.
+  if (e->fn != nullptr) [[unlikely]] {
+    return dispatch(slot, caller, Lane{id}, regs, obs::Counter::kCallsSync,
+                    Status::kNoSuchEntryPoint);
+  }
 
   // Fast path: one plain store (calls_sync; hold-CD services pay a second
-  // for hold_cd_hits), then the shared slot-local call body.
+  // for hold_cd_hits), then the slot-local call body.
   slot.counters.inc(obs::Counter::kCallsSync);
   // Pure-delay seam (the failpoint burns its armed cpu_relax budget before
   // returning true): models a preempted or cache-cold caller.
@@ -368,7 +498,7 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
     if (span != 0) slot.cur_trace.span_id = span;
   }
 #endif
-  rc = execute_on_slot(slot, slot_id, *svc, caller, regs);
+  rc = execute_on_slot(slot, id, *e, caller, regs);
 #if defined(HPPC_TRACE) && HPPC_TRACE
   if (saved.traced()) {
     slot.cur_trace = saved;
@@ -408,26 +538,6 @@ SlotId Runtime::register_thread() {
   return s;
 }
 
-Status Runtime::execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
-                               RegSet& regs) {
-  // Re-resolve: the service may have been killed between post and drain.
-  // The caller pre-screened the entry point before admitting the call, so
-  // a service that is gone (or hard-killed) *here* died while the call was
-  // in flight — that is the §4.5.2 abort case, reported as kCallAborted so
-  // a hard kill racing call_remote yields exactly {kOk, kCallAborted}.
-  // Soft kill keeps its distinct drain code.
-  Status rc = Status::kOk;
-  Service* svc = screen_service(id, Status::kCallAborted, rc);
-  if (svc == nullptr) {
-    set_rc(regs, rc);
-    return rc;
-  }
-  slot.counters.inc(obs::Counter::kCallsRemote);
-  HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                   obs::TraceEvent::kRemoteCall, id);
-  return execute_on_slot(slot, slot.self_id, *svc, caller, regs);
-}
-
 std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
   // One batch: every cell published before the first gap, one acquire per
   // cell to observe its payload, one book-keeping store per batch. The
@@ -437,19 +547,16 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
   const auto run = [this, &slot](XcallCell& cell) -> Status {
     // The request context the cell carried across the ring: the absolute
     // budget in its deadline lane, the cancel-token index and traffic
-    // class in the ep word's high lanes — the same for typed and frame
-    // cells. A cell that drained past its deadline, or whose root was
-    // cancelled, is not executed late: a fire-and-forget cell is dropped,
-    // a sync one is refused (a parked caller is kicked by that completion
-    // exactly as a real result would kick it).
+    // class in the ep word's high lanes. A cell that drained past its
+    // deadline, or whose root was cancelled, is not executed late: a
+    // fire-and-forget cell is dropped, a sync one is refused (a parked
+    // caller is kicked by that completion exactly as a real result would
+    // kick it).
     RequestCtx req;
     req.abs_deadline_cycles = cell.deadline;
     req.cancel_token = cell_token_idx(cell.ep);
     req.traffic_class = cell_is_bulk(cell.ep) ? TrafficClass::kBulk
                                               : TrafficClass::kInteractive;
-    // The handler runs on a server-local register file; the caller's line
-    // is written once, reply then state word, after it returns.
-    RegSet out = cell.regs;
     Status rc = screen_request(slot, req, cell_ep(cell.ep));
     if (rc == Status::kOk) {
       // Run under the cell's context — swapped in around the handler like
@@ -470,14 +577,11 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
       }
 #endif
       install_req(slot.cur_req, req);
-      if (cell_is_frame(cell)) {
-        CallFrame f = cell_frame(cell);
-        rc = execute_frame(slot, cell.caller, f);
-        out.w = f.w;
-        cell.opflags = frame_opflags_of(f.op);
-      } else {
-        rc = execute_remote(slot, cell.caller, cell_ep(cell.ep), out);
-      }
+      // The caller screened the entry before admitting the call, so one
+      // that is gone *here* died while the call was in flight — the
+      // §4.5.2 abort case, kCallAborted; a soft kill keeps its own code.
+      rc = dispatch(slot, cell.caller, Lane{}, cell,
+                    obs::Counter::kCallsRemote, Status::kCallAborted);
       slot.cur_req = saved_req;
 #if defined(HPPC_TRACE) && HPPC_TRACE
       if (cctx.traced()) {
@@ -497,7 +601,6 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
       // The reply rides the cell line back to the caller.
       slot.counters.inc(obs::Counter::kSharedLinesTouched);
     }
-    cell.regs = out;
     return rc;
   };
   // The completion's load found the parked bit: we just futex-woke a
@@ -732,65 +835,10 @@ void Runtime::clear_request_ctx(SlotId slot) {
   slots_[slot]->cur_req = RequestCtx{};
 }
 
-// ---------------------------------------------------------------------------
-// The frame ABI (Figure 4 register contract)
-// ---------------------------------------------------------------------------
-
-FrameServiceId Runtime::bind_frame(ProgramId program, FrameFn fn,
-                                   void* self) {
-  HPPC_ASSERT(fn != nullptr);
-  shared_.inc(obs::Counter::kBinds);
-  shared_.inc(obs::Counter::kLocksTaken);
-  shared_.inc(obs::Counter::kSharedLinesTouched);
-  std::lock_guard<std::mutex> lock(bind_mutex_);
-  HPPC_ASSERT_MSG(next_frame_service_ < kMaxFrameServices,
-                  "out of frame services");
-  const FrameServiceId id = next_frame_service_++;
-  FrameService& fs = frame_services_[id];
-  // self/program are plain members: published by the fn release-store and
-  // immutable afterwards (unbind only clears fn).
-  fs.self = self;
-  fs.program = program;
-  fs.fn.store(fn, std::memory_order_release);
-  return id;
-}
-
-Status Runtime::unbind_frame(FrameServiceId id) {
-  if (id >= kMaxFrameServices) return Status::kNoSuchEntryPoint;
-  shared_.inc(obs::Counter::kSharedLinesTouched);
-  if (frame_services_[id].fn.exchange(nullptr, std::memory_order_acq_rel) ==
-      nullptr) {
-    return Status::kNoSuchEntryPoint;
-  }
-  return Status::kOk;
-}
-
-// Inlined into every frame lane (same-slot, direct, drained): the frame
-// path's whole point is that nothing but the handler costs a call.
-[[gnu::always_inline]] inline Status Runtime::execute_frame(Slot& slot,
-                                                            ProgramId caller,
-                                                            CallFrame& f) {
-  const FrameServiceId id = frame_service_of(f.op);
-  const FrameFn fn = id < kMaxFrameServices
-                         ? frame_services_[id].fn.load(std::memory_order_acquire)
-                         : nullptr;
-  if (fn == nullptr) {
-    f.op = frame_with_rc(f.op, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
-  }
-  // The entire observed cost beyond the handler: one single-writer counter
-  // store. No worker, no CD, no histogram, no trace hook — this is the
-  // lane the Figure-2 numbers are chased on.
-  slot.counters.inc(obs::Counter::kCallsFrame);
-  FrameCtx ctx{this, slot.self_id, caller};
-  const Status rc = fn(frame_services_[id].self, ctx, f);
-  f.op = frame_with_rc(f.op, rc);
-  return rc;
-}
-
 Status Runtime::call_frame(SlotId slot_id, ProgramId caller, CallFrame& f) {
   HPPC_ASSERT(slot_id < slots_.size());
-  return execute_frame(*slots_[slot_id], caller, f);
+  return dispatch(*slots_[slot_id], caller, Lane{}, f,
+                  obs::Counter::kCallsSync, Status::kNoSuchEntryPoint);
 }
 
 // ---------------------------------------------------------------------------
@@ -798,104 +846,45 @@ Status Runtime::call_frame(SlotId slot_id, ProgramId caller, CallFrame& f) {
 // ---------------------------------------------------------------------------
 //
 // Every call_remote* wrapper below is one call into submit(): screen →
-// admit → direct | post → wait → complete over a span of requests. A lane
-// policy supplies the only per-lane steps — screen the submission, encode
-// a cell, execute a request directly, copy a reply out — so the typed and
-// frame lanes share every counter, histogram, span and failpoint.
-
-namespace {
-// The default-constructed options the option-less wrappers pass: one
-// read-only object instead of a temporary built on every call.
-constexpr CallOptions kNoOptions{};
-
-/// Refuse every request in `reqs` with `s`: the rc on each, the status
-/// back. Counters are booked where the refusal was decided.
-template <typename Lane>
-Status refuse_all(std::span<typename Lane::Req> reqs, Status s) {
-  for (auto& r : reqs) Lane::refuse(r, s);
-  return s;
-}
-}  // namespace
-
-// The two lane policies write the same cell format. The engine fills the
-// caller and the deadline; `lanes` is the ep word's request-context lanes
-// (cancel token and class), which a lane ors with its entry point.
-
-/// Typed requests: RegSets against one entry point. The status word is
-/// the rc: the reply stamps it into the op word.
-struct Runtime::TypedLane {
-  using Req = RegSet;
-  EntryPointId id;
-
-  Status screen(const Runtime& rt, std::span<RegSet>) const {
-    Status rc = Status::kOk;
-    rt.screen_service(id, Status::kNoSuchEntryPoint, rc);
-    return rc;
-  }
-  static void refuse(RegSet& r, Status s) { set_rc(r, s); }
-  void encode(XcallCell& cell, const RegSet& r, EntryPointId lanes) const {
-    cell.ep = lanes | id;
-    cell.regs = r;
-  }
-  Status execute(Runtime& rt, Slot& tgt, ProgramId caller, RegSet& r) const {
-    return rt.execute_remote(tgt, caller, id, r);
-  }
-  static void reply(RegSet& r, const XcallCell& cell, Status rc) {
-    r = cell.regs;
-    set_rc(r, rc);
-  }
-};
-
-/// Figure-4 frames: the service id rides the ep lane and the op word's low
-/// half rides `opflags`; the payload is the cell's RegSet. The reply takes
-/// the server's opcode|flags with the status as rc, so a ring round trip
-/// returns the op word the direct path would.
-struct Runtime::FrameLane {
-  using Req = CallFrame;
-
-  Status screen(const Runtime& rt, std::span<CallFrame> reqs) const {
-    for (const CallFrame& f : reqs) {
-      const FrameServiceId id = frame_service_of(f.op);
-      if (id >= kMaxFrameServices ||
-          rt.frame_services_[id].fn.load(std::memory_order_acquire) ==
-              nullptr) {
-        return Status::kNoSuchEntryPoint;
-      }
-    }
-    return Status::kOk;
-  }
-  static void refuse(CallFrame& f, Status s) { f.op = frame_with_rc(f.op, s); }
-  void encode(XcallCell& cell, const CallFrame& f, EntryPointId lanes) const {
-    cell.ep = lanes | kFrameCellEp | frame_service_of(f.op);
-    cell.opflags = frame_opflags_of(f.op);
-    cell.regs.w = f.w;
-  }
-  Status execute(Runtime& rt, Slot& tgt, ProgramId caller,
-                 CallFrame& f) const {
-    return rt.execute_frame(tgt, caller, f);
-  }
-  static void reply(CallFrame& f, const XcallCell& cell, Status rc) {
-    f.w = cell.regs.w;
-    f.op = frame_with_rc((f.op & ~FrameWord{0xFFFFFFFFu}) | cell.opflags, rc);
-  }
-};
+// admit → direct | post → wait → complete over a span of requests. Each
+// request is a Figure-4 frame (Lane adapts a RegSet), so RegSet and
+// CallFrame calls share every counter, histogram, span, failpoint and the
+// cell format: the entry rides the ep word's low lane, the op word's low
+// half rides `opflags` and the payload the cell's RegSet.
 
 // Inlined into each wrapper on purpose: a direct call is a few dozen
 // nanoseconds, and an out-of-line engine call with its stack-passed
 // arguments measurably added to it (the frame lane's direct call most).
-template <typename Lane>
+template <typename Req>
 [[gnu::always_inline]] inline Status Runtime::submit(
     const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
-    std::span<typename Lane::Req> reqs, const CallOptions& opts, bool async) {
+    std::span<Req> reqs, const CallOptions& opts, bool async) {
   HPPC_ASSERT(caller_slot < slots_.size());
   HPPC_ASSERT(target < slots_.size());
-  HPPC_ASSERT(async || target != caller_slot);
+  Status overall = Status::kOk;
+  if (!async && target == caller_slot) {
+    // A sync call to the caller's own slot is a local call.
+    for (Req& r : reqs) {
+      Status s;
+      if constexpr (std::is_same_v<Req, RegSet>) {
+        s = call(caller_slot, caller, lane.id, r);
+      } else {
+        s = call_frame(caller_slot, caller, r);
+      }
+      if (overall == Status::kOk) overall = s;
+    }
+    return overall;
+  }
   if (reqs.empty()) return Status::kOk;
   Slot& me = *slots_[caller_slot];
   Slot& tgt = *slots_[target];
-  // Screen: an unbound or killed service fails before touching the target.
-  if (const Status s = lane.screen(*this, reqs); s != Status::kOk) {
-    return refuse_all<Lane>(reqs, s);
+  // Screen: an unbound or killed entry fails before touching the target.
+  for (Req& r : reqs) {
+    Status s = Status::kOk;
+    if (!screen_entry(lane.entry(r), Status::kNoSuchEntryPoint, s)) {
+      return Lane::refuse(reqs, s);
+    }
+    if constexpr (std::is_same_v<Req, RegSet>) break;  // one entry for all
   }
 
   // Admit: fold the per-call knobs into the ambient request the caller is
@@ -906,7 +895,7 @@ template <typename Lane>
   const RequestCtx req = fold_request(me, opts);
   if (const Status s = screen_request(me, req, target, reqs.size());
       s != Status::kOk) {
-    return refuse_all<Lane>(reqs, s);
+    return Lane::refuse(reqs, s);
   }
   const std::uint32_t watermark = shed_watermark(req.traffic_class);
   if (watermark != 0 && xcall_depth(target) >= watermark) {
@@ -914,7 +903,7 @@ template <typename Lane>
     if (req.bulk()) me.counters.inc(obs::Counter::kCallsShedBulk, reqs.size());
     HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
                      obs::TraceEvent::kCallShed, target);
-    return refuse_all<Lane>(reqs, Status::kOverloaded);
+    return Lane::refuse(reqs, Status::kOverloaded);
   }
   if (req.bulk()) me.counters.inc(obs::Counter::kCallsBulk, reqs.size());
 
@@ -957,9 +946,9 @@ template <typename Lane>
 #endif
   const RequestCtx saved_req = tgt.cur_req;
   install_req(tgt.cur_req, req);
-  Status overall = Status::kOk;
-  for (auto& r : reqs) {
-    const Status s = lane.execute(*this, tgt, caller, r);
+  for (Req& r : reqs) {
+    const Status s = dispatch(tgt, caller, lane, r, obs::Counter::kCallsRemote,
+                              Status::kCallAborted);
     if (overall == Status::kOk) overall = s;
   }
   tgt.cur_req = saved_req;
@@ -987,20 +976,20 @@ template <typename Lane>
 // A sync submission's ring stages run out of line, so their state — the
 // wait ladder among it — never crowds the direct stage's frame and
 // registers; an async post is light enough to stay inline.
-template <typename Lane>
+template <typename Req>
 [[gnu::noinline]] Status Runtime::submit_ring_sync(
     const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
-    std::span<typename Lane::Req> reqs, const CallOptions& opts,
-    RequestCtx req, bool sampled, std::uint64_t t0) {
+    std::span<Req> reqs, const CallOptions& opts, RequestCtx req,
+    bool sampled, std::uint64_t t0) {
   return submit_ring(lane, caller_slot, target, caller, reqs, opts, req,
                      /*async=*/false, sampled, t0);
 }
 
-template <typename Lane>
+template <typename Req>
 [[gnu::always_inline]] inline Status Runtime::submit_ring(
     const Lane& lane, SlotId caller_slot, SlotId target, ProgramId caller,
-    std::span<typename Lane::Req> reqs, const CallOptions& opts,
-    RequestCtx req, bool async, bool sampled, std::uint64_t t0) {
+    std::span<Req> reqs, const CallOptions& opts, RequestCtx req, bool async,
+    bool sampled, std::uint64_t t0) {
   Slot& me = *slots_[caller_slot];
   Slot& tgt = *slots_[target];
   const std::size_t n = reqs.size();
@@ -1061,7 +1050,7 @@ template <typename Lane>
       t0 = sampled ? host_cycles() : 0;
       decided = true;
     }
-    // Post: claim up to a ring's worth of cells; the lane encodes each.
+    // Post: claim up to a ring's worth of cells, each carrying its frame.
     // "rt.xcall.batch.post" delays every chunk post of a batch (a producer
     // preempted mid-batch).
     const std::size_t want = std::min(n - i, XcallRing::kCapacity);
@@ -1072,9 +1061,12 @@ template <typename Lane>
       posted = ring.try_post(
           want,
           [&](XcallCell& cell, std::size_t k) {
+            const Req& r = reqs[i + k];
             cell.caller = caller;
             cell.deadline = in_flight;
-            lane.encode(cell, reqs[i + k], lanes);
+            cell.ep = lanes | lane.entry(r);
+            cell.opflags = Lane::opflags(r);
+            cell.regs.w = r.w;
 #if defined(HPPC_TRACE) && HPPC_TRACE
             cell.tctx = post_ctx;
 #endif
@@ -1105,7 +1097,7 @@ template <typename Lane>
               ? Status::kOverloaded
               : screen_request(me, req, target, n - i);
       if (give_up != Status::kOk) {
-        fold(refuse_all<Lane>(reqs.subspan(i), give_up));
+        fold(Lane::refuse(reqs.subspan(i), give_up));
         break;
       }
       if (opts.retry == RetryPolicy::kBackoff) {
@@ -1159,7 +1151,7 @@ template <typename Lane>
     }
     for (std::size_t k = 0; k < posted; ++k) {
       XcallCell& cell = ring.cell(first + k);
-      typename Lane::Req& r = reqs[i + k];
+      Req& r = reqs[i + k];
       std::uint64_t park_t = 0;  // stamped at park, read after the kick
       const std::uint32_t st =
           wait_complete(cell, in_flight, yield_rounds, help, [&] {
@@ -1178,13 +1170,16 @@ template <typename Lane>
       if (st == kCellAbandoned) {
         // The cell is the server's now: its drain skips and retires it.
         book_refusal(me, Status::kDeadlineExceeded, target, 1);
-        Lane::refuse(r, Status::kDeadlineExceeded);
+        Lane::refuse(reqs.subspan(i + k, 1), Status::kDeadlineExceeded);
         fold(Status::kDeadlineExceeded);
         continue;
       }
       // The server has already retired the cell; we are the ring's only
-      // producer, so nobody reuses it before the reply is copied out.
-      Lane::reply(r, cell, cell_status(st));
+      // producer, so nobody reuses it before the reply is copied out. The
+      // reply takes the server's opcode|flags with the status as rc, so a
+      // ring round trip returns the op word the direct path would.
+      r.w = cell.regs.w;
+      Lane::set_opflags(r, ppc::with_rc(cell.opflags, cell_status(st)));
       fold(cell_status(st));
     }
     i += posted;
@@ -1211,44 +1206,21 @@ template <typename Lane>
 
 Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
                                   ProgramId caller, CallFrame& f) {
-  if (target == caller_slot) return call_frame(caller_slot, caller, f);
-  return submit(FrameLane{}, caller_slot, target, caller,
+  return submit(Lane{}, caller_slot, target, caller,
                 std::span<CallFrame>(&f, 1), kNoOptions);
 }
 
 Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
                                         ProgramId caller,
                                         std::span<CallFrame> batch) {
-  if (target != caller_slot) {
-    return submit(FrameLane{}, caller_slot, target, caller, batch,
-                  kNoOptions);
-  }
-  Status overall = Status::kOk;
-  for (CallFrame& f : batch) {
-    const Status s = call_frame(caller_slot, caller, f);
-    if (overall == Status::kOk) overall = s;
-  }
-  return overall;
-}
-
-Status Runtime::call_remote(SlotId caller_slot, SlotId target,
-                            ProgramId caller, EntryPointId id, RegSet& regs) {
-  return call_remote(caller_slot, target, caller, id, regs, kNoOptions);
+  return submit(Lane{}, caller_slot, target, caller, batch, kNoOptions);
 }
 
 Status Runtime::call_remote(SlotId caller_slot, SlotId target,
                             ProgramId caller, EntryPointId id, RegSet& regs,
                             const CallOptions& opts) {
-  if (target == caller_slot) return call(caller_slot, caller, id, regs);
-  return submit(TypedLane{id}, caller_slot, target, caller,
+  return submit(Lane{id}, caller_slot, target, caller,
                 std::span<RegSet>(&regs, 1), opts);
-}
-
-Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
-                                  ProgramId caller, EntryPointId id,
-                                  RegSet regs) {
-  return call_remote_async(caller_slot, target, caller, id, regs,
-                           kNoOptions);
 }
 
 Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
@@ -1259,7 +1231,7 @@ Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
   // rescue it, expiry is enforced by the drain — a cell reached late is
   // dropped (deadline_exceeded on the target) rather than executed late.
   // A same-slot post rides the slot's own ring the same way.
-  return submit(TypedLane{id}, caller_slot, target, caller,
+  return submit(Lane{id}, caller_slot, target, caller,
                 std::span<RegSet>(&regs, 1), opts, /*async=*/true);
 }
 
@@ -1278,24 +1250,9 @@ Status Runtime::call_async(SlotId slot_id, ProgramId caller, EntryPointId id,
 
 Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
                                   ProgramId caller, EntryPointId id,
-                                  std::span<RegSet> batch) {
-  return call_remote_batch(caller_slot, target, caller, id, batch,
-                           kNoOptions);
-}
-
-Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
-                                  ProgramId caller, EntryPointId id,
                                   std::span<RegSet> batch,
                                   const CallOptions& opts) {
-  if (target != caller_slot) {
-    return submit(TypedLane{id}, caller_slot, target, caller, batch, opts);
-  }
-  Status overall = Status::kOk;
-  for (RegSet& regs : batch) {
-    const Status s = call(caller_slot, caller, id, regs);
-    if (overall == Status::kOk) overall = s;
-  }
-  return overall;
+  return submit(Lane{id}, caller_slot, target, caller, batch, opts);
 }
 
 void Runtime::enter_idle(SlotId slot_id) {

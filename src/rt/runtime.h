@@ -8,7 +8,10 @@
 // opcode+flags+rc packed in the last word, caller identified by a program
 // token (§4.1), workers created on demand with a one-time init routine
 // (§4.5.3), hold-CD mode, soft/hard kill (§4.5.2), and async calls
-// queued on the owning slot's own ring.
+// queued on the owning slot's own ring. Every call resolves through one
+// entry-point table: an entry is either worker-backed (the paper's PPC)
+// or a run-to-completion Figure-4 frame function (rt/frame_abi.h), and
+// both obey the same kill rules.
 //
 // Cross-slot traffic (the paper's cross-processor path, §4.5.2) rides the
 // xcall layer: one bounded single-producer ring of cache-line cells per
@@ -17,10 +20,9 @@
 // call_remote_frame and call_remote_frame_batch — is a thin wrapper over
 // one private engine, submit(), which runs screen → admit → direct | post
 // → wait → complete over a span of requests. A single call is a batch of
-// one; async is "post, don't wait"; the typed and frame lanes differ only
-// in a small request policy (screen, encode a cell, execute, copy the
-// reply out), just as the paper's async and upcall variants reuse its sync
-// machinery. The direct stage runs the call on an idle target slot
+// one; async is "post, don't wait"; every request is a Figure-4 frame (a
+// RegSet is adapted to one), just as the paper's async and upcall variants
+// reuse its sync machinery. The direct stage runs the call on an idle target slot
 // (LRPC-style ownership handoff through the SlotGate); the post stage
 // claims ring cells and the wait stage spins, yields and finally parks on
 // their state words; each sync reply comes back in its own cell
@@ -156,6 +158,10 @@ struct CallOptions {
   }
 };
 
+/// The options every option-less call passes: one read-only object rather
+/// than a temporary built on every call.
+inline constexpr CallOptions kNoOptions{};
+
 /// A call descriptor: return info slot + the stack buffer (§2). Both the
 /// descriptor and its one-page stack live in the runtime arena, on the
 /// owning slot's NUMA node; the arena reclaims the storage wholesale at
@@ -213,23 +219,42 @@ class Runtime {
   std::uint32_t slots() const { return registry_.capacity(); }
 
   // ----- binding (slow path; internally locked) -----
+  //
+  // Both kinds of entry draw their ids from one counter, and an id is
+  // never reissued, not even after a hard kill.
 
+  /// A worker-backed entry (the paper's PPC): each call runs `initial_handler`
+  /// (or the handler a §4.5.3 init call installed) on a pooled worker with
+  /// a CD.
   EntryPointId bind(RtServiceConfig cfg, ProgramId program,
                     RtHandler initial_handler);
 
-  /// Soft kill: new calls fail with kEntryPointDraining/kNoSuchEntryPoint;
-  /// pooled resources are reclaimed lazily by each slot.
+  /// A frame entry: `fn` runs to completion with `self` on the calling or
+  /// draining thread, with no worker and no CD. `self` must outlive the
+  /// entry's last call, which may still run after hard_kill returns.
+  EntryPointId bind(ProgramId program, FrameFn fn, void* self);
+  FrameServiceId bind_frame(ProgramId program, FrameFn fn, void* self) {
+    return bind(program, fn, self);
+  }
+
+  /// Soft kill: new calls fail with kEntryPointDraining, and so do calls
+  /// already in flight that have not started; pooled resources are
+  /// reclaimed lazily by each slot.
   Status soft_kill(EntryPointId id);
 
-  /// Hard kill: like soft kill, plus every slot's reclaim word is bumped
-  /// immediately; each slot frees the service's pooled workers and held
-  /// CDs at its owner's next poll().
+  /// Hard kill: new calls fail with kNoSuchEntryPoint, admitted calls that
+  /// have not started complete with kCallAborted, and every slot's reclaim
+  /// word is bumped immediately; each slot frees the entry's pooled
+  /// workers and held CDs at its owner's next poll().
   Status hard_kill(EntryPointId id);
 
   // ----- the fast path -----
 
   /// Synchronous call on the calling thread's slot. regs[kOpWord] carries
   /// opcode+flags in and rc out. `caller` is the caller's program token.
+  /// On a frame entry the RegSet is the frame: its 8 words are the payload
+  /// and regs[kOpWord] is also the op word's low half, which comes back
+  /// with the rc (word 7 of the handler's reply is overwritten by it).
   Status call(SlotId slot, ProgramId caller, EntryPointId id, RegSet& regs);
 
   /// Same-slot call with per-call options. A local call executes the
@@ -263,17 +288,16 @@ class Runtime {
   /// Requires the target slot to be either idle-gated or actively
   /// poll()ing/serve()ing — the ring is at-least-eventually drained by
   /// construction only under that contract.
-  Status call_remote(SlotId caller_slot, SlotId target, ProgramId caller,
-                     EntryPointId id, RegSet& regs);
-
-  /// call_remote with per-call robustness knobs: a relative deadline
+  ///
+  /// Per-call robustness knobs (`opts`): a relative deadline
   /// (host_cycles ticks) after which the caller abandons the wait with
   /// kDeadlineExceeded, and a retry policy for the ring-full case (block /
   /// bounded backoff / fail fast — the latter two return kOverloaded when
   /// the budget runs out). An abandoned cell stays in the ring until the
   /// server reaches it and retires it; a deadline waiter never parks.
   Status call_remote(SlotId caller_slot, SlotId target, ProgramId caller,
-                     EntryPointId id, RegSet& regs, const CallOptions& opts);
+                     EntryPointId id, RegSet& regs,
+                     const CallOptions& opts = kNoOptions);
 
   /// Batched synchronous cross-slot PPC: submit every RegSet in `batch`
   /// against `target` and wait for all of them. On an idle target one gate
@@ -284,58 +308,46 @@ class Runtime {
   /// line transfer instead of M. Per-call results land in each RegSet's rc
   /// word; the return value is the first non-kOk rc (kOk if all passed).
   /// Zero heap allocations: each reply comes back in its own cell.
+  ///
+  /// Per-call options: a deadline (applies to the whole batch; carried in
+  /// every cell so the server also refuses to execute expired cells late),
+  /// and the retry policy governs each chunk post exactly as in
+  /// call_remote — both run the same engine, so a kBackoff batch against a
+  /// full ring gives up with kOverloaded after `backoff_rounds` failed
+  /// posts.
   Status call_remote_batch(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id,
-                           std::span<RegSet> batch);
-
-  /// call_remote_batch with per-call options: a deadline (applies to the
-  /// whole batch; carried in every cell so the server also refuses to
-  /// execute expired cells late), and the retry policy governs each chunk post exactly as in call_remote —
-  /// both run the same engine, so a kBackoff batch against a full ring
-  /// gives up with kOverloaded after `backoff_rounds` failed posts.
-  Status call_remote_batch(SlotId caller_slot, SlotId target,
-                           ProgramId caller, EntryPointId id,
-                           std::span<RegSet> batch, const CallOptions& opts);
+                           std::span<RegSet> batch,
+                           const CallOptions& opts = kNoOptions);
 
   /// Fire-and-forget call: posted into the target's ring and executed at
   /// the target's next drain. Results discarded. `target == caller_slot`
   /// posts on the slot's own ring (see call_async). A full ring refuses
   /// the post with kOverloaded (booked as xcall_ring_full): a caller that
   /// does not wait cannot wait for room either.
-  Status call_remote_async(SlotId caller_slot, SlotId target,
-                           ProgramId caller, EntryPointId id, RegSet regs);
-
-  /// call_remote_async with options. The deadline, cancel token and class
-  /// act: they are screened at admission and carried in the posted cell,
-  /// and a cell that drains after its deadline (or its token's cancel) is
-  /// dropped — counted as deadline_exceeded (calls_cancelled) on the
-  /// target slot — instead of being executed late. The retry policy is
-  /// ignored: every async post fails fast on a full ring.
+  ///
+  /// Options: the deadline, cancel token and class act: they are screened
+  /// at admission and carried in the posted cell, and a cell that drains
+  /// after its deadline (or its token's cancel) is dropped — counted as
+  /// deadline_exceeded (calls_cancelled) on the target slot — instead of
+  /// being executed late. The retry policy is ignored: every async post
+  /// fails fast on a full ring.
   Status call_remote_async(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id, RegSet regs,
-                           const CallOptions& opts);
+                           const CallOptions& opts = kNoOptions);
 
   // ----- the frame ABI (Figure 4 register contract) -----
   //
   // The lean call lane: a CallFrame carries 8 words each way plus the
-  // packed opcode|flags|service word, resolved through a flat table of raw
-  // function pointers — no Service lookup, no worker/CD acquisition, no
-  // std::function. The same-slot call_frame books no histogram and no
-  // span. Cross-slot frame calls ride the same engine as typed ones (same
-  // admission, retry, wait ladder, histograms and spans) and inline the
-  // whole request in the 64 B XcallCell, in the typed cell format: the
-  // ambient deadline, cancel token and class ride with it, and a frame
-  // handler runs under them, direct or drained.
-
-  /// Register a frame service: `fn` is invoked with `self` on every call.
-  /// `self` must outlive the runtime (or the service's last call). Slow
-  /// path, internally locked.
-  FrameServiceId bind_frame(ProgramId program, FrameFn fn, void* self);
-
-  /// Unbind: subsequent frame calls to `id` fail with kNoSuchEntryPoint;
-  /// in-flight cells drain with the same status. The table slot is not
-  /// reused.
-  Status unbind_frame(FrameServiceId id);
+  // packed opcode|flags|entry word and names its entry itself. The
+  // same-slot call_frame screens no request context and books no
+  // histogram and no span. Cross-slot frame calls ride the same engine as
+  // typed ones (same admission, retry, wait ladder, histograms and spans)
+  // and inline the whole request in the 64 B XcallCell: the ambient
+  // deadline, cancel token and class ride with it, and the entry runs
+  // under them, direct or drained. A frame call to a worker-backed entry
+  // runs its typed handler with word 7 replaced by the op word's low half
+  // (the RegSet contract); the reply's word 7 is the handler's opflags.
 
   /// Same-slot frame call: one acquire load of the table entry, one
   /// indirect call, one counter store. Replies in f.w; rc packed into
@@ -352,8 +364,8 @@ class Runtime {
   /// Batched cross-slot frame calls: chunks of up to XcallRing::kCapacity
   /// cells, each chunk claimed with plain stores and published with ONE
   /// release store + ONE doorbell. Frames in one batch may carry different
-  /// op words; a batch naming any unbound frame service is refused whole at
-  /// admission. Per-frame rc lands in each frame's op word; returns the
+  /// op words; a batch naming any unbound or killed entry is refused whole
+  /// at admission. Per-frame rc lands in each frame's op word; returns the
   /// first non-kOk rc.
   Status call_remote_frame_batch(SlotId caller_slot, SlotId target,
                                  ProgramId caller,
@@ -594,14 +606,26 @@ class Runtime {
  private:
   friend class RtCtx;
 
-  enum class SvcState : std::uint8_t { kActive, kDraining, kDead };
+  /// An entry's life: kDead until bind publishes it and again after
+  /// hard_kill, kDraining after soft_kill.
+  enum class SvcState : std::uint8_t { kDead, kActive, kDraining };
 
-  struct Service {
-    RtServiceConfig cfg;
-    ProgramId program;
-    RtHandler initial_handler;
-    std::atomic<SvcState> state{SvcState::kActive};
-    EntryPointId id = kInvalidEntryPoint;
+  /// One entry of the service table (§4.1), alone on its half-line: the
+  /// state, the hold-CD flag, the function (whose null is the kind) and
+  /// its `self`, so a call resolves with one indexed load. bind writes the plain fields,
+  /// then publishes them with the state's release store; they never change
+  /// afterwards (ids are never reused), so a caller that acquired kActive
+  /// reads them plainly.
+  struct alignas(32) Entry {
+    std::atomic<SvcState> state{SvcState::kDead};
+    bool hold_cd = false;  // worker-backed entries only
+    // A frame entry's function. Null marks a worker-backed entry, whose
+    // `self` is the RtHandler its workers start from and whose calls book
+    // calls_sync/calls_remote (the pool identities in
+    // derive_pool_counters count them); a frame entry's calls book
+    // calls_frame.
+    FrameFn fn = nullptr;
+    void* self = nullptr;
   };
 
   /// Everything one slot owns. Only the slot's current ownership holder —
@@ -694,25 +718,34 @@ class Runtime {
     return 1ull << (src < 63 ? src : 63);
   }
 
-  Service* lookup(EntryPointId id) const {
-    if (id >= kMaxEntryPoints) return nullptr;
-    return services_[id].load(std::memory_order_acquire);
+  /// The entry screen: `id`'s entry while it is active, else nullptr with
+  /// `rc` set — kEntryPointDraining for a soft-killed entry, `gone` for one
+  /// that is unbound or hard-killed. One acquire load.
+  const Entry* screen_entry(EntryPointId id, Status gone, Status& rc) const {
+    const SvcState st = id < kMaxEntryPoints
+                            ? entries_[id].state.load(std::memory_order_acquire)
+                            : SvcState::kDead;
+    if (st == SvcState::kActive) return &entries_[id];
+    rc = st == SvcState::kDraining ? Status::kEntryPointDraining : gone;
+    return nullptr;
   }
 
-  /// One frame-table entry. `self`/`program` are written before the fn
-  /// release-store at bind time and never change afterwards, so a caller's
-  /// fn acquire-load licenses the plain reads — one load on the warm path.
-  struct FrameService {
-    std::atomic<FrameFn> fn{nullptr};
-    void* self = nullptr;
-    ProgramId program = 0;
-  };
-
-  /// The shared frame call body (same-slot fast path, direct execution
-  /// under a gate steal, and ring-cell drain all funnel here): one table
-  /// load, one indirect call, one counter store. Ownership of `slot` is
-  /// held by the calling thread.
-  Status execute_frame(Slot& slot, ProgramId caller, CallFrame& f);
+  /// The one request policy (runtime.cpp): every request is a Figure-4
+  /// frame, and a RegSet is adapted to one.
+  struct Lane;
+  /// The one dispatch (ownership of `slot` held; the same-slot calls,
+  /// direct execution under a gate steal and the ring drain all funnel
+  /// here): screen the entry `r` names, book the call — `worker_ctr` for a
+  /// worker-backed entry, calls_frame for a frame entry — run it and leave
+  /// the rc in `r`. `gone` answers an unbound or killed entry.
+  template <typename Req>
+  Status dispatch(Slot& slot, ProgramId caller, const Lane& lane, Req& r,
+                  obs::Counter worker_ctr, Status gone);
+  /// Add an entry to the table under the bind lock; `handler`
+  /// (worker-backed entries only) becomes its `self` and is owned by the
+  /// runtime.
+  EntryPointId add_entry(FrameFn fn, void* self, bool hold_cd,
+                         std::unique_ptr<RtHandler> handler);
 
   /// The per-call sampling decision (ownership of `slot` held): true for
   /// the call that counts the slot's countdown down to zero, which then
@@ -726,10 +759,10 @@ class Runtime {
     return period != 0;
   }
 
-  RtWorker* acquire_worker(Slot& slot, Service& svc);
+  RtWorker* acquire_worker(Slot& slot, EntryPointId id, const Entry& e);
   RtCd* acquire_cd(Slot& slot, RtWorker& w);
-  void release(Slot& slot, Service& svc, RtWorker* w, RtCd* cd);
-  void reclaim_service_on_slot(Slot& slot, EntryPointId id);
+  void release(Slot& slot, EntryPointId id, const Entry& e, RtWorker* w,
+               RtCd* cd);
   /// The reclaim-word handler (ownership held): reclaim every service this
   /// slot still pools workers for whose entry point is gone. Entry-point
   /// ids are never reused, so "gone" is exactly "hard-killed". Returns
@@ -737,28 +770,10 @@ class Runtime {
   std::size_t reclaim_dead_services(Slot& slot);
   Status kill(EntryPointId id, bool hard);
 
-  /// The call body shared by the same-slot fast path and both remote
-  /// execution modes: worker/CD acquire, handler, release. Caller has
-  /// already resolved the service and booked the per-variant counter.
-  Status execute_on_slot(Slot& slot, SlotId slot_id, Service& svc,
+  /// The worker-backed call body: worker/CD acquire, handler, release.
+  /// The caller has already screened entry `id` (`e`) and booked the call.
+  Status execute_on_slot(Slot& slot, EntryPointId id, const Entry& e,
                          ProgramId caller, RegSet& regs);
-  /// Execute one ring cell / remote request on `slot` (ownership held by
-  /// the calling thread): re-checks service state, books calls_remote.
-  Status execute_remote(Slot& slot, ProgramId caller, EntryPointId id,
-                        RegSet& regs);
-
-  /// The service-state screen: `id`'s service while it is active, else
-  /// nullptr with `rc` set — kEntryPointDraining for a soft-killed service,
-  /// `gone` for one that is unbound or hard-killed.
-  Service* screen_service(EntryPointId id, Status gone, Status& rc) const {
-    Service* svc = lookup(id);
-    const SvcState st = svc != nullptr
-                            ? svc->state.load(std::memory_order_acquire)
-                            : SvcState::kDead;
-    if (st == SvcState::kActive) return svc;
-    rc = st == SvcState::kDraining ? Status::kEntryPointDraining : gone;
-    return nullptr;
-  }
   /// The request screen (ownership of `slot` held): kDeadlineExceeded once
   /// `req`'s budget is spent, kCallAborted once its token is cancelled,
   /// else kOk. A refusal books `n` calls on `slot` (book_refusal).
@@ -777,33 +792,28 @@ class Runtime {
   /// survives the fold.
   RequestCtx fold_request(Slot& slot, const CallOptions& opts);
 
-  /// The request policies of the two cross-slot lanes (runtime.cpp): how
-  /// to screen a submission, encode a cell, execute a request directly and
-  /// copy a reply out. Everything else is the engine's.
-  struct TypedLane;
-  struct FrameLane;
   /// The cross-slot engine behind every call_remote* wrapper: screen →
-  /// admit → direct | post → wait → complete over `reqs`. `async` posts
-  /// without waiting (no direct stage; a full ring refuses with
-  /// kOverloaded). A sync submission needs target != caller_slot; an async
-  /// one may post on the caller's own ring. submit() runs the
-  /// screen, admission and direct stages; an async submission, or one
-  /// whose target gate is held, goes on to submit_ring(), which posts,
-  /// waits and completes it chunk by chunk under the retry policy (a sync
-  /// one through the out-of-line submit_ring_sync()).
-  template <typename Lane>
+  /// admit → direct | post → wait → complete over `reqs` (RegSets or
+  /// CallFrames). `async` posts without waiting (no direct stage; a full
+  /// ring refuses with kOverloaded), also on the caller's own ring; a sync
+  /// submission to the caller's own slot is a series of local calls.
+  /// submit() runs the screen, admission and direct stages; an async
+  /// submission, or one whose target gate is held, goes on to
+  /// submit_ring(), which posts, waits and completes it chunk by chunk
+  /// under the retry policy (a sync one through the out-of-line
+  /// submit_ring_sync()).
+  template <typename Req>
   Status submit(const Lane& lane, SlotId caller_slot, SlotId target,
-                ProgramId caller, std::span<typename Lane::Req> reqs,
+                ProgramId caller, std::span<Req> reqs,
                 const CallOptions& opts, bool async = false);
-  template <typename Lane>
+  template <typename Req>
   Status submit_ring_sync(const Lane& lane, SlotId caller_slot,
                           SlotId target, ProgramId caller,
-                          std::span<typename Lane::Req> reqs,
-                          const CallOptions& opts, RequestCtx req,
-                          bool sampled, std::uint64_t t0);
-  template <typename Lane>
+                          std::span<Req> reqs, const CallOptions& opts,
+                          RequestCtx req, bool sampled, std::uint64_t t0);
+  template <typename Req>
   Status submit_ring(const Lane& lane, SlotId caller_slot, SlotId target,
-                     ProgramId caller, std::span<typename Lane::Req> reqs,
+                     ProgramId caller, std::span<Req> reqs,
                      const CallOptions& opts, RequestCtx req, bool async,
                      bool sampled, std::uint64_t t0);
   /// Drain one batch of one producer ring on `slot` (ownership held).
@@ -874,10 +884,11 @@ class Runtime {
   // and histogram block point into this arena.
   mem::Arena arena_;
   std::vector<CacheAligned<Slot>> slots_;
-  std::array<std::atomic<Service*>, kMaxEntryPoints> services_{};
-  std::array<FrameService, kMaxFrameServices> frame_services_{};
-  std::uint32_t next_frame_service_ = 0;  // under bind_mutex_
-  std::vector<std::unique_ptr<Service>> owned_services_;
+  // The service table. Heap, not inline: 32 KiB would swell every
+  // Runtime object (often a stack variable) sevenfold.
+  std::unique_ptr<Entry[]> entries_ =
+      std::make_unique<Entry[]>(kMaxEntryPoints);
+  std::vector<std::unique_ptr<RtHandler>> owned_handlers_;
   std::mutex bind_mutex_;  // slow path only
   obs::SharedCounters shared_;
   // Per-class admission watermarks (0 = shedding disabled for the class).
@@ -892,7 +903,7 @@ class Runtime {
   std::atomic<std::uint32_t> owned_next_cancel_token_{1};
   CancelPool cancel_pool_;
   TelemetryState telemetry_;
-  EntryPointId next_ep_ = 8;
+  EntryPointId next_ep_ = 8;  // under bind_mutex_; never reissued
 };
 
 }  // namespace hppc::rt

@@ -61,8 +61,8 @@
 // the whole run with ONE release store (the batch doorbell) — cells after
 // the first are published with relaxed stores, and the consumer's
 // in-order acquire of the run's first cell carries the happens-before edge
-// for all of them. The caller fills each claimed cell; typed and frame
-// requests share one cell format and one protocol.
+// for all of them. The caller fills each claimed cell; every request is a
+// Figure-4 frame in one cell format, under one protocol.
 //
 // A warm cross-slot call — direct or ring, single or batched — performs
 // ZERO heap allocations; the tests and benches assert that with a counted
@@ -128,17 +128,17 @@ inline Status cell_status(std::uint32_t state) {
 }
 
 /// One ring cell: exactly one cache line in shipped builds, one format for
-/// typed and frame calls. `seq` is the Vyukov sequence (cell i starts at
+/// every call (a Figure-4 frame, rt/frame_abi.h). `seq` is the Vyukov sequence (cell i starts at
 /// i; the producer claiming position p publishes p+1; the slot is free
 /// again at p+capacity). `state` is the completion word above. `deadline`
 /// is an absolute host_cycles() tick (0 = none): a cell that drains after
 /// its deadline is not executed late — the server drops it (async) or
 /// completes it with kDeadlineExceeded (sync), booking deadline_exceeded
-/// either way. `ep` packs the entry point (or frame service) with the
-/// request's cancel token and class (see the ep lanes below). A sync
-/// call's reply comes back in `regs`, the register set that carried its
-/// arguments (Figure 4); a frame's regs are its 8 payload words and its
-/// opcode|flags|rc word rides `opflags`, the line's last 4 bytes. The cell
+/// either way. `ep` packs the entry point with the request's cancel token
+/// and class (see the ep lanes below). A sync call's reply comes back in
+/// `regs`, the register set that carried its arguments (Figure 4): the
+/// frame's 8 payload words, while its opcode|flags|rc word rides
+/// `opflags`, the line's last 4 bytes. The cell
 /// holds no pointers, so a ring of them works unchanged inside a
 /// cross-process segment (src/shm).
 ///
@@ -154,7 +154,7 @@ struct alignas(kHostCacheLine) XcallCell {
   std::uint64_t deadline = 0;
   ppc::RegSet regs{};  // request in, reply out — no indirection, no alloc
   EntryPointId ep = 0;
-  Word opflags = 0;  // a frame's low op word; unused by typed cells
+  Word opflags = 0;  // the frame's low op word (a RegSet's regs[kOpWord])
 #if defined(HPPC_TRACE) && HPPC_TRACE
   obs::TraceCtx tctx{};  // request context riding the cell across slots
 #endif
@@ -176,17 +176,13 @@ static_assert(sizeof(XcallCell) == kHostCacheLine,
 /// traffic class — is packed into the ep word's unused high bits (the
 /// absolute deadline has its own field). Layout, from the top:
 ///
-///   bit  31      kFrameCellEp   the cell carries a Figure-4 frame: the
-///                               low lane is a FrameServiceId and the op
-///                               word's low half rides `opflags`
+///   bit  31      reserved (zero)
 ///   bit  30      kCellBulkBit   traffic class (set = kBulk)
 ///   bits 16..29  token index    cancel-flag pool index (14 bits, 0 = none)
-///   bits  0..15  entry point    the EntryPointId or FrameServiceId
+///   bits  0..15  entry point    the EntryPointId the frame names
 ///
-/// kMaxEntryPoints (1024) and kMaxFrameServices (256) fit the low lane
-/// with room to spare; the static_asserts below keep the packing honest if
-/// either ever grows.
-inline constexpr EntryPointId kFrameCellEp = 0x80000000u;
+/// kMaxEntryPoints (1024) fits the low lane with room to spare; the
+/// static_assert below keeps the packing honest if it ever grows.
 inline constexpr EntryPointId kCellBulkBit = 0x40000000u;
 inline constexpr unsigned kCellTokenShift = 16;
 inline constexpr EntryPointId kCellTokenLaneMask = 0x3FFFu;  // 14 bits
@@ -229,17 +225,11 @@ struct CancelPool {
 
 static_assert(kMaxEntryPoints <= kCellEpMask + 1,
               "entry-point ids must fit the cell ep lane");
-static_assert(kMaxFrameServices <= kCellEpMask + 1,
-              "frame service ids must fit the cell ep lane");
 
 inline EntryPointId cell_pack_ep(EntryPointId ep, std::uint32_t token_idx,
                                  bool bulk) {
   return ep | ((token_idx & kCellTokenLaneMask) << kCellTokenShift) |
          (bulk ? kCellBulkBit : 0u);
-}
-
-inline bool cell_is_frame(const XcallCell& cell) {
-  return (cell.ep & kFrameCellEp) != 0;
 }
 
 inline EntryPointId cell_ep(EntryPointId wire) { return wire & kCellEpMask; }
@@ -252,8 +242,8 @@ inline bool cell_is_bulk(EntryPointId wire) {
   return (wire & kCellBulkBit) != 0;
 }
 
-/// Rebuild the CallFrame a frame cell carries (consumer side): the service
-/// from the ep lane, opcode|flags|rc from `opflags`.
+/// Rebuild the CallFrame a cell carries: the entry from the ep lane,
+/// opcode|flags|rc from `opflags`.
 inline CallFrame cell_frame(const XcallCell& cell) {
   CallFrame f;
   f.op = (FrameWord{cell_ep(cell.ep)} << 32) | cell.opflags;
@@ -307,7 +297,7 @@ class XcallRing {
   /// claimed cell i, and publishes the run with ONE release store — the
   /// doorbell of a batch, and the whole protocol for a single cell. `fill`
   /// must write every field the consumer reads (caller, ep, regs,
-  /// deadline, a frame's opflags and, in trace builds, tctx): cells are
+  /// deadline, opflags and, in trace builds, tctx): cells are
   /// reused. The ring writes the
   /// state word: with `sync_first` null the cells are fire-and-forget;
   /// otherwise they are sync calls, *sync_first receives the position of
@@ -573,8 +563,9 @@ inline constexpr std::uint32_t kDoorbellIdlePolls = 64;
 /// only happens when someone else demonstrably holds the slot.
 inline constexpr int kWaitYieldRounds = 64;
 
-/// `yield_rounds` for a waiter that must never park: an shm peer, whose
-/// private futex would not cross the address space to the server.
+/// `yield_rounds` for a waiter that must never park: an shm peer. A shared
+/// futex would reach its server, but with one server thread the kick per
+/// call costs more than the spin it saves (shm/layout.h has the numbers).
 inline constexpr int kNeverPark = -1;
 
 /// Adaptive completion wait on a posted sync cell — the spin→yield→park

@@ -355,8 +355,8 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
   // Every call refreshes liveness (a line of its own, so the store never
   // disturbs the state word the server polls); long waits refresh it
   // again from the help callback, so a caller stuck behind a slow handler
-  // is not declared dead. NEVER park: the state word lives in the segment
-  // and futex wakeups do not cross address spaces here.
+  // is not declared dead. NEVER park: with one server thread a futex kick
+  // per call costs more than the spin it saves (see layout.h).
   slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
   rt::XcallCell& cell = ring_->cell(pos);
   std::uint32_t rounds = 0;

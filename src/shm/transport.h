@@ -26,10 +26,14 @@
 // heartbeat line): each cursor line and each peer-table line has a single
 // writer (see the ownership map in layout.h), and the server polls through
 // pointers it resolved at create time, never through offsets re-read from
-// the segment. Waiters never park: the in-process park is a private futex,
-// which does not wake across address spaces. On a multi-core host the
-// reply usually lands inside the waiter's spin window; a waiter that
-// outlasts it yields the CPU between polls.
+// the segment. Waiters never park. A shared (non-private) futex on the
+// segment word would wake across the processes, but with one server
+// thread a wake costs more than it saves: ~2 us for the waker and ~6 us
+// until the sleeper runs on a 4-vCPU VM, and parking after one spin window
+// cut shm_bulk throughput by 5-19% with two peers and by 43-49% with four
+// to six (p50 8-12x), for a 42-51% cut in cpu_ns_per_op (see layout.h).
+// On a multi-core host the reply usually lands inside the waiter's spin
+// window; a waiter that outlasts it yields the CPU between polls.
 //
 // Liveness (the hard-kill extension): each peer's PeerSlot carries a
 // heartbeat word it refreshes on attach, per call, and while it waits. The

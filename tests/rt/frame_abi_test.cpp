@@ -1,7 +1,7 @@
 // The Figure-4 frame ABI: op-word packing, the 8-word register contract
-// and the cross-slot lanes (direct steal, ring cell, batch). Also the
-// frame path's counter contract: frame calls book calls_frame and never
-// touch the typed path's worker/CD machinery.
+// and the cross-slot paths (direct steal, ring cell, batch). Also the
+// frame entry's counter contract: calls to it book calls_frame and never
+// touch the worker/CD machinery of worker-backed entries.
 #include "rt/frame_abi.h"
 
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
   ASSERT_EQ(ring.try_post(1,
                           [&](XcallCell& c, std::size_t) {
                             c.caller = 3;
-                            c.ep = kFrameCellEp | frame_service_of(f.op);
+                            c.ep = frame_service_of(f.op);
                             c.opflags = frame_opflags_of(f.op);
                             c.deadline = 0;  // a real deadline lane
                             c.regs.w = f.w;
@@ -77,7 +77,6 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
             1u);
   std::size_t seen = 0;
   ring.drain([&](XcallCell& c) {
-    ASSERT_TRUE(cell_is_frame(c));
     const CallFrame out = cell_frame(c);
     EXPECT_EQ(out, f);  // all 8 words + the op word survived the cell
     EXPECT_EQ(c.caller, 3u);
@@ -86,17 +85,29 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
   EXPECT_EQ(seen, 1u);
 }
 
-TEST(FrameCell, LegacyCellsAreNotFrames) {
+TEST(FrameCell, RegSetCellIsTheFrameOfItsEntry) {
+  // A RegSet request rides the one cell format as the frame of its entry:
+  // the ep lane names the entry, and its op word's low half is
+  // regs[kOpWord], carried in `opflags` beside the 8 words.
   XcallRing ring;
+  ppc::RegSet r{};
+  r[0] = 5;
+  ppc::set_op(r, 0x42, 0x7);
   ASSERT_EQ(ring.try_post(1,
-                          [](XcallCell& c, std::size_t) {
+                          [&](XcallCell& c, std::size_t) {
                             c.caller = 1;
-                            c.ep = 9;
-                            c.regs = ppc::RegSet{};
+                            c.ep = cell_pack_ep(9, /*token_idx=*/3, true);
+                            c.regs = r;
+                            c.opflags = r[ppc::kOpWord];
                             c.deadline = 0;
                           }),
             1u);
-  ring.drain([&](XcallCell& c) { EXPECT_FALSE(cell_is_frame(c)); });
+  ring.drain([&](XcallCell& c) {
+    const CallFrame f = cell_frame(c);
+    EXPECT_EQ(frame_service_of(f.op), 9u);  // the context lanes stay out
+    EXPECT_EQ(frame_opflags_of(f.op), r[ppc::kOpWord]);
+    EXPECT_EQ(f.w, r.w);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +164,7 @@ TEST(FrameCall, UnboundServiceFails) {
   EXPECT_EQ(frame_rc_of(f.op), Status::kNoSuchEntryPoint);
 }
 
-TEST(FrameCall, UnbindStopsCalls) {
+TEST(FrameCall, HardKillStopsCalls) {
   Runtime rt(1);
   const SlotId slot = rt.register_thread();
   Accumulator acc;
@@ -161,8 +172,8 @@ TEST(FrameCall, UnbindStopsCalls) {
       rt.bind_frame(0, &Accumulator::echo_inc, &acc);
   CallFrame f = make_frame(svc, 1);
   ASSERT_EQ(rt.call_frame(slot, 1, f), Status::kOk);
-  ASSERT_EQ(rt.unbind_frame(svc), Status::kOk);
-  EXPECT_EQ(rt.unbind_frame(svc), Status::kNoSuchEntryPoint);  // idempotent
+  ASSERT_EQ(rt.hard_kill(svc), Status::kOk);
+  EXPECT_EQ(rt.hard_kill(svc), Status::kNoSuchEntryPoint);  // idempotent
   EXPECT_EQ(rt.call_frame(slot, 1, f), Status::kNoSuchEntryPoint);
   EXPECT_EQ(acc.calls, 1u);
 }

@@ -1,10 +1,13 @@
 // Lane parity: every cross-slot wrapper — call_remote, call_remote_batch,
-// call_remote_async, call_remote_frame and call_remote_frame_batch — runs
-// the one submit engine and posts the one cell format, so a refusal at
-// admission, a refusal at the drain or a full ring must look the same on
-// all five: the same status, every request's rc set, one counter per
-// refused call, and the ROBUSTNESS ring-full rule (the first full ring of
-// a submission books xcall_ring_full, each later attempt books a retry).
+// call_remote_async, call_remote_frame and call_remote_frame_batch — is a
+// RegSet or CallFrame adapter over the one submit engine and its one
+// request policy, posts the one cell format and resolves its entry in the
+// one table, so a refusal at admission, a refusal at the drain or a full
+// ring must look the same on all five: the same status, every request's
+// rc set, one counter per refused call, and the ROBUSTNESS ring-full rule
+// (the first full ring of a submission books xcall_ring_full, each later
+// attempt books a retry). The RegSet wrappers call a worker-backed entry
+// and call_remote_frame a frame entry; a frame batch mixes both kinds.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -51,14 +54,16 @@ std::string lane_name(const testing::TestParamInfo<Lane>& info) {
 /// start with a stale rc so only the runtime can set the expected one.
 class Submission {
  public:
-  Submission(Runtime& rt, Lane lane, EntryPointId ep, FrameServiceId fid)
+  Submission(Runtime& rt, Lane lane, EntryPointId ep, EntryPointId fid)
       : rt_(rt), lane_(lane), ep_(ep) {
     for (std::size_t k = 0; k < kBatch; ++k) {
       regs_[k] = ppc::RegSet{};
       regs_[k][0] = static_cast<Word>(k);
       ppc::set_op(regs_[k], 1);
       ppc::set_rc(regs_[k], Status::kServerError);
-      frames_[k] = make_frame(fid, 1);
+      // Frame k of a batch names the frame entry or, for odd k, the
+      // worker-backed one: both sit in the one table.
+      frames_[k] = make_frame(k % 2 == 0 ? fid : ep, 1);
       frames_[k].op = frame_with_rc(frames_[k].op, Status::kServerError);
       frames_[k].w[0] = static_cast<Word>(k);
     }
@@ -141,7 +146,10 @@ class StuckOwner {
     while (!release_.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    while (drain_ && rt_.poll(s) > 0) {
+    // Drain until the rings are empty, not until one poll finds nothing:
+    // the helper counts cells once they are claimed, so a released owner
+    // can poll before the last one is published.
+    while (drain_ && (rt_.poll(s) > 0 || rt_.xcall_depth(s) > 0)) {
     }
     rt_.enter_idle(s);
   }
@@ -163,7 +171,7 @@ class LaneParity : public testing::TestWithParam<Lane> {
                        r[1] = r[0] + 1;
                        ppc::set_rc(r, Status::kOk);
                      })),
-        fid_(rt_.bind_frame(
+        fid_(rt_.bind(
             kCaller,
             [](void* runs, FrameCtx&, CallFrame&) {
               static_cast<std::atomic<int>*>(runs)->fetch_add(
@@ -203,10 +211,10 @@ class LaneParity : public testing::TestWithParam<Lane> {
 
   static constexpr SlotId kTarget = 1;  // never registered: its gate is idle
   Runtime rt_{2};
-  std::atomic<int> runs_{0};  // typed and frame handler executions
+  std::atomic<int> runs_{0};  // worker and frame handler executions
   SlotId me_;
-  EntryPointId ep_;
-  FrameServiceId fid_;
+  EntryPointId ep_;   // worker-backed
+  EntryPointId fid_;  // a frame entry
   Submission sub_;
   std::uint64_t posts_before_ = 0;
 };

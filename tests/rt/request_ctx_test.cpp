@@ -128,7 +128,7 @@ TEST(RequestCtx, CellPackingRoundTrips) {
   EXPECT_EQ(cell_ep(wire), 513u);
   EXPECT_EQ(cell_token_idx(wire), 0x1abcu);
   EXPECT_TRUE(cell_is_bulk(wire));
-  EXPECT_EQ(wire & kFrameCellEp, 0u);  // never collides with the frame bit
+  EXPECT_EQ(wire & 0x80000000u, 0u);  // the reserved top bit stays clear
   const EntryPointId plain = cell_pack_ep(7, 0, false);
   EXPECT_EQ(plain, 7u);  // the no-context wire word IS the ep
 }

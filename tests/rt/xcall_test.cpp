@@ -1422,5 +1422,79 @@ TEST(CallRemote, HardKillWhileCellParkedAbortsInFlight) {
   EXPECT_EQ(result.load(), Status::kCallAborted);
 }
 
+// Frame entries obey the typed kill rules (§4.5.2): a hard kill racing
+// call_remote_frame traffic to a polling owner lets an admitted call end
+// only with kOk or kCallAborted, and every call made once the kill has
+// returned fails its screen with kNoSuchEntryPoint. One caller, so at most
+// one call is in flight when the kill lands.
+TEST(CallRemote, HardKillRacingFrameTrafficToAPollingOwner) {
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  std::atomic<std::uint64_t> runs{0};
+  const FrameServiceId fid = rt.bind_frame(
+      /*program=*/0,
+      [](void* self, FrameCtx&, CallFrame& f) {
+        static_cast<std::atomic<std::uint64_t>*>(self)->fetch_add(1);
+        f.w[1] = f.w[0] + 1;
+        return Status::kOk;
+      },
+      &runs);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> owner_up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    owner_up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!owner_up.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::atomic<int> oks{0};
+  std::atomic<bool> killed{false};
+  std::thread killer([&] {
+    while (oks.load(std::memory_order_acquire) < 100) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(rt.hard_kill(fid), Status::kOk);
+    killed.store(true, std::memory_order_release);
+  });
+
+  int aborted = 0;
+  int refused = 0;
+  int after_kill = 0;
+  bool ended = false;  // a call has failed: no later call may succeed
+  while (after_kill < 64) {
+    const bool late = killed.load(std::memory_order_acquire);
+    CallFrame f = make_frame(fid, 1);
+    f.w[0] = 41;
+    const Status s = rt.call_remote_frame(me, 1, /*caller=*/1, f);
+    ASSERT_EQ(frame_rc_of(f.op), s);
+    if (late) {
+      ASSERT_EQ(s, Status::kNoSuchEntryPoint);
+      ++after_kill;
+      continue;
+    }
+    if (s == Status::kOk) {
+      ASSERT_FALSE(ended) << "a call succeeded after one failed";
+      ASSERT_EQ(f.w[1], 42u);
+      oks.fetch_add(1, std::memory_order_release);
+      continue;
+    }
+    ended = true;
+    if (s == Status::kCallAborted) {
+      ++aborted;  // admitted before the kill, drained after it
+    } else {
+      ASSERT_EQ(s, Status::kNoSuchEntryPoint);  // screened after it
+      ++refused;
+    }
+  }
+  killer.join();
+  stop.store(true, std::memory_order_release);
+  owner.join();
+  EXPECT_LE(aborted, 1);
+  EXPECT_EQ(runs.load(), static_cast<std::uint64_t>(oks.load()));
+  EXPECT_EQ(rt.hard_kill(fid), Status::kNoSuchEntryPoint);
+}
+
 }  // namespace
 }  // namespace hppc::rt
