@@ -86,11 +86,11 @@ enum class Counter : std::uint32_t {
   kRetries,             // ring-full re-post attempts on the sync xcall path
   kBackoffCycles,       // cpu_relax spins burned in ring-full backoff
 
-  // -- batched submission, ready-mask scheduling, adaptive waiters --
-  kXcallBatchPosts,     // vectored ring submissions (one doorbell each)
+  // -- batched submission, queued-work signals, adaptive waiters --
+  kXcallBatchPosts,     // vectored ring submissions (one publish each)
   kXcallCellsPerBatch,  // cells carried by those submissions (sum)
-  kReadyMaskSkips,      // posts that found their ring already flagged, so
-                        // rang no doorbell (the sticky-bit common case)
+  kReadyMaskSkips,      // cross-slot posts that found their target owned,
+                        // so signalled nothing (its owner scans its rings)
   kWaiterParks,         // sync waiters that parked on the completion word
   kWaiterKicks,         // completions that woke a parked waiter
 

@@ -160,14 +160,14 @@ class PpcFacility {
   CpuPpcState& state(kernel::Cpu& cpu);
   CpuPpcState& state(CpuId id) { return state(machine_.cpu(id)); }
 
-  /// Client-side stub text for an address space (created on first use).
-  const UserStubText& user_stub(kernel::AddressSpace& as);
-
   /// Total workers currently pooled for an EP on a CPU (tests).
   std::size_t pooled_workers(CpuId cpu, EntryPointId id);
 
  private:
   friend class ServerCtx;
+
+  /// Client-side stub text for an address space (created on first use).
+  const UserStubText& user_stub(kernel::AddressSpace& as);
 
   struct StagedBind {
     EntryPointConfig cfg;

@@ -25,8 +25,8 @@
 //                        via Runtime::cancellation_requested().
 //   traffic_class        kInteractive or kBulk. Admission control keeps a
 //                        watermark per class (bulk sheds first) and the
-//                        ready-mask drain scheduler serves interactive
-//                        doorbells before bulk ones.
+//                        drain serves rings whose head cell is
+//                        interactive before those whose head is bulk.
 //
 // Unlike obs::TraceCtx — which exists everywhere but only *records* under
 // HPPC_TRACE — RequestCtx is load-bearing semantics in every build: the

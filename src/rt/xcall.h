@@ -418,14 +418,15 @@ class XcallRing {
     head_.store(0, std::memory_order_relaxed);
   }
 
-  /// Ownership holder (or a racy observer): is the next cell to drain
-  /// published? Reads only the consumer cursor and the head cell — never
-  /// the producer's tail — so the backstop scans that call it leave the
-  /// producer-owned line alone.
-  bool head_ready() const {
+  /// Ownership holder (or a racy observer): the next cell to drain if it
+  /// is published, else nullptr. Reads only the consumer cursor and the
+  /// head cell — never the producer's tail — so an owner scanning its
+  /// rings leaves the producer-owned lines alone. Only the ownership
+  /// holder may read the cell's fields.
+  const XcallCell* ready_head() const {
     const std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    return cells_[pos & (kCapacity - 1)].seq.load(
-               std::memory_order_acquire) == pos + 1;
+    const XcallCell& c = cells_[pos & (kCapacity - 1)];
+    return c.seq.load(std::memory_order_acquire) == pos + 1 ? &c : nullptr;
   }
 
   /// Approximate queue depth (racy snapshot of the tail and the head).
@@ -494,8 +495,8 @@ class SlotGate {
 
   /// Remote caller: try to take the slot for direct execution. The plain
   /// load first keeps a waiter's periodic help attempt from taking the
-  /// gate line exclusive while the owner runs — that line also holds the
-  /// slot's `rings` pointer, which the owner reads on every drain.
+  /// gate line exclusive while the owner runs — every cross-slot post
+  /// loads that line.
   bool try_steal() {
     std::uint32_t expect = kIdle;
     return state_.load(std::memory_order_relaxed) == kIdle &&
@@ -544,17 +545,6 @@ class SlotGate {
  private:
   std::atomic<std::uint32_t> state_{kIdle};
 };
-
-/// Doorbell scheduling (Runtime::poll): every kPollScanPeriod-th poll
-/// sweeps every producer ring's head cell instead of only the flagged
-/// ones — the backstop for a producer preempted between publishing a cell
-/// and ringing its doorbell.
-inline constexpr std::uint32_t kPollScanPeriod = 64;
-/// Consecutive empty visits after which the consumer clears a sticky
-/// doorbell bit (through the clear handshake). Long enough that a producer
-/// calling in a loop finds its bit still set; short enough that an idle
-/// slot's mask is back to 0 within a few microseconds of polling.
-inline constexpr std::uint32_t kDoorbellIdlePolls = 64;
 
 /// Yield rounds a no-deadline waiter burns (helping once per round) before
 /// it parks on the completion word. Each round is a spin window plus a
@@ -626,9 +616,9 @@ template <typename Helper, typename OnPark>
       std::this_thread::yield();
       continue;
     }
-    // Ladder exhausted: park. By now we have posted our cell and rung the
-    // doorbell, so the slot's current ownership holder (owner poll/serve,
-    // or a helping thief) is guaranteed to reach it and kick us.
+    // Ladder exhausted: park. By now we have posted our cell and signalled
+    // it, so the slot's current ownership holder (owner poll/serve, or a
+    // helping thief) is guaranteed to reach it and kick us.
     on_park();
     for (;;) {
       std::uint32_t cur = cell.state.load(std::memory_order_acquire);

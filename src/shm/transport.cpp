@@ -430,10 +430,6 @@ void Peer::heartbeat() {
   slot_->heartbeat_ns.store(now_ns(), std::memory_order_release);
 }
 
-bool Peer::stop_requested() const {
-  return header()->stop.load(std::memory_order_acquire) != 0;
-}
-
 void Peer::request_stop() {
   header()->stop.store(1, std::memory_order_release);
 }

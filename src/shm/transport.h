@@ -128,7 +128,6 @@ class Server {
 
   /// Raise the segment's cooperative stop flag (peers poll it too).
   void request_stop();
-  bool stop_requested() const;
 
   /// Adopt the segment's cancel pool, as lay_out placed it, into `rt`:
   /// after this, rt.cancel_token_create()/cancel() operate on the
@@ -137,15 +136,14 @@ class Server {
   /// drain-side sweep reads. No offset is re-read from the segment.
   void adopt_cancel_pool_into(rt::Runtime& rt);
 
-  /// The grant-checked bulk engine (handlers reach it via ShmCtx::copy).
-  CopyServer& copy_server() { return copy_; }
-
   Segment& segment() { return seg_; }
   const obs::SlotCounters& counters() const { return own_counters_; }
   std::uint32_t attached_peers() const;
 
  private:
   friend class Peer;
+
+  bool stop_requested() const;
 
   ShmHeader* header() const {
     return reinterpret_cast<ShmHeader*>(seg_.base());
@@ -220,8 +218,7 @@ class Peer {
   /// Refresh this peer's liveness word (also refreshed by every call).
   void heartbeat();
 
-  /// Observe / raise the segment's cooperative stop flag.
-  bool stop_requested() const;
+  /// Raise the segment's cooperative stop flag.
   void request_stop();
 
   /// Adopt the segment's cancel pool, as resolved at attach, into a

@@ -37,9 +37,9 @@ constexpr ChaosPoint kSchedule[] = {
     {"rt.xcall.ring_full", "prob=0.2"},
     {"rt.xcall.post", "delay=200"},
     {"rt.xcall.batch.post", "prob=0.3,delay=300"},
-    // Holds a doorbell clear open between its RMW and its re-check, so
-    // posts race the handshake under live traffic.
-    {"rt.xcall.doorbell.clear", "prob=0.5,delay=300"},
+    // Holds the server's idle handshake open between its fence and its
+    // head re-check, so posts race the handshake under live traffic.
+    {"rt.xcall.idle.recheck", "prob=0.5,delay=300"},
     {"rt.xcall.complete.delay", "prob=0.3,delay=2000"},
     {"rt.worker.exhausted", "prob=0.05"},
     {"rt.handler.abort", "prob=0.05"},
@@ -114,9 +114,18 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
     // Busy-poll instead of serve(): a parked slot lets every caller
     // direct-execute through the gate, which would leave the ring seams
     // (post/ring_full/complete.*) unevaluated. Holding the gate forces the
-    // §4.4 queued path the soak is built to stress.
+    // §4.4 queued path the soak is built to stress. Every 64th empty poll
+    // the server parks and un-parks at once, so posts race the idle
+    // handshake while the gate stays held nearly all the time.
+    std::uint32_t empty = 0;
     while (!stop_server.load(std::memory_order_acquire)) {
-      if (rt.poll(s) == 0) std::this_thread::yield();
+      if (rt.poll(s) != 0) continue;
+      if (++empty % 64 == 0) {
+        rt.enter_idle(s);
+        rt.exit_idle(s);
+      } else {
+        std::this_thread::yield();
+      }
     }
     rt.poll(s);
     rt.enter_idle(s);
@@ -162,12 +171,14 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
     }
     rt.trace_end(my);
   }
-  // The doorbell-clear seam runs only when the server clears a doorbell
-  // bit after kDoorbellIdlePolls empty visits, which busy callers may
-  // never leave room for. Wait, still fully armed, until the warmup
-  // caller's bit is cleared, so the seam is evaluated whatever the timing
-  // of the randomized phase.
-  while (rt.ready_mask(0) != 0) std::this_thread::yield();
+  // The idle-recheck seam runs only when the server parks for a moment
+  // after an empty poll, which busy callers may never leave room for.
+  // Wait, still fully armed, until it has been evaluated, so it is
+  // evaluated whatever the timing of the randomized phase.
+  while (fault::registry().point("rt.xcall.idle.recheck").evaluations() ==
+         0) {
+    std::this_thread::yield();
+  }
 
   // The chaos controller: every few hundred microseconds, re-roll which
   // points are armed. Seeded Prng, so a failing schedule replays.

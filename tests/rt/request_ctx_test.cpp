@@ -545,7 +545,7 @@ TEST(TrafficClass, InteractiveDrainsBeforeBulk) {
   HeldSlot server(rt);
 
   // Queue bulk work from one producer and interactive work from another
-  // while the owner holds the gate: two rings, one flagged in each mask.
+  // while the owner holds the gate: two rings, one head cell of each class.
   CallOptions bulk;
   bulk.traffic_class = TrafficClass::kBulk;
   SlotId bulk_src = 0;
@@ -560,62 +560,11 @@ TEST(TrafficClass, InteractiveDrainsBeforeBulk) {
             Status::kOk);
   ASSERT_GE(rt.xcall_depth(server.slot()), 2u);
   server.release_and_join();  // owner drains everything
-  // The drain served the interactive doorbell first and booked that bulk
+  // The drain served the interactive ring first and booked that bulk
   // work had to wait behind it.
   EXPECT_GE(rt.counters(server.slot()).get(Counter::kBulkDrainsDeferred), 1u);
   EXPECT_EQ(rt.counters(bulk_src).get(Counter::kCallsBulk), 1u);
   EXPECT_EQ(rt.counters(me).get(Counter::kCallsBulk), 0u);
-}
-
-TEST(TrafficClass, StickyBulkBitOverAnEmptyRingBooksNoDeferral) {
-  // The negative case: a bulk bit still set (sticky) after its ring went
-  // empty. An interactive pass that drains cells, followed by a bulk pass
-  // that drains none, deferred nothing and must book nothing.
-  Runtime rt(3);
-  const SlotId me = rt.register_thread();
-  const EntryPointId ep = bind_adder(rt);
-  std::atomic<int> phase{0};
-  std::size_t first = 0;
-  std::size_t second = 0;
-  std::uint64_t bulk_mask = 0;
-  std::thread owner([&] {
-    const SlotId s = rt.register_thread();
-    ASSERT_EQ(s, 1u);
-    phase.store(1, std::memory_order_release);
-    while (phase.load(std::memory_order_acquire) != 2) {
-      std::this_thread::yield();
-    }
-    first = rt.poll(s);  // drains the bulk cell; its bit stays set
-    phase.store(3, std::memory_order_release);
-    while (phase.load(std::memory_order_acquire) != 4) {
-      std::this_thread::yield();
-    }
-    bulk_mask = rt.ready_mask(s, TrafficClass::kBulk);
-    second = rt.poll(s);  // interactive cell; bulk ring visited empty
-    rt.enter_idle(s);
-  });
-  while (phase.load(std::memory_order_acquire) != 1) {
-    std::this_thread::yield();
-  }
-  CallOptions bulk;
-  bulk.traffic_class = TrafficClass::kBulk;
-  std::thread bulk_producer([&] {
-    const SlotId b = rt.register_thread();
-    EXPECT_EQ(rt.call_remote_async(b, 1, 700, ep, make_regs(0), bulk),
-              Status::kOk);
-  });
-  bulk_producer.join();
-  phase.store(2, std::memory_order_release);
-  while (phase.load(std::memory_order_acquire) != 3) {
-    std::this_thread::yield();
-  }
-  ASSERT_EQ(rt.call_remote_async(me, 1, 700, ep, make_regs(1)), Status::kOk);
-  phase.store(4, std::memory_order_release);
-  owner.join();
-  EXPECT_EQ(first, 1u);
-  EXPECT_EQ(second, 1u);
-  EXPECT_NE(bulk_mask, 0u);  // the scenario: bulk bit set, bulk ring empty
-  EXPECT_EQ(rt.counters(1).get(Counter::kBulkDrainsDeferred), 0u);
 }
 
 TEST(TrafficClass, BulkCallsRecordTheirOwnRtt) {

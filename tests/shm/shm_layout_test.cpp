@@ -90,7 +90,7 @@ TEST(ShmLayout, LanesStartEmpty) {
   for (std::uint32_t p = 0; p < hdr->max_peers; ++p) {
     rt::XcallRing& lane = lanes[p];
     EXPECT_EQ(lane.depth(), 0u);
-    EXPECT_FALSE(lane.head_ready());
+    EXPECT_EQ(lane.ready_head(), nullptr);
     // Vyukov initial state: cell i's seq is i ("free, claimable at pos i").
     for (std::uint64_t i = 0; i < hdr->ring_capacity; ++i) {
       EXPECT_EQ(lane.cell(i).seq.load(), i);

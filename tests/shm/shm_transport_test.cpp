@@ -413,7 +413,7 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   Segment& seg = server.segment();
   const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
   auto* lane = seg.at<rt::XcallRing>(hdr->lanes_off);  // child took lane 0
-  while (!lane->head_ready()) std::this_thread::yield();
+  while (lane->ready_head() == nullptr) std::this_thread::yield();
   auto* regions = seg.at<RegionSlot>(hdr->regions_off);
   while (regions[0].state.load(std::memory_order_acquire) != kRegionGranted) {
     std::this_thread::yield();
@@ -439,7 +439,7 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   // Slot conservation: the ring is re-armed — empty, and a claim of the
   // whole ring succeeds — and the peer slot and the grant are free.
   EXPECT_EQ(lane->depth(), 0u);
-  EXPECT_FALSE(lane->head_ready());
+  EXPECT_EQ(lane->ready_head(), nullptr);
   EXPECT_EQ(lane->try_post(rt::XcallRing::kCapacity,
                            [](rt::XcallCell& c, std::size_t) {
                              c.caller = 0;
@@ -716,7 +716,7 @@ TEST(ShmTransport, ReapedWedgedPeerNeverTouchesItsOldLane) {
   Segment view = Segment::open(name);
   const auto* hdr = reinterpret_cast<const ShmHeader*>(view.base());
   auto* lane = view.at<rt::XcallRing>(hdr->lanes_off);
-  while (!lane->head_ready()) std::this_thread::yield();
+  while (lane->ready_head() == nullptr) std::this_thread::yield();
   while (server.reap_dead_peers(/*dead_after_ns=*/10'000) == 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
