@@ -35,7 +35,8 @@ enum class Status : std::uint8_t {
   /// handler may or may not have executed — timed-out-RPC semantics).
   kDeadlineExceeded,
   /// Admission control shed the call (target queue over its watermark) or
-  /// the bounded ring-full backoff budget ran out. The call never started;
+  /// the target ring was full for a caller that does not wait for room
+  /// (fail-fast, async, or an shm lane). The call never started;
   /// retrying later is safe.
   kOverloaded,
 };

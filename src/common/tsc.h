@@ -1,4 +1,4 @@
-// Host cycle counter for deadlines and backoff budgets.
+// Host cycle counter for deadlines and latency stamps.
 //
 // The simulated machine has an exact clock (kernel::Cpu::now()); the host
 // runtime needs a cheap monotonic-enough tick to express call deadlines in

@@ -19,6 +19,13 @@ constexpr std::size_t round_up(std::size_t v, std::size_t a) {
   return (v + a - 1) & ~(a - 1);
 }
 
+/// Granularity of pool growth: a request that does not fit the pool's
+/// current chunk maps max(kChunkBytes, request) rounded up to the page, or
+/// to whole hugepages when the chunk is hugepage-backed.
+constexpr std::size_t kChunkBytes = 64u << 10;
+/// The explicit hugepage size MAP_HUGETLB maps (x86-64 default).
+constexpr std::size_t kHugepageBytes = 2u << 20;
+
 #ifdef __linux__
 // numaif.h is not guaranteed present (libnuma-dev is optional), so the two
 // mempolicy syscalls are issued raw with locally defined constants. Every
@@ -69,16 +76,13 @@ std::uint32_t Arena::detect_nodes() {
 #endif
 }
 
-Arena::Arena(ArenaConfig cfg) : cfg_(cfg) {
-  std::uint32_t n = cfg_.nodes == 0 ? detect_nodes() : cfg_.nodes;
-  if (n == 0) n = 1;
-  pools_ = std::vector<NodePool>(n);
-}
+Arena::Arena(ArenaConfig cfg)
+    : pools_(cfg.nodes == 0 ? detect_nodes() : cfg.nodes) {}
 
 Arena::Arena(std::byte* base, std::size_t bytes) {
   // Segment-backed mode: one pool, pre-seeded with the caller's region as
-  // its only — unowned — chunk. cfg_ defaults are irrelevant here because
-  // map_chunk() is never reached (growth refuses below).
+  // its only — unowned — chunk. map_chunk() is never reached (growth
+  // refuses below).
   external_ = true;
   pools_ = std::vector<NodePool>(1);
   auto* chunk = new Chunk{};
@@ -118,23 +122,15 @@ Arena::Chunk* Arena::map_chunk(NodeId node, std::size_t min_bytes) {
   // never see. Refuse instead.
   if (external_) throw std::bad_alloc{};
 
-  std::size_t want = min_bytes > cfg_.chunk_bytes ? min_bytes : cfg_.chunk_bytes;
+  const std::size_t want = min_bytes > kChunkBytes ? min_bytes : kChunkBytes;
 
 #ifdef __linux__
-  void* base = MAP_FAILED;
-  bool huge = false;
-  std::size_t size = 0;
-  if (cfg_.use_hugepages) {
-    size = round_up(want, cfg_.hugepage_bytes);
-    base = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (base != MAP_FAILED) {
-      huge = true;
-    } else {
-      hugepage_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (base == MAP_FAILED) {
+  std::size_t size = round_up(want, kHugepageBytes);
+  void* base = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
+  const bool huge = base != MAP_FAILED;
+  if (!huge) {
+    hugepage_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     size = round_up(want, kPageSize);
     base = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -143,40 +139,36 @@ Arena::Chunk* Arena::map_chunk(NodeId node, std::size_t min_bytes) {
 
   // Bind before faulting: placement must come from policy, not from
   // whichever CPU happens to touch the chunk first.
-  if (nodes() > 1 || cfg_.verify_placement) {
-    unsigned long mask = 1ul << (node % (sizeof(unsigned long) * 8));
-    if (sys_mbind(base, size, kMpolBind, &mask,
-                  sizeof(unsigned long) * 8, 0) != 0) {
-      mbind_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
+  unsigned long mask = 1ul << (node % (sizeof(unsigned long) * 8));
+  if (sys_mbind(base, size, kMpolBind, &mask, sizeof(unsigned long) * 8, 0) !=
+      0) {
+    mbind_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Pre-fault every page so the warm path never takes a minor fault, and
   // so get_mempolicy below reports where pages actually landed.
-  const std::size_t step = huge ? cfg_.hugepage_bytes : kPageSize;
+  const std::size_t step = huge ? kHugepageBytes : kPageSize;
   auto* bytes = static_cast<std::byte*>(base);
   for (std::size_t off = 0; off < size; off += step) {
     bytes[off] = std::byte{0};
   }
 
-  if (cfg_.verify_placement) {
-    std::uint64_t mismatches = 0;
-    std::uint64_t verified = 0;
-    for (std::size_t off = 0; off < size; off += step) {
-      int where = -1;
-      if (sys_get_mempolicy(&where, nullptr, 0, bytes + off,
-                            kMpolFNode | kMpolFAddr) != 0) {
-        // Syscall filtered or unsupported: placement is unknown, which is
-        // not the same as wrong — count nothing.
-        break;
-      }
-      ++verified;
-      if (where >= 0 && static_cast<NodeId>(where) != node) ++mismatches;
+  std::uint64_t mismatches = 0;
+  std::uint64_t verified = 0;
+  for (std::size_t off = 0; off < size; off += step) {
+    int where = -1;
+    if (sys_get_mempolicy(&where, nullptr, 0, bytes + off,
+                          kMpolFNode | kMpolFAddr) != 0) {
+      // Syscall filtered or unsupported: placement is unknown, which is
+      // not the same as wrong — count nothing.
+      break;
     }
-    pages_verified_.fetch_add(verified, std::memory_order_relaxed);
-    if (mismatches != 0) {
-      node_mismatches_.fetch_add(mismatches, std::memory_order_relaxed);
-    }
+    ++verified;
+    if (where >= 0 && static_cast<NodeId>(where) != node) ++mismatches;
+  }
+  pages_verified_.fetch_add(verified, std::memory_order_relaxed);
+  if (mismatches != 0) {
+    node_mismatches_.fetch_add(mismatches, std::memory_order_relaxed);
   }
 #else
   bool huge = false;
@@ -195,8 +187,7 @@ Arena::Chunk* Arena::map_chunk(NodeId node, std::size_t min_bytes) {
   chunks_.fetch_add(1, std::memory_order_relaxed);
   if (huge) {
     hugepage_bytes_.fetch_add(size, std::memory_order_relaxed);
-    hugepages_.fetch_add(size / cfg_.hugepage_bytes,
-                         std::memory_order_relaxed);
+    hugepages_.fetch_add(size / kHugepageBytes, std::memory_order_relaxed);
   }
   return chunk;
 }

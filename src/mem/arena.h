@@ -6,13 +6,13 @@
 // backed by anonymous mmap chunks that are requested as explicit hugepages
 // (MAP_HUGETLB) first and fall back to plain 4 K pages when the system has
 // no hugetlbfs reservation — CI containers are the common case of that. A
-// fallback chunk is sized to the pool's growth (chunk_bytes, 64 KiB, or the
-// request rounded up to the page when larger) and asks for no transparent
+// fallback chunk is sized to the pool's growth (64 KiB, or the request
+// rounded up to the page when larger) and asks for no transparent
 // hugepage: a runtime places a few hundred KiB, and zeroing a 2 MiB THP and
 // checking its 512 pages was most of what building one cost. Chunks are
 // bound to their node with mbind() *before* they are faulted in, then
-// pre-faulted, so placement is decided here once and never by first-touch
-// accident on the warm path.
+// pre-faulted and every page's node read back, so placement is decided here
+// once and never by first-touch accident on the warm path.
 //
 // The arena never runs destructors and never unmaps individual objects:
 // callers may only place trivially-destructible types (rings, replica
@@ -50,18 +50,6 @@ struct ArenaStats {
 };
 
 struct ArenaConfig {
-  /// Granularity of pool growth: a request that does not fit the pool's
-  /// current chunk maps max(chunk_bytes, request) rounded up to the page —
-  /// or to whole hugepages when the chunk is hugepage-backed.
-  std::size_t chunk_bytes = 64u << 10;
-  /// Expected explicit hugepage size (x86-64 default 2 MiB).
-  std::size_t hugepage_bytes = 2u << 20;
-  /// Try MAP_HUGETLB first. The 4 K fallback is always available.
-  bool use_hugepages = true;
-  /// Read back the node of every pre-faulted page with
-  /// get_mempolicy(MPOL_F_NODE|MPOL_F_ADDR) after binding, counting
-  /// off-node pages into node_mismatches.
-  bool verify_placement = true;
   /// Number of node pools; 0 means detect from /sys/devices/system/node.
   std::uint32_t nodes = 0;
 };
@@ -139,7 +127,6 @@ class Arena {
   /// Map, bind, pre-fault and verify one chunk for `node`.
   Chunk* map_chunk(NodeId node, std::size_t min_bytes);
 
-  ArenaConfig cfg_;
   bool external_ = false;  // segment-backed: fixed capacity, no growth
   std::vector<NodePool> pools_;
 

@@ -84,7 +84,6 @@ enum class Counter : std::uint32_t {
   kDeadlineExceeded,    // calls abandoned because their deadline expired
   kCallsShed,           // calls rejected by admission control (watermark)
   kRetries,             // ring-full re-post attempts on the sync xcall path
-  kBackoffCycles,       // cpu_relax spins burned in ring-full backoff
 
   // -- batched submission, queued-work signals, adaptive waiters --
   kXcallBatchPosts,     // vectored ring submissions (one publish each)
@@ -168,7 +167,6 @@ constexpr const char* counter_name(Counter c) {
     case Counter::kDeadlineExceeded: return "deadline_exceeded";
     case Counter::kCallsShed: return "calls_shed";
     case Counter::kRetries: return "retries";
-    case Counter::kBackoffCycles: return "backoff_cycles";
     case Counter::kXcallBatchPosts: return "xcall_batch_posts";
     case Counter::kXcallCellsPerBatch: return "xcall_cells_per_batch";
     case Counter::kReadyMaskSkips: return "ready_mask_skips";

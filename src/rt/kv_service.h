@@ -50,21 +50,16 @@ inline constexpr std::size_t kKvGetNMax = ppc::kOpWord;
 /// is clamped to this.
 inline constexpr std::size_t kKvHotSetCapacity = 8;
 
-/// Default chunk stride of the vectored stubs (multi_put / multi_get): one
-/// chunk = one stack RegSet array, one batched submission (one claim CAS +
-/// one doorbell). Overridable per instance via Config::multi_op_chunk.
-inline constexpr std::size_t kKvDefaultMultiOpChunk = 16;
-
-/// Upper bound on the chunk stride: the stack arrays the vectored stubs
-/// carry are sized to this at compile time, and a single batched submission
-/// cannot exceed one ring's capacity anyway.
-inline constexpr std::size_t kKvMaxMultiOpChunk = XcallRing::kCapacity;
+/// Chunk stride of the vectored stubs (multi_put / multi_get): one chunk =
+/// one stack RegSet array, one batched submission (one claim + one
+/// publish).
+inline constexpr std::size_t kKvMultiOpChunk = 16;
+static_assert(kKvMultiOpChunk <= XcallRing::kCapacity,
+              "one chunk is one batched submission");
 
 struct KvServiceConfig {
   std::string name = "kv";
   std::size_t shard_capacity = 1024;
-  /// When set, only the creating program may erase an entry.
-  bool enforce_ownership = true;
   /// Replicate a read-mostly hot set of entries per slot
   /// (repl::Replicated, propagated through the xcall rings by a ReplHub):
   /// get_remote consults the caller's local seqlock replica first and only
@@ -73,11 +68,6 @@ struct KvServiceConfig {
   /// simulated facility. Entries are admitted write-through on put while
   /// space remains. 0 disables; clamped to kKvHotSetCapacity.
   std::size_t replicated_hot_capacity = 0;
-  /// Chunk stride of the vectored stubs. Clamped to
-  /// [1, kKvMaxMultiOpChunk]; tune down when callers interleave latency-
-  /// sensitive singles with bursts, up (toward ring capacity) for pure
-  /// bulk-load throughput.
-  std::size_t multi_op_chunk = kKvDefaultMultiOpChunk;
 };
 
 class KvService {
@@ -87,8 +77,6 @@ class KvService {
   KvService(Runtime& rt, KvServiceConfig cfg = {})
       : rt_(rt),
         cfg_(std::move(cfg)),
-        chunk_(std::clamp<std::size_t>(cfg_.multi_op_chunk, 1,
-                                       kKvMaxMultiOpChunk)),
         shards_(rt.slots()) {
     for (auto& shard : shards_) {
       shard->entries.resize(cfg_.shard_capacity);
@@ -175,13 +163,8 @@ class KvService {
     return r[1];
   }
 
-  /// The effective chunk stride of the vectored stubs (config value after
-  /// clamping): one chunk = one stack RegSet array, one batched submission
-  /// (one claim CAS + one doorbell).
-  std::size_t multi_op_chunk() const { return chunk_; }
-
   /// Vectored write: store keys[i] → values[i] into `owner_slot`'s shard
-  /// through call_remote_batch, so a burst of M puts pays ~M/chunk
+  /// through call_remote_batch, so a burst of M puts pays ~M/kKvMultiOpChunk
   /// doorbells instead of M ring round trips. Zero heap allocations.
   /// Returns the first non-kOk per-call status (kOk if all stored).
   Status multi_put(SlotId caller_slot, SlotId owner_slot, ProgramId caller,
@@ -189,8 +172,8 @@ class KvService {
     HPPC_ASSERT(keys.size() == values.size());
     Status overall = Status::kOk;
     ChunkCells regs;
-    for (std::size_t pos = 0; pos < keys.size(); pos += chunk_) {
-      const std::size_t n = std::min(chunk_, keys.size() - pos);
+    for (std::size_t pos = 0; pos < keys.size(); pos += kKvMultiOpChunk) {
+      const std::size_t n = std::min(kKvMultiOpChunk, keys.size() - pos);
       for (std::size_t k = 0; k < n; ++k) {
         RegSet& r = regs.fresh(k);
         r[0] = keys[pos + k];
@@ -207,7 +190,7 @@ class KvService {
   /// Vectored read: out[i] = value of keys[i] (nullopt on miss). Keys the
   /// caller's replicated hot-set replica already holds are answered
   /// locally; only the misses ride the batched xcall, packed kKvGetNMax to
-  /// a kKvGetN cell, so one submission carries up to multi_op_chunk() cells.
+  /// a kKvGetN cell, so one submission carries up to kKvMultiOpChunk cells.
   /// Returns the number of keys found. `out.size()` must be >= `keys.size()`.
   std::size_t multi_get(SlotId caller_slot, SlotId owner_slot,
                         ProgramId caller, std::span<const Word> keys,
@@ -217,7 +200,7 @@ class KvService {
     ChunkCells regs;
     // origin[k] = the keys/out index of the k-th packed miss, which rides
     // cell k / kKvGetNMax in word k % kKvGetNMax.
-    std::array<std::size_t, kKvMaxMultiOpChunk * kKvGetNMax> origin;
+    std::array<std::size_t, kKvMultiOpChunk * kKvGetNMax> origin;
     std::size_t pending = 0;
     auto flush = [&] {
       if (pending == 0) return;
@@ -269,7 +252,7 @@ class KvService {
                             : regs[pending / kKvGetNMax];
       cell[w] = keys[idx];
       origin[pending] = idx;
-      if (++pending == chunk_ * kKvGetNMax) flush();
+      if (++pending == kKvMultiOpChunk * kKvGetNMax) flush();
     }
     flush();
     return hits;
@@ -278,7 +261,7 @@ class KvService {
  private:
   /// Stack room for one chunk of cells, left unconstructed: a vectored
   /// call value-initializes only the cells it sends (fresh), not all
-  /// kKvMaxMultiOpChunk of them on every call.
+  /// kKvMultiOpChunk of them on every call.
   class ChunkCells {
    public:
     ChunkCells() {}
@@ -288,7 +271,7 @@ class KvService {
 
    private:
     RegSet* data() { return std::launder(reinterpret_cast<RegSet*>(raw_)); }
-    alignas(RegSet) std::byte raw_[sizeof(RegSet) * kKvMaxMultiOpChunk];
+    alignas(RegSet) std::byte raw_[sizeof(RegSet) * kKvMultiOpChunk];
   };
 
   struct Entry {
@@ -477,7 +460,8 @@ class KvService {
       ppc::set_rc(regs, Status::kInvalidArgument);
       return;
     }
-    if (cfg_.enforce_ownership && e->owner != ctx.caller_program()) {
+    // Only the program that created an entry may erase it (§4.1).
+    if (e->owner != ctx.caller_program()) {
       ppc::set_rc(regs, Status::kPermissionDenied);
       return;
     }
@@ -509,7 +493,6 @@ class KvService {
 
   Runtime& rt_;
   KvServiceConfig cfg_;
-  const std::size_t chunk_;  // clamped Config::multi_op_chunk
   std::vector<CacheAligned<Shard>> shards_;
   EntryPointId ep_ = kInvalidEntryPoint;
   std::uint32_t hot_cap_ = 0;

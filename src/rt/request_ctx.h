@@ -22,7 +22,7 @@
 //                        raises the flag; every seam that checks the
 //                        deadline checks the flag too, completing with
 //                        kCallAborted. Long handlers poll cooperatively
-//                        via Runtime::cancellation_requested().
+//                        via RtCtx::cancellation_requested().
 //   traffic_class        kInteractive or kBulk. Admission control keeps a
 //                        watermark per class (bulk sheds first) and the
 //                        drain serves rings whose head cell is

@@ -55,10 +55,11 @@ Runtime::Runtime(std::uint32_t slots, bool pin_threads)
     slot.rings = arena_.create_array<XcallRing>(slot.node, cap);
     slot.hists = arena_.create<obs::SlotHistograms>(slot.node);
   }
-  // The cancel-flag pool (value-initialized: every flag starts clear).
-  // Heap, not arena: it is runtime-wide, not per-slot, and cold until a
-  // cancel actually lands. adopt_cancel_pool() may later re-point the
-  // pool at segment-resident storage.
+  // The cancel-flag pool. make_unique value-initializes it, so every
+  // Runtime zero-fills its kMaxCancelTokens flags (64 KiB) here: every
+  // flag starts clear. Heap, not arena: it is runtime-wide, not per-slot.
+  // adopt_cancel_pool() may later re-point the pool at segment-resident
+  // storage.
   owned_cancel_flags_ =
       std::make_unique<std::atomic<std::uint32_t>[]>(kMaxCancelTokens);
   cancel_pool_ = {owned_cancel_flags_.get(), &owned_next_cancel_token_};
@@ -971,7 +972,6 @@ template <typename Req>
   XcallRing& ring = tgt.rings[caller_slot];
   bool booked_full = false;
   bool decided = true;  // the first chunk's sampling decision came with us
-  std::uint32_t round = 0;
   std::size_t i = 0;
   while (i < n) {
     if (!decided) {
@@ -1009,10 +1009,8 @@ template <typename Req>
       // attempt books a retry. Async fails fast whatever its policy — a
       // caller that does not wait for a reply cannot wait for room either.
       // A sync submission follows its retry policy — kBlock helps/yields
-      // forever, kBackoff burns a doubling cpu_relax budget per round and
-      // gives up after backoff_rounds, kFailFast gives up at once. A call that
-      // cannot even be queued before its deadline or cancel was still too
-      // late.
+      // until it is posted, kFailFast gives up at once. A call that cannot
+      // even be queued before its deadline or cancel was still too late.
       if (!booked_full) {
         booked_full = true;
         me.counters.inc(obs::Counter::kXcallRingFull);
@@ -1020,21 +1018,13 @@ template <typename Req>
         me.counters.inc(obs::Counter::kRetries);
       }
       const Status give_up =
-          async || opts.retry == RetryPolicy::kFailFast ||
-                  (opts.retry == RetryPolicy::kBackoff &&
-                   round >= opts.backoff_rounds)
+          async || opts.retry == RetryPolicy::kFailFast
               ? Status::kOverloaded
               : screen_request(me, req, target, n - i);
       if (give_up != Status::kOk) {
         fold(Lane::refuse(reqs.subspan(i), give_up));
         break;
       }
-      if (opts.retry == RetryPolicy::kBackoff) {
-        const std::uint32_t spins = 1u << (round < 10 ? round : 10);
-        for (std::uint32_t k = 0; k < spins; ++k) cpu_relax();
-        me.counters.inc(obs::Counter::kBackoffCycles, spins);
-      }
-      ++round;
       if (!help_drain(tgt)) std::this_thread::yield();
       continue;
     }

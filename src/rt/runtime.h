@@ -115,10 +115,6 @@ enum class RetryPolicy : std::uint8_t {
   /// Legacy behaviour: retry forever (help-drain the target when its owner
   /// parks, otherwise yield). Never returns kOverloaded.
   kBlock,
-  /// Bounded exponential backoff: burn a doubling cpu_relax budget per
-  /// round (booked as backoff_cycles), help-drain between rounds, and give
-  /// up with kOverloaded after `backoff_rounds` failed posts.
-  kBackoff,
   /// Return kOverloaded on the first full ring, without waiting at all.
   kFailFast,
 };
@@ -135,9 +131,6 @@ struct CallOptions {
   /// inline on the calling thread and cannot be abandoned mid-handler.
   std::uint64_t deadline_cycles = 0;
   RetryPolicy retry = RetryPolicy::kBlock;
-  /// kBackoff only: failed post attempts before giving up. The spin budget
-  /// doubles each round (capped at 1024 cpu_relax rounds per attempt).
-  std::uint32_t backoff_rounds = 16;
   /// Admission/drain priority (see rt/request_ctx.h). kBulk requests are
   /// shed first when the target saturates (the bulk shed watermark), and
   /// a ring whose head cell is bulk is drained after the interactive ones.
@@ -292,10 +285,10 @@ class Runtime {
   ///
   /// Per-call robustness knobs (`opts`): a relative deadline
   /// (host_cycles ticks) after which the caller abandons the wait with
-  /// kDeadlineExceeded, and a retry policy for the ring-full case (block /
-  /// bounded backoff / fail fast — the latter two return kOverloaded when
-  /// the budget runs out). An abandoned cell stays in the ring until the
-  /// server reaches it and retires it; a deadline waiter never parks.
+  /// kDeadlineExceeded, and a retry policy for the ring-full case (block,
+  /// or fail fast with kOverloaded). An abandoned cell stays in the ring
+  /// until the server reaches it and retires it; a deadline waiter never
+  /// parks.
   Status call_remote(SlotId caller_slot, SlotId target, ProgramId caller,
                      EntryPointId id, RegSet& regs,
                      const CallOptions& opts = kNoOptions);
@@ -313,9 +306,8 @@ class Runtime {
   /// Per-call options: a deadline (applies to the whole batch; carried in
   /// every cell so the server also refuses to execute expired cells late),
   /// and the retry policy governs each chunk post exactly as in
-  /// call_remote — both run the same engine, so a kBackoff batch against a
-  /// full ring gives up with kOverloaded after `backoff_rounds` failed
-  /// posts.
+  /// call_remote — both run the same engine, so a kFailFast batch against a
+  /// full ring gives up with kOverloaded at its first failed post.
   Status call_remote_batch(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id,
                            std::span<RegSet> batch,
@@ -443,10 +435,6 @@ class Runtime {
     shed_watermark_[static_cast<std::size_t>(cls)].store(
         depth, std::memory_order_relaxed);
   }
-  std::uint32_t shed_watermark(TrafficClass cls) const {
-    return shed_watermark_[static_cast<std::size_t>(cls)].load(
-        std::memory_order_relaxed);
-  }
 
   // ----- request contexts (deadline/cancel/class propagation) -----
   //
@@ -488,11 +476,6 @@ class Runtime {
   /// transfer); the owned pool is retained but unused. Storage must
   /// outlive this Runtime.
   void adopt_cancel_pool(CancelPool pool);
-
-  /// Ambient probe: is the request `slot` is currently executing under
-  /// cancelled or past its deadline? Handlers reach this through
-  /// RtCtx::cancellation_requested(). Owner thread only.
-  bool cancellation_requested(SlotId slot) const;
 
   /// Install / read / clear the slot's ambient request context directly
   /// (root callers that want a context without threading CallOptions
@@ -570,9 +553,6 @@ class Runtime {
   /// slot's current ownership holder may increment through this.
   obs::SlotCounters& slot_counters(SlotId slot);
 
-  /// Counters for off-slot slow paths (bind, kill, cross-slot post).
-  const obs::SharedCounters& shared_counters() const { return shared_; }
-
   /// One slot's snapshot with the derived pool counters filled in
   /// (worker_pool_hits, cd_recycles — see runtime.cpp).
   obs::CounterSnapshot slot_snapshot(SlotId slot) const;
@@ -600,6 +580,16 @@ class Runtime {
 
  private:
   friend class RtCtx;
+
+  std::uint32_t shed_watermark(TrafficClass cls) const {
+    return shed_watermark_[static_cast<std::size_t>(cls)].load(
+        std::memory_order_relaxed);
+  }
+
+  /// Ambient probe: is the request `slot` is currently executing under
+  /// cancelled or past its deadline? Handlers reach this through
+  /// RtCtx::cancellation_requested(). Owner thread only.
+  bool cancellation_requested(SlotId slot) const;
 
   /// An entry's life: kDead until bind publishes it and again after
   /// hard_kill, kDraining after soft_kill.

@@ -21,6 +21,9 @@ namespace hppc::shm {
 
 namespace {
 
+/// The transport segment's size: 1 MiB covers the layout.
+constexpr std::size_t kSegmentBytes = 1u << 20;
+
 std::uint64_t now_ns() {
 #ifdef __linux__
   timespec ts{};
@@ -104,13 +107,11 @@ Server::Layout Server::lay_out(Segment& seg) {
   return lay;
 }
 
-Server::Server(const std::string& name, ServerOptions opts)
-    : seg_(Segment::create(name, opts.segment_bytes)),
+Server::Server(const std::string& name)
+    : seg_(Segment::create(name, kSegmentBytes)),
       lay_(lay_out(seg_)),
-      copy_(seg_, lay_.regions,
-            opts.counters != nullptr ? opts.counters : &own_counters_),
-      counters_(opts.counters != nullptr ? opts.counters : &own_counters_) {
-  counters_->inc(obs::Counter::kShmSegmentsMapped);
+      copy_(seg_, lay_.regions, &counters_) {
+  counters_.inc(obs::Counter::kShmSegmentsMapped);
 }
 
 Server::~Server() {
@@ -167,11 +168,11 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
     cell.regs = out;
     // Booked before the ring publishes the completion, so a caller that
     // has seen its reply also sees its cell counted.
-    counters_->inc(obs::Counter::kXcallCellsDrained);
+    counters_.inc(obs::Counter::kXcallCellsDrained);
     return rc;
   });
   copy_.serve_lane(kMaxShmPeers);
-  if (n != 0) counters_->inc(obs::Counter::kXcallBatches);
+  if (n != 0) counters_.inc(obs::Counter::kXcallBatches);
   return n;
 }
 
@@ -199,7 +200,7 @@ std::size_t Server::reap_dead_peers(std::uint64_t dead_after_ns) {
     if (slot.state.load(std::memory_order_acquire) != kPeerAttached) continue;
     const std::uint64_t hb = slot.heartbeat_ns.load(std::memory_order_acquire);
     if (now < hb + dead_after_ns) continue;
-    counters_->inc(obs::Counter::kHeartbeatsMissed);
+    counters_.inc(obs::Counter::kHeartbeatsMissed);
     // Staleness is suspicion; a vanished pid is confirmation. The 8x
     // backstop covers pid reuse: a recycled pid passes the kill(0) probe
     // forever, but a peer silent for 8 thresholds is dead either way.
@@ -245,7 +246,7 @@ void Server::reap_lane(std::uint32_t peer_idx) {
   slot.program = 0;
   slot.generation.fetch_add(1, std::memory_order_release);
   slot.state.store(kPeerFree, std::memory_order_release);
-  counters_->inc(obs::Counter::kPeerDeaths);
+  counters_.inc(obs::Counter::kPeerDeaths);
 }
 
 void Server::request_stop() {
@@ -272,10 +273,8 @@ std::uint32_t Server::attached_peers() const {
 
 // -- Peer -------------------------------------------------------------------
 
-Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
-    : seg_(Segment::open(name)),
-      counters_(opts.counters != nullptr ? opts.counters : &own_counters_),
-      program_(program) {
+Peer::Peer(const std::string& name, ProgramId program)
+    : seg_(Segment::open(name)), program_(program) {
   ShmHeader* hdr = header();
   if (hdr->magic.load(std::memory_order_acquire) != kShmMagic ||
       hdr->version != kShmVersion ||
@@ -311,7 +310,7 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
   slot.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
   generation_ = slot.generation.load(std::memory_order_relaxed);
   slot.state.store(kPeerAttached, std::memory_order_release);
-  counters_->inc(obs::Counter::kShmSegmentsMapped);
+  counters_.inc(obs::Counter::kShmSegmentsMapped);
 }
 
 Peer::~Peer() {
@@ -373,7 +372,7 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
   // The server has already retired the cell; this peer is the lane's only
   // producer, so nobody reuses it before the reply is copied out.
   regs = cell.regs;
-  counters_->inc(obs::Counter::kCallsRemote);
+  counters_.inc(obs::Counter::kCallsRemote);
   return rt::cell_status(st);
 }
 
@@ -402,7 +401,7 @@ std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
     rs.rights = rights;
     rs.bytes = bytes;
     rs.state.store(kRegionGranted, std::memory_order_release);
-    counters_->inc(obs::Counter::kShmSegmentsMapped);
+    counters_.inc(obs::Counter::kShmSegmentsMapped);
     return r;
   }
   return kMaxShmRegions;

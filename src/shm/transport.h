@@ -88,18 +88,12 @@ using ShmFn = Status (*)(void* self, ShmCtx& ctx, ppc::RegSet& regs);
 /// cell ep lane, same packing as in-process cells).
 using ShmEp = std::uint32_t;
 
-struct ServerOptions {
-  std::size_t segment_bytes = 1u << 20;  // 1 MiB covers the default layout
-  /// Counter sink; nullptr = the server's own private block (counters()).
-  obs::SlotCounters* counters = nullptr;
-};
-
 class Server {
  public:
   /// Create and lay out the transport segment `name`. The layout is
   /// placed by a segment-backed mem::Arena; all offsets land in the
   /// header, and the magic word is release-published last.
-  Server(const std::string& name, ServerOptions opts = {});
+  Server(const std::string& name);
   ~Server();
 
   Server(const Server&) = delete;
@@ -137,7 +131,7 @@ class Server {
   void adopt_cancel_pool_into(rt::Runtime& rt);
 
   Segment& segment() { return seg_; }
-  const obs::SlotCounters& counters() const { return own_counters_; }
+  const obs::SlotCounters& counters() const { return counters_; }
   std::uint32_t attached_peers() const;
 
  private:
@@ -170,8 +164,7 @@ class Server {
   Segment seg_;
   const Layout lay_;
   CopyServer copy_;
-  obs::SlotCounters own_counters_;
-  obs::SlotCounters* counters_;  // == opts.counters or &own_counters_
+  obs::SlotCounters counters_;
   std::array<ShmService, kMaxShmEps> services_{};
   std::uint32_t next_ep_ = 1;
 };
@@ -181,7 +174,7 @@ class Peer {
   /// Map the transport segment `name` (created by a Server, possibly in
   /// another process) and claim a lane. `program` is this peer's §4.1
   /// program token, carried in every cell.
-  Peer(const std::string& name, ProgramId program, ServerOptions opts = {});
+  Peer(const std::string& name, ProgramId program);
   ~Peer();
 
   Peer(const Peer&) = delete;
@@ -227,7 +220,7 @@ class Peer {
   void adopt_cancel_pool_into(rt::Runtime& rt);
 
   std::uint32_t peer_index() const { return idx_; }
-  const obs::SlotCounters& counters() const { return own_counters_; }
+  const obs::SlotCounters& counters() const { return counters_; }
   Segment& segment() { return seg_; }
 
  private:
@@ -241,8 +234,7 @@ class Peer {
   static constexpr std::uint32_t kHeartbeatRounds = 256;
 
   Segment seg_;
-  obs::SlotCounters own_counters_;
-  obs::SlotCounters* counters_;
+  obs::SlotCounters counters_;
   ProgramId program_ = 0;
   std::uint32_t idx_ = 0;  // claimed PeerSlot / lane index
   std::uint32_t generation_ = 0;

@@ -230,7 +230,7 @@ bool storm_status_ok(Status s) {
   switch (s) {
     case Status::kOk:
     case Status::kDeadlineExceeded:   // deadline beat a delayed reply
-    case Status::kOverloaded:         // shed (per-class watermark) or backoff
+    case Status::kOverloaded:         // shed, or an async post on a full ring
     case Status::kOutOfResources:     // injected pool exhaustion
     case Status::kCallAborted:        // injected abort, cancel, or kill race
     case Status::kNoSuchEntryPoint:   // victim ep between kill and rebind
@@ -341,9 +341,8 @@ TEST(WholeSystemChaos, ComposedOverloadKillFaultAndCancellationStorm) {
       rt.trace_begin(my);
       for (Word i = 0; i < kCallsEach; ++i) {
         rt::CallOptions opts;
-        opts.deadline_cycles = 50'000'000;  // generous, but bounded
-        opts.retry = rt::RetryPolicy::kBackoff;
-        opts.backoff_rounds = 12;
+        // Generous, but bounded: it also bounds a full-ring retry.
+        opts.deadline_cycles = 50'000'000;
         // Mixed-class traffic: odd iterations ride the bulk lane.
         if (i % 2 == 1) opts.traffic_class = rt::TrafficClass::kBulk;
         // A slice of every caller's traffic joins the cancellation storm.

@@ -198,9 +198,8 @@ TEST(KillUnderTraffic, RtHardKillRacingCallRemoteAbortsOrCompletes) {
       while (!drain.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      // Keep polling until the caller resolved: the depth handshake can
-      // observe a claimed-but-not-yet-published cell, and a single early
-      // empty poll must not strand it.
+      // Keep polling until the caller resolved: a kill that wins leaves
+      // the cell for a later poll to refuse.
       while (result.load(std::memory_order_acquire) ==
              Status::kInvalidArgument) {
         rt.poll(s);
@@ -212,6 +211,7 @@ TEST(KillUnderTraffic, RtHardKillRacingCallRemoteAbortsOrCompletes) {
     }
     std::thread caller([&] {
       const rt::SlotId s = rt.register_thread();
+      EXPECT_EQ(s, 2u);
       rt::RegSet r{};
       r[0] = 7;
       const Status st = rt.call_remote(s, 1, /*caller=*/2, ep, r);
@@ -221,8 +221,10 @@ TEST(KillUnderTraffic, RtHardKillRacingCallRemoteAbortsOrCompletes) {
       result.store(st, std::memory_order_release);
     });
 
-    // Admitted: the cell is visible in the ring (atomic cursor reads).
-    while (rt.xcall_depth(1) == 0) std::this_thread::yield();
+    // Admitted: the caller books its post after publishing the cell.
+    while (rt.counters(2).get(obs::Counter::kXcallPosts) == 0) {
+      std::this_thread::yield();
+    }
     // Release the drain and kill concurrently: on some iterations the
     // drain wins (kOk), on others the kill does (kCallAborted).
     drain.store(true, std::memory_order_release);

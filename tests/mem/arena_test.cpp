@@ -80,13 +80,12 @@ TEST(Arena, AllocationsAreDistinct) {
 }
 
 TEST(Arena, HugepageRequestAlwaysYieldsUsableMemory) {
-  // The load-bearing fallback test: with use_hugepages on, the arena must
-  // produce memory whether or not the system has a hugetlbfs reservation.
-  // In the common CI container (nr_hugepages=0) MAP_HUGETLB fails and the
-  // chunk falls back to 4 K pages; the stats must say which happened.
-  ArenaConfig cfg;
-  cfg.use_hugepages = true;
-  Arena arena(cfg);
+  // The load-bearing fallback test: the arena tries MAP_HUGETLB first and
+  // must produce memory whether or not the system has a hugetlbfs
+  // reservation. In the common CI container (nr_hugepages=0) MAP_HUGETLB
+  // fails and the chunk falls back to 4 K pages; the stats must say which
+  // happened.
+  Arena arena;
   void* p = arena.allocate(0, 1 << 16, 64);
   ASSERT_NE(p, nullptr);
   std::memset(p, 0x5C, 1 << 16);
@@ -107,7 +106,7 @@ TEST(Arena, HugepageRequestAlwaysYieldsUsableMemory) {
 #ifdef __linux__
 TEST(Arena, FallbackChunkIsSizedToTheRequest) {
   // Without a hugetlbfs reservation a 4 KiB request maps one 64 KiB chunk
-  // (the chunk_bytes default), not a 2 MiB block: every page of it is
+  // (the growth granularity), not a 2 MiB block: every page of it is
   // pre-faulted and its node read back.
   if (hugetlb_available()) GTEST_SKIP() << "MAP_HUGETLB works here";
   Arena arena;
@@ -128,8 +127,8 @@ TEST(Arena, FallbackChunkIsSizedToTheRequest) {
 }
 
 TEST(Arena, LargeFallbackRequestGetsAChunkOfItsOwnSize) {
-  // A request past chunk_bytes maps exactly its own size rounded up to the
-  // page, and every chunk books one fallback.
+  // A request past the 64 KiB growth granularity maps exactly its own
+  // size rounded up to the page, and every chunk books one fallback.
   if (hugetlb_available()) GTEST_SKIP() << "MAP_HUGETLB works here";
   Arena arena;
   constexpr std::size_t kBig = (100u << 10) + 1;  // 26 pages once rounded
@@ -140,8 +139,8 @@ TEST(Arena, LargeFallbackRequestGetsAChunkOfItsOwnSize) {
   EXPECT_EQ(s.hugepage_fallbacks, 1u);
   EXPECT_EQ(resident_pages(p, 26u * kPageSize), 26u);
 
-  // The big chunk is full: the next request grows the pool by one default
-  // 64 KiB chunk, booking a second fallback.
+  // The big chunk is full: the next request grows the pool by one 64 KiB
+  // chunk, booking a second fallback.
   (void)arena.allocate(0, 8192, 64);
   s = arena.stats();
   EXPECT_EQ(s.chunks, 2u);
@@ -168,17 +167,6 @@ TEST(Arena, HugetlbChunksAreWholeHugepages) {
 }
 #endif  // __linux__
 
-TEST(Arena, HugepagesOffNeverTriesOrBooks) {
-  ArenaConfig cfg;
-  cfg.use_hugepages = false;
-  Arena arena(cfg);
-  (void)arena.allocate(0, 4096, 64);
-  const ArenaStats s = arena.stats();
-  EXPECT_EQ(s.hugepages, 0u);
-  EXPECT_EQ(s.hugepage_bytes, 0u);
-  EXPECT_EQ(s.hugepage_fallbacks, 0u);  // off is not a fallback
-}
-
 TEST(Arena, StatsTrackReservationAndUse) {
   Arena arena;
   const ArenaStats before = arena.stats();
@@ -190,15 +178,16 @@ TEST(Arena, StatsTrackReservationAndUse) {
 }
 
 TEST(Arena, GrowsBeyondOneChunk) {
-  ArenaConfig cfg;
-  cfg.chunk_bytes = 1 << 16;  // small chunks force growth
-  cfg.use_hugepages = false;
-  Arena arena(cfg);
-  for (int i = 0; i < 8; ++i) {
-    void* p = arena.allocate(0, 1 << 15, 64);
-    std::memset(p, i, 1 << 15);
+  // Past half a hugepage, no chunk holds two of these requests: a 2 MiB
+  // hugepage chunk and a page-rounded fallback chunk both have too little
+  // left, so the pool grows on every one.
+  constexpr std::size_t kBytes = (1u << 20) + 1;
+  Arena arena;
+  for (int i = 0; i < 4; ++i) {
+    void* p = arena.allocate(0, kBytes, 64);
+    std::memset(p, i, kBytes);
   }
-  EXPECT_GE(arena.stats().chunks, 4u);
+  EXPECT_EQ(arena.stats().chunks, 4u);
 }
 
 TEST(Arena, OutOfRangeNodeIsClamped) {

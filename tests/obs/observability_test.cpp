@@ -317,15 +317,19 @@ TEST(ZeroContention, HostHoldCdServiceCountsHits) {
 
 TEST(ZeroContention, HostSlowPathsAreBookedOnSharedBlock) {
   rt::Runtime rt(1);
-  const CounterSnapshot before = rt.shared_counters().snapshot();
+  const CounterSnapshot before = rt.snapshot();
   rt.bind({.name = "a"}, 700, [](rt::RtCtx&, ppc::RegSet& regs) {
     ppc::set_rc(regs, Status::kOk);
   });
-  const CounterSnapshot after = rt.shared_counters().snapshot();
-  const CounterSnapshot delta = after.delta(before);
+  const CounterSnapshot delta = rt.snapshot().delta(before);
   EXPECT_EQ(delta.get(Counter::kBinds), 1u);
   EXPECT_GE(delta.get(Counter::kLocksTaken), 1u);
   EXPECT_GE(delta.get(Counter::kSharedLinesTouched), 1u);
+  // No slot booked them: the runtime-wide total is the shared block's.
+  const CounterSnapshot slot = rt.slot_snapshot(0);
+  EXPECT_EQ(slot.get(Counter::kBinds), 0u);
+  EXPECT_EQ(slot.get(Counter::kLocksTaken), 0u);
+  EXPECT_EQ(slot.get(Counter::kSharedLinesTouched), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,9 +94,10 @@ void expect_refused(const ppc::RegSet& r, Word seed, Status rc) {
 
 /// The target slot's owner thread. It registers (gate kOwner) and holds
 /// the gate without draining until told otherwise: serve() starts a drain
-/// loop; go_idle_at_depth(n) publishes kIdle, without draining, once n
-/// cells are queued, so a waiting caller's help_drain steals the gate and
-/// runs the drain itself.
+/// loop; go_idle_after_posts(poster, n) publishes kIdle, without draining,
+/// once `poster` has published n cells (it books xcall_posts after the
+/// publish), so a waiting caller's help_drain steals the gate and runs the
+/// drain itself.
 class Owner {
  public:
   explicit Owner(Runtime& rt) : rt_(rt), thread_([this] { run(); }) {
@@ -116,13 +117,14 @@ class Owner {
 
   SlotId slot() const { return slot_; }
   void serve() { mode_.store(kServe, std::memory_order_release); }
-  void go_idle_at_depth(std::size_t n) {
-    idle_depth_.store(n, std::memory_order_relaxed);
-    mode_.store(kIdleAtDepth, std::memory_order_release);
+  void go_idle_after_posts(SlotId poster, std::uint64_t n) {
+    poster_ = poster;
+    idle_posts_ = n;
+    mode_.store(kIdleAfterPosts, std::memory_order_release);
   }
 
  private:
-  enum Mode : int { kHold, kServe, kIdleAtDepth };
+  enum Mode : int { kHold, kServe, kIdleAfterPosts };
 
   void run() {
     slot_ = rt_.register_thread();
@@ -132,9 +134,9 @@ class Owner {
       const int mode = mode_.load(std::memory_order_acquire);
       if (mode == kServe) {
         if (rt_.poll(slot_) == 0) std::this_thread::yield();
-      } else if (mode == kIdleAtDepth && !idle &&
-                 rt_.xcall_depth(slot_) >=
-                     idle_depth_.load(std::memory_order_relaxed)) {
+      } else if (mode == kIdleAfterPosts && !idle &&
+                 rt_.counters(poster_).get(Counter::kXcallPosts) >=
+                     idle_posts_) {
         rt_.enter_idle(slot_);
         idle = true;
       } else {
@@ -153,7 +155,8 @@ class Owner {
   std::atomic<bool> up_{false};
   std::atomic<bool> stop_{false};
   std::atomic<int> mode_{kHold};
-  std::atomic<std::size_t> idle_depth_{0};
+  SlotId poster_ = 0;            // written before mode_'s release store
+  std::uint64_t idle_posts_ = 0;  // likewise
   std::thread thread_;  // last: starts once every member above exists
 };
 
@@ -215,13 +218,17 @@ TEST(CompletionLine, CancelledAtDrainReplyCarriesTheAbort) {
       std::atomic<Status> result{Status::kOk};
       std::thread caller([&] {
         const SlotId s = rt.register_thread();
+        EXPECT_EQ(s, 2u);
         result.store(
             batched
                 ? rt.call_remote_batch(s, owner.slot(), kCaller, ep, regs, opts)
                 : rt.call_remote(s, owner.slot(), kCaller, ep, regs[0], opts),
             std::memory_order_release);
       });
-      while (rt.xcall_depth(owner.slot()) < n) std::this_thread::yield();
+      // The caller books its posts after publishing the cells.
+      while (rt.counters(2).get(Counter::kXcallPosts) < n) {
+        std::this_thread::yield();
+      }
       rt.cancel(token);
       owner.serve();
       caller.join();
@@ -260,7 +267,8 @@ TEST(CompletionLine, ExpiredAtDrainReplyCarriesTheDeadline) {
     ASSERT_EQ(rt.call_remote_async(me, owner.slot(), kCaller, slow,
                                    request(0)),
               Status::kOk);
-    owner.go_idle_at_depth(1 + n);  // once our cells sit behind the slow one
+    // Once our cells sit behind the slow one.
+    owner.go_idle_after_posts(me, 1 + n);
 
     CallOptions opts;
     opts.deadline_cycles = kBudget;

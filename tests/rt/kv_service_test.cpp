@@ -75,7 +75,6 @@ TEST(KvService, ProbeChainSurvivesMiddleErase) {
   const SlotId slot = rt.register_thread();
   KvService::Config cfg;
   cfg.shard_capacity = 8;
-  cfg.enforce_ownership = false;
   KvService kv(rt, cfg);
   // Keys 0, 8, 16 all hash to slot 0 in an 8-entry shard.
   kv.put(slot, 1, 0, 100);
@@ -107,7 +106,6 @@ TEST(KvService, RandomizedAgainstReferenceMap) {
   const SlotId slot = rt.register_thread();
   KvService::Config cfg;
   cfg.shard_capacity = 64;
-  cfg.enforce_ownership = false;
   KvService kv(rt, cfg);
   std::map<Word, Word> ref;
   std::uint64_t seed = 12345;
@@ -637,40 +635,25 @@ TEST(KvService, GetNIsRefusedLikeGetUnderExpiredDeadlineOrCancel) {
   EXPECT_EQ(ppc::flags_of(r), 1u);
 }
 
-TEST(KvService, MultiOpChunkDefaultsAndClamps) {
-  Runtime rt(1);
-  EXPECT_EQ(KvService(rt).multi_op_chunk(), kKvDefaultMultiOpChunk);
-  KvService::Config tiny;
-  tiny.multi_op_chunk = 0;  // nonsense: clamped up to 1
-  EXPECT_EQ(KvService(rt, tiny).multi_op_chunk(), 1u);
-  KvService::Config huge;
-  huge.multi_op_chunk = 10'000;  // clamped to the ring-capacity bound
-  EXPECT_EQ(KvService(rt, huge).multi_op_chunk(), kKvMaxMultiOpChunk);
-}
-
 TEST(KvService, VectoredOpsCorrectAcrossChunkSizes) {
-  // The chunk stride is a performance knob, never a semantics knob: the
-  // same burst must land identically at stride 1 (degenerate), an odd
-  // stride that straddles the burst, the default, and the max.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{5},
-                                  kKvDefaultMultiOpChunk,
-                                  kKvMaxMultiOpChunk}) {
+  // Bursts that straddle chunk boundaries land whole: 37 puts ride three
+  // chunks (16 + 16 + 5 cells), and 150 gets pack 7 keys to a cell, so
+  // their cells fill one 16-cell chunk (112 keys) and spill into a second.
+  for (const Word n : {Word{37}, Word{150}}) {
     Runtime rt(2);
     const SlotId me = rt.register_thread();
-    KvService::Config cfg;
-    cfg.multi_op_chunk = chunk;
-    KvService kv(rt, cfg);
-    std::vector<Word> keys(37), values(37);
-    for (Word i = 0; i < 37; ++i) {
+    KvService kv(rt);
+    std::vector<Word> keys(n), values(n);
+    for (Word i = 0; i < n; ++i) {
       keys[i] = i;
       values[i] = 1000 + i;
     }
     ASSERT_EQ(kv.multi_put(me, 1, 1, keys, values), Status::kOk)
-        << "chunk " << chunk;
-    std::vector<std::optional<Word>> out(37);
-    EXPECT_EQ(kv.multi_get(me, 1, 1, keys, out), 37u) << "chunk " << chunk;
-    for (Word i = 0; i < 37; ++i) {
-      ASSERT_TRUE(out[i].has_value()) << "chunk " << chunk << " key " << i;
+        << n << " keys";
+    std::vector<std::optional<Word>> out(n);
+    EXPECT_EQ(kv.multi_get(me, 1, 1, keys, out), n) << n << " keys";
+    for (Word i = 0; i < n; ++i) {
+      ASSERT_TRUE(out[i].has_value()) << n << " keys, key " << i;
       EXPECT_EQ(*out[i], 1000 + i);
     }
   }

@@ -193,13 +193,15 @@ class LaneParity : public testing::TestWithParam<Lane> {
   }
 
   /// Submit from this thread while a helper thread waits until the
-  /// submission's cells (plus `ahead` cells queued before it) are all in
-  /// the target's ring and then runs `then`. Returns the submission's
-  /// status once both are done.
+  /// submission's cells are all published in the target's ring (the
+  /// submitter books xcall_posts after the publish) and then runs `then`.
+  /// Returns the submission's status once both are done.
   template <typename Then>
-  Status submit_then(std::size_t ahead, Then then) {
+  Status submit_then(Then then) {
+    const std::uint64_t posted =
+        rt_.counters(me_).get(Counter::kXcallPosts) + sub_.size();
     std::thread helper([&] {
-      while (rt_.xcall_depth(kTarget) < ahead + sub_.size()) {
+      while (rt_.counters(me_).get(Counter::kXcallPosts) < posted) {
         std::this_thread::yield();
       }
       then();
@@ -302,7 +304,7 @@ TEST_P(LaneParity, CellThatExpiresInFlightIsRefusedAtTheDrain) {
   ASSERT_EQ(
       rt_.call_remote_async(me_, kTarget, kCaller, sleeper, ppc::RegSet{}),
       Status::kOk);
-  const Status s = submit_then(1, [&] { owner.release(); });
+  const Status s = submit_then([&] { owner.release(); });
   rt_.clear_request_ctx(me_);
   owner.finish();
 
@@ -323,7 +325,7 @@ TEST_P(LaneParity, CellCancelledInFlightIsRefusedAtTheDrain) {
   RequestCtx ctx;
   ctx.cancel_token = token;
   rt_.set_request_ctx(me_, ctx);
-  const Status s = submit_then(0, [&] {
+  const Status s = submit_then([&] {
     rt_.cancel(token);
     owner.release();
   });

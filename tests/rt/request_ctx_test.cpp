@@ -42,6 +42,20 @@ EntryPointId bind_adder(Runtime& rt, const char* name = "adder") {
                  });
 }
 
+/// Wait until the thread that stores its slot in `poster` has published
+/// `n` cells. It books xcall_posts after the publish, where xcall_depth
+/// counts a cell from its claim.
+void wait_for_posts(const Runtime& rt, const std::atomic<SlotId>& poster,
+                    std::uint64_t n) {
+  while (poster.load(std::memory_order_acquire) == kInvalidSlot) {
+    std::this_thread::yield();
+  }
+  const SlotId s = poster.load(std::memory_order_acquire);
+  while (rt.counters(s).get(Counter::kXcallPosts) < n) {
+    std::this_thread::yield();
+  }
+}
+
 /// A registered slot whose owner holds the gate (kOwner) without polling
 /// until released — posted cells sit in the ring, help_drain cannot steal.
 class HeldSlot {
@@ -331,7 +345,7 @@ TEST(Cancellation, TokensAreDistinctAndFlagsLatch) {
   rt.cancel(a);
   EXPECT_TRUE(rt.cancel_requested(a));
   EXPECT_FALSE(rt.cancel_requested(b));
-  EXPECT_GE(rt.shared_counters().get(Counter::kCancelRequests), 1u);
+  EXPECT_EQ(rt.snapshot().get(Counter::kCancelRequests), 1u);
 }
 
 TEST(Cancellation, CancelledTokenRefusesAtAdmission) {
@@ -366,21 +380,19 @@ TEST(Cancellation, CancelCompletesInRingCellAndKicksWaiter) {
   HeldSlot server(rt);  // slot 1: gate held, not polling yet
 
   std::atomic<Status> result{Status::kOk};
-  std::atomic<bool> caller_up{false};
+  std::atomic<SlotId> caller_slot{kInvalidSlot};
   std::thread caller([&] {
     const SlotId s = rt.register_thread();
-    caller_up.store(true, std::memory_order_release);
+    caller_slot.store(s, std::memory_order_release);
     CallOptions opts;
     opts.cancel_token = token;
     ppc::RegSet r = make_regs(1);
     result.store(rt.call_remote(s, server.slot(), 700, ep, r, opts),
                  std::memory_order_release);
   });
-  while (!caller_up.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  // Wait until the cell is posted, cancel, then let the owner drain.
-  while (rt.xcall_depth(server.slot()) == 0) std::this_thread::yield();
+  // Wait until the cell is published (the caller books its post after
+  // the publish), cancel, then let the owner drain.
+  wait_for_posts(rt, caller_slot, 1);
   rt.cancel(token);
   server.poll_now();
   caller.join();
@@ -398,16 +410,16 @@ TEST(Cancellation, CancelOfBatchMidDrainAbortsRemainingCells) {
   std::array<ppc::RegSet, 24> batch{};
   for (Word i = 0; i < batch.size(); ++i) batch[i][0] = i;
   std::atomic<Status> result{Status::kOk};
+  std::atomic<SlotId> caller_slot{kInvalidSlot};
   std::thread caller([&] {
     const SlotId s = rt.register_thread();
+    caller_slot.store(s, std::memory_order_release);
     CallOptions opts;
     opts.cancel_token = token;
     result.store(rt.call_remote_batch(s, server.slot(), 700, ep, batch, opts),
                  std::memory_order_release);
   });
-  while (rt.xcall_depth(server.slot()) < batch.size()) {
-    std::this_thread::yield();
-  }
+  wait_for_posts(rt, caller_slot, batch.size());
   rt.cancel(token);  // every queued cell now refuses at the drain
   server.poll_now();
   caller.join();

@@ -674,25 +674,15 @@ TEST(CallRemote, SyncRingFullBranchesBookTheCounter) {
   ppc::RegSet r = make_regs(1);
   EXPECT_EQ(rt.call_remote(me, 1, 1, ep, r, fail_fast), Status::kOverloaded);
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 2u);
-
-  // Bounded backoff: books ring_full once, retries, burns backoff cycles,
-  // then gives up — the owner never drains, so the ring stays full.
-  CallOptions backoff;
-  backoff.retry = RetryPolicy::kBackoff;
-  backoff.backoff_rounds = 4;
-  r = make_regs(1);
-  EXPECT_EQ(rt.call_remote(me, 1, 1, ep, r, backoff), Status::kOverloaded);
-  EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 3u);
-  EXPECT_GE(rt.counters(me).get(obs::Counter::kRetries), 4u);
-  EXPECT_GT(rt.counters(me).get(obs::Counter::kBackoffCycles), 0u);
+  EXPECT_EQ(rt.counters(me).get(obs::Counter::kRetries), 0u);
 
   owner.release_and_join();
 }
 
-TEST(CallRemoteBatch, BackoffGivesUpOnFullRing) {
-  // The batch lane runs the same retry policy as call_remote: a bounded
-  // backoff against a ring nobody drains gives up with kOverloaded after
-  // backoff_rounds failed posts instead of blocking forever.
+TEST(CallRemoteBatch, FailFastGivesUpOnFullRing) {
+  // The batch lane runs the same retry policy as call_remote: fail-fast
+  // against a ring nobody drains gives up with kOverloaded at its first
+  // failed post, refusing every cell, instead of blocking forever.
   Runtime rt(2);
   const SlotId me = rt.register_thread();
   const EntryPointId ep = bind_adder(rt);
@@ -700,19 +690,17 @@ TEST(CallRemoteBatch, BackoffGivesUpOnFullRing) {
   for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
     ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(i)), Status::kOk);
   }
-  CallOptions backoff;
-  backoff.retry = RetryPolicy::kBackoff;
-  backoff.backoff_rounds = 4;
+  CallOptions fail_fast;
+  fail_fast.retry = RetryPolicy::kFailFast;
   std::array<ppc::RegSet, 8> batch;
   for (Word i = 0; i < batch.size(); ++i) batch[i] = make_regs(i);
-  EXPECT_EQ(rt.call_remote_batch(me, 1, 1, ep, batch, backoff),
+  EXPECT_EQ(rt.call_remote_batch(me, 1, 1, ep, batch, fail_fast),
             Status::kOverloaded);
   for (const ppc::RegSet& r : batch) {
     EXPECT_EQ(ppc::rc_of(r), Status::kOverloaded);
   }
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 1u);
-  EXPECT_GE(rt.counters(me).get(obs::Counter::kRetries), 4u);
-  EXPECT_GT(rt.counters(me).get(obs::Counter::kBackoffCycles), 0u);
+  EXPECT_EQ(rt.counters(me).get(obs::Counter::kRetries), 0u);
   owner.release_and_join();
 }
 
@@ -1038,7 +1026,7 @@ TEST(CallRemoteBatch, WarmBatchesTakeNoLocksAndNeverAllocate) {
   for (int warm = 0; warm < 4; ++warm) ASSERT_EQ(run_batch(), Status::kOk);
   const auto before_me = rt.slot_snapshot(me);
   const std::uint64_t before_locks =
-      rt.shared_counters().get(obs::Counter::kLocksTaken);
+      rt.snapshot().get(obs::Counter::kLocksTaken);
   constexpr std::uint64_t kRounds = 64;
   int bad = 0;
   const std::uint64_t heap = heap_allocs_during([&] {
@@ -1049,7 +1037,7 @@ TEST(CallRemoteBatch, WarmBatchesTakeNoLocksAndNeverAllocate) {
   const auto delta = rt.slot_snapshot(me).delta(before_me);
   EXPECT_EQ(bad, 0);
   EXPECT_EQ(heap, 0u);
-  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kLocksTaken), before_locks);
+  EXPECT_EQ(rt.snapshot().get(obs::Counter::kLocksTaken), before_locks);
   EXPECT_EQ(delta.get(obs::Counter::kLocksTaken), 0u);
   // Every warm batch is one claim + one doorbell: 16 cells per vectored
   // post, no ring-full retries anywhere.
@@ -1432,13 +1420,16 @@ TEST(CallRemote, HardKillWhileCellParkedAbortsInFlight) {
   std::atomic<Status> result{Status::kOk};
   std::thread caller([&] {
     const SlotId s = rt.register_thread();
+    EXPECT_EQ(s, 2u);
     ppc::RegSet r = make_regs(1);
     result.store(rt.call_remote(s, 1, 2, ep, r), std::memory_order_release);
   });
-  // Deterministic ordering: the kill happens only once the cell is visibly
-  // parked (atomic ring-cursor reads — no race with the caller's stores),
-  // which also means the caller passed its pre-screen while alive.
-  while (rt.xcall_depth(1) == 0) std::this_thread::yield();
+  // Deterministic ordering: the kill happens only once the cell is
+  // published (the caller books its post after the publish), which also
+  // means the caller passed its pre-screen while alive.
+  while (rt.counters(2).get(obs::Counter::kXcallPosts) == 0) {
+    std::this_thread::yield();
+  }
   ASSERT_EQ(rt.hard_kill(ep), Status::kOk);
   owner.release_and_join();  // drain: re-resolve fails -> kCallAborted
   caller.join();

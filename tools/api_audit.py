@@ -17,7 +17,8 @@ and .cpp are not counted. Columns:
 A row with users 0 is public API that only tests (or nobody) use.
 
 Usage: python3 tools/api_audit.py [repo_root]   (default: the parent of
-tools/). Only reports; it never fails.
+tools/). Exits 1 when a public member has no caller at all (a row marked
+`<- unused`); a member only tests call is reported, not failed.
 """
 
 import pathlib
@@ -119,6 +120,7 @@ def main():
     }
     tests_root = root / "tests"
     print(f"{'class':<18} {'member':<28} {'users':>5} {'tests':>5}")
+    unused = 0
     for label, header, impls, name in CLASSES:
         own = {(root / header).resolve()} | {(root / f).resolve()
                                              for f in impls}
@@ -136,7 +138,12 @@ def main():
                     users += 1
             flag = "  <- tests only" if users == 0 and tests else (
                 "  <- unused" if users == 0 else "")
+            unused += flag == "  <- unused"
             print(f"{label:<18} {member:<28} {users:>5} {tests:>5}{flag}")
+    if unused:
+        print(f"api_audit: {unused} public member(s) with no caller",
+              file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
